@@ -258,7 +258,6 @@ def _cmd_te(
     snapshots: int,
     seed: int,
     as_json: bool,
-    backend: Optional[str] = None,
     trace: Optional[str] = None,
 ) -> int:
     from repro.demands.traffic_matrix import diurnal_gravity_series
@@ -273,9 +272,7 @@ def _cmd_te(
             print(f"bad traffic series: {error}", file=sys.stderr)
             return 2
         try:
-            engine = RoutingEngine(
-                network, schemes or _DEFAULT_TE_SCHEMES, rng=seed, backend=backend
-            )
+            engine = RoutingEngine(network, schemes or _DEFAULT_TE_SCHEMES, rng=seed)
         except ReproError as error:
             print(f"bad scheme spec: {error}", file=sys.stderr)
             return 2
@@ -331,7 +328,6 @@ def _cmd_scenarios_run(
     snapshots: Optional[int],
     as_json: bool,
     output: Optional[str],
-    backend: str = "dict",
     executor: str = "auto",
     artifact_dir: Optional[str] = None,
     resume: Optional[str] = None,
@@ -354,7 +350,6 @@ def _cmd_scenarios_run(
             result = run_suite(
                 suite,
                 workers=workers,
-                backend=backend,
                 executor=executor,
                 artifact_dir=artifact_dir,
                 resume=resume,
@@ -416,7 +411,6 @@ def _cmd_stream_run(
     seed: int,
     window: int,
     threshold: float,
-    backend: str,
     with_optimal: bool,
     as_json: bool,
     no_steps: bool,
@@ -437,7 +431,6 @@ def _cmd_stream_run(
             report = engine.run_stream(
                 stream,
                 policies=policies or ["static"],
-                backend=backend,
                 window=window,
                 threshold=threshold,
                 with_optimal=with_optimal,
@@ -853,7 +846,6 @@ def _cmd_forwarding_realize(
     scheme: str,
     buckets: int,
     flows: int,
-    backend: str,
     seed: int,
     as_json: bool,
     output: Optional[str],
@@ -866,8 +858,7 @@ def _cmd_forwarding_realize(
         with _tracing(trace, "cli.forwarding.realize"):
             network, routing, demand = _forwarding_setup(topology, scheme, seed)
             _, result = evaluate_realization(
-                routing, demand, buckets=buckets, flows=flows,
-                seed=seed, backend=backend,
+                routing, demand, buckets=buckets, flows=flows, seed=seed
             )
     except ReproError as error:
         print(error, file=sys.stderr)
@@ -896,7 +887,6 @@ def _cmd_forwarding_gap(
     scheme: str,
     buckets_list: List[int],
     flows: int,
-    backend: str,
     seed: int,
     as_json: bool,
     output: Optional[str],
@@ -912,8 +902,7 @@ def _cmd_forwarding_gap(
             network, routing, demand = _forwarding_setup(topology, scheme, seed)
             for buckets in buckets_list:
                 _, result = evaluate_realization(
-                    routing, demand, buckets=buckets, flows=flows,
-                    seed=seed, backend=backend,
+                    routing, demand, buckets=buckets, flows=flows, seed=seed
                 )
                 analytic = analyze_placement(buckets, flows, seed=seed)
                 rows.append({"buckets": buckets, **result.to_dict(),
@@ -1022,10 +1011,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     te_parser.add_argument("--snapshots", type=int, default=4)
     te_parser.add_argument("--seed", type=int, default=0)
     te_parser.add_argument("--json", action="store_true", help="print the report as JSON")
-    from repro.linalg.evaluator import BACKEND_CHOICES
-
-    te_parser.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                           help="evaluation backend for fixed-ratio schemes (default: per-scheme)")
     te_parser.add_argument("--trace", default=None, metavar="PATH",
                            help="write a span trace (JSONL) of the run to this path")
 
@@ -1048,10 +1033,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="print the JSON artifact instead of tables")
     run_parser.add_argument("--output", default=None,
                             help="also write the JSON artifact to this path")
-    run_parser.add_argument("--backend", choices=BACKEND_CHOICES,
-                            default="dict",
-                            help="evaluation backend for fixed-ratio schemes "
-                                 "(dict reproduces reference artifacts bit for bit)")
     from repro.scenarios.runner import EXECUTOR_CHOICES
 
     # No argparse choices= here on purpose: the runner validates the
@@ -1096,8 +1077,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="rolling metric window in steps (default 16)")
     stream_run.add_argument("--threshold", type=float, default=1.0,
                             help="overload utilization threshold (default 1.0)")
-    stream_run.add_argument("--backend", choices=("auto", "sparse", "dense"), default="auto",
-                            help="compiled evaluation representation (default auto)")
     stream_run.add_argument("--optimal", action="store_true",
                             help="normalize each step by the per-step optimal MCF (needs LP)")
     stream_run.add_argument("--json", action="store_true",
@@ -1215,9 +1194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              help="split-ratio granularity 1/k (default 8)")
     fwd_realize.add_argument("--flows", type=int, default=64,
                              help="discrete flows hashed per pair (default 64)")
-    fwd_realize.add_argument("--backend", choices=("auto", "sparse", "dense"),
-                             default="auto",
-                             help="compiled evaluation representation (default auto)")
     _forwarding_common(fwd_realize)
     fwd_gap = fwd_sub.add_parser(
         "gap", help="fractional-vs-ECMP congestion gap across bucket granularities"
@@ -1227,9 +1203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="bucket count, repeatable (default: 2 4 8 16)")
     fwd_gap.add_argument("--flows", type=int, default=64,
                          help="discrete flows hashed per pair (default 64)")
-    fwd_gap.add_argument("--backend", choices=("auto", "sparse", "dense"),
-                         default="auto",
-                         help="compiled evaluation representation (default auto)")
     _forwarding_common(fwd_gap)
 
     trace_parser = subparsers.add_parser(
@@ -1276,7 +1249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_experiments(args.ids, args.scale, args.seed, as_json=args.json)
     if args.command == "te":
         return _cmd_te(args.topology, args.schemes, args.snapshots, args.seed,
-                       as_json=args.json, backend=args.backend, trace=args.trace)
+                       as_json=args.json, trace=args.trace)
     if args.command == "scenarios":
         if args.scenario_command == "list":
             return _cmd_scenarios_list()
@@ -1285,7 +1258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.scenario_command == "run":
             return _cmd_scenarios_run(
                 args.suite, args.workers, args.seed, args.snapshots, args.json, args.output,
-                backend=args.backend, executor=args.executor,
+                executor=args.executor,
                 artifact_dir=args.artifact_dir, resume=args.resume, trace=args.trace,
             )
         return 2
@@ -1297,7 +1270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.stream_command == "run":
             return _cmd_stream_run(
                 args.topology, args.stream_kind, args.steps, args.policies, args.scheme,
-                args.seed, args.window, args.threshold, args.backend, args.optimal,
+                args.seed, args.window, args.threshold, args.optimal,
                 args.json, args.no_steps, args.output, trace=args.trace,
                 churn_buckets=args.churn_buckets,
             )
@@ -1310,12 +1283,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.forwarding_command == "realize":
             return _cmd_forwarding_realize(
-                args.topology, args.scheme, args.buckets, args.flows, args.backend,
+                args.topology, args.scheme, args.buckets, args.flows,
                 args.seed, as_json=args.json, output=args.output, trace=args.trace,
             )
         if args.forwarding_command == "gap":
             return _cmd_forwarding_gap(
-                args.topology, args.scheme, args.buckets_list, args.flows, args.backend,
+                args.topology, args.scheme, args.buckets_list, args.flows,
                 args.seed, as_json=args.json, output=args.output, trace=args.trace,
             )
         return 2

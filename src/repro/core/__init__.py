@@ -25,7 +25,6 @@ from repro.core.integral_routing import integral_congestion, IntegralRoutingResu
 from repro.core.weak_routing import WeakRoutingProcess, WeakRoutingOutcome
 from repro.core.competitive import (
     competitive_ratio,
-    routing_congestion,
     CompetitiveReport,
     evaluate_path_system,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "WeakRoutingProcess",
     "WeakRoutingOutcome",
     "competitive_ratio",
-    "routing_congestion",
     "CompetitiveReport",
     "evaluate_path_system",
     "completion_time",

@@ -53,11 +53,6 @@ def _ratio(achieved: float, optimal: float) -> float:
     return achieved / optimal
 
 
-def routing_congestion(routing: Routing, demand: Demand) -> float:
-    """``cong(R, d)`` — thin wrapper kept for API symmetry."""
-    return routing.congestion(demand)
-
-
 def competitive_ratio(
     achieved_congestion: float,
     network: Network,
@@ -142,7 +137,6 @@ __all__ = [
     "CompetitiveReport",
     "WorstCaseReport",
     "competitive_ratio",
-    "routing_congestion",
     "evaluate_path_system",
     "evaluate_oblivious_routing",
     "worst_case_over_demands",

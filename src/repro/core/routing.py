@@ -162,40 +162,36 @@ class Routing:
                 weighted.append((path, amount * probability))
         return weighted
 
-    def evaluator(self, backend: str = "dict", tile_pairs=None, memory_budget_mb=None):
-        """The cached evaluation backend for this routing.
+    def evaluator(self, backend: str):
+        """The cached evaluator for this routing.
 
-        ``backend`` is ``"dict"`` (reference loops with a shared
-        per-demand memo), ``"sparse"`` (compiled scipy-CSR matmuls, with
-        a dense numpy fallback), ``"dense"`` (pure numpy), or ``"auto"``
-        (the fastest compiled form available).  Evaluators are cached
-        per backend and invalidated when a distribution changes, so a
-        (routing, demand) pair is evaluated once however many metrics
-        ask for it.  See :mod:`repro.linalg`.
-
-        ``tile_pairs`` / ``memory_budget_mb`` request memory-bounded
-        tiled evaluation on the compiled backends (cached separately per
-        knob combination; see :mod:`repro.linalg.tiled`).
+        One rule picks ``backend`` by how the routing is used: a routing
+        installed once and evaluated for many demands compiles through
+        ``"auto"`` (scipy CSR, dense numpy without scipy); a routing
+        evaluated once keeps ``"dict"`` (reference loops with a
+        per-demand memo, and the test oracle), because compiling first
+        costs about two dict passes.  ``"sparse"``/``"dense"`` name a
+        compiled form explicitly.  Evaluators are cached per form and
+        invalidated when a distribution changes; ``"auto"`` reuses
+        whichever compiled form is already cached, including one seeded
+        by :meth:`attach_evaluator`.  See :mod:`repro.linalg`.
         """
+        if backend == "auto":
+            for key in ("sparse", "dense"):
+                if key in self._evaluators:
+                    return self._evaluators[key]
         if backend != "dict":
             # "auto"/"sparse"/"dense" can resolve to the same compiled
             # form; cache under the resolved name to compile only once.
             from repro.linalg._matrix import resolve_representation
 
             backend = resolve_representation(backend)
-        key = (
-            backend
-            if tile_pairs is None and memory_budget_mb is None
-            else (backend, tile_pairs, memory_budget_mb)
-        )
-        evaluator = self._evaluators.get(key)
+        evaluator = self._evaluators.get(backend)
         if evaluator is None:
             from repro.linalg.evaluator import build_evaluator
 
-            evaluator = build_evaluator(
-                self, backend, tile_pairs=tile_pairs, memory_budget_mb=memory_budget_mb
-            )
-            self._evaluators[key] = evaluator
+            evaluator = build_evaluator(self, backend)
+            self._evaluators[backend] = evaluator
         return evaluator
 
     def attach_evaluator(self, backend: str, evaluator: object) -> None:
@@ -214,15 +210,15 @@ class Routing:
 
     def edge_congestions(self, demand: Demand) -> Dict[Tuple[Vertex, Vertex], float]:
         """Per-edge congestion ``cong(R, d, e)`` (load / capacity)."""
-        return self.evaluator().edge_congestions(demand)
+        return self.evaluator("dict").edge_congestions(demand)
 
     def congestion(self, demand: Demand) -> float:
         """``cong(R, d)`` — the maximum edge congestion."""
-        return self.evaluator().congestion(demand)
+        return self.evaluator("dict").congestion(demand)
 
     def dilation(self, demand: Demand) -> int:
         """``dil(R, d)`` — maximum hop length among paths used for ``demand``."""
-        return self.evaluator().dilation(demand)
+        return self.evaluator("dict").dilation(demand)
 
     def max_dilation(self) -> int:
         """Maximum hop length over all paths in the routing's support."""
@@ -321,7 +317,7 @@ def path_usage_counts(routing: Routing, demand: Demand) -> Dict[Tuple[Vertex, Ve
     Shares the routing's memoized evaluation, so calling it alongside
     :meth:`Routing.congestion` does not redo the path walk.
     """
-    return routing.evaluator().edge_loads(demand)
+    return routing.evaluator("dict").edge_loads(demand)
 
 
 __all__ = ["Routing", "path_usage_counts", "Pair"]

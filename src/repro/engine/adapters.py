@@ -222,21 +222,9 @@ class FixedRatioRouter(BaseRouter):
 
     No online adaptation: the congestion of a demand is read off the
     fixed path distributions.  Covers the plain-oblivious and
-    single-shortest-path TE baselines.
-
-    ``backend`` selects the evaluation backend used to read congestion
-    off the fixed distributions: ``"dict"`` (reference loops, default),
-    ``"sparse"``/``"dense"``/``"auto"`` (compiled linear algebra — the
-    fast path when many demands stream through the same routing).  It
-    may be reassigned between routes; the compiled forms are cached on
-    the routing itself.
-
-    ``tile_pairs`` / ``memory_budget_mb`` bound the peak memory of the
-    compiled backends by tiling the pair dimension (see
-    :mod:`repro.linalg.tiled`); they are ignored on the ``dict``
-    backend, which holds no matrices to tile.  Like ``backend``, both
-    may be reassigned between routes (typically pinned engine-wide via
-    ``RoutingEngine(..., memory_budget_mb=...)``).
+    single-shortest-path TE baselines.  The routing is installed once
+    and evaluated for every demand, so it is read through its compiled
+    operator (``routing.evaluator("auto")``, cached on the routing).
     """
 
     def __init__(
@@ -244,16 +232,10 @@ class FixedRatioRouter(BaseRouter):
         network: Network,
         builder: ObliviousRoutingBuilder,
         name: str = "oblivious",
-        backend: str = "dict",
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
     ) -> None:
         super().__init__(network, name)
         self._builder = builder
         self._routing: Optional[Routing] = None
-        self.backend = backend
-        self.tile_pairs = tile_pairs
-        self.memory_budget_mb = memory_budget_mb
 
     @property
     def builder(self) -> ObliviousRoutingBuilder:
@@ -274,19 +256,9 @@ class FixedRatioRouter(BaseRouter):
                 raise RoutingError(
                     f"router {self.name!r} was installed without pair {(source, target)!r}"
                 )
-        if self.backend == "dict" or (
-            self.tile_pairs is None and self.memory_budget_mb is None
-        ):
-            evaluator = self._routing.evaluator(self.backend)
-        else:
-            evaluator = self._routing.evaluator(
-                self.backend,
-                tile_pairs=self.tile_pairs,
-                memory_budget_mb=self.memory_budget_mb,
-            )
         return RouteResult(
             scheme=self.name,
-            congestion=evaluator.congestion(demand),
+            congestion=self._routing.evaluator("auto").congestion(demand),
             routing=self._routing,
             method="fixed",
         )

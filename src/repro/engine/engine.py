@@ -35,7 +35,6 @@ from repro.engine.registry import (
     SchemeError,
     SchemeSpec,
     build_router,
-    parse_spec,
 )
 from repro.engine.router import Pair, RouteResult, Router
 
@@ -102,16 +101,6 @@ class SimulationReport:
 SpecLike = Union[str, Mapping[str, Any], SchemeSpec, Router]
 
 
-def _spec_sets_backend(spec: SpecLike) -> bool:
-    """True when a scheme spec pins its evaluation backend explicitly."""
-    if not isinstance(spec, (str, Mapping, SchemeSpec)):
-        return False
-    try:
-        return "backend" in dict(parse_spec(spec).params)
-    except SchemeError:
-        return False
-
-
 class RoutingEngine:
     """Batch facade routing many demands through many registry-built schemes.
 
@@ -129,12 +118,10 @@ class RoutingEngine:
         engines built with the same seed and schemes are identical).
     cut_cache:
         Optional pre-warmed min-cut oracle to share.
-    backend:
-        Evaluation backend applied to every scheme that exposes one
-        (``"dict"`` reference loops, ``"sparse"``/``"dense"`` compiled
-        linear algebra, ``"auto"``).  ``None`` keeps each scheme's own
-        default.  Schemes without a pluggable evaluator (LP-based rate
-        adaptation) are unaffected.  See :mod:`repro.linalg`.
+
+    Installed fixed-ratio routings, streams, ODME loops and sweeps all
+    evaluate through the compiled operator (``routing.evaluator("auto")``;
+    see :mod:`repro.linalg`).
     """
 
     def __init__(
@@ -143,9 +130,6 @@ class RoutingEngine:
         schemes: Union[Sequence[SpecLike], Mapping[str, SpecLike]] = (),
         rng: RngLike = None,
         cut_cache: Optional[CutCache] = None,
-        backend: Optional[str] = None,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
     ) -> None:
         self._network = network
         self._rng = ensure_rng(rng)
@@ -153,9 +137,6 @@ class RoutingEngine:
         self._routers: Dict[str, Router] = {}
         self._pairs: Optional[List[Pair]] = None
         self._installed = False
-        self._backend = backend
-        self._tile_pairs = tile_pairs
-        self._memory_budget_mb = memory_budget_mb
         if isinstance(schemes, Mapping):
             for label, spec in schemes.items():
                 self.add_scheme(spec, label=label)
@@ -173,21 +154,6 @@ class RoutingEngine:
     @property
     def context(self) -> EngineContext:
         return self._context
-
-    @property
-    def backend(self) -> Optional[str]:
-        """Engine-wide evaluation backend (``None`` = per-scheme defaults)."""
-        return self._backend
-
-    @property
-    def tile_pairs(self) -> Optional[int]:
-        """Engine-wide pair-tile width for compiled evaluation (``None`` = untiled)."""
-        return self._tile_pairs
-
-    @property
-    def memory_budget_mb(self) -> Optional[float]:
-        """Engine-wide evaluation memory budget in MB (``None`` = unbounded)."""
-        return self._memory_budget_mb
 
     @property
     def routers(self) -> Dict[str, Router]:
@@ -212,26 +178,6 @@ class RoutingEngine:
         :meth:`install` are installed immediately on the same pairs.
         """
         router = build_router(spec, self._network, rng=self._rng, context=self._context)
-        if (
-            self._backend is not None
-            and isinstance(spec, (str, Mapping, SchemeSpec))
-            and hasattr(router, "backend")
-            and not _spec_sets_backend(spec)
-        ):
-            # The engine-wide default applies only where the spec did not
-            # pin a backend: the more specific setting wins, and pre-built
-            # Router instances (the most specific form) are never touched.
-            router.backend = self._backend
-        if (
-            (self._tile_pairs is not None or self._memory_budget_mb is not None)
-            and isinstance(spec, (str, Mapping, SchemeSpec))
-            and hasattr(router, "tile_pairs")
-        ):
-            # Memory-bounded tiled evaluation is engine-wide policy:
-            # pinned onto every spec-built router that evaluates through
-            # the compiled backends (same specificity rule as backend).
-            router.tile_pairs = self._tile_pairs
-            router.memory_budget_mb = self._memory_budget_mb
         label = label if label is not None else router.name
         if label in self._routers:
             raise SchemeError(f"engine already has a scheme labelled {label!r}")
@@ -355,7 +301,6 @@ class RoutingEngine:
         stream,
         policies: Union[str, Sequence[str]] = "static",
         label: Optional[str] = None,
-        backend: Optional[str] = None,
         window: int = 16,
         threshold: float = 1.0,
         with_optimal: bool = False,
@@ -374,9 +319,7 @@ class RoutingEngine:
         sequence of specs (returns a
         :class:`~repro.stream.runner.StreamComparison` in which every
         policy replays bit-identical updates).  ``label`` picks the
-        scheme (default: the first registered one); ``backend`` the
-        compiled representation (default: the engine backend, else
-        ``"auto"``).  With ``with_optimal`` each step is normalized by
+        scheme (default: the first registered one).  With ``with_optimal`` each step is normalized by
         the per-snapshot optimal MCF congestion — solved through the
         engine's memoized solver, so repeated snapshots are free.
         ``churn_buckets`` additionally charges each policy re-solve its
@@ -391,9 +334,6 @@ class RoutingEngine:
                 raise SchemeError("engine has no schemes to stream through")
             label = labels[0]
         router = self[label]
-        resolved_backend = backend if backend is not None else (self._backend or "auto")
-        if resolved_backend == "dict":
-            resolved_backend = "auto"  # streaming has no dict form; pick compiled
         optimal = self.optimal_congestion if with_optimal else None
 
         from repro.linalg._matrix import HAVE_SCIPY
@@ -412,7 +352,6 @@ class RoutingEngine:
                 return result.routing
 
         common = dict(
-            backend=resolved_backend,
             window=window,
             threshold=threshold,
             optimal=optimal,
@@ -448,7 +387,6 @@ class RoutingEngine:
         prior=None,
         regularization: float = 0.0,
         seed: int = 0,
-        backend: Optional[str] = None,
     ):
         """Run the telemetry closed loop on one scheme (see :mod:`repro.telemetry`).
 
@@ -461,9 +399,7 @@ class RoutingEngine:
         :class:`~repro.telemetry.OdmeLoopResult`; its summary's
         congestion gap is what estimation error costs the scheme.
 
-        ``label`` picks the scheme (default: the first registered one);
-        ``backend`` the compiled representation (default: the engine
-        backend, else ``"auto"``).
+        ``label`` picks the scheme (default: the first registered one).
         """
         from repro.telemetry.pipeline import run_odme_loop
 
@@ -474,9 +410,6 @@ class RoutingEngine:
                 raise SchemeError("engine has no schemes to estimate through")
             label = labels[0]
         router = self[label]
-        resolved_backend = backend if backend is not None else (self._backend or "auto")
-        if resolved_backend == "dict":
-            resolved_backend = "auto"  # the loop compiles; pick a compiled form
         return run_odme_loop(
             self._network,
             series,
@@ -488,7 +421,6 @@ class RoutingEngine:
             prior=prior,
             regularization=regularization,
             seed=seed,
-            representation=resolved_backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -501,7 +433,6 @@ class RoutingEngine:
         schemes: Union[Sequence[SpecLike], Mapping[str, SpecLike]] = (),
         rng: RngLike = None,
         cut_cache: Optional[CutCache] = None,
-        backend: Optional[str] = None,
     ) -> "RoutingEngine":
         """Build an engine on a real network resolved by the ingestion layer.
 
@@ -516,14 +447,12 @@ class RoutingEngine:
         """
         from repro.net import load_network as _load_network
 
-        return cls(
-            _load_network(source), schemes, rng=rng, cut_cache=cut_cache, backend=backend
-        )
+        return cls(_load_network(source), schemes, rng=rng, cut_cache=cut_cache)
 
     # ------------------------------------------------------------------ #
     # Installed-state transport (shared-memory sweep workers)
     # ------------------------------------------------------------------ #
-    def export_compiled(self, backend: str) -> Dict[str, Any]:
+    def export_compiled(self) -> Dict[str, Any]:
         """Compile every fixed-ratio scheme once; ``label -> CompiledRouting``.
 
         The parent side of the shared-memory sweep handshake: the
@@ -541,7 +470,7 @@ class RoutingEngine:
         compiled: Dict[str, Any] = {}
         for label, router in self._routers.items():
             if isinstance(router, FixedRatioRouter):
-                compiled[label] = router.routing.evaluator(backend).compiled
+                compiled[label] = router.routing.evaluator("auto").compiled
         return compiled
 
     def attach_compiled(self, label: str, compiled: Any) -> None:
@@ -568,7 +497,6 @@ class RoutingEngine:
     def run_suite(
         suite,
         workers: int = 1,
-        backend: str = "dict",
         executor: str = "auto",
         artifact_dir=None,
         resume=None,
@@ -581,10 +509,8 @@ class RoutingEngine:
         MCF memoized per snapshot), fanned out over ``workers``
         processes.  Returns a :class:`~repro.scenarios.report.SuiteResult`
         whose JSON artifact is bit-identical for any worker count.
-        ``backend`` selects the evaluation backend for fixed-ratio
-        schemes (``"dict"`` keeps the reference bit-exact artifacts;
-        ``"sparse"`` evaluates through compiled linear algebra,
-        numerically equivalent within 1e-9).  ``executor`` picks the
+        Fixed-ratio schemes evaluate through their compiled operators
+        (failure cells rebase them).  ``executor`` picks the
         fan-out strategy (``"shared"`` compiles once and publishes
         operators via shared memory), ``artifact_dir`` streams per-cell
         results into a resumable on-disk store, and ``resume`` points at
@@ -596,7 +522,6 @@ class RoutingEngine:
         return _run_suite(
             suite,
             workers=workers,
-            backend=backend,
             executor=executor,
             artifact_dir=artifact_dir,
             resume=resume,

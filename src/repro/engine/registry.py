@@ -491,6 +491,20 @@ def _build_semi_oblivious(
     )
 
 
+def _check_fixed_ratio_backend(scheme: str, backend: str) -> None:
+    """Fixed-ratio schemes always evaluate through the compiled operator.
+
+    ``backend=auto`` still parses so existing specs keep working; any
+    other value is an error rather than a silent override.
+    """
+    if backend != "auto":
+        raise SchemeError(
+            f"scheme {scheme!r} accepts only backend=auto: fixed-ratio schemes "
+            f"always evaluate compiled; use routing.evaluator(\"dict\") on the "
+            f"installed routing for the reference loops (got backend={backend!r})"
+        )
+
+
 @register_scheme(
     "oblivious",
     positional=("oblivious",),
@@ -502,11 +516,12 @@ def _build_oblivious(
     rng: RngLike = None,
     context: Optional[EngineContext] = None,
     oblivious: Union[str, ObliviousRoutingBuilder] = "racke",
-    backend: str = "dict",
+    backend: str = "auto",
     **source_params: Any,
 ) -> Router:
+    _check_fixed_ratio_backend("oblivious", backend)
     source = build_oblivious_source(oblivious, network, rng=rng, context=context, **source_params)
-    return FixedRatioRouter(network, source, name="oblivious", backend=backend)
+    return FixedRatioRouter(network, source, name="oblivious")
 
 
 @register_scheme(
@@ -538,10 +553,11 @@ def _build_spf(
     network: Network,
     rng: RngLike = None,
     context: Optional[EngineContext] = None,
-    backend: str = "dict",
+    backend: str = "auto",
 ) -> Router:
+    _check_fixed_ratio_backend("spf", backend)
     builder = build_oblivious_source("shortest-path", network, rng=rng, context=context)
-    return FixedRatioRouter(network, builder, name="spf", backend=backend)
+    return FixedRatioRouter(network, builder, name="spf")
 
 
 @register_scheme(
@@ -559,7 +575,6 @@ def _build_realized(
     buckets: int = 8,
     flows: Optional[int] = None,
     on_cycle: str = "decompose",
-    backend: str = "auto",
 ) -> Router:
     # Imported lazily: the registry is a lower layer than the forwarding
     # package, and suite specs parse `realized(...)` strings before any
@@ -573,7 +588,6 @@ def _build_realized(
         buckets=buckets,
         flows=flows,
         on_cycle=on_cycle,
-        backend=backend,
         rng=ensure_rng(rng),
     )
 

@@ -6,9 +6,8 @@ hop by a hash of its five-tuple — so realized edge loads deviate from
 the fractional ideal.  This module samples that placement with
 SeedSequence-derived generators (bit-identical for a given seed,
 independent of pair iteration order) and evaluates the resulting
-empirical routing through the compiled pair-x-edge operator
-(:class:`repro.linalg.CompiledRouting`), so the sparse and dense
-backends both apply.
+empirical routing through its compiled pair-x-edge operator
+(``routing.evaluator("auto")``: scipy CSR, dense numpy without scipy).
 
 Per pair, ``flows`` equal-size flows each carry ``demand(s, t)/flows``:
 
@@ -28,7 +27,6 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import ForwardingError
 from repro.graphs.network import Path
-from repro.linalg import CompiledRouting
 from repro.linalg._matrix import resolve_representation
 from repro.obs import trace_span
 
@@ -141,31 +139,25 @@ class RealizationResult:
         }
 
 
-def _compiled_congestion(routing: Routing, demand: Demand, representation: str) -> float:
-    compiled = CompiledRouting.from_routing(routing, representation=representation)
-    return float(compiled.congestion(demand))
-
-
 def evaluate_realization(
     routing: Routing,
     demand: Demand,
     buckets: int = 8,
     flows: Optional[int] = None,
     seed: int = 0,
-    backend: str = "auto",
     on_cycle: str = "decompose",
     table: Optional[ForwardingTable] = None,
 ) -> Tuple[ForwardingTable, RealizationResult]:
     """Quantize ``routing`` and measure the realized congestion gap.
 
     Returns the forwarding table and a :class:`RealizationResult` whose
-    congestions are all evaluated through :class:`CompiledRouting` with
-    the same resolved ``backend`` (``"sparse"`` degrades to the dense
-    representation without scipy, as everywhere else).  A pre-built
+    congestions are all evaluated through the compiled operator
+    (``routing.evaluator("auto")``); ``result.backend`` records the
+    resolved representation.  A pre-built
     ``table`` for the same routing skips the quantization step (the
     ``realized(...)`` scheme caches tables across snapshots this way).
     """
-    representation = resolve_representation(backend)
+    representation = resolve_representation("auto")
     if table is None:
         table = quantize_routing(routing, buckets=buckets, on_cycle=on_cycle)
     with trace_span(
@@ -174,12 +166,12 @@ def evaluate_realization(
         flows=0 if flows is None else int(flows),
         backend=representation,
     ) as span:
-        fractional = _compiled_congestion(routing, demand, representation)
-        quantized = _compiled_congestion(table.routing(), demand, representation)
+        fractional = routing.evaluator("auto").congestion(demand)
+        quantized = table.routing().evaluator("auto").congestion(demand)
         flow_congestion = None
         if flows is not None:
             empirical = realize_flows(table, flows, seed=seed)
-            flow_congestion = _compiled_congestion(empirical, demand, representation)
+            flow_congestion = empirical.evaluator("auto").congestion(demand)
         result = RealizationResult(
             buckets=table.buckets,
             flows=None if flows is None else int(flows),

@@ -43,10 +43,6 @@ class RealizedRouter(BaseRouter):
         is reported.
     on_cycle:
         Cycle/blow-up policy of the quantizer.
-    backend:
-        Evaluation backend for the realized routing (compiled pair-x-edge
-        operator; ``"auto"``/``"sparse"``/``"dense"`` or the ``"dict"``
-        reference).
     rng:
         Generator supplying the flow-placement seed at install time.
     """
@@ -58,7 +54,6 @@ class RealizedRouter(BaseRouter):
         buckets: int = 8,
         flows: Optional[int] = None,
         on_cycle: str = "decompose",
-        backend: str = "auto",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if int(buckets) < 1:
@@ -72,7 +67,6 @@ class RealizedRouter(BaseRouter):
         self.buckets = int(buckets)
         self.flows = None if flows is None else int(flows)
         self.on_cycle = on_cycle
-        self.backend = backend
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._flow_seed: int = 0
         #: (routing, version, buckets) -> table cache so fixed-ratio
@@ -122,7 +116,6 @@ class RealizedRouter(BaseRouter):
             buckets=self.buckets,
             flows=self.flows,
             seed=self._flow_seed,
-            backend="auto" if self.backend == "dict" else self.backend,
             on_cycle=self.on_cycle,
             # Cached when the inner routing is unchanged (fixed-ratio
             # inners return the same object every route).

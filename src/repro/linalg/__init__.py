@@ -14,9 +14,16 @@ backends (``dict`` reference loops vs compiled ``sparse``/``dense``)::
     evaluator.congestions(demands)        # whole batch, one matmul
     evaluator.rebased(event)              # post-failure, no recompile
 
-Selected throughout the stack via ``RoutingEngine(backend=...)``,
-``te/metrics`` keyword arguments, ``run_suite(..., backend=...)`` and
-the ``--backend`` CLI flags.  ``repro bench`` emits the ``BENCH_*.json``
+No layer above this package takes a backend option; one rule picks the
+evaluator by how a routing is used.  A routing installed once and
+evaluated for many demands (fixed-ratio schemes, sweeps, streams, ODME,
+ECMP realization) compiles through ``routing.evaluator("auto")`` —
+scipy CSR, dense numpy without scipy.  A routing evaluated once
+(``Routing.congestion``, the single-demand ``te.metrics``) keeps the
+``dict`` memo, which is also the test oracle.  Only
+``Routing.evaluator(backend)`` and :func:`build_evaluator` (whose
+``tile_pairs``/``memory_budget_mb`` serve the scale bench) name a
+backend.  ``repro bench`` emits the ``BENCH_*.json``
 performance baselines comparing the backends; its targets live in
 :mod:`repro.linalg.bench`, imported on demand (benchmarks pull in the
 ``te``/``scenarios`` layers above this package, so they are not loaded

@@ -87,6 +87,32 @@ def _workload(scale: str, seed: int):
     return network, routing, demands
 
 
+def _renormalized_congestion(routing: Routing, demand, degraded: Network) -> float:
+    """Reference leg of :func:`bench_rebase`: the failure rebase as dict loops.
+
+    Per demand, drops every path crossing a failed edge, renormalizes
+    each pair's surviving split ratios and sums the loads on the
+    degraded network; ``inf`` when a demanded pair lost every path.
+    This is what the compiled rebase replaces.
+    """
+    weighted: List[Tuple[Sequence, float]] = []
+    for source, target in demand.pairs():
+        if not routing.covers(source, target):
+            return float("inf")
+        surviving = {
+            path: probability
+            for path, probability in routing.distribution(source, target).items()
+            if all(degraded.has_edge(u, v) for u, v in zip(path, path[1:]))
+        }
+        if not surviving:
+            return float("inf")
+        total = sum(surviving.values())
+        amount = demand.value(source, target)
+        for path, probability in surviving.items():
+            weighted.append((path, amount * probability / total))
+    return degraded.congestion(weighted)
+
+
 def environment_info() -> Dict[str, Any]:
     """The ``environment`` block shared by every bench artifact."""
     try:
@@ -162,15 +188,11 @@ def bench_rebase(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     Samples k-edge failure events and, per event, re-evaluates the whole
     demand batch on the degraded routing.  The dict side renormalizes
-    each pair's surviving distribution per demand (the scenario runner's
-    fixed-ratio loop); the sparse side masks failed-edge columns and
-    rescales once, then evaluates the batch with one matmul.
+    each pair's surviving distribution per demand
+    (:func:`_renormalized_congestion`); the sparse side masks failed-edge
+    columns and rescales once, then evaluates the batch with one matmul
+    — the path the scenario runner's failure cells take.
     """
-    # The dict reference IS the scenario runner's fixed-ratio loop —
-    # imported (lazily: scenarios sits above linalg in the layer map),
-    # not copied, so the committed speedup always measures the code the
-    # sweeps actually run.
-    from repro.scenarios.runner import _route_fixed_ratio_degraded
     from repro.te.failures import apply_failure
 
     network, routing, demands = _workload(scale, seed)
@@ -183,20 +205,12 @@ def bench_rebase(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         if apply_failure(network, event) is not None
     ][:num_events]
 
-    class _FixedRatioStandIn:
-        """Duck-typed FixedRatioRouter: the runner loop only reads .routing."""
-
-        def __init__(self, fixed_routing):
-            self.routing = fixed_routing
-
-    stand_in = _FixedRatioStandIn(routing)
     dict_results: List[float] = []
     with Stopwatch() as dict_watch:
         for event in events:
             degraded = apply_failure(network, event)
             for demand in demands:
-                congestion, _coverage = _route_fixed_ratio_degraded(stand_in, demand, degraded)
-                dict_results.append(float("inf") if congestion is None else congestion)
+                dict_results.append(_renormalized_congestion(routing, demand, degraded))
     dict_seconds = dict_watch.elapsed
 
     sparse_evaluator = build_evaluator(routing, backend="sparse")

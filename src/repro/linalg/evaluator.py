@@ -50,8 +50,8 @@ from repro.obs import trace_span
 #: Backend names accepted by :func:`build_evaluator`.
 BACKENDS = ("dict", "sparse", "dense")
 
-#: The full set of backend selectors (CLI flags, ``run_suite``,
-#: ``Routing.evaluator``): the concrete backends plus ``"auto"``.
+#: The full set of backend selectors (``Routing.evaluator``,
+#: :func:`build_evaluator`): the concrete backends plus ``"auto"``.
 BACKEND_CHOICES = BACKENDS + ("auto",)
 
 #: How many distinct demands the dict backend memoizes per routing.
@@ -325,7 +325,7 @@ def build_evaluator(
                 "backend; the dict reference evaluator holds no operator to tile"
             )
         return DictEvaluator(routing)
-    if backend in ("sparse", "dense", "auto"):
+    if backend in BACKEND_CHOICES:
         return SparseEvaluator.from_routing(
             routing,
             representation=backend,

@@ -118,13 +118,9 @@ def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     cleanup_stale_segments()
     with Stopwatch() as rebuild_watch:
-        rebuild_result = run_suite(
-            suite, workers=workers, backend="auto", executor="rebuild"
-        )
+        rebuild_result = run_suite(suite, workers=workers, executor="rebuild")
     with Stopwatch() as shared_watch:
-        shared_result = run_suite(
-            suite, workers=workers, backend="auto", executor="shared"
-        )
+        shared_result = run_suite(suite, workers=workers, executor="shared")
     leaked = live_segments()
 
     num_cells = suite.num_cells()

@@ -37,9 +37,9 @@ ARTIFACT_VERSION = 1
 class SuiteResult:
     """Outcome of one scenario-suite run: manifest plus per-cell rows.
 
-    ``backend`` records which evaluation backend produced the rows
-    (``dict`` is the bit-exact reference; compiled backends agree within
-    1e-9 but differ in float summation order), so an artifact is
+    ``backend`` records the compiled representation that produced the
+    rows (``sparse``, or ``dense`` on numpy-only installs; the two agree
+    within 1e-9 but differ in float summation order), so an artifact is
     attributable even when two runs of the same manifest are
     byte-different.
     """

@@ -16,14 +16,13 @@ Executors
 
 ``shared`` (default for ``workers > 1``)
     The production path.  The parent builds and installs one engine per
-    topology **once**, compiles the fixed-ratio operators (when a
-    compiled backend is selected) and publishes their arrays through
-    ``multiprocessing.shared_memory`` (:mod:`repro.scenarios.shm`);
-    workers receive the lean pickled engines via pool initargs, attach
-    zero-copy read-only operator views, and drain a **cell-granular**
-    work queue (``imap_unordered``, chunk size 1) so stragglers never
-    serialize behind big topologies and more workers than topologies
-    are fully used.
+    topology **once**, compiles the fixed-ratio operators and publishes
+    their arrays through ``multiprocessing.shared_memory``
+    (:mod:`repro.scenarios.shm`); workers receive the lean pickled
+    engines via pool initargs, attach zero-copy read-only operator
+    views, and drain a **cell-granular** work queue (``imap_unordered``,
+    chunk size 1) so stragglers never serialize behind big topologies
+    and more workers than topologies are fully used.
 
 ``rebuild``
     Same cell-granular queue, but every worker rebuilds engines from
@@ -37,10 +36,10 @@ With ``artifact_dir=`` (or ``resume=``) every completed cell is
 streamed — by the parent, the store's single writer — into an
 append-only chunked :class:`~repro.scenarios.store.ArtifactStore`.  A
 killed sweep resumes by re-opening the store (validated against the
-content hash of ``(suite, backend)``), dropping at most one
-crash-truncated trailing record, and evaluating only the missing
-cells; finalization re-serializes from store records, so the resumed
-artifact is byte-identical to an uninterrupted run's.
+content hash of the suite and the resolved compiled representation),
+dropping at most one crash-truncated trailing record, and evaluating
+only the missing cells; finalization re-serializes from store records,
+so the resumed artifact is byte-identical to an uninterrupted run's.
 
 Cell semantics
 --------------
@@ -54,11 +53,12 @@ Per cell, per snapshot, per scheme:
   re-optimize only the sending rates — forwarding state is never
   recomputed, which is precisely the semi-oblivious robustness story.
   Fixed-ratio schemes renormalize each pair's surviving path
-  distribution; the ``optimal`` scheme re-solves the MCF on the degraded
-  network (it is the fair post-failure baseline).  A scheme that loses
-  every candidate path for some demanded pair gets infinite congestion
-  and a coverage below 1.  Cells whose failure disconnects the network
-  report null congestion and keep only coverage.
+  distribution on their compiled operators (once per failure event, no
+  recompilation); the ``optimal`` scheme re-solves the MCF on the
+  degraded network (it is the fair post-failure baseline).  A scheme
+  that loses every candidate path for some demanded pair gets infinite
+  congestion and a coverage below 1.  Cells whose failure disconnects
+  the network report null congestion and keep only coverage.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +76,7 @@ from repro.engine.adapters import FixedRatioRouter, OptimalRouter
 from repro.engine.engine import RoutingEngine
 from repro.engine.router import RouteResult
 from repro.graphs.network import Network, edge_key
-from repro.linalg.evaluator import BACKEND_CHOICES
+from repro.linalg._matrix import resolve_representation
 from repro.mcf.lp import min_congestion_lp
 from repro.obs import JsonlSink, Tracer, active_tracer, install_tracer, merge_trace_parts, trace_span
 from repro.te.failures import apply_failure, rebase_system, rebase_without_network
@@ -134,61 +134,13 @@ def _disconnected_coverage(router: Any, event, demand: Demand) -> float:
     return float("nan")
 
 
-def _route_fixed_ratio_degraded(
-    router: FixedRatioRouter,
-    demand: Demand,
-    degraded: Network,
-    event=None,
-) -> Tuple[Optional[float], float]:
-    """Renormalize surviving split ratios per pair; (congestion, coverage).
-
-    The scheme's own ``router.backend`` decides the path — it already
-    encodes the engine-default-vs-spec-pin precedence, so failure cells
-    evaluate through exactly the backend the healthy cells used.  With a
-    compiled backend the renormalization happens once per failure event
-    on the compiled arrays (failed-edge paths masked, probabilities
-    rescaled, capacity vector thinned — no recompilation) and every
-    snapshot of the cell reuses the rebased operator.
-    """
-    backend = getattr(router, "backend", "dict")
-    if backend != "dict" and event is not None:
-        evaluator = router.routing.evaluator(backend).rebased(event)
-        coverage = evaluator.coverage(demand)
-        if demand.pairs() and coverage < 1.0:
-            return None, coverage
-        return evaluator.congestion(demand), coverage
-    weighted: List[Tuple[Sequence, float]] = []
-    pairs = demand.pairs()
-    covered = 0
-    for source, target in pairs:
-        if not router.routing.covers(source, target):
-            continue
-        distribution = router.routing.distribution(source, target)
-        surviving = {
-            path: probability
-            for path, probability in distribution.items()
-            if all(degraded.has_edge(u, v) for u, v in zip(path, path[1:]))
-        }
-        if not surviving:
-            continue
-        covered += 1
-        total = sum(surviving.values())
-        amount = demand.value(source, target)
-        for path, probability in surviving.items():
-            weighted.append((path, amount * probability / total))
-    coverage = covered / len(pairs) if pairs else 1.0
-    if pairs and covered < len(pairs):
-        return None, coverage
-    return degraded.congestion(weighted), coverage
-
-
 def _route_under_failure(
     router: Any,
     label: str,
     demand: Demand,
     degraded: Network,
     optimum: float,
-    event=None,
+    event,
 ) -> Tuple[RouteResult, float]:
     """One scheme's post-failure result: re-adapt rates, never re-install."""
     if isinstance(router, OptimalRouter):
@@ -197,12 +149,14 @@ def _route_under_failure(
             1.0,
         )
     if isinstance(router, FixedRatioRouter):
-        congestion, coverage = _route_fixed_ratio_degraded(
-            router, demand, degraded, event=event
-        )
+        # Renormalize the surviving split ratios on the compiled arrays,
+        # memoized per event, so every snapshot of the cell reuses them.
+        evaluator = router.routing.evaluator("auto").rebased(event)
+        coverage = evaluator.coverage(demand)
+        uncovered = bool(demand.pairs()) and coverage < 1.0
         result = RouteResult(
             scheme=label,
-            congestion=float("inf") if congestion is None else congestion,
+            congestion=float("inf") if uncovered else evaluator.congestion(demand),
             optimal_congestion=optimum,
             method="fixed",
         )
@@ -318,7 +272,7 @@ def _evaluate_cell_body(
             optimum = min_congestion_lp(degraded, snapshot).congestion
             for label in engine.labels():
                 result, coverage = _route_under_failure(
-                    engine[label], label, snapshot, degraded, optimum, event=event,
+                    engine[label], label, snapshot, degraded, optimum, event,
                 )
                 row = result.to_dict()
                 row.update(snapshot=snapshot_index, coverage=coverage)
@@ -329,9 +283,7 @@ def _evaluate_cell_body(
 # --------------------------------------------------------------------- #
 # Engine construction (shared by every executor)
 # --------------------------------------------------------------------- #
-def _build_topology_engine(
-    suite: ScenarioSuite, topology_index: int, backend: str
-) -> RoutingEngine:
+def _build_topology_engine(suite: ScenarioSuite, topology_index: int) -> RoutingEngine:
     """One installed engine for a topology — identical in every executor.
 
     Topology construction and scheme installation consume exactly the
@@ -350,7 +302,6 @@ def _build_topology_engine(
             network,
             list(suite.schemes),
             rng=_derived_rng(suite.seed, _STREAM_ENGINE, topology_index),
-            backend=None if backend == "dict" else backend,
         )
         engine.install()
     return engine
@@ -399,7 +350,7 @@ def _init_worker_tracer(trace_dir: Optional[str]) -> None:
     install_tracer(Tracer(sink=JsonlSink(path), role="worker"))
 
 
-def _init_shared_worker(suite_payload, backend, engines, descriptors, trace_dir=None) -> None:
+def _init_shared_worker(suite_payload, engines, descriptors, trace_dir=None) -> None:
     """Pool initializer: adopt parent-built engines, attach shm operators.
 
     ``engines`` arrives through initargs pickling — lean, because
@@ -422,7 +373,7 @@ def _init_shared_worker(suite_payload, backend, engines, descriptors, trace_dir=
                 engine.network, meta, attach_arrays(descriptor)
             )
             engine.attach_compiled(label, compiled)
-    _WORKER.update(suite=suite, backend=backend, engines=engines)
+    _WORKER.update(suite=suite, engines=engines)
 
 
 def _shared_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
@@ -435,12 +386,10 @@ def _shared_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
     return cell_index, payload, os.getpid()
 
 
-def _init_rebuild_worker(suite_payload, backend, trace_dir=None) -> None:
+def _init_rebuild_worker(suite_payload, trace_dir=None) -> None:
     """Pool initializer for the rebuild baseline: spec only, no shared state."""
     _init_worker_tracer(trace_dir)
-    _WORKER.update(
-        suite=ScenarioSuite.from_dict(suite_payload), backend=backend, engines={}
-    )
+    _WORKER.update(suite=ScenarioSuite.from_dict(suite_payload), engines={})
 
 
 def _rebuild_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
@@ -451,7 +400,7 @@ def _rebuild_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
     engines: Dict[int, RoutingEngine] = _WORKER["engines"]
     engine = engines.get(cell.topology_index)
     if engine is None:
-        engine = _build_topology_engine(suite, cell.topology_index, _WORKER["backend"])
+        engine = _build_topology_engine(suite, cell.topology_index)
         engines[cell.topology_index] = engine
     payload = _evaluate_cell(suite, cell, engine.network, engine)
     return cell_index, payload, os.getpid()
@@ -479,7 +428,6 @@ def _run_pending_cells(
     suite: ScenarioSuite,
     pending: List[int],
     workers: int,
-    backend: str,
     executor: str,
     store,
     payloads: Dict[int, Dict[str, Any]],
@@ -494,7 +442,7 @@ def _run_pending_cells(
             cell = suite.cell(index)
             engine = engines.get(cell.topology_index)
             if engine is None:
-                engine = _build_topology_engine(suite, cell.topology_index, backend)
+                engine = _build_topology_engine(suite, cell.topology_index)
                 engines[cell.topology_index] = engine
             payload = _evaluate_cell(suite, cell, engine.network, engine)
             _record_completion(store, payloads, index, payload, os.getpid())
@@ -526,25 +474,23 @@ def _run_pending_cells(
         if executor == "shared":
             topology_indices = sorted({suite.cell(i).topology_index for i in pending})
             engines = {
-                index: _build_topology_engine(suite, index, backend)
-                for index in topology_indices
+                index: _build_topology_engine(suite, index) for index in topology_indices
             }
             descriptors: Dict[int, Dict[str, Any]] = {}
-            if backend != "dict":
-                for topology_index, engine in engines.items():
-                    per_label: Dict[str, Any] = {}
-                    for label, compiled in engine.export_compiled(backend).items():
-                        meta, arrays = compiled.export_arrays()
-                        segment, descriptor = publish_arrays(arrays)
-                        segments.append(segment)
-                        per_label[label] = (meta, descriptor)
-                    descriptors[topology_index] = per_label
+            for topology_index, engine in engines.items():
+                per_label: Dict[str, Any] = {}
+                for label, compiled in engine.export_compiled().items():
+                    meta, arrays = compiled.export_arrays()
+                    segment, descriptor = publish_arrays(arrays)
+                    segments.append(segment)
+                    per_label[label] = (meta, descriptor)
+                descriptors[topology_index] = per_label
             initializer = _init_shared_worker
-            initargs = (suite.to_dict(), backend, engines, descriptors, trace_dir)
+            initargs = (suite.to_dict(), engines, descriptors, trace_dir)
             task = _shared_cell_task
         else:  # rebuild
             initializer = _init_rebuild_worker
-            initargs = (suite.to_dict(), backend, trace_dir)
+            initargs = (suite.to_dict(), trace_dir)
             task = _rebuild_cell_task
         with context.Pool(
             processes=pool_size, initializer=initializer, initargs=initargs
@@ -560,7 +506,6 @@ def _run_pending_cells(
 def run_suite(
     suite: ScenarioSuite,
     workers: int = 1,
-    backend: str = "dict",
     executor: str = "auto",
     artifact_dir: Optional[str] = None,
     resume: Optional[str] = None,
@@ -570,12 +515,9 @@ def run_suite(
     The returned :class:`SuiteResult` is identical — bit for bit —
     across worker counts, executors, kills, and resumes.
 
-    ``backend`` selects the evaluation backend for fixed-ratio schemes:
-    ``"dict"`` (default) reproduces the reference artifacts bit for bit;
-    ``"sparse"``/``"dense"``/``"auto"`` evaluate through the compiled
-    linear-algebra backend (numerically equivalent within 1e-9; failure
-    cells rebase the compiled operators instead of re-filtering path
-    dicts per snapshot).
+    Fixed-ratio schemes evaluate through their compiled operators
+    (``routing.evaluator("auto")``: scipy CSR, dense numpy without
+    scipy); the artifact's ``backend`` field records the resolved form.
 
     ``executor`` picks the execution strategy (see the module docs):
     ``"auto"`` (inline for ``workers=1``, shared otherwise),
@@ -592,10 +534,6 @@ def run_suite(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown evaluation backend {backend!r}; available: {list(BACKEND_CHOICES)}"
-        )
     if executor not in EXECUTOR_CHOICES:
         raise ValueError(
             f"unknown executor {executor!r}; available: {list(EXECUTOR_CHOICES)}"
@@ -623,7 +561,7 @@ def run_suite(
             from repro.scenarios.store import ArtifactStore
 
             store = ArtifactStore.open_or_create(
-                store_path, suite.to_dict(), backend, suite.num_cells()
+                store_path, suite.to_dict(), suite.num_cells()
             )
             payloads.update(store.completed_payloads())
         pending = [i for i in range(suite.num_cells()) if i not in payloads]
@@ -632,24 +570,12 @@ def run_suite(
                 "sweep.run", suite=suite.name, executor=executor
             ) as run_span:
                 run_span.add("cells", len(pending))
-                _run_pending_cells(
-                    suite, pending, workers, backend, executor, store, payloads
-                )
+                _run_pending_cells(suite, pending, workers, executor, store, payloads)
     finally:
         if store is not None:
             store.close()
     cells = [payloads[index] for index in range(suite.num_cells())]
-    return SuiteResult(suite=suite, cells=cells, backend=_resolved_backend(backend))
-
-
-def _resolved_backend(backend: str) -> str:
-    """Record the *resolved* backend ("sparse" resolves to "dense" on
-    numpy-only installs), so the artifact attributes what actually ran."""
-    if backend == "dict":
-        return backend
-    from repro.linalg._matrix import resolve_representation
-
-    return resolve_representation(backend)
+    return SuiteResult(suite=suite, cells=cells, backend=resolve_representation("auto"))
 
 
 __all__ = ["run_suite", "EXECUTOR_CHOICES"]

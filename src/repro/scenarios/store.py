@@ -7,9 +7,10 @@ instead of rerunning:
 ``manifest.json``
     Written atomically (temp file + ``os.replace``) when the store is
     created.  Records the store schema version, the suite manifest, the
-    requested backend, the cell count, and — the resume key — a SHA-256
-    content hash of ``(suite.to_dict(), backend)``.  Opening a store
-    whose hash does not match the suite/backend being resumed raises a
+    resolved compiled representation (``sparse``, or ``dense`` without
+    scipy), the cell count, and — the resume key — a SHA-256 content
+    hash of the suite and that representation.  Opening a store whose
+    hash does not match the suite/environment resuming it raises a
     typed :class:`~repro.exceptions.ArtifactError` instead of silently
     mixing artifacts from different sweeps.
 
@@ -39,6 +40,7 @@ import os
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.exceptions import ArtifactError
+from repro.linalg._matrix import resolve_representation
 from repro.utils.serialization import dumps as _json_dumps
 
 #: Store schema version, bumped on any incompatible layout change.
@@ -54,16 +56,19 @@ _CHUNK_PREFIX = "cells-"
 _CHUNK_SUFFIX = ".jsonl"
 
 
-def suite_hash(suite_payload: Mapping[str, Any], backend: str) -> str:
-    """SHA-256 content hash keying a store to one ``(suite, backend)``.
+def suite_hash(suite_payload: Mapping[str, Any]) -> str:
+    """SHA-256 content hash keying a store to one suite in this environment.
 
     Computed over the sorted-key canonical JSON of the suite manifest
-    plus the *requested* backend string, so any change to the grid, the
-    schemes, seeds, snapshot counts, or the evaluation backend produces
-    a different store identity.
+    plus the resolved compiled representation the sweep evaluates with,
+    so any change to the grid, the schemes, seeds, snapshot counts, or
+    the representation (a scipy vs a numpy-only install) produces a
+    different store identity.
     """
     canonical = json.dumps(
-        {"suite": suite_payload, "backend": backend}, sort_keys=True, default=str
+        {"suite": suite_payload, "backend": resolve_representation("auto")},
+        sort_keys=True,
+        default=str,
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -103,18 +108,18 @@ class ArtifactStore:
         cls,
         path: str,
         suite_payload: Mapping[str, Any],
-        backend: str,
         num_cells: int,
         chunk_lines: int = DEFAULT_CHUNK_LINES,
     ) -> "ArtifactStore":
         """Open the store at ``path``, creating it when absent.
 
-        An existing store must carry the exact suite hash of
-        ``(suite_payload, backend)`` — resuming a different sweep into
-        it raises :class:`ArtifactError`.
+        An existing store must carry the exact :func:`suite_hash` of
+        ``suite_payload`` — resuming a different sweep into it, or the
+        same sweep under another compiled representation, raises
+        :class:`ArtifactError`.
         """
         manifest_path = os.path.join(path, MANIFEST_NAME)
-        expected = suite_hash(suite_payload, backend)
+        expected = suite_hash(suite_payload)
         if os.path.exists(manifest_path):
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 try:
@@ -136,7 +141,7 @@ class ArtifactStore:
             if found != expected:
                 raise ArtifactError(
                     f"store {path} belongs to a different sweep: its suite hash is "
-                    f"{found}, the resuming suite/backend hashes to {expected}"
+                    f"{found}, the resuming suite/representation hashes to {expected}"
                 )
             return cls(path, manifest)
         os.makedirs(path, exist_ok=True)
@@ -144,7 +149,7 @@ class ArtifactStore:
             "artifact": "sweep-store",
             "version": STORE_VERSION,
             "suite_hash": expected,
-            "backend": str(backend),
+            "backend": resolve_representation("auto"),
             "num_cells": int(num_cells),
             "chunk_lines": int(chunk_lines),
             "suite": json.loads(_json_dumps(dict(suite_payload), indent=None)),

@@ -31,7 +31,6 @@ from repro.engine.router import congestion_ratio
 from repro.exceptions import RoutingError, StreamError
 from repro.graphs.network import Network
 from repro.linalg._matrix import resolve_representation
-from repro.linalg.compiled import CompiledRouting
 from repro.obs import NO_OP_SPAN, trace_span
 from repro.utils.serialization import dumps as _json_dumps
 
@@ -155,7 +154,6 @@ def run_stream(
     stream: Union[DemandStream, Sequence[StreamUpdate]],
     router: Any,
     policy: Union[str, StreamPolicy] = "static",
-    backend: str = "auto",
     window: int = 16,
     threshold: float = 1.0,
     optimal: Optional[Callable[[Demand], float]] = None,
@@ -180,10 +178,6 @@ def run_stream(
         policies route through it.
     policy:
         Policy spec string or ready :class:`StreamPolicy`.
-    backend:
-        Compiled representation for evaluation — ``"auto"``,
-        ``"sparse"`` or ``"dense"``.  The reference ``"dict"`` backend
-        has no incremental form and is rejected.
     window / threshold:
         Rolling-window length and overload threshold for the streaming
         statistics.
@@ -217,14 +211,11 @@ def run_stream(
         summary gains ``forwarding_churn`` / ``forwarding_rules`` /
         ``churn_buckets`` keys; the default ``None`` leaves records and
         artifacts bit-identical to previous releases.
+
+    Every installed routing is evaluated incrementally through its
+    compiled operator (``routing.evaluator("auto")``); the result's
+    ``backend`` records the resolved representation.
     """
-    if backend == "dict":
-        raise StreamError(
-            "streaming evaluation requires a compiled backend "
-            "('auto', 'sparse' or 'dense'); the dict reference loops have no "
-            "incremental form"
-        )
-    representation = resolve_representation(backend)
     updates = _materialize(stream)
 
     if optimal_routing is None:
@@ -275,9 +266,7 @@ def run_stream(
                 interval = NO_OP_SPAN
                 with trace_span("stream.resolve", step=update.step):
                     routing = policy.resolve(update.step, demand)
-                    evaluator = IncrementalStreamEvaluator(
-                        CompiledRouting.from_routing(routing, representation=representation)
-                    )
+                    evaluator = IncrementalStreamEvaluator(routing.evaluator("auto").compiled)
                 evaluator.set_demand(demand, delta=None)
                 resolved = True
             else:
@@ -292,9 +281,7 @@ def run_stream(
                     interval = NO_OP_SPAN
                     with trace_span("stream.resolve", step=update.step, forced=True):
                         routing = policy.resolve(update.step, demand)
-                        evaluator = IncrementalStreamEvaluator(
-                            CompiledRouting.from_routing(routing, representation=representation)
-                        )
+                        evaluator = IncrementalStreamEvaluator(routing.evaluator("auto").compiled)
                     evaluator.set_demand(demand, delta=None)
                     resolved = True
                     forced = True
@@ -353,7 +340,7 @@ def run_stream(
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
         policy=policy.name,
-        backend=representation,
+        backend=resolve_representation("auto"),
         num_steps=len(updates),
         summary=summary,
         records=records,
@@ -365,7 +352,6 @@ def run_stream_comparison(
     stream: Union[DemandStream, Sequence[StreamUpdate]],
     router: Any,
     policies: Sequence[Union[str, StreamPolicy]] = ("static",),
-    backend: str = "auto",
     window: int = 16,
     threshold: float = 1.0,
     optimal: Optional[Callable[[Demand], float]] = None,
@@ -389,20 +375,12 @@ def run_stream_comparison(
     if len(set(names)) != len(names):
         duplicate = next(name for name in names if names.count(name) > 1)
         raise StreamError(f"duplicate policy label {duplicate!r} in comparison")
-    if backend == "dict":
-        # Same contract as run_stream: reject loudly rather than coerce
-        # (RoutingEngine.run_stream is the coercing convenience layer).
-        raise StreamError(
-            "streaming evaluation requires a compiled backend "
-            "('auto', 'sparse' or 'dense'); the dict reference loops have no "
-            "incremental form"
-        )
     updates = _materialize(stream)
     comparison = StreamComparison(
         network_name=network.name,
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
-        backend=resolve_representation(backend),
+        backend=resolve_representation("auto"),
         num_steps=len(updates),
     )
     for policy in built:
@@ -411,7 +389,6 @@ def run_stream_comparison(
             updates,
             router,
             policy=policy,
-            backend=backend,
             window=window,
             threshold=threshold,
             optimal=optimal,

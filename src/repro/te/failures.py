@@ -34,7 +34,7 @@ Evaluation helpers:
 * :func:`surviving_system` — drop every candidate path using a failed link,
 * :func:`apply_failure` / :func:`rebase_system` — build the degraded
   network for an event and re-anchor a path system onto it,
-* :func:`rebased_evaluator` — the compiled-backend counterpart for
+* ``routing.evaluator("auto").rebased(event)`` — the counterpart for
   fixed-ratio routings: mask failed paths and rescale capacities on the
   compiled arrays (:mod:`repro.linalg`) instead of recompiling,
 * :func:`failure_coverage` — fraction of demanded pairs that still have at
@@ -524,21 +524,6 @@ def evaluate_failure_event(
     )
 
 
-def rebased_evaluator(routing, event: FailureEvent, backend: str = "sparse"):
-    """The compiled evaluator for ``routing`` after ``event`` — no recompile.
-
-    The incremental counterpart of :func:`rebase_system` for *routings*
-    (fixed splitting ratios) instead of path systems: the compiled form
-    masks the paths crossing removed edges, renormalizes each pair's
-    surviving probabilities, and rescales the capacity vector, sharing
-    the incidence matrix with the healthy compile and memoizing per
-    event.  Demands touching a pair that lost every path evaluate to
-    infinite congestion; ``evaluator.coverage(demand)`` reports the
-    surviving fraction.  See :mod:`repro.linalg`.
-    """
-    return routing.evaluator(backend).rebased(event)
-
-
 def rebase_without_network(
     system: PathSystem, event: FailureEvent
 ) -> Dict[Tuple[Vertex, Vertex], List]:
@@ -574,6 +559,5 @@ __all__ = [
     "build_failure_process",
     "apply_failure",
     "rebase_system",
-    "rebased_evaluator",
     "evaluate_failure_event",
 ]

@@ -5,13 +5,13 @@ congestion of the routed traffic matrix), utilization percentiles, and
 the admissible throughput scale (how much the matrix can be scaled before
 some link saturates).
 
-All functions route through the routing's shared evaluation backend
-(:meth:`Routing.evaluator`), so computing several metrics for the same
-(routing, demand) pair walks the paths once.  ``backend`` selects the
-evaluator (``"dict"`` reference loops, ``"sparse"``/``"dense"`` compiled
-linear algebra, ``"auto"``); functions that reduce an edge-load array
-also accept the precomputed array/mapping directly instead of
-recomputing it from the routing.
+Every function evaluates one demand, so it reads the routing's shared
+dict memo (:meth:`Routing.evaluator` with ``"dict"``) and computing
+several metrics for the same (routing, demand) pair walks the paths
+once.  Functions that reduce an edge-load array also accept the
+precomputed array/mapping directly — e.g. a row of
+``routing.evaluator("auto").edge_load_matrix(demands)`` when many
+demands go through one installed routing.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from repro.graphs.network import Vertex
 Edge = Tuple[Vertex, Vertex]
 
 
-def max_link_utilization(routing: Routing, demand: Demand, backend: str = "dict") -> float:
+def max_link_utilization(routing: Routing, demand: Demand) -> float:
     """Maximum link utilization = congestion of the routed demand."""
-    return routing.evaluator(backend).congestion(demand)
+    return routing.congestion(demand)
 
 
 def _utilization_array(
@@ -55,19 +55,18 @@ def utilization_percentiles(
     demand: Optional[Demand] = None,
     percentiles: Sequence[float] = (50.0, 90.0, 99.0, 100.0),
     edge_congestions: Optional[Union[Mapping[Edge, float], np.ndarray]] = None,
-    backend: str = "dict",
 ) -> Dict[float, float]:
     """Utilization percentiles across links (links with zero load included).
 
     Pass ``edge_congestions`` — either the dict returned by
     :meth:`Routing.edge_congestions` or a per-edge array in network
     edge-index order — to reuse an evaluation already in hand; otherwise
-    ``demand`` is evaluated through the selected backend.
+    ``demand`` is evaluated through the routing's dict memo.
     """
     if edge_congestions is None:
         if demand is None:
             raise ValueError("need either a demand or a precomputed edge_congestions")
-        edge_congestions = routing.evaluator(backend).edge_congestions(demand)
+        edge_congestions = routing.edge_congestions(demand)
     values = _utilization_array(routing, edge_congestions)
     if not values.size:
         return {p: 0.0 for p in percentiles}
@@ -78,7 +77,6 @@ def throughput_at_capacity(
     routing: Routing,
     demand: Optional[Demand] = None,
     utilization: Optional[float] = None,
-    backend: str = "dict",
 ) -> float:
     """The largest factor by which ``demand`` can be scaled before saturation.
 
@@ -90,44 +88,14 @@ def throughput_at_capacity(
     if utilization is None:
         if demand is None:
             raise ValueError("need either a demand or a precomputed utilization")
-        utilization = max_link_utilization(routing, demand, backend=backend)
+        utilization = max_link_utilization(routing, demand)
     if utilization <= 0:
         return float("inf")
     return 1.0 / utilization
-
-
-def batch_link_utilizations(
-    routing: Routing,
-    demands: Sequence[Demand],
-    backend: str = "dict",
-) -> np.ndarray:
-    """Max link utilization per demand over one shared evaluation.
-
-    Like every metric in this module the default backend is ``dict``
-    (bit-exact vs the reference loops); pass ``backend="auto"`` or
-    ``"sparse"`` to evaluate the whole batch as a single sparse matmul —
-    the fast path for scenario grids and traffic-matrix series.
-    """
-    return routing.evaluator(backend).congestions(demands)
-
-
-def batch_edge_loads(
-    routing: Routing,
-    demands: Sequence[Demand],
-    backend: str = "dict",
-) -> np.ndarray:
-    """(batch × edge) raw edge-load array (network edge-index order).
-
-    Defaults to the bit-exact ``dict`` backend; opt into ``"auto"`` /
-    ``"sparse"`` for the single-matmul fast path.
-    """
-    return routing.evaluator(backend).edge_load_matrix(demands)
 
 
 __all__ = [
     "max_link_utilization",
     "utilization_percentiles",
     "throughput_at_capacity",
-    "batch_link_utilizations",
-    "batch_edge_loads",
 ]

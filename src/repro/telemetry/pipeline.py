@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.exceptions import TelemetryError
 from repro.graphs.network import Network
-from repro.linalg.compiled import CompiledRouting
 from repro.obs import trace_span
 from repro.utils.serialization import dumps as _json_dumps
 
@@ -127,7 +126,6 @@ def run_odme_loop(
     prior: Optional[np.ndarray] = None,
     regularization: float = 0.0,
     seed: int = 0,
-    representation: str = "auto",
 ) -> OdmeLoopResult:
     """Run the closed estimation loop over every snapshot of ``series``.
 
@@ -136,7 +134,8 @@ def run_odme_loop(
     builds one); it is asked to route twice per snapshot — once on the
     truth (the measured forwarding state) and once on the estimate (what
     a telemetry-only controller would install).  Both routings are
-    compiled and the estimate-driven one is scored **on the truth**.
+    compiled (``routing.evaluator("auto")``) and the estimate-driven one
+    is scored **on the truth**.
     """
     model = ObservationModel(noise=noise, coverage=coverage, granularity=granularity)
     scheme = getattr(router, "name", str(router))
@@ -147,7 +146,7 @@ def run_odme_loop(
             continue
         with trace_span("odme.snapshot", snapshot=index):
             routing_true = _routing_of(router.route(truth), scheme)
-            compiled = CompiledRouting.from_routing(routing_true, representation=representation)
+            compiled = routing_true.evaluator("auto").compiled
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
             observation = model.observe(compiled, truth, rng=rng)
             with trace_span("odme.estimate", method=method) as estimate_span:
@@ -171,9 +170,7 @@ def run_odme_loop(
 
             congestion_true = compiled.congestion(truth, missing="drop")
             routing_estimated = _routing_of(router.route(estimate.demand), scheme)
-            compiled_estimated = CompiledRouting.from_routing(
-                routing_estimated, representation=representation
-            )
+            compiled_estimated = routing_estimated.evaluator("auto").compiled
             # The controller installs the estimate-driven routing; the real
             # traffic is still the truth — score it there.  Truth pairs the
             # re-routed state no longer covers are dropped (they would show

@@ -160,6 +160,44 @@ def test_spf_parity_with_hand_wired(cube3):
     assert router.route(demand).congestion == pytest.approx(expected)
 
 
+def test_installed_fixed_ratio_schemes_evaluate_compiled(cube3):
+    """One evaluation rule: installed fixed-ratio routings compile, dict is the oracle."""
+    from repro.__main__ import main
+    from repro.linalg._matrix import resolve_representation
+    from repro.obs import RecordingSink, Tracer, install_tracer, uninstall_tracer
+
+    engine = RoutingEngine(cube3, ["spf", "oblivious(racke)"], rng=0)
+    engine.install()
+    demand = Demand({(0, 7): 1.0, (5, 2): 2.0, (3, 4): 0.5, (6, 1): 1.5})
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        results = engine.route(demand, with_optimal=False)
+    finally:
+        uninstall_tracer()
+    compiles = [
+        record["attrs"]["representation"]
+        for record in tracer.records
+        if record.get("name") == "linalg.compile"
+    ]
+    assert compiles == [resolve_representation("auto")] * 2
+    for label in ("spf", "oblivious"):
+        oracle = engine[label].routing.evaluator("dict").congestion(demand)
+        assert results[label].congestion == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    # backend=auto still parses (pinned specs keep working); nothing else does.
+    for spec in ("spf(backend=auto)", "oblivious(racke, backend=auto)"):
+        assert isinstance(build_router(spec, cube3, rng=0), FixedRatioRouter)
+    with pytest.raises(SchemeError, match=r'routing\.evaluator\("dict"\)'):
+        build_router("spf(backend=dict)", cube3)
+    for argv in (
+        ["te", "--topology", "hypercube:3", "--backend", "dict"],
+        ["scenarios", "run", "--suite", "smoke", "--backend", "sparse"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+
 def test_optimal_router_matches_lp(cube3):
     router = build_router("optimal", cube3)
     router.install()

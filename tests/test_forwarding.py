@@ -31,7 +31,7 @@ from repro.forwarding import (
     quantize_routing,
     realize_flows,
 )
-from repro.linalg import HAVE_SCIPY
+from repro.linalg import HAVE_SCIPY, _matrix
 from repro.net import load_catalog_topology
 from repro.scenarios import get_suite, run_suite
 from repro.stream import build_stream
@@ -39,9 +39,12 @@ from repro.stream import build_stream
 REPRESENTATIONS = ("sparse", "dense")
 
 
-def _leg(representation):
+def _leg(representation, monkeypatch):
+    """Run the rest of the test on one compiled representation."""
     if representation == "sparse" and not HAVE_SCIPY:
         pytest.skip("scipy leg unavailable")
+    if representation == "dense":
+        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
     return representation
 
 
@@ -152,31 +155,29 @@ class TestQuantizer:
 class TestRealization:
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_quantized_congestion_converges_as_buckets_grow(
-        self, cube3, representation
+        self, cube3, representation, monkeypatch
     ):
-        _leg(representation)
+        _leg(representation, monkeypatch)
         routing, demand = _routing(cube3)
         gaps = []
         for buckets in (2, 16, 256):
-            _, result = evaluate_realization(
-                routing, demand, buckets=buckets, backend=representation
-            )
+            _, result = evaluate_realization(routing, demand, buckets=buckets)
+            assert result.backend == representation
             gaps.append(abs(result.gap - 1.0))
         assert gaps[0] >= gaps[2]
         assert gaps[2] < 5e-2
 
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_flow_loads_converge_to_fractional_as_flows_grow(
-        self, cube3, representation
+        self, cube3, representation, monkeypatch
     ):
-        _leg(representation)
+        _leg(representation, monkeypatch)
         routing, demand = _routing(cube3)
         table = quantize_routing(routing, buckets=8)
         deviations = []
         for flows in (16, 4096):
             _, result = evaluate_realization(
-                routing, demand, buckets=8, flows=flows, seed=7,
-                backend=representation, table=table,
+                routing, demand, buckets=8, flows=flows, seed=7, table=table,
             )
             deviations.append(abs(result.flow_congestion - result.quantized_congestion))
         assert deviations[1] <= deviations[0]

@@ -6,9 +6,7 @@ import pytest
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.demands.traffic_matrix import TrafficMatrixSeries
-from repro.engine import RoutingEngine
 from repro.exceptions import DemandError, LinalgError, RoutingError
-from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.linalg import (
     CompiledRouting,
@@ -21,8 +19,6 @@ from repro.linalg import _matrix
 from repro.linalg.bench import available_benches, run_bench, write_bench_artifact
 from repro.te.failures import FailureEvent
 from repro.te.metrics import (
-    batch_edge_loads,
-    batch_link_utilizations,
     max_link_utilization,
     throughput_at_capacity,
     utilization_percentiles,
@@ -146,9 +142,9 @@ def test_suite_artifact_records_resolved_backend(monkeypatch):
     from repro.scenarios import get_suite, run_suite
 
     suite = get_suite("smoke")
-    assert run_suite(suite, backend="sparse").to_dict()["backend"] == "sparse"
+    assert run_suite(suite).to_dict()["backend"] == "sparse"
     monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
-    assert run_suite(suite, backend="sparse").to_dict()["backend"] == "dense"
+    assert run_suite(suite).to_dict()["backend"] == "dense"
 
 
 def test_unknown_backend_and_representation(square):
@@ -184,13 +180,25 @@ def test_dict_evaluator_memoizes_and_copies(square):
 
 def test_routing_evaluator_cached_and_invalidated(square):
     network, routing = square
-    evaluator = routing.evaluator()
-    assert routing.evaluator() is evaluator
+    evaluator = routing.evaluator("dict")
+    assert routing.evaluator("dict") is evaluator
     sparse = routing.evaluator("sparse")
     assert routing.evaluator("sparse") is sparse
     routing.set_distribution(0, 2, {(0, 1, 2): 1.0})
-    assert routing.evaluator() is not evaluator  # stale state dropped
+    assert routing.evaluator("dict") is not evaluator  # stale state dropped
     assert routing.congestion(Demand({(0, 2): 1.0})) == pytest.approx(1.0)
+
+
+def test_auto_reuses_any_cached_compiled_form(square):
+    # "auto" means the compiled operator, whichever form is already here:
+    # an attached dense operator (a shared-memory sweep worker's case)
+    # serves "auto" even where scipy would compile CSR.
+    _, routing = square
+    dense = SparseEvaluator(CompiledRouting.from_routing(routing, representation="dense"))
+    routing.attach_evaluator("dense", dense)
+    assert routing.evaluator("auto") is dense
+    routing.set_distribution(0, 2, {(0, 1, 2): 1.0})  # invalidates the attachment
+    assert routing.evaluator("auto").backend == _matrix.resolve_representation("auto")
 
 
 def test_standalone_evaluators_detect_routing_mutation(square):
@@ -233,7 +241,7 @@ def test_metrics_accept_precomputed_and_backends(square):
     _, routing = square
     demand = Demand({(0, 2): 4.0})
     utilization = max_link_utilization(routing, demand)
-    assert max_link_utilization(routing, demand, backend="sparse") == pytest.approx(utilization)
+    assert routing.evaluator("sparse").congestion(demand) == pytest.approx(utilization)
 
     congestions = routing.edge_congestions(demand)
     via_dict = utilization_percentiles(routing, demand)
@@ -255,43 +263,22 @@ def test_metrics_accept_precomputed_and_backends(square):
         throughput_at_capacity(routing)
 
     demands = [demand, Demand({(1, 3): 2.0})]
-    batch = batch_link_utilizations(routing, demands)
+    batch = routing.evaluator("auto").congestions(demands)
     assert np.allclose(batch, [routing.congestion(d) for d in demands])
-    loads = batch_edge_loads(routing, demands)
+    loads = routing.evaluator("auto").edge_load_matrix(demands)
     assert loads.shape == (2, routing.network.num_edges)
 
 
-def test_engine_backend_propagates_to_fixed_ratio():
-    network = topologies.hypercube(3)
-    engine = RoutingEngine(network, ["spf", "optimal"], rng=0, backend="sparse")
-    assert engine.backend == "sparse"
-    assert engine["spf"].backend == "sparse"
-    engine_default = RoutingEngine(network, ["spf"], rng=0)
-    assert engine_default["spf"].backend == "dict"
-
-
-def test_engine_backend_respects_more_specific_settings():
-    network = topologies.hypercube(3)
-    # An explicit spec-level backend wins over the engine-wide default...
-    engine = RoutingEngine(network, ["oblivious(racke, backend=sparse)"], rng=0, backend="dict")
-    assert engine["oblivious"].backend == "sparse"
-    # ...and a pre-built Router instance is never touched.
-    from repro.engine.adapters import FixedRatioRouter
-    from repro.oblivious.shortest_path import ShortestPathRouting
-
-    router = FixedRatioRouter(network, ShortestPathRouting(network), backend="dict")
-    engine = RoutingEngine(network, [router], rng=0, backend="sparse")
-    assert router.backend == "dict"
-
-
-def test_backend_choices_single_source():
+def test_backend_choices_single_source(square):
     from repro.linalg import BACKEND_CHOICES, BACKENDS
 
+    _, routing = square
     assert set(BACKEND_CHOICES) == set(BACKENDS) | {"auto"}
-    with pytest.raises(ValueError):
-        from repro.scenarios import get_suite, run_suite
-
-        run_suite(get_suite("smoke"), backend="turbo")
+    # Routing.evaluator and build_evaluator are the only selection points.
+    for backend in BACKEND_CHOICES:
+        assert routing.evaluator(backend).congestion(Demand({(0, 2): 4.0})) == pytest.approx(3.0)
+    with pytest.raises(LinalgError):
+        routing.evaluator("turbo")
 
 
 def test_bench_smoke_schema(tmp_path):

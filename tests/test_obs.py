@@ -228,9 +228,11 @@ def _engine_trace(backend: str):
 
     network = topologies.hypercube(3)
     tracer = _recording_tracer()
-    engine = RoutingEngine(network, ["spf", "ksp(k=2)"], rng=0, backend=backend)
+    engine = RoutingEngine(network, ["spf", "ksp(k=2)"], rng=0)
     series = diurnal_gravity_series(network, num_snapshots=2, rng=1)
     engine.evaluate_matrix_series(series)
+    # Replay the installed fixed-ratio routing through the named evaluator.
+    engine["spf"].routing.evaluator(backend).congestions(list(series))
     records = list(tracer.records)
     uninstall_tracer()
     return normalized_tree(records)
@@ -254,14 +256,17 @@ def _sweep_trace(workers: int, executor: str):
     return records
 
 
-@pytest.mark.parametrize("backend", ["dict", "auto"])
-def test_inline_sweep_trace_is_deterministic(backend):
+@pytest.mark.parametrize("representation", ["dense", "auto"])
+def test_inline_sweep_trace_is_deterministic(representation, monkeypatch):
+    from repro.linalg import _matrix
     from repro.scenarios import get_suite, run_suite
 
+    if representation == "dense":
+        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
     trees = []
     for _ in range(2):
         tracer = _recording_tracer()
-        run_suite(get_suite("smoke"), workers=1, executor="inline", backend=backend)
+        run_suite(get_suite("smoke"), workers=1, executor="inline")
         trees.append(normalized_tree(tracer.records))
         uninstall_tracer()
     assert trees[0] == trees[1]

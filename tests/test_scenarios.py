@@ -330,8 +330,8 @@ def test_real_world_suite_is_bit_identical_on_the_numpy_only_leg(monkeypatch):
 
     monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
     suite = real_world_probe()
-    first = run_suite(suite, workers=1, backend="sparse")
-    second = run_suite(suite, workers=1, backend="sparse")
+    first = run_suite(suite, workers=1)
+    second = run_suite(suite, workers=1)
     assert first.to_json() == second.to_json()
     assert first.backend == "dense"
 

@@ -25,7 +25,7 @@ SUITE_PAYLOAD = {"name": "probe", "seed": 7, "topologies": [{"kind": "torus", "s
 
 def make_store(path, **overrides):
     options = dict(
-        suite_payload=SUITE_PAYLOAD, backend="dict", num_cells=8, chunk_lines=3
+        suite_payload=SUITE_PAYLOAD, num_cells=8, chunk_lines=3
     )
     options.update(overrides)
     return ArtifactStore.open_or_create(str(path), **options)
@@ -74,11 +74,26 @@ def test_suite_hash_mismatch_raises_typed_error(tmp_path):
     make_store(tmp_path / "store").close()
     with pytest.raises(ArtifactError, match="different sweep"):
         make_store(tmp_path / "store", suite_payload={**SUITE_PAYLOAD, "seed": 8})
-    with pytest.raises(ArtifactError, match="different sweep"):
-        make_store(tmp_path / "store", backend="sparse")
-    # Identical suite + backend reopens fine.
+    # The identical suite reopens fine.
     make_store(tmp_path / "store").close()
-    assert suite_hash(SUITE_PAYLOAD, "dict") != suite_hash(SUITE_PAYLOAD, "sparse")
+    assert suite_hash(SUITE_PAYLOAD) != suite_hash({**SUITE_PAYLOAD, "seed": 8})
+
+
+@pytest.mark.parametrize("created_with_scipy", [True, False])
+def test_store_refuses_resume_under_the_other_representation(
+    tmp_path, monkeypatch, created_with_scipy
+):
+    from repro.linalg import _matrix
+
+    monkeypatch.setattr(_matrix, "HAVE_SCIPY", created_with_scipy)
+    store = make_store(tmp_path / "store")
+    assert store.manifest["backend"] == ("sparse" if created_with_scipy else "dense")
+    store.close()
+    monkeypatch.setattr(_matrix, "HAVE_SCIPY", not created_with_scipy)
+    with pytest.raises(ArtifactError, match="different sweep"):
+        make_store(tmp_path / "store")
+    monkeypatch.setattr(_matrix, "HAVE_SCIPY", created_with_scipy)
+    make_store(tmp_path / "store").close()
 
 
 def test_truncated_final_line_is_dropped_on_resume(tmp_path):
@@ -151,7 +166,7 @@ def test_foreign_and_versioned_manifests_are_rejected(tmp_path):
             {
                 "artifact": "sweep-store",
                 "version": STORE_VERSION + 1,
-                "suite_hash": suite_hash(SUITE_PAYLOAD, "dict"),
+                "suite_hash": suite_hash(SUITE_PAYLOAD),
             }
         )
     )

@@ -289,13 +289,6 @@ class TestRunner:
         slim = json.loads(result.to_json(include_steps=False))
         assert "steps" not in slim
 
-    def test_dict_backend_rejected(self, torus3):
-        engine = RoutingEngine(torus3, ["spf"], rng=0)
-        engine.install()
-        stream = RandomWalkStream(torus3, 4, seed=0, num_pairs=8)
-        with pytest.raises(StreamError):
-            run_stream(torus3, stream, engine["spf"], policy="static", backend="dict")
-
     def test_comparison_replays_identical_traffic(self, torus3):
         engine = RoutingEngine(torus3, ["spf"], rng=0)
         comparison = engine.run_stream(
@@ -334,15 +327,6 @@ class TestRunner:
         series = diurnal_gravity_series(torus3, num_snapshots=3, rng=0)
         assert ReplayStream(series).network is None
         assert ReplayStream(series, network=torus3).network is torus3
-
-    def test_comparison_rejects_dict_backend(self, torus3):
-        engine = RoutingEngine(torus3, ["spf"], rng=0)
-        engine.install()
-        stream = RandomWalkStream(torus3, 4, seed=0, num_pairs=8)
-        with pytest.raises(StreamError):
-            run_stream_comparison(
-                torus3, stream, engine["spf"], policies=["static"], backend="dict"
-            )
 
     def test_mcf_policy_primes_optimal_memo(self, torus3):
         """One LP per re-solve serves both the policy and the ratio."""

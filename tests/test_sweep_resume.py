@@ -8,7 +8,7 @@ The claims under test, in order of importance:
    the sweep but keeps every already-completed cell; the resume is again
    bit-identical.
 3. Every executor (inline / shared / rebuild), worker count and
-   evaluation backend assembles the same artifact bit for bit — on the
+   compiled representation (sparse / dense) assembles the same artifact bit for bit — on the
    built-in catalog-backed suites too, not just synthetic grids.
 4. More workers than topologies actually get used (the cell-granular
    queue is not capped at the topology count).
@@ -94,7 +94,7 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
     store_dir = tmp_path / "store"
     suite_args = [
         "scenarios", "run", "--suite", "smoke", "--workers", "2",
-        "--executor", "shared", "--backend", "sparse",
+        "--executor", "shared",
     ]
 
     completed = run_cli([*suite_args, "--output", str(baseline)])
@@ -192,12 +192,20 @@ def test_executor_equivalence_on_probe_suite():
     assert live_segments() == []
 
 
-def test_backend_equivalence_across_executors():
+def test_backend_equivalence_across_executors(monkeypatch):
+    from repro.linalg import _matrix
+
     suite = probe_suite()
-    for backend in ("sparse", "dense"):
-        inline = run_suite(suite, workers=1, backend=backend).to_json()
-        shared = run_suite(suite, workers=2, executor="shared", backend=backend).to_json()
-        assert shared == inline, f"backend {backend!r} diverged under the shared executor"
+    for representation in ("sparse", "dense"):
+        # The dense leg: the parent compiles dense operators and the
+        # shared-executor workers evaluate through exactly those.
+        monkeypatch.setattr(_matrix, "HAVE_SCIPY", representation == "sparse")
+        inline = run_suite(suite, workers=1)
+        shared = run_suite(suite, workers=2, executor="shared")
+        assert inline.backend == representation
+        assert shared.to_json() == inline.to_json(), (
+            f"{representation!r} diverged under the shared executor"
+        )
     assert live_segments() == []
 
 
@@ -214,10 +222,6 @@ def test_odme_suite_bit_identical_across_executors():
     suite = get_suite("odme").with_overrides(num_snapshots=1)
     reference = run_suite(suite, workers=1).to_json()
     assert run_suite(suite, workers=3, executor="shared").to_json() == reference
-    assert (
-        run_suite(suite, workers=2, executor="shared", backend="sparse").to_json()
-        == run_suite(suite, workers=1, backend="sparse").to_json()
-    )
 
 
 def test_streamed_store_and_memory_path_agree(tmp_path):
