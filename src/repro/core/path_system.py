@@ -7,17 +7,61 @@ them adapt to the demand.
 
 ``PathSystem`` stores paths canonically (tuples of vertices), validates
 them against the network, and exposes the sparsity measures used by the
-paper: plain α-sparsity and (α + cut_G)-sparsity.
+paper: plain α-sparsity and (α + cut_G)-sparsity.  Its
+:meth:`~PathSystem.incidence` is the path × edge-id form the Stage-4
+path LP is built from.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import PathError, RoutingError
-from repro.graphs.network import Network, Path, Vertex
+from repro.graphs.network import Network, Path, Vertex, edge_key, path_edges
 
 Pair = Tuple[Vertex, Vertex]
+
+
+@dataclass(frozen=True)
+class PathIncidence:
+    """Every stored path as a row of edge ids, in CSR form.
+
+    Path ``j`` traverses the edges ``edge_ids[indptr[j]:indptr[j + 1]]``
+    (indices into ``network.edges``, ascending); ``paths[j]`` is its
+    vertex tuple.  A pair's paths are the contiguous rows
+    ``range(*slices[pair])``, in the order they were added.
+    ``capacities`` holds the edge capacities in ``network.edges`` order.
+    """
+
+    paths: Tuple[Path, ...]
+    slices: Dict[Pair, Tuple[int, int]]
+    indptr: np.ndarray
+    edge_ids: np.ndarray
+    capacities: np.ndarray
+
+    @classmethod
+    def build(cls, system: "PathSystem") -> "PathIncidence":
+        network = system.network
+        edge_index = network.edge_index
+        paths: List[Path] = []
+        slices: Dict[Pair, Tuple[int, int]] = {}
+        rows: List[List[int]] = []
+        for pair, bucket in system.items():
+            slices[pair] = (len(paths), len(paths) + len(bucket))
+            for path in bucket:
+                paths.append(path)
+                rows.append(sorted(edge_index(u, v) for u, v in zip(path, path[1:])))
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        edge_ids = np.array([edge for row in rows for edge in row], dtype=np.int64)
+        capacities = np.array([network.capacity_of(edge) for edge in network.edges], dtype=float)
+        return cls(
+            paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
+            capacities=capacities,
+        )
 
 
 class PathSystem:
@@ -38,6 +82,7 @@ class PathSystem:
     ) -> None:
         self._network = network
         self._paths: Dict[Pair, List[Path]] = {}
+        self._incidence: Optional[PathIncidence] = None
         if paths:
             for (source, target), candidates in paths.items():
                 for path in candidates:
@@ -59,6 +104,7 @@ class PathSystem:
         if canonical in bucket:
             return False
         bucket.append(canonical)
+        self._incidence = None
         return True
 
     def add_paths(self, source: Vertex, target: Vertex, paths: Iterable[Sequence[Vertex]]) -> int:
@@ -113,6 +159,12 @@ class PathSystem:
         for pair, paths in self._paths.items():
             yield pair, list(paths)
 
+    def incidence(self) -> PathIncidence:
+        """The path × edge-id incidence of every stored path (cached until ``add_path``)."""
+        if self._incidence is None:
+            self._incidence = PathIncidence.build(self)
+        return self._incidence
+
     # ------------------------------------------------------------------ #
     # Sparsity (Definition 2.1)
     # ------------------------------------------------------------------ #
@@ -162,8 +214,6 @@ class PathSystem:
 
         This is the elementary step of the Lemma 5.6 deletion process.
         """
-        from repro.graphs.network import edge_key, path_edges
-
         banned = edge_key(u, v)
         filtered = PathSystem(self._network)
         for (source, target), paths in self._paths.items():
@@ -183,4 +233,4 @@ class PathSystem:
         )
 
 
-__all__ = ["PathSystem", "Pair"]
+__all__ = ["PathSystem", "PathIncidence", "Pair"]

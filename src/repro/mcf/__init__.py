@@ -5,11 +5,13 @@ The paper compares semi-oblivious routings against the offline optimum
 fractional routings of the demand.  This package provides:
 
 * :func:`~repro.mcf.lp.min_congestion_lp` — the exact edge-flow LP
-  (scipy / HiGHS), returning both the optimum value and an optimal
-  routing (via flow decomposition),
+  (scipy / HiGHS) with one arc flow per demanded *source*, so
+  ``k_src * 2m + 1`` columns; it returns the optimum value and, on
+  request, an optimal routing peeled per sink from each source's flow,
 * :func:`~repro.mcf.path_lp.min_congestion_on_paths` — the path-based LP
   restricted to a candidate path system (this computes ``cong_R(P, d)``,
-  the Stage-4 adaptive rate optimization),
+  the Stage-4 adaptive rate optimization), assembled from the system's
+  cached path × edge incidence,
 * :func:`~repro.mcf.mwu.approximate_min_congestion` — a Garg–Könemann /
   Fleischer multiplicative-weights approximation, used for large
   instances and as an LP-free cross-check,

@@ -31,7 +31,8 @@ from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import InfeasibleError, SolverError
-from repro.graphs.network import Network, Path, Vertex, path_edges
+from repro.graphs.network import Vertex
+from repro.obs import trace_span
 
 
 @dataclass
@@ -60,6 +61,10 @@ def min_congestion_on_paths(
 ) -> PathLPResult:
     """Optimally split ``demand`` over the candidate paths of ``system``.
 
+    The LP is assembled from the system's cached path × edge incidence
+    (:meth:`PathSystem.incidence`): each demanded pair contributes its
+    rows in path order, pairs in demand order, then the ``z`` column.
+
     Raises
     ------
     InfeasibleError
@@ -70,109 +75,97 @@ def min_congestion_on_paths(
             "scipy is required for LP solving; install the 'lp' extra "
             "(pip install repro-semi-oblivious-routing[lp])"
         )
-    network = system.network
-    commodities: List[Tuple[Tuple[Vertex, Vertex], float, List[Path]]] = []
+    incidence = system.incidence()
+    commodities: List[Tuple[Tuple[Vertex, Vertex], float, int, int]] = []
     for pair, amount in demand.items():
         if amount <= 0:
             continue
-        paths = system.paths(*pair)
-        if not paths:
+        rows = incidence.slices.get(pair)
+        if rows is None:
             raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
-        commodities.append((pair, amount, paths))
+        commodities.append((pair, amount, *rows))
     if not commodities:
         return PathLPResult(congestion=0.0, routing=None, edge_congestions={})
 
-    # Variable layout: one weight per (commodity, path), then z.
-    offsets: List[int] = []
-    total_vars = 0
-    for _, _, paths in commodities:
-        offsets.append(total_vars)
-        total_vars += len(paths)
-    z_index = total_vars
-    num_vars = total_vars + 1
+    network = system.network
+    capacity = incidence.capacities
+    m = len(capacity)
+    with trace_span("mcf.path_lp") as span:
+        with trace_span("mcf.path_lp_setup"):
+            starts = np.array([start for _, _, start, _ in commodities], dtype=np.int64)
+            counts = np.array([stop - start for _, _, start, stop in commodities], dtype=np.int64)
+            amounts = np.array([amount for _, amount, _, _ in commodities], dtype=float)
+            num_paths = int(counts.sum())
+            # Column j of the LP is path ``selected[j]`` of the incidence;
+            # ``gather`` picks those rows' edge ids out of the CSR arrays.
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            selected = np.repeat(starts - offsets[:-1], counts) + np.arange(num_paths)
+            hops = incidence.indptr[selected + 1] - incidence.indptr[selected]
+            column_ptr = np.concatenate([[0], np.cumsum(hops)])
+            nnz = int(column_ptr[-1])
+            gather = np.repeat(incidence.indptr[selected] - column_ptr[:-1], hops) + np.arange(nnz)
+            edge_rows = incidence.edge_ids[gather]
+            num_vars = num_paths + 1  # + z
 
-    cost = np.zeros(num_vars)
-    cost[z_index] = 1.0
+            # Inequality: per edge, total load <= z * capacity.
+            a_ub = sparse.csc_matrix(
+                (
+                    np.concatenate([np.ones(nnz), -capacity]),
+                    np.concatenate([edge_rows, np.arange(m)]),
+                    np.append(column_ptr, nnz + m),
+                ),
+                shape=(m, num_vars),
+            ).tocsr()
+            # Equality: per commodity, path weights sum to the demanded amount.
+            a_eq = sparse.csr_matrix(
+                (np.ones(num_paths), np.arange(num_paths), offsets),
+                shape=(len(commodities), num_vars),
+            )
+        span.add("rows", m + len(commodities))
+        span.add("cols", num_vars)
+        span.add("nnz", a_ub.nnz + a_eq.nnz)
 
-    # Equality: per commodity, path weights sum to the demanded amount.
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_rhs = np.zeros(len(commodities))
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        eq_rhs[commodity_index] = amount
-        for path_offset in range(len(paths)):
-            eq_rows.append(commodity_index)
-            eq_cols.append(offsets[commodity_index] + path_offset)
-            eq_vals.append(1.0)
-    a_eq = sparse.coo_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(commodities), num_vars)
-    ).tocsr()
-
-    # Inequality: per edge, total load <= z * capacity.
-    edge_index_map = {edge: idx for idx, edge in enumerate(network.edges)}
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        for path_offset, path in enumerate(paths):
-            column = offsets[commodity_index] + path_offset
-            for edge in path_edges(path):
-                ub_rows.append(edge_index_map[edge])
-                ub_cols.append(column)
-                ub_vals.append(1.0)
-    for edge, row in edge_index_map.items():
-        ub_rows.append(row)
-        ub_cols.append(z_index)
-        ub_vals.append(-network.capacity_of(edge))
-    a_ub = sparse.coo_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(len(edge_index_map), num_vars)
-    ).tocsr()
-    b_ub = np.zeros(len(edge_index_map))
-
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=eq_rhs,
-        bounds=[(0, None)] * num_vars,
-        method="highs",
-    )
+        cost = np.zeros(num_vars)
+        cost[-1] = 1.0
+        with trace_span("mcf.path_lp_solve"):
+            result = linprog(
+                cost,
+                A_ub=a_ub,
+                b_ub=np.zeros(m),
+                A_eq=a_eq,
+                b_eq=amounts,
+                bounds=(0, None),
+                method="highs",
+            )
+        span.add("iterations", int(result.nit))
     if result.status == 2:
         raise InfeasibleError("path LP infeasible")
     if not result.success:
         raise SolverError(f"path LP failed: {result.message}")
 
-    solution = result.x
-    congestion = float(solution[z_index])
-
-    edge_congestions: Dict[Tuple[Vertex, Vertex], float] = {}
-    routing = None
+    congestion = float(result.x[-1])
+    used = np.where(result.x[:-1] > 1e-12, result.x[:-1], 0.0)
     distributions = {}
-    for commodity_index, (pair, amount, paths) in enumerate(commodities):
-        weights = {}
-        for path_offset, path in enumerate(paths):
-            weight = float(solution[offsets[commodity_index] + path_offset])
-            if weight > 1e-12:
-                weights[path] = weight
-                for edge in path_edges(path):
-                    edge_congestions[edge] = edge_congestions.get(edge, 0.0) + weight
+    for commodity_index, (pair, amount, start, stop) in enumerate(commodities):
+        first = offsets[commodity_index]
+        block = used[first:first + stop - start].tolist()
+        paths = incidence.paths[start:stop]
+        weights = {path: weight for path, weight in zip(paths, block) if weight > 0}
         if not weights:
             # Degenerate LP output; route everything on the first path.
             weights = {paths[0]: amount}
-            for edge in path_edges(paths[0]):
-                edge_congestions[edge] = edge_congestions.get(edge, 0.0) + amount
+            used[first] = amount
         total = sum(weights.values())
         distributions[pair] = {path: weight / total for path, weight in weights.items()}
-    for edge in list(edge_congestions):
-        edge_congestions[edge] /= network.capacity_of(edge)
-    if return_routing:
-        routing = Routing(network, distributions)
 
+    loads = np.bincount(edge_rows, weights=np.repeat(used, hops), minlength=m)
+    edges = network.edges
+    edge_congestions = {
+        edges[edge]: float(loads[edge] / capacity[edge]) for edge in np.flatnonzero(loads)
+    }
     return PathLPResult(
         congestion=congestion,
-        routing=routing,
+        routing=Routing(network, distributions) if return_routing else None,
         edge_congestions=edge_congestions,
     )
 
