@@ -27,11 +27,13 @@ setup(
         "numpy",
         "networkx",
     ],
+    # scipy >= 1.15 bundles the HiGHS binding (scipy.optimize._highspy)
+    # that the Stage-4 path LP drives directly.
     extras_require={
         # scipy CSR matrices for the sparse evaluation backend
-        "sparse": ["scipy"],
-        # scipy.optimize.linprog (HiGHS) for the exact MCF / rate LPs
-        "lp": ["scipy"],
-        "full": ["scipy"],
+        "sparse": ["scipy>=1.15"],
+        # HiGHS via scipy for the exact MCF / rate LPs
+        "lp": ["scipy>=1.15"],
+        "full": ["scipy>=1.15"],
     },
 )

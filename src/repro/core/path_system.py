@@ -9,13 +9,16 @@ them adapt to the demand.
 them against the network, and exposes the sparsity measures used by the
 paper: plain α-sparsity and (α + cut_G)-sparsity.  Its
 :meth:`~PathSystem.incidence` is the path × edge-id form the Stage-4
-path LP is built from.
+path LP is built from, and :meth:`~PathSystem.rate_lp` caches that LP
+between demands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from repro.exceptions import PathError, RoutingError
 from repro.graphs.network import Network, Path, Vertex, edge_key, path_edges
 
 Pair = Tuple[Vertex, Vertex]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,7 @@ class PathSystem:
         self._network = network
         self._paths: Dict[Pair, List[Path]] = {}
         self._incidence: Optional[PathIncidence] = None
+        self._rate_lp: Any = None
         if paths:
             for (source, target), candidates in paths.items():
                 for path in candidates:
@@ -105,6 +110,7 @@ class PathSystem:
             return False
         bucket.append(canonical)
         self._incidence = None
+        self._rate_lp = None
         return True
 
     def add_paths(self, source: Vertex, target: Vertex, paths: Iterable[Sequence[Vertex]]) -> int:
@@ -164,6 +170,16 @@ class PathSystem:
         if self._incidence is None:
             self._incidence = PathIncidence.build(self)
         return self._incidence
+
+    def rate_lp(self, build: Callable[[PathIncidence], T]) -> T:
+        """The Stage-4 rate LP, ``build(self.incidence())``, cached until ``add_path``.
+
+        :func:`repro.mcf.path_lp.rate_lp` supplies ``build``; the LP
+        pickles with the system.
+        """
+        if self._rate_lp is None:
+            self._rate_lp = build(self.incidence())
+        return self._rate_lp
 
     # ------------------------------------------------------------------ #
     # Sparsity (Definition 2.1)

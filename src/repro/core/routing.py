@@ -105,6 +105,26 @@ class Routing:
         self._evaluators.clear()  # compiled/memoized state is now stale
 
     @classmethod
+    def _from_validated(
+        cls, network: Network, weights: Mapping[Pair, Mapping[Path, float]]
+    ) -> "Routing":
+        """A routing from positive path weights whose paths are already canonical and valid.
+
+        For callers whose paths went through
+        :meth:`PathSystem.add_path <repro.core.path_system.PathSystem.add_path>`:
+        each pair's weights are normalized exactly as
+        :meth:`set_distribution` normalizes a distribution, without
+        re-validating the paths or checking the sum.
+        """
+        routing = cls(network)
+        for pair, distribution in weights.items():
+            total = sum(distribution.values())
+            routing._distributions[pair] = {
+                path: weight / total for path, weight in distribution.items()
+            }
+        return routing
+
+    @classmethod
     def single_path(cls, network: Network, paths: Mapping[Pair, Sequence[Vertex]]) -> "Routing":
         """A deterministic routing using exactly one path per pair."""
         return cls(network, {pair: {tuple(path): 1.0} for pair, path in paths.items()})

@@ -38,7 +38,10 @@ optimum is unknown).
 
 **Install-once.**  ``install()`` is the only slow step and the only
 state change; calling it again re-materializes paths for the new pair
-set.  ``route()`` must be preceded by ``install()`` and raises
+set.  The semi-oblivious router also solves its path system's
+reference basis there (:func:`~repro.mcf.path_lp.warm_start`), so its
+online re-solves start from it.
+``route()`` must be preceded by ``install()`` and raises
 :class:`~repro.exceptions.SolverError` otherwise.
 """
 
@@ -56,6 +59,7 @@ from repro.exceptions import RoutingError, SolverError
 from repro.graphs.cuts import CutCache
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
+from repro.mcf.path_lp import warm_start
 from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -165,6 +169,7 @@ class SemiObliviousRouter(BaseRouter):
             )
         else:
             self._system = alpha_sample(self._oblivious, self._alpha, pairs=pairs, rng=self._rng)
+        warm_start(self._system)
 
     def _route(self, demand: Demand) -> RouteResult:
         adaptation = optimal_rates(self._system, demand)

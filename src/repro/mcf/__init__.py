@@ -10,8 +10,9 @@ fractional routings of the demand.  This package provides:
   request, an optimal routing peeled per sink from each source's flow,
 * :func:`~repro.mcf.path_lp.min_congestion_on_paths` — the path-based LP
   restricted to a candidate path system (this computes ``cong_R(P, d)``,
-  the Stage-4 adaptive rate optimization), assembled from the system's
-  cached path × edge incidence,
+  the Stage-4 adaptive rate optimization), cached per system and, on the
+  installed semi-oblivious router's system, re-solved from a fixed
+  reference basis,
 * :func:`~repro.mcf.mwu.approximate_min_congestion` — a Garg–Könemann /
   Fleischer multiplicative-weights approximation, used for large
   instances and as an LP-free cross-check,

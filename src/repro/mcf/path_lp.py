@@ -11,6 +11,43 @@ maximum edge congestion.  Formally it computes
 
 (Definition 5.1) via the path-based LP with one variable per (pair,
 candidate path) plus the congestion variable ``z``.
+
+Each :class:`~repro.core.path_system.PathSystem` caches a
+:class:`RateLP` (:meth:`PathSystem.rate_lp
+<repro.core.path_system.PathSystem.rate_lp>`): the matrix over every
+installed path, in HiGHS's column-wise form.  A demand is solved cold,
+with presolve, over the demanded pairs' columns only.
+
+Between two demands over one installed system only the demanded
+amounts change, and they are the right-hand side of the LP's equality
+rows.  A router that installs a system for many demands therefore calls
+:func:`warm_start` (the engine's semi-oblivious router does), which
+solves the system's **reference basis**: the optimal basis for the
+uniform demand (1 on every installed pair).
+
+* A demand on **every** installed pair is first re-solved from that
+  basis.  The cost vector and the matrix never change, so the basis
+  stays dual-feasible for every right-hand side and dual simplex only
+  repairs primal feasibility: a median 17 iterations instead of ~700
+  cold on ``adapt-isp``.
+* Where the basis is far from the demand (torus and hypercube gravity
+  demands need 120-2500 iterations from it, each dearer than a cold
+  iteration after presolve), the attempt stops after
+  :data:`WARM_ITERATIONS` and the demand is solved cold.
+* A demand that leaves an installed pair out is solved cold: its zero
+  right-hand side rows serve the uniform basis badly (a permutation
+  over an all-pairs install of a torus took 40-160× longer from it).
+* Every model is fresh and its start depends only on the system, so the
+  result depends only on (system, demand), never on which demands were
+  solved before, nor on the worker or executor that solves it.  The
+  reference basis pickles with the system.
+* A system solved once (a failure survivor, a system built for one
+  experiment) is never warm-started, so it pays no reference solve.
+
+A demanded pair with no candidate path raises :class:`InfeasibleError`.
+The models go to the HiGHS binding that scipy bundles
+(``scipy.optimize._highspy``, scipy >= 1.15) with default options, bar
+the warm attempt's iteration cap.
 """
 
 from __future__ import annotations
@@ -21,18 +58,33 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 try:
-    from scipy import sparse
-    from scipy.optimize import linprog
+    import scipy
 except ImportError:  # pragma: no cover - scipy ships via the [lp] extra
-    sparse = None
-    linprog = None
+    scipy = None
+try:
+    from scipy.optimize._highspy import _core as highs
+except ImportError:  # pragma: no cover - bundled since scipy 1.15
+    highs = None
+# The binding is private to scipy: one that lacks a member used here counts as missing.
+_HIGHS_MEMBERS = (
+    "_Highs", "HighsBasis", "HighsBasisStatus", "HighsModelStatus", "MatrixFormat", "ObjSense",
+    "kHighsInf",
+)
+if highs is not None and not all(hasattr(highs, name) for name in _HIGHS_MEMBERS):
+    highs = None  # pragma: no cover
 
-from repro.core.path_system import PathSystem
+from repro.core.path_system import PathIncidence, PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import InfeasibleError, SolverError
 from repro.graphs.network import Vertex
 from repro.obs import trace_span
+
+#: Dual simplex iterations a re-solve from the reference basis may take
+#: before the demand is solved cold instead.  Demands the basis serves
+#: well take 14-29 on ``adapt-isp``; an attempt stopped here costs
+#: 8-20% of a cold solve on torus:6/8 and hypercube:5.
+WARM_ITERATIONS = 50
 
 
 @dataclass
@@ -54,6 +106,179 @@ class PathLPResult:
     edge_congestions: Dict[Tuple[Vertex, Vertex], float]
 
 
+class RateLP:
+    """The path LP of one installed system, every term but the demand.
+
+    Column ``j < P`` is installed path ``j`` (incidence order), column
+    ``P`` is ``z``.  Rows ``0..m-1`` are the edges, ``load - z·c <= 0``;
+    row ``m + i`` is the ``i``-th installed pair, whose path weights sum
+    to its demanded amount.  ``reference`` adopts a reference basis
+    exported by :meth:`reference` instead of solving it; the LP pickles
+    that way.
+    """
+
+    def __init__(
+        self, incidence: PathIncidence, reference: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> None:
+        capacity = incidence.capacities
+        m, num_paths = len(capacity), len(incidence.paths)
+        hops = np.diff(incidence.indptr)
+        pair_starts = np.array([start for start, _ in incidence.slices.values()], dtype=np.int64)
+        paths_per_pair = np.diff(np.append(pair_starts, num_paths))
+        # Path column j holds its edge rows, then its pair row; z holds every edge row.
+        start = np.zeros(num_paths + 1, dtype=np.int32)
+        np.cumsum(hops + 1, out=start[1:])
+        paths_nnz = int(start[-1])
+        index = np.empty(paths_nnz + m, dtype=np.int32)
+        pair_slots = start[1:] - 1
+        edge_slots = np.ones(paths_nnz, dtype=bool)
+        edge_slots[pair_slots] = False
+        index[:paths_nnz][edge_slots] = incidence.edge_ids
+        index[pair_slots] = m + np.repeat(np.arange(len(pair_starts)), paths_per_pair)
+        index[paths_nnz:] = np.arange(m)
+        value = np.ones(paths_nnz + m)
+        value[paths_nnz:] = -capacity
+
+        self.hops = hops
+        self.pair_starts = pair_starts
+        self.paths_per_pair = paths_per_pair
+        #: Installed pair -> its position in the ``amounts`` of :meth:`solve`.
+        self.pair_index = {pair: i for i, pair in enumerate(incidence.slices)}
+        self.num_edges = m
+        self._incidence = incidence
+        self._start, self._index, self._value = start, index, value
+        self._reference = reference
+        self._basis = None
+
+    def __reduce__(self):
+        # The HiGHS basis does not pickle; its status codes do.
+        return (RateLP, (self._incidence, self._reference))
+
+    def reference(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The reference basis as column and row status codes, solved on first call."""
+        if self._reference is None:
+            with trace_span("mcf.path_lp_reference") as span:
+                solver = self._run(
+                    self._start, self._index, self._value, np.ones(len(self.pair_index))
+                )
+                span.add("iterations", solver.getInfo().simplex_iteration_count)
+            basis = solver.getBasis()
+            self._reference = (
+                np.array([int(status) for status in basis.col_status], dtype=np.int8),
+                np.array([int(status) for status in basis.row_status], dtype=np.int8),
+            )
+        return self._reference
+
+    def _reference_basis(self) -> "highs.HighsBasis":
+        if self._basis is None:
+            columns, rows = self._reference
+            self._basis = highs.HighsBasis()
+            self._basis.col_status = [highs.HighsBasisStatus(int(code)) for code in columns]
+            self._basis.row_status = [highs.HighsBasisStatus(int(code)) for code in rows]
+            self._basis.valid = True
+            self._basis.alien = False
+        return self._basis
+
+    def _run(self, start, index, value, amounts, basis=None) -> Optional["highs._Highs"]:
+        """Solve one model; ``None`` when the attempt from ``basis`` hits its cap."""
+        num_cols, m = len(start), self.num_edges
+        cost = np.zeros(num_cols)
+        cost[-1] = 1.0
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        solver.passModel(
+            num_cols, m + len(amounts), len(value),
+            int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+            cost, np.zeros(num_cols), np.full(num_cols, highs.kHighsInf),
+            np.concatenate([np.full(m, -highs.kHighsInf), amounts]),
+            np.concatenate([np.zeros(m), amounts]),
+            # The array form of passModel takes an integrality vector: all continuous.
+            start, index, value, np.zeros(num_cols, dtype=np.int32),
+        )
+        if basis is not None:
+            solver.setOptionValue("simplex_iteration_limit", WARM_ITERATIONS)
+            solver.setBasis(basis)
+        solver.run()
+        status = solver.getModelStatus()
+        if basis is not None and status == highs.HighsModelStatus.kIterationLimit:
+            return None
+        if status == highs.HighsModelStatus.kInfeasible:
+            raise InfeasibleError("path LP infeasible")
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"path LP failed: {solver.modelStatusToString(status)}")
+        return solver
+
+    def _demanded_columns(self, demanded: np.ndarray):
+        """The installed paths of the demanded pairs, and the model over only them."""
+        columns = np.flatnonzero(np.repeat(demanded, self.paths_per_pair))
+        lengths = self.hops[columns] + 1
+        start = np.zeros(len(columns) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=start[1:])
+        gather = np.concatenate([
+            np.repeat(self._start[columns] - start[:-1], lengths) + np.arange(start[-1]),
+            np.arange(self._start[-1], len(self._value)),  # z
+        ])
+        m = self.num_edges
+        row = np.concatenate([np.arange(m), m + np.cumsum(demanded) - 1])
+        return columns, (start, row[self._index[gather]].astype(np.int32), self._value[gather])
+
+    def solve(self, amounts: np.ndarray) -> Tuple[np.ndarray, float, Dict[str, int]]:
+        """Optimal path flows (incidence order) and ``z`` for per-pair ``amounts``.
+
+        Also returns counters: the answering model's ``rows``/``cols``/
+        ``nnz``, the simplex ``iterations`` of every model tried, and
+        ``warm`` (1 when the reference basis gave the answer).
+        """
+        demanded = amounts > 0
+        columns, model = None, (self._start, self._index, self._value)
+        solver, iterations = None, 0
+        if demanded.all() and self._reference is not None:
+            solver = self._run(*model, amounts, basis=self._reference_basis())
+            iterations = 0 if solver is not None else WARM_ITERATIONS
+        warm = solver is not None
+        if not demanded.all():
+            columns, model = self._demanded_columns(demanded)
+            amounts = amounts[demanded]
+        if solver is None:
+            solver = self._run(*model, amounts)
+        solution = np.asarray(solver.getSolution().col_value)
+        if columns is None:
+            flows = solution[:-1]
+        else:
+            flows = np.zeros(len(self.hops))
+            flows[columns] = solution[:-1]
+        counters = {
+            "rows": self.num_edges + int(demanded.sum()),
+            "cols": len(model[0]),
+            "nnz": len(model[2]),
+            "iterations": iterations + solver.getInfo().simplex_iteration_count,
+            "warm": int(warm),
+        }
+        return flows, float(solution[-1]), counters
+
+
+def rate_lp(system: PathSystem) -> RateLP:
+    """The cached :class:`RateLP` of ``system``."""
+    if highs is None:
+        found = "none" if scipy is None else scipy.__version__
+        raise SolverError(
+            "the path LP needs the HiGHS binding bundled with scipy >= 1.15 "
+            f"(found scipy {found}); install the 'lp' extra "
+            "(pip install repro-semi-oblivious-routing[lp])"
+        )
+    return system.rate_lp(RateLP)
+
+
+def warm_start(system: PathSystem) -> None:
+    """Solve ``system``'s reference basis now, so later demands may start from it.
+
+    For a system installed to route many demands: from then on a demand
+    on every installed pair is first re-solved from the basis.  Calling
+    it again is free; ``add_path`` drops the basis with the rest of the LP.
+    """
+    rate_lp(system).reference()
+
+
 def min_congestion_on_paths(
     system: PathSystem,
     demand: Demand,
@@ -61,20 +286,14 @@ def min_congestion_on_paths(
 ) -> PathLPResult:
     """Optimally split ``demand`` over the candidate paths of ``system``.
 
-    The LP is assembled from the system's cached path × edge incidence
-    (:meth:`PathSystem.incidence`): each demanded pair contributes its
-    rows in path order, pairs in demand order, then the ``z`` column.
+    The LP is the system's cached :class:`RateLP` with ``demand`` as the
+    right-hand side, warm-started only after :func:`warm_start`.
 
     Raises
     ------
     InfeasibleError
         When some demanded pair has no candidate path in the system.
     """
-    if linprog is None:
-        raise SolverError(
-            "scipy is required for LP solving; install the 'lp' extra "
-            "(pip install repro-semi-oblivious-routing[lp])"
-        )
     incidence = system.incidence()
     commodities: List[Tuple[Tuple[Vertex, Vertex], float, int, int]] = []
     for pair, amount in demand.items():
@@ -87,87 +306,42 @@ def min_congestion_on_paths(
     if not commodities:
         return PathLPResult(congestion=0.0, routing=None, edge_congestions={})
 
-    network = system.network
     capacity = incidence.capacities
-    m = len(capacity)
     with trace_span("mcf.path_lp") as span:
+        lp = rate_lp(system)
         with trace_span("mcf.path_lp_setup"):
-            starts = np.array([start for _, _, start, _ in commodities], dtype=np.int64)
-            counts = np.array([stop - start for _, _, start, stop in commodities], dtype=np.int64)
-            amounts = np.array([amount for _, amount, _, _ in commodities], dtype=float)
-            num_paths = int(counts.sum())
-            # Column j of the LP is path ``selected[j]`` of the incidence;
-            # ``gather`` picks those rows' edge ids out of the CSR arrays.
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            selected = np.repeat(starts - offsets[:-1], counts) + np.arange(num_paths)
-            hops = incidence.indptr[selected + 1] - incidence.indptr[selected]
-            column_ptr = np.concatenate([[0], np.cumsum(hops)])
-            nnz = int(column_ptr[-1])
-            gather = np.repeat(incidence.indptr[selected] - column_ptr[:-1], hops) + np.arange(nnz)
-            edge_rows = incidence.edge_ids[gather]
-            num_vars = num_paths + 1  # + z
-
-            # Inequality: per edge, total load <= z * capacity.
-            a_ub = sparse.csc_matrix(
-                (
-                    np.concatenate([np.ones(nnz), -capacity]),
-                    np.concatenate([edge_rows, np.arange(m)]),
-                    np.append(column_ptr, nnz + m),
-                ),
-                shape=(m, num_vars),
-            ).tocsr()
-            # Equality: per commodity, path weights sum to the demanded amount.
-            a_eq = sparse.csr_matrix(
-                (np.ones(num_paths), np.arange(num_paths), offsets),
-                shape=(len(commodities), num_vars),
-            )
-        span.add("rows", m + len(commodities))
-        span.add("cols", num_vars)
-        span.add("nnz", a_ub.nnz + a_eq.nnz)
-
-        cost = np.zeros(num_vars)
-        cost[-1] = 1.0
+            amounts = np.zeros(len(lp.pair_index))
+            for pair, amount, _, _ in commodities:
+                amounts[lp.pair_index[pair]] = amount
         with trace_span("mcf.path_lp_solve"):
-            result = linprog(
-                cost,
-                A_ub=a_ub,
-                b_ub=np.zeros(m),
-                A_eq=a_eq,
-                b_eq=amounts,
-                bounds=(0, None),
-                method="highs",
-            )
-        span.add("iterations", int(result.nit))
-    if result.status == 2:
-        raise InfeasibleError("path LP infeasible")
-    if not result.success:
-        raise SolverError(f"path LP failed: {result.message}")
+            flows, congestion, counters = lp.solve(amounts)
+        for name, count in counters.items():
+            span.add(name, count)
 
-    congestion = float(result.x[-1])
-    used = np.where(result.x[:-1] > 1e-12, result.x[:-1], 0.0)
-    distributions = {}
-    for commodity_index, (pair, amount, start, stop) in enumerate(commodities):
-        first = offsets[commodity_index]
-        block = used[first:first + stop - start].tolist()
-        paths = incidence.paths[start:stop]
-        weights = {path: weight for path, weight in zip(paths, block) if weight > 0}
-        if not weights:
-            # Degenerate LP output; route everything on the first path.
-            weights = {paths[0]: amount}
-            used[first] = amount
-        total = sum(weights.values())
-        distributions[pair] = {path: weight / total for path, weight in weights.items()}
+    used = np.where(flows > 1e-12, flows, 0.0)
+    # Degenerate LP output (no positive weight): route everything on the first path.
+    degenerate = (amounts > 0) & (np.add.reduceat(used, lp.pair_starts) == 0)
+    used[lp.pair_starts[degenerate]] = amounts[degenerate]
 
-    loads = np.bincount(edge_rows, weights=np.repeat(used, hops), minlength=m)
-    edges = network.edges
+    loads = np.bincount(
+        incidence.edge_ids, weights=np.repeat(used, lp.hops), minlength=len(capacity)
+    )
+    edges = system.network.edges
     edge_congestions = {
         edges[edge]: float(loads[edge] / capacity[edge]) for edge in np.flatnonzero(loads)
     }
-    return PathLPResult(
-        congestion=congestion,
-        routing=Routing(network, distributions) if return_routing else None,
-        edge_congestions=edge_congestions,
-    )
+    routing = None
+    if return_routing:
+        flat, paths = used.tolist(), incidence.paths
+        weights = {
+            pair: {path: w for path, w in zip(paths[start:stop], flat[start:stop]) if w > 0}
+            for pair, _, start, stop in commodities
+        }
+        routing = Routing._from_validated(system.network, weights)
+    return PathLPResult(congestion=congestion, routing=routing, edge_congestions=edge_congestions)
 
 
-__all__ = ["min_congestion_on_paths", "PathLPResult"]
+__all__ = [
+    "min_congestion_on_paths", "PathLPResult", "RateLP", "rate_lp", "warm_start",
+    "WARM_ITERATIONS",
+]

@@ -6,9 +6,17 @@ path LP over *every* simple path must reach the same optimum, and the
 ratio every scheme reports passes through
 :func:`repro.engine.router.congestion_ratio`, which refuses a routing
 that beats the optimum.
+
+The path LP solves a demand cold over its own pairs' paths; after
+``warm_start`` it first re-solves a demand on every installed pair from
+the system's reference basis.  The cold ``linprog`` LP over only the
+demanded pairs' paths below is its oracle, and its results must not
+depend on solve order or on a pickle round trip of the system.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import networkx as nx
 import numpy as np
@@ -19,11 +27,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.core.path_system import PathSystem
+from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.engine.router import RouteResult, congestion_ratio
 from repro.exceptions import SolverError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
+from repro.mcf import path_lp
 from repro.mcf.path_lp import min_congestion_on_paths
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
 
@@ -69,16 +79,59 @@ def per_pair_optimum(network: Network, demand: Demand) -> float:
     return float(result.x[-1])
 
 
+def column_selected_optimum(system: PathSystem, demand: Demand) -> float:
+    """The cold path LP over only the demanded pairs' paths, solved by ``linprog``."""
+    incidence = system.incidence()
+    blocks = [(amount, *incidence.slices[pair]) for pair, amount in demand.items() if amount > 0]
+    if not blocks:
+        return 0.0
+    m = len(incidence.capacities)
+    selected = [j for _, start, stop in blocks for j in range(start, stop)]
+    num_vars = len(selected) + 1
+    ub_rows, ub_cols = [], []
+    for column, j in enumerate(selected):
+        edge_ids = incidence.edge_ids[incidence.indptr[j]:incidence.indptr[j + 1]]
+        ub_rows += edge_ids.tolist()
+        ub_cols += [column] * len(edge_ids)
+    ub_vals = [1.0] * len(ub_rows) + (-incidence.capacities).tolist()
+    ub_rows += list(range(m))
+    ub_cols += [num_vars - 1] * m
+    eq_rows = [row for row, (_, start, stop) in enumerate(blocks) for _ in range(start, stop)]
+    cost = np.zeros(num_vars)
+    cost[-1] = 1.0
+    result = linprog(
+        cost,
+        A_ub=sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(m, num_vars)),
+        b_ub=np.zeros(m),
+        A_eq=sparse.csr_matrix(
+            (np.ones(len(selected)), (eq_rows, range(len(selected)))),
+            shape=(len(blocks), num_vars),
+        ),
+        b_eq=[amount for amount, _, _ in blocks],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.success, result.message
+    return float(result.x[-1])
+
+
 @st.composite
-def instances(draw):
-    """A connected 4-8 node graph with random capacities and a multi-sink demand."""
+def graphs(draw) -> Network:
+    """A connected 4-8 node graph with random capacities."""
     n = draw(st.integers(4, 8))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a random spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
     edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
     capacity = st.floats(0.25, 4.0, allow_nan=False)
     capacities = {edge: draw(capacity) for edge in sorted(edges)}
-    network = Network.from_edges(sorted(edges), capacities=capacities)
+    return Network.from_edges(sorted(edges), capacities=capacities)
+
+
+@st.composite
+def instances(draw):
+    """A connected 4-8 node graph with random capacities and a multi-sink demand."""
+    network = draw(graphs())
+    n = network.num_vertices
 
     amount = st.floats(0.05, 3.0, allow_nan=False)
     vertex = st.integers(0, n - 1)
@@ -91,6 +144,50 @@ def instances(draw):
     entries.setdefault((source, target), draw(amount))
     entries[(target, source)] = draw(amount)  # both directions of one pair
     return network, Demand(entries)
+
+
+@st.composite
+def installed_systems(draw):
+    """A warm-started system with 1-4 simple paths per installed pair and 2-4 demands.
+
+    A demand either puts a positive amount on every installed pair (the
+    warm-started case) or covers a random subset of them, some with
+    amount 0 (the cold case).
+    """
+    network = draw(graphs())
+    n = network.num_vertices
+    vertex = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                 min_size=1, max_size=6, unique=True)
+    )
+    system = PathSystem(network)
+    for source, target in pairs:
+        candidates = list(nx.all_simple_paths(network.graph, source, target))
+        picks = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1, max_size=4,
+                              unique=True))
+        for pick in picks:
+            system.add_path(source, target, candidates[pick])
+    positive = st.floats(0.05, 3.0, allow_nan=False)
+    amount = st.one_of(st.just(0.0), positive)
+    demands = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            demands.append(Demand({pair: draw(positive) for pair in pairs}))
+        else:
+            covered = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+            demands.append(Demand({pair: draw(amount) for pair in covered}))
+    path_lp.warm_start(system)
+    return system, demands
+
+
+def _outcome(result):
+    """Everything a path-LP result carries, for exact comparison."""
+    routing = result.routing
+    distributions = (
+        None if routing is None else [(pair, routing.distribution(*pair)) for pair in routing]
+    )
+    return result.congestion, result.edge_congestions, distributions
 
 
 def _close(a: float, b: float, rel: float = 1e-9) -> bool:
@@ -131,6 +228,69 @@ def test_path_lp_over_all_simple_paths_equals_arc_lp(instance):
     assert _close(on_paths, min_congestion_lp(network, demand).congestion)
 
 
+@settings(max_examples=40, deadline=None)
+@given(installed_systems())
+def test_warm_started_path_lp_equals_cold_oracle(instance):
+    system, demands = instance
+    for demand in demands:
+        result = min_congestion_on_paths(system, demand)
+        assert _close(result.congestion, column_selected_optimum(system, demand))
+        if result.routing is not None:  # the returned rates realize the optimum
+            assert _close(result.routing.congestion(demand), result.congestion)
+            assert _close(max(result.edge_congestions.values()), result.congestion)
+
+
+@settings(max_examples=30, deadline=None)
+@given(installed_systems())
+def test_path_lp_results_do_not_depend_on_solve_order(instance):
+    system, demands = instance
+    forward = [_outcome(min_congestion_on_paths(system, demand)) for demand in demands]
+    backward = [_outcome(min_congestion_on_paths(system, demand)) for demand in demands[::-1]]
+    assert forward == backward[::-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(installed_systems())
+def test_pickled_system_routes_the_next_demand_identically(instance):
+    system, demands = instance
+    min_congestion_on_paths(system, demands[0])
+    restored = pickle.loads(pickle.dumps(system))  # as the shared sweep executor ships it
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        for demand in demands[1:]:
+            expected = _outcome(min_congestion_on_paths(system, demand))
+            assert _outcome(min_congestion_on_paths(restored, demand)) == expected
+    finally:
+        uninstall_tracer()
+    # The basis travelled with the system: neither side solved it again.
+    names = {record["name"] for record in span_records(tracer.records)}
+    assert "mcf.path_lp_reference" not in names
+
+
+@settings(max_examples=30, deadline=None)
+@given(installed_systems(), st.data())
+def test_trusted_routing_equals_the_validated_one(instance, data):
+    system, _ = instance
+    weight = st.floats(1e-6, 1.0, allow_nan=False)
+    distributions = {}
+    for pair, paths in system.items():
+        raw = [data.draw(weight) for _ in paths]
+        distributions[pair] = {path: w / sum(raw) for path, w in zip(paths, raw)}
+    trusted = Routing._from_validated(system.network, distributions)
+    validated = Routing(system.network, distributions)
+    assert [(pair, trusted.distribution(*pair)) for pair in trusted] == [
+        (pair, validated.distribution(*pair)) for pair in validated
+    ]
+
+
+def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypatch):
+    monkeypatch.setattr(path_lp, "highs", None)
+    system = PathSystem(cube3)
+    system.add_path(0, 1, (0, 1))
+    with pytest.raises(SolverError, match=r"scipy >= 1\.15"):
+        min_congestion_on_paths(system, Demand({(0, 1): 1.0}))
+
+
 def test_path_added_after_a_route_is_used_by_the_next(cycle5):
     system = PathSystem(cycle5)
     system.add_path(0, 1, (0, 1))
@@ -155,6 +315,25 @@ def test_congestion_ratio_tolerates_lp_rounding():
     assert congestion_ratio(0.0, 0.0) == 1.0
 
 
+def test_warm_attempt_past_its_cap_gives_the_cold_answer(cube3, monkeypatch):
+    demand = Demand({(0, 7): 3.0, (0, 6): 0.1, (1, 7): 2.5, (3, 4): 0.2})
+    cold, warm = PathSystem(cube3), PathSystem(cube3)
+    for system in (cold, warm):
+        for pair in demand.pairs():
+            for path in list(nx.all_simple_paths(cube3.graph, *pair, cutoff=4))[:3]:
+                system.add_path(*pair, path)
+    path_lp.warm_start(warm)
+    monkeypatch.setattr(path_lp, "WARM_ITERATIONS", 0)
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        capped = _outcome(min_congestion_on_paths(warm, demand))
+    finally:
+        uninstall_tracer()
+    (span,) = [r for r in span_records(tracer.records) if r["name"] == "mcf.path_lp"]
+    assert span["counters"]["warm"] == 0
+    assert capped == _outcome(min_congestion_on_paths(cold, demand))
+
+
 def test_both_lps_report_their_size_and_iterations(cube3):
     tracer = install_tracer(Tracer(sink=RecordingSink()))
     try:
@@ -163,20 +342,41 @@ def test_both_lps_report_their_size_and_iterations(cube3):
         system = PathSystem(cube3)
         for pair in demand.pairs():
             system.add_path(*pair, cube3.shortest_path(*pair))
+        min_congestion_on_paths(system, demand)  # not warm-started: cold, no reference
+        path_lp.warm_start(system)
+        path_lp.warm_start(system)
         min_congestion_on_paths(system, demand)
+        min_congestion_on_paths(system, Demand({(0, 7): 2.0, (0, 3): 1.0, (5, 0): 3.0}))
+        min_congestion_on_paths(system, Demand({(0, 3): 1.0}))
     finally:
         uninstall_tracer()
-    spans = {record["name"]: record for record in span_records(tracer.records)}
+    records = span_records(tracer.records)
+    spans = {record["name"]: record for record in records}
     normalizer = spans["mcf.lp"]["counters"]
     assert normalizer["sources"] == 2
     assert normalizer["columns"] == 2 * 2 * cube3.num_edges + 1
     assert normalizer["rows"] == 2 * cube3.num_vertices + cube3.num_edges
     assert normalizer["nnz"] > 0 and normalizer["iterations"] >= 0
-    path_lp = spans["mcf.path_lp"]["counters"]
-    assert path_lp["cols"] == 3 + 1
-    assert path_lp["rows"] == cube3.num_edges + 3
-    assert path_lp["nnz"] == (3 + 2 + 2) + cube3.num_edges + 3
-    assert "iterations" in path_lp
+    path_lps = [record for record in records if record["name"] == "mcf.path_lp"]
+    assert [record["counters"]["warm"] for record in path_lps] == [0, 1, 1, 0]
+    # Demands on every installed pair: every installed path is a column.
+    for record in path_lps[:3]:
+        counters = record["counters"]
+        assert counters["cols"] == 3 + 1
+        assert counters["rows"] == cube3.num_edges + 3
+        assert counters["nnz"] == (3 + 2 + 2) + 3 + cube3.num_edges
+        assert counters["iterations"] >= 0
+    # A demand on one pair: only that pair's path is a column.
+    counters = path_lps[3]["counters"]
+    assert counters["cols"] == 1 + 1
+    assert counters["rows"] == cube3.num_edges + 1
+    assert counters["nnz"] == 2 + 1 + cube3.num_edges
+    assert counters["iterations"] >= 0
+    # One reference solve per system, by warm_start, in no route.
+    references = [record for record in records if record["name"] == "mcf.path_lp_reference"]
+    assert len(references) == 1
+    assert references[0]["parent"] is None
+    assert references[0]["counters"]["iterations"] >= 0
     parent = spans["mcf.path_lp"]["seq"]
     assert spans["mcf.path_lp_setup"]["parent"] == parent
     assert spans["mcf.path_lp_solve"]["parent"] == parent
