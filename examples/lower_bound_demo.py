@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.competitive import congestion_ratio
 from repro.core.rate_adaptation import optimal_rates
 from repro.core.sampling import alpha_sample
 from repro.demands.adversarial import lower_bound_adversary
@@ -52,7 +53,7 @@ def main(n: int = 64, alpha: int = 2, seed: int = 0) -> None:
     table.add_row("offline optimal congestion", optimum)
     table.add_row("guaranteed lower bound (matching / |S'|)", adversary.congestion_lower_bound)
     table.add_row("best congestion on the sampled paths", adaptation.congestion)
-    table.add_row("measured competitive ratio", adaptation.congestion / optimum)
+    table.add_row("measured competitive ratio", congestion_ratio(adaptation.congestion, optimum))
     table.add_row("theory curve n^(1/(2 alpha)) / alpha", k / alpha)
     print(table)
     print("\nEven with demand-adaptive rates, the sparse candidate set cannot escape the "

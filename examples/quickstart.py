@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import sys
 
-from repro import SemiObliviousRouting, topologies
+from repro import build_router, randomized_rounding, topologies
+from repro.core.competitive import congestion_ratio
 from repro.demands import random_permutation_demand
 from repro.mcf import min_congestion_lp
-from repro.oblivious import ValiantHypercubeRouting
 from repro.utils.tables import Table
 
 
@@ -26,13 +26,13 @@ def main(dimension: int = 4, alpha: int = 4, seed: int = 0) -> None:
     network = topologies.hypercube(dimension)
     print(f"Topology: {network.name} (n={network.num_vertices}, m={network.num_edges})")
 
-    # 1. An oblivious routing to sample from (Valiant's trick on hypercubes).
-    oblivious = ValiantHypercubeRouting(network, dimension, rng=seed)
-
-    # 2. Sample alpha candidate paths per pair — the semi-oblivious structure.
-    router = SemiObliviousRouting.sample(network, alpha=alpha, oblivious=oblivious, rng=seed)
+    # 1-2. Sample alpha candidate paths per pair from an oblivious routing
+    # (Valiant's trick on hypercubes) — the semi-oblivious structure.
+    router = build_router(f"semi-oblivious(valiant, alpha={alpha})", network, rng=seed)
+    router.install()
+    oblivious = router.oblivious
     print(f"Installed {router.system.num_paths()} candidate paths "
-          f"(sparsity {router.sparsity()}, alpha = {alpha})")
+          f"(sparsity {router.system.sparsity()}, alpha = {alpha})")
 
     # 3. The demand is revealed only now.
     demand = random_permutation_demand(network, rng=seed + 1)
@@ -40,7 +40,7 @@ def main(dimension: int = 4, alpha: int = 4, seed: int = 0) -> None:
 
     # 4. Adapt the sending rates on the candidate paths (fractional + integral).
     fractional = router.route(demand)
-    integral = router.route_integral(demand, rng=seed + 2)
+    integral = randomized_rounding(fractional.routing, demand.rounded_up(), rng=seed + 2)
 
     # 5. Compare against the offline optimum and the non-adaptive oblivious routing.
     optimum = min_congestion_lp(network, demand).congestion
@@ -48,12 +48,12 @@ def main(dimension: int = 4, alpha: int = 4, seed: int = 0) -> None:
 
     table = Table(headers=["scheme", "congestion", "vs optimum"], title="Results")
     table.add_row("offline optimum (LP)", optimum, 1.0)
-    table.add_row("semi-oblivious (fractional rates)", fractional.congestion,
-                  fractional.congestion / optimum)
-    table.add_row("semi-oblivious (integral, Lemma 6.3)", integral.congestion,
-                  integral.congestion / optimum)
-    table.add_row(f"oblivious ({oblivious.name}, fixed splits)", oblivious_congestion,
-                  oblivious_congestion / optimum)
+    for scheme, congestion in (
+        ("semi-oblivious (fractional rates)", fractional.congestion),
+        ("semi-oblivious (integral, Lemma 6.3)", integral.congestion),
+        (f"oblivious ({oblivious.name}, fixed splits)", oblivious_congestion),
+    ):
+        table.add_row(scheme, congestion, congestion_ratio(congestion, optimum))
     print()
     print(table)
     print()

@@ -28,12 +28,14 @@ setup(
         "networkx",
     ],
     # scipy >= 1.15 bundles the HiGHS binding (scipy.optimize._highspy)
-    # that the Stage-4 path LP drives directly.
+    # that the Stage-4 path LP drives directly.  The binding is private
+    # to scipy (the 15-argument array passModel among it), so the range
+    # stops below the first release it was not tested on (1.17.1 was).
     extras_require={
         # scipy CSR matrices for the sparse evaluation backend
-        "sparse": ["scipy>=1.15"],
+        "sparse": ["scipy>=1.15,<1.18"],
         # HiGHS via scipy for the exact MCF / rate LPs
-        "lp": ["scipy>=1.15"],
-        "full": ["scipy>=1.15"],
+        "lp": ["scipy>=1.15,<1.18"],
+        "full": ["scipy>=1.15,<1.18"],
     },
 )

@@ -26,15 +26,18 @@ path systems, and the per-snapshot optimal-MCF solves::
     report = engine.evaluate_matrix_series(series)
     print(report.ranking())
 
-The lower-level objects (:class:`SemiObliviousRouting`,
-:func:`alpha_sample`, the oblivious builders) remain available for code
-that wants to wire the pipeline by hand.
+The router is the one object that runs the paper's pipeline; each
+further step maps onto a function of the same installed system::
+
+    from repro import evaluate_path_system, randomized_rounding
+
+    integral = randomized_rounding(result.routing, demand.rounded_up(), rng=2)
+    report = evaluate_path_system(router.system, demand)   # ratio vs optimum
 """
 
 from repro.core import (
     PathSystem,
     Routing,
-    SemiObliviousRouting,
     alpha_plus_cut_sample,
     alpha_sample,
     competitive_ratio,
@@ -88,12 +91,6 @@ from repro.stream import (
 
 __version__ = "1.2.0"
 
-#: Backwards-compatible alias: the pre-engine name for the sampled-paths
-#: pipeline object.  New code should build routers through the registry
-#: (``build_router("semi-oblivious(...)")``) and get a
-#: :class:`~repro.engine.adapters.SemiObliviousRouter` back.
-SemiOblivious = SemiObliviousRouting
-
 __all__ = [
     "__version__",
     "Network",
@@ -101,8 +98,6 @@ __all__ = [
     "Demand",
     "PathSystem",
     "Routing",
-    "SemiObliviousRouting",
-    "SemiOblivious",
     "alpha_sample",
     "alpha_plus_cut_sample",
     "optimal_rates",

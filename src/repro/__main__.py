@@ -974,6 +974,7 @@ def _cmd_trace_export(path: str, output: Optional[str]) -> int:
 
 def _cmd_quickstart(dimension: int, alpha: int) -> int:
     from repro import build_router, topologies
+    from repro.core.competitive import congestion_ratio
     from repro.demands import random_permutation_demand
     from repro.mcf import min_congestion_lp
 
@@ -984,7 +985,7 @@ def _cmd_quickstart(dimension: int, alpha: int) -> int:
     achieved = router.route(demand).congestion
     optimum = min_congestion_lp(network, demand).congestion
     print(f"{network.name}: alpha={alpha}, achieved={achieved:.3f}, "
-          f"optimum={optimum:.3f}, ratio={achieved / max(optimum, 1e-12):.3f}")
+          f"optimum={optimum:.3f}, ratio={congestion_ratio(achieved, optimum):.3f}")
     return 0
 
 

@@ -8,8 +8,8 @@ The public entry points are:
   pair with congestion/dilation accounting (Section 4),
 * :func:`~repro.core.sampling.alpha_sample` and
   :func:`~repro.core.sampling.alpha_plus_cut_sample` — Definition 5.2,
-* :class:`~repro.core.semi_oblivious.SemiObliviousRouting` — sample once,
-  adapt rates per demand (the paper's main object),
+* :func:`~repro.core.rate_adaptation.optimal_rates` — Stage 4 rate
+  adaptation on an installed path system,
 * :func:`~repro.core.rounding.randomized_rounding` — Lemma 6.3,
 * :func:`~repro.core.competitive.competitive_ratio` — Stage 5 evaluation,
 * :mod:`~repro.core.completion_time` — the Section 7 extension.
@@ -18,8 +18,7 @@ The public entry points are:
 from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.core.sampling import alpha_sample, alpha_plus_cut_sample, deterministic_top_paths
-from repro.core.semi_oblivious import SemiObliviousRouting
-from repro.core.rate_adaptation import optimal_rates, RateAdaptationResult
+from repro.core.rate_adaptation import optimal_rates
 from repro.core.rounding import randomized_rounding, rounding_bound
 from repro.core.integral_routing import integral_congestion, IntegralRoutingResult
 from repro.core.weak_routing import WeakRoutingProcess, WeakRoutingOutcome
@@ -40,9 +39,7 @@ __all__ = [
     "alpha_sample",
     "alpha_plus_cut_sample",
     "deterministic_top_paths",
-    "SemiObliviousRouting",
     "optimal_rates",
-    "RateAdaptationResult",
     "randomized_rounding",
     "rounding_bound",
     "integral_congestion",

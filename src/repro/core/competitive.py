@@ -3,10 +3,15 @@
 Given a path system (or an oblivious routing) and a demand, compare the
 achieved congestion against the offline optimum ``opt_{G,R}(d)`` computed
 by the exact MCF LP.  The helpers here power every experiment table.
+
+:func:`congestion_ratio` is the one rule every reported ratio passes
+through: the engine's :class:`~repro.engine.router.RouteResult`, the
+sweeps, the streams, the failure reports and the experiment tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,7 +23,33 @@ from repro.exceptions import SolverError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
 
-_OPT_FLOOR = 1e-12
+# How far below the optimum a routing's congestion may read (LP tolerance).
+RATIO_TOLERANCE = 1e-7
+
+
+def congestion_ratio(achieved: float, optimal: Optional[float]) -> float:
+    """``achieved / optimal`` with the TE-loop edge-case conventions.
+
+    A zero optimum means the demand is routable at no cost: the ratio is
+    1 when the scheme also achieves (essentially) zero congestion and
+    infinite otherwise.  ``None``/missing optimum yields NaN.
+
+    Every routing of the full demand congests at least the fractional
+    optimum, so a finite ``achieved < optimal * (1 - RATIO_TOLERANCE)``
+    means the normalizer is wrong and raises :class:`SolverError`.
+    """
+    if optimal is None:
+        return float("nan")
+    if optimal > 0:
+        if math.isfinite(achieved) and math.isfinite(optimal) and (
+            achieved < optimal * (1.0 - RATIO_TOLERANCE)
+        ):
+            raise SolverError(
+                f"competitive ratio below 1: achieved congestion {achieved!r} is under "
+                f"the optimum {optimal!r}"
+            )
+        return achieved / optimal
+    return 1.0 if achieved <= 0 else float("inf")
 
 
 @dataclass
@@ -47,12 +78,6 @@ class CompetitiveReport:
     scheme: str = ""
 
 
-def _ratio(achieved: float, optimal: float) -> float:
-    if optimal <= _OPT_FLOOR:
-        return 1.0 if achieved <= _OPT_FLOOR else float("inf")
-    return achieved / optimal
-
-
 def competitive_ratio(
     achieved_congestion: float,
     network: Network,
@@ -62,7 +87,7 @@ def competitive_ratio(
     """Ratio of an achieved congestion to the offline optimum for ``demand``."""
     if optimal_congestion is None:
         optimal_congestion = min_congestion_lp(network, demand).congestion
-    return _ratio(achieved_congestion, optimal_congestion)
+    return congestion_ratio(achieved_congestion, optimal_congestion)
 
 
 def evaluate_path_system(
@@ -79,7 +104,7 @@ def evaluate_path_system(
     return CompetitiveReport(
         achieved_congestion=adaptation.congestion,
         optimal_congestion=optimal_congestion,
-        ratio=_ratio(adaptation.congestion, optimal_congestion),
+        ratio=congestion_ratio(adaptation.congestion, optimal_congestion),
         demand_size=demand.size(),
         scheme=scheme,
     )
@@ -99,7 +124,7 @@ def evaluate_oblivious_routing(
     return CompetitiveReport(
         achieved_congestion=achieved,
         optimal_congestion=optimal_congestion,
-        ratio=_ratio(achieved, optimal_congestion),
+        ratio=congestion_ratio(achieved, optimal_congestion),
         demand_size=demand.size(),
         scheme=scheme,
     )
@@ -134,6 +159,8 @@ def worst_case_over_demands(
 
 
 __all__ = [
+    "RATIO_TOLERANCE",
+    "congestion_ratio",
     "CompetitiveReport",
     "WorstCaseReport",
     "competitive_ratio",

@@ -126,7 +126,7 @@ def integral_routing_by_rounding(
     """
     if not demand.is_integral():
         raise DemandError("integral routing requires an integral demand")
-    fractional = min_congestion_on_paths(system, demand, return_routing=True)
+    fractional = min_congestion_on_paths(system, demand)
     if fractional.routing is None:
         return {}, 0.0, 0.0
     rounded = randomized_rounding(fractional.routing, demand, rng=ensure_rng(rng))

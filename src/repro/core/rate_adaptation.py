@@ -10,43 +10,14 @@ the exact optimum of the path LP (Definition 5.1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
 from repro.core.path_system import PathSystem
-from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.graphs.network import Vertex
-from repro.mcf.path_lp import min_congestion_on_paths
+from repro.mcf.path_lp import PathLPResult, min_congestion_on_paths
 
 
-@dataclass
-class RateAdaptationResult:
-    """Outcome of adapting rates on a path system for one demand.
-
-    Attributes
-    ----------
-    congestion:
-        ``cong_R(P, d)`` achieved by the chosen rates.
-    routing:
-        The routing realizing it (``None`` only for empty demands).
-    edge_congestions:
-        Per-edge congestion under the chosen rates.
-    """
-
-    congestion: float
-    routing: Optional[Routing]
-    edge_congestions: Dict[Tuple[Vertex, Vertex], float]
-
-
-def optimal_rates(system: PathSystem, demand: Demand) -> RateAdaptationResult:
+def optimal_rates(system: PathSystem, demand: Demand) -> PathLPResult:
     """Choose sending rates over ``system`` minimizing congestion for ``demand``."""
-    result = min_congestion_on_paths(system, demand, return_routing=True)
-    return RateAdaptationResult(
-        congestion=result.congestion,
-        routing=result.routing,
-        edge_congestions=result.edge_congestions,
-    )
+    return min_congestion_on_paths(system, demand)
 
 
-__all__ = ["optimal_rates", "RateAdaptationResult"]
+__all__ = ["optimal_rates"]

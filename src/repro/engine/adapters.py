@@ -3,12 +3,13 @@
 Each adapter wraps one of the repository's existing constructions behind
 the uniform install/route shape:
 
-* :class:`SemiObliviousRouter` — the paper's scheme: α-sample (or
-  (α + cut)-sample) a competitive oblivious routing once, then adapt
-  rates per demand (Definition 5.2 + Section 2.1 stage 4),
 * :class:`AdaptivePathRouter` — the full support of any builder as the
   candidate set with adaptive rates (the classical k-shortest-paths TE
   baseline when wrapping :class:`KShortestPathRouting`),
+* :class:`SemiObliviousRouter` — the paper's scheme: α-sample (or
+  (α + cut)-sample) a competitive oblivious routing once, then adapt
+  rates per demand (Definition 5.2 + Section 2.1 stage 4); it differs
+  from :class:`AdaptivePathRouter` only in what it installs,
 * :class:`FixedRatioRouter` — a materialized oblivious routing with
   *fixed* splitting ratios, no adaptation (covers Räcke, Valiant,
   electrical, shortest-path and hop-constrained sources),
@@ -48,7 +49,7 @@ online re-solves start from it.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.path_system import PathSystem
 from repro.core.rate_adaptation import optimal_rates
@@ -107,8 +108,64 @@ class BaseRouter(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r}, installed={self._installed})"
 
 
-class SemiObliviousRouter(BaseRouter):
+def _check_source(network: Network, source: ObliviousRoutingBuilder) -> ObliviousRoutingBuilder:
+    """``source`` when it routes on ``network``'s vertices; :class:`RoutingError` otherwise."""
+    if source.network is not network and set(source.network.vertices) != set(network.vertices):
+        raise RoutingError("oblivious routing and network do not match")
+    return source
+
+
+class AdaptivePathRouter(BaseRouter):
+    """Adaptive rates over an installed candidate path system.
+
+    The system is the full support of a path-distribution builder;
+    wrapping :class:`~repro.oblivious.shortest_path.KShortestPathRouting`
+    yields the classical adaptive k-shortest-paths TE baseline.  Each
+    demand is routed by the path LP over the installed paths
+    (:func:`~repro.core.rate_adaptation.optimal_rates`).
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        builder: ObliviousRoutingBuilder,
+        name: str = "adaptive",
+    ) -> None:
+        super().__init__(network, name)
+        self._builder = _check_source(network, builder)
+        self._system: Optional[PathSystem] = None
+        self._extra: Dict[str, Any] = {}
+
+    @property
+    def builder(self) -> ObliviousRoutingBuilder:
+        return self._builder
+
+    @property
+    def system(self) -> PathSystem:
+        if self._system is None:
+            raise SolverError(f"router {self.name!r}: call install() before reading the system")
+        return self._system
+
+    def _install(self, pairs: List[Pair]) -> None:
+        self._system = support_system(self._builder, pairs=pairs)
+
+    def _route(self, demand: Demand) -> RouteResult:
+        adaptation = optimal_rates(self._system, demand)
+        return RouteResult(
+            scheme=self.name,
+            congestion=adaptation.congestion,
+            routing=adaptation.routing,
+            method="lp",
+            extra=dict(self._extra),
+        )
+
+
+class SemiObliviousRouter(AdaptivePathRouter):
     """The paper's scheme: sample few paths once, adapt rates per demand.
+
+    Only the install differs from :class:`AdaptivePathRouter`: the
+    candidate paths are an α-sample of the oblivious routing, and the
+    system's reference basis is solved for the online re-solves.
 
     Parameters
     ----------
@@ -139,13 +196,11 @@ class SemiObliviousRouter(BaseRouter):
         rng: RngLike = None,
         name: str = "semi-oblivious",
     ) -> None:
-        super().__init__(network, name)
-        self._oblivious = oblivious
+        super().__init__(network, oblivious, name)
         self._alpha = alpha
         self._cut = cut
         self._cut_cache = cut_cache
         self._rng = ensure_rng(rng)
-        self._system: Optional[PathSystem] = None
 
     @property
     def alpha(self) -> int:
@@ -153,73 +208,18 @@ class SemiObliviousRouter(BaseRouter):
 
     @property
     def oblivious(self) -> ObliviousRoutingBuilder:
-        return self._oblivious
-
-    @property
-    def system(self) -> PathSystem:
-        if self._system is None:
-            raise SolverError(f"router {self.name!r}: call install() before reading the system")
-        return self._system
+        return self._builder
 
     def _install(self, pairs: List[Pair]) -> None:
         if self._cut:
             oracle = self._cut_cache if self._cut_cache is not None else CutCache(self._network)
             self._system = alpha_plus_cut_sample(
-                self._oblivious, self._alpha, cut_oracle=oracle, pairs=pairs, rng=self._rng
+                self._builder, self._alpha, cut_oracle=oracle, pairs=pairs, rng=self._rng
             )
         else:
-            self._system = alpha_sample(self._oblivious, self._alpha, pairs=pairs, rng=self._rng)
+            self._system = alpha_sample(self._builder, self._alpha, pairs=pairs, rng=self._rng)
         warm_start(self._system)
-
-    def _route(self, demand: Demand) -> RouteResult:
-        adaptation = optimal_rates(self._system, demand)
-        return RouteResult(
-            scheme=self.name,
-            congestion=adaptation.congestion,
-            routing=adaptation.routing,
-            method="lp",
-            extra={"alpha": self._alpha, "sparsity": self._system.sparsity()},
-        )
-
-
-class AdaptivePathRouter(BaseRouter):
-    """Adaptive rates over the full support of a path-distribution builder.
-
-    Wrapping :class:`~repro.oblivious.shortest_path.KShortestPathRouting`
-    yields the classical adaptive k-shortest-paths TE baseline.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        builder: ObliviousRoutingBuilder,
-        name: str = "adaptive",
-    ) -> None:
-        super().__init__(network, name)
-        self._builder = builder
-        self._system: Optional[PathSystem] = None
-
-    @property
-    def builder(self) -> ObliviousRoutingBuilder:
-        return self._builder
-
-    @property
-    def system(self) -> PathSystem:
-        if self._system is None:
-            raise SolverError(f"router {self.name!r}: call install() before reading the system")
-        return self._system
-
-    def _install(self, pairs: List[Pair]) -> None:
-        self._system = support_system(self._builder, pairs=pairs)
-
-    def _route(self, demand: Demand) -> RouteResult:
-        adaptation = optimal_rates(self._system, demand)
-        return RouteResult(
-            scheme=self.name,
-            congestion=adaptation.congestion,
-            routing=adaptation.routing,
-            method="lp",
-        )
+        self._extra = {"alpha": self._alpha, "sparsity": self._system.sparsity()}
 
 
 class FixedRatioRouter(BaseRouter):
@@ -239,7 +239,7 @@ class FixedRatioRouter(BaseRouter):
         name: str = "oblivious",
     ) -> None:
         super().__init__(network, name)
-        self._builder = builder
+        self._builder = _check_source(network, builder)
         self._routing: Optional[Routing] = None
 
     @property

@@ -21,45 +21,15 @@ normally constructed through the scheme registry
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Protocol, Tuple, runtime_checkable
 
+from repro.core.competitive import congestion_ratio
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.exceptions import SolverError
 from repro.graphs.network import Vertex
 
 Pair = Tuple[Vertex, Vertex]
-
-# How far below the optimum a routing's congestion may read (LP tolerance).
-RATIO_TOLERANCE = 1e-7
-
-
-def congestion_ratio(achieved: float, optimal: Optional[float]) -> float:
-    """``achieved / optimal`` with the TE-loop edge-case conventions.
-
-    A zero optimum means the demand is routable at no cost: the ratio is
-    1 when the scheme also achieves (essentially) zero congestion and
-    infinite otherwise.  ``None``/missing optimum yields NaN.
-
-    Every routing of the full demand congests at least the fractional
-    optimum, so a finite ``achieved < optimal * (1 - RATIO_TOLERANCE)``
-    means the normalizer is wrong and raises :class:`SolverError`.
-    """
-    if optimal is None:
-        return float("nan")
-    if optimal > 0:
-        if math.isfinite(achieved) and math.isfinite(optimal) and (
-            achieved < optimal * (1.0 - RATIO_TOLERANCE)
-        ):
-            raise SolverError(
-                f"competitive ratio below 1: achieved congestion {achieved!r} is under "
-                f"the optimum {optimal!r}"
-            )
-        return achieved / optimal
-    return 1.0 if achieved <= 0 else float("inf")
-
 
 @dataclass
 class RouteResult:

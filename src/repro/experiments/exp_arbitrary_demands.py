@@ -14,7 +14,7 @@ Two measurements:
 
 from __future__ import annotations
 
-from repro.core.competitive import evaluate_path_system
+from repro.core.competitive import congestion_ratio, evaluate_path_system
 from repro.core.rate_adaptation import optimal_rates
 from repro.core.routing import Routing
 from repro.core.sampling import alpha_plus_cut_sample, alpha_sample
@@ -113,9 +113,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         pairs=demand.support_size(),
         max_demand=demand.max_value(),
         optimum=round(optimum, 3),
-        direct_ratio=round(direct.congestion / max(optimum, 1e-12), 3),
+        direct_ratio=round(congestion_ratio(direct.congestion, optimum), 3),
         num_buckets=len(buckets),
-        bucketed_ratio=round(combined_congestion / max(optimum, 1e-12), 3),
+        bucketed_ratio=round(congestion_ratio(combined_congestion, optimum), 3),
     )
     result.add_note(
         "plain_sample_ratio should be around bridges/alpha (non-competitive) while "

@@ -10,6 +10,7 @@ adaptive routing on the sampled paths exceeds the guaranteed bound
 from __future__ import annotations
 
 from repro.analysis.theory import predicted_lower_bound
+from repro.core.competitive import congestion_ratio
 from repro.core.rate_adaptation import optimal_rates
 from repro.core.sampling import alpha_sample
 from repro.demands.adversarial import lower_bound_adversary
@@ -45,7 +46,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         adversary = lower_bound_adversary(system, layout)
         adaptation = optimal_rates(system, adversary.demand)
         optimum = min_congestion_lp(network, adversary.demand).congestion
-        measured_ratio = adaptation.congestion / max(optimum, 1e-12)
+        measured_ratio = congestion_ratio(adaptation.congestion, optimum)
         result.add_row(
             "lower_bound",
             n=n,

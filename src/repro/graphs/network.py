@@ -30,7 +30,12 @@ Path = Tuple[Vertex, ...]
 
 
 def edge_key(u: Vertex, v: Vertex) -> Edge:
-    """Return the canonical (order-independent) key for the undirected edge {u, v}."""
+    """Return the canonical (order-independent) key for the undirected edge {u, v}.
+
+    Endpoints are ordered by ``repr``, so an equal vertex of another type
+    (``np.int64(10)`` for ``10``) orders differently; a :class:`Network`
+    looks such keys up through its own vertex objects.
+    """
     return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
@@ -100,6 +105,8 @@ class Network:
         self.name = name
         self._vertices: List[Vertex] = list(simple.nodes())
         self._vertex_index: Dict[Vertex, int] = {v: i for i, v in enumerate(self._vertices)}
+        # Any equal label (np.int64(3) for 3) -> the network's own vertex object.
+        self._own: Dict[Vertex, Vertex] = {v: v for v in self._vertices}
         self._edges: List[Edge] = [edge_key(u, v) for u, v in simple.edges()]
         self._edges.sort(key=repr)
         self._edge_index: Dict[Edge, int] = {e: i for i, e in enumerate(self._edges)}
@@ -139,26 +146,37 @@ class Network:
         except KeyError as exc:
             raise GraphError(f"vertex {vertex!r} is not in the network") from exc
 
-    def edge_index(self, u: Vertex, v: Vertex) -> int:
-        key = edge_key(u, v)
+    def _own_edge_key(self, u: Vertex, v: Vertex) -> Optional[Edge]:
+        """The key of {u, v} over the network's own vertex objects (``None`` if foreign)."""
         try:
-            return self._edge_index[key]
-        except KeyError as exc:
-            raise GraphError(f"edge {(u, v)!r} is not in the network") from exc
+            return edge_key(self._own[u], self._own[v])
+        except KeyError:
+            return None
+
+    def edge_index(self, u: Vertex, v: Vertex) -> int:
+        try:
+            return self._edge_index[edge_key(u, v)]
+        except KeyError:
+            index = self._edge_index.get(self._own_edge_key(u, v))
+            if index is None:
+                raise GraphError(f"edge {(u, v)!r} is not in the network") from None
+            return index
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._vertex_index
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return edge_key(u, v) in self._edge_index
+        return edge_key(u, v) in self._edge_index or self._own_edge_key(u, v) in self._edge_index
 
     def capacity(self, u: Vertex, v: Vertex) -> float:
         """Capacity of the undirected edge {u, v}."""
-        key = edge_key(u, v)
         try:
-            return self._capacities[key]
-        except KeyError as exc:
-            raise GraphError(f"edge {(u, v)!r} is not in the network") from exc
+            return self._capacities[edge_key(u, v)]
+        except KeyError:
+            capacity = self._capacities.get(self._own_edge_key(u, v))
+            if capacity is None:
+                raise GraphError(f"edge {(u, v)!r} is not in the network") from None
+            return capacity
 
     def capacity_of(self, edge: Edge) -> float:
         return self.capacity(edge[0], edge[1])
@@ -201,18 +219,23 @@ class Network:
 
         The path must have at least one vertex, be simple (no repeated
         vertices), have consecutive vertices adjacent in the network, and
-        (when given) match the requested ``source`` and ``target``.
+        (when given) match the requested ``source`` and ``target``.  The
+        tuple holds the network's own vertex objects, so its edge keys
+        are the network's even for equal labels of another type.
         """
         if len(path) == 0:
             raise PathError("a path must contain at least one vertex")
-        canonical: Path = tuple(path)
-        if len(set(canonical)) != len(canonical):
-            raise PathError(f"path {canonical!r} is not simple")
-        for vertex in canonical:
-            if not self.has_vertex(vertex):
-                raise PathError(f"path vertex {vertex!r} is not in the network")
+        if len(set(path)) != len(path):
+            raise PathError(f"path {tuple(path)!r} is not simple")
+        own = self._own
+        try:
+            canonical: Path = tuple([own[vertex] for vertex in path])
+        except KeyError:
+            vertex = next(vertex for vertex in path if vertex not in own)
+            raise PathError(f"path vertex {vertex!r} is not in the network") from None
+        edge_index = self._edge_index
         for u, v in zip(canonical, canonical[1:]):
-            if not self.has_edge(u, v):
+            if edge_key(u, v) not in edge_index:
                 raise PathError(f"path step {(u, v)!r} is not an edge of the network")
         if source is not None and canonical[0] != source:
             raise PathError(f"path starts at {canonical[0]!r}, expected {source!r}")

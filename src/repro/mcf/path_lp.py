@@ -279,11 +279,7 @@ def warm_start(system: PathSystem) -> None:
     rate_lp(system).reference()
 
 
-def min_congestion_on_paths(
-    system: PathSystem,
-    demand: Demand,
-    return_routing: bool = True,
-) -> PathLPResult:
+def min_congestion_on_paths(system: PathSystem, demand: Demand) -> PathLPResult:
     """Optimally split ``demand`` over the candidate paths of ``system``.
 
     The LP is the system's cached :class:`RateLP` with ``demand`` as the
@@ -330,14 +326,12 @@ def min_congestion_on_paths(
     edge_congestions = {
         edges[edge]: float(loads[edge] / capacity[edge]) for edge in np.flatnonzero(loads)
     }
-    routing = None
-    if return_routing:
-        flat, paths = used.tolist(), incidence.paths
-        weights = {
-            pair: {path: w for path, w in zip(paths[start:stop], flat[start:stop]) if w > 0}
-            for pair, _, start, stop in commodities
-        }
-        routing = Routing._from_validated(system.network, weights)
+    flat, paths = used.tolist(), incidence.paths
+    weights = {
+        pair: {path: w for path, w in zip(paths[start:stop], flat[start:stop]) if w > 0}
+        for pair, _, start, stop in commodities
+    }
+    routing = Routing._from_validated(system.network, weights)
     return PathLPResult(congestion=congestion, routing=routing, edge_congestions=edge_congestions)
 
 

@@ -26,8 +26,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.competitive import congestion_ratio
 from repro.demands.demand import Demand
-from repro.engine.router import congestion_ratio
 from repro.exceptions import RoutingError, StreamError
 from repro.graphs.network import Network
 from repro.linalg._matrix import resolve_representation

@@ -55,6 +55,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
+from repro.core.competitive import congestion_ratio
 from repro.core.path_system import PathSystem
 from repro.core.rate_adaptation import optimal_rates
 from repro.demands.demand import Demand
@@ -107,9 +108,7 @@ class FailureReport:
     def ratio(self) -> Optional[float]:
         if self.achieved_congestion is None or self.optimal_congestion is None:
             return None
-        if self.optimal_congestion <= 0:
-            return 1.0 if self.achieved_congestion <= 0 else float("inf")
-        return self.achieved_congestion / self.optimal_congestion
+        return congestion_ratio(self.achieved_congestion, self.optimal_congestion)
 
 
 def evaluate_failure(
@@ -472,9 +471,7 @@ class FailureEventReport:
     def ratio(self) -> Optional[float]:
         if self.achieved_congestion is None or self.optimal_congestion is None:
             return None
-        if self.optimal_congestion <= 0:
-            return 1.0 if self.achieved_congestion <= 0 else float("inf")
-        return self.achieved_congestion / self.optimal_congestion
+        return congestion_ratio(self.achieved_congestion, self.optimal_congestion)
 
 
 def evaluate_failure_event(

@@ -80,3 +80,18 @@ def test_ratio_never_below_one_for_valid_systems(cube3, permutation_demand_cube3
         system.add_path(*pair, cube3.shortest_path(*pair))
     report = evaluate_path_system(system, permutation_demand_cube3)
     assert report.ratio >= 1.0 - 1e-6
+
+
+def test_a_congestion_below_the_optimum_raises(cube3):
+    # One rule for every reported ratio: an achieved congestion more than
+    # the LP tolerance under the optimum means the normalizer is wrong.
+    system = PathSystem(cube3)
+    system.add_path(0, 7, (0, 1, 3, 7))
+    demand = Demand({(0, 7): 1.0})
+    with pytest.raises(SolverError, match="below 1"):
+        evaluate_path_system(system, demand, optimal_congestion=2.0)
+    with pytest.raises(SolverError, match="below 1"):
+        competitive_ratio(1.0, cube3, demand, optimal_congestion=2.0)
+    routing = Routing.single_path(cube3, {(0, 7): (0, 1, 3, 7)})
+    with pytest.raises(SolverError, match="below 1"):
+        evaluate_oblivious_routing(routing, demand, optimal_congestion=2.0)

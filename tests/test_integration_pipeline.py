@@ -11,14 +11,15 @@ import math
 import pytest
 
 from repro.analysis.theory import logarithmic_sparsity
-from repro.core.rounding import rounding_bound
+from repro.core.competitive import congestion_ratio
+from repro.core.rounding import randomized_rounding, rounding_bound
 from repro.core.sampling import alpha_sample
-from repro.core.semi_oblivious import SemiObliviousRouting
 from repro.core.completion_time import MultiScaleHopSample, completion_time_competitive_ratio
 from repro.core.rate_adaptation import optimal_rates
 from repro.demands.adversarial import lower_bound_adversary
 from repro.demands.demand import Demand
 from repro.demands.generators import bit_reversal_demand, random_permutation_demand
+from repro.engine import SemiObliviousRouter
 from repro.graphs import topologies
 from repro.graphs.lower_bound import gadget_size_k, lower_bound_gadget
 from repro.mcf.lp import min_congestion_lp
@@ -36,17 +37,16 @@ def test_full_pipeline_on_hypercube():
     valiant = ValiantHypercubeRouting(network, dim, rng=0)
     demand = random_permutation_demand(network, rng=1)
 
-    router = SemiObliviousRouting.sample(
-        network, alpha=alpha, oblivious=valiant, pairs=demand.pairs(), rng=2
-    )
+    router = SemiObliviousRouter(network, valiant, alpha=alpha, rng=2)
+    router.install(demand.pairs())
     fractional = router.route(demand)
     optimum = min_congestion_lp(network, demand).congestion
-    ratio = fractional.congestion / max(optimum, 1e-12)
+    ratio = congestion_ratio(fractional.congestion, optimum)
     # Theorem 2.3 predicts polylog competitiveness; a generous numeric cap
     # for n=16 with log-many sampled paths.
     assert ratio <= 4.0 * (math.log2(n) ** 2)
 
-    integral = router.route_integral(demand, rng=3)
+    integral = randomized_rounding(fractional.routing, demand.rounded_up(), rng=3)
     assert integral.routing.is_integral_on(demand)
     assert integral.congestion <= rounding_bound(fractional.congestion, network.num_edges) + 1e-9
 
@@ -59,10 +59,9 @@ def test_adversarial_hypercube_demand_still_fine_with_sampling():
     demand = bit_reversal_demand(network, dim)
     optimum = min_congestion_lp(network, demand).congestion
 
-    sampled = SemiObliviousRouting.sample(
-        network, alpha=4, oblivious=valiant, pairs=demand.pairs(), rng=1
-    )
-    sampled_ratio = sampled.congestion(demand) / max(optimum, 1e-12)
+    sampled = SemiObliviousRouter(network, valiant, alpha=4, rng=1)
+    sampled.install(demand.pairs())
+    sampled_ratio = congestion_ratio(sampled.route(demand).congestion, optimum)
 
     from repro.core.path_system import PathSystem
     from repro.oblivious.valiant import bit_fixing_path
@@ -70,7 +69,7 @@ def test_adversarial_hypercube_demand_still_fine_with_sampling():
     single = PathSystem(network)
     for source, target in demand.pairs():
         single.add_path(source, target, bit_fixing_path(source, target, dim))
-    single_ratio = optimal_rates(single, demand).congestion / max(optimum, 1e-12)
+    single_ratio = congestion_ratio(optimal_rates(single, demand).congestion, optimum)
 
     assert sampled_ratio <= single_ratio + 1e-9
     assert sampled_ratio <= 6.0
@@ -89,7 +88,7 @@ def test_lower_bound_pipeline_matches_theory_direction():
     optimum = min_congestion_lp(network, adversary.demand).congestion
     assert optimum <= 1.0 + 1e-6
     assert measured >= adversary.congestion_lower_bound - 1e-6
-    assert measured / optimum >= 1.5  # clearly non-competitive at alpha=1
+    assert congestion_ratio(measured, optimum) >= 1.5  # clearly non-competitive at alpha=1
 
 
 def test_completion_time_pipeline_on_ring_of_cliques():

@@ -4,8 +4,9 @@ The normalizer (:func:`repro.mcf.lp.min_congestion_lp`) aggregates
 commodities by source; the per-pair arc LP below is its oracle.  The
 path LP over *every* simple path must reach the same optimum, and the
 ratio every scheme reports passes through
-:func:`repro.engine.router.congestion_ratio`, which refuses a routing
-that beats the optimum.
+:func:`repro.core.competitive.congestion_ratio`, which refuses a routing
+that beats the optimum.  On one installed system, the rates the path LP
+adapts congest no more than any fixed split over the same paths.
 
 The path LP solves a demand cold over its own pairs' paths; after
 ``warm_start`` it first re-solves a demand on every installed pair from
@@ -26,10 +27,12 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.core.competitive import congestion_ratio
 from repro.core.path_system import PathSystem
+from repro.core.rate_adaptation import optimal_rates
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.engine.router import RouteResult, congestion_ratio
+from repro.engine.router import RouteResult
 from repro.exceptions import SolverError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
@@ -281,6 +284,22 @@ def test_trusted_routing_equals_the_validated_one(instance, data):
     assert [(pair, trusted.distribution(*pair)) for pair in trusted] == [
         (pair, validated.distribution(*pair)) for pair in validated
     ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(installed_systems(), st.data())
+def test_adapted_rates_congest_no_more_than_any_fixed_split(instance, data):
+    system, demands = instance
+    weight = st.floats(1e-6, 1.0, allow_nan=False)
+    distributions = {}
+    for pair, paths in system.items():
+        raw = [data.draw(weight) for _ in paths]
+        distributions[pair] = {path: w / sum(raw) for path, w in zip(paths, raw)}
+    fixed = Routing(system.network, distributions)
+    for demand in demands:
+        adapted = optimal_rates(system, demand).congestion
+        split = fixed.congestion(demand)
+        assert adapted <= split * (1.0 + 1e-9) + 1e-12, (adapted, split)
 
 
 def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypatch):

@@ -1,6 +1,7 @@
 """Unit tests for repro.graphs.network."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,3 +232,45 @@ def test_grid_counts(rows, cols):
     net = topologies.grid_2d(rows, cols)
     assert net.num_vertices == rows * cols
     assert net.num_edges == rows * (cols - 1) + cols * (rows - 1)
+
+
+# Each vertex type, with a constructor for its labels and one for equal
+# labels of another type (the form numpy code hands back).
+_VERTEX_TYPES = {
+    "int": (int, np.int64),
+    "np.int64": (np.int64, int),
+    "str": (lambda i: f"v{i}", lambda i: "v" + str(i)),
+    "tuple": (lambda i: (i // 4, i % 4), lambda i: (np.int64(i // 4), np.int64(i % 4))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_VERTEX_TYPES)),
+    n=st.integers(min_value=4, max_value=14),
+    data=st.data(),
+)
+def test_equal_labels_of_another_type_find_the_same_edges(kind, n, data):
+    own, foreign = _VERTEX_TYPES[kind]
+    graph = nx.relabel_nodes(nx.path_graph(n), {i: own(i) for i in range(n)})
+    for i in range(n - 2):
+        if data.draw(st.booleans()):
+            graph.add_edge(own(i), own(i + 2), capacity=float(i + 1))
+    network = Network(graph)
+    edges = network.edges
+    target = data.draw(st.integers(1, n - 1))
+    path = network.shortest_path(own(0), own(target))
+    position = {own(i): i for i in range(n)}
+    mixed = [data.draw(st.sampled_from((own, foreign)))(position[vertex]) for vertex in path]
+
+    canonical = network.validate_path(mixed, source=foreign(0), target=own(target))
+    assert canonical == path
+    assert all(type(a) is type(b) for a, b in zip(canonical, path))
+    assert set(path_edges(canonical)) <= set(edges)
+    for (u, v), (a, b) in zip(zip(mixed, mixed[1:]), zip(path, path[1:])):
+        index = network.edge_index(a, b)
+        assert network.has_edge(u, v) and network.has_edge(v, u)
+        assert network.edge_index(u, v) == network.edge_index(v, u) == index
+        assert network.capacity(v, u) == network.capacity_of(edges[index])
+    # The index order is the network's own and does not depend on the lookups.
+    assert network.edges == edges

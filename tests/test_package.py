@@ -25,7 +25,6 @@ def test_public_api_exports_exist():
         "repro.core.routing",
         "repro.core.sampling",
         "repro.core.rate_adaptation",
-        "repro.core.semi_oblivious",
         "repro.core.rounding",
         "repro.core.integral_routing",
         "repro.core.weak_routing",

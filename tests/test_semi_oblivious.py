@@ -1,95 +1,105 @@
-"""Unit tests for the SemiObliviousRouting facade."""
+"""Unit tests for the semi-oblivious pipeline as the router runs it.
+
+:class:`~repro.engine.adapters.SemiObliviousRouter` samples the paths
+and adapts the rates; rounding and the competitive report are plain
+functions of its installed system and its routes.
+"""
 
 import pytest
 
+from repro.core.competitive import evaluate_path_system
 from repro.core.path_system import PathSystem
-from repro.core.semi_oblivious import SemiObliviousRouting
+from repro.core.rate_adaptation import optimal_rates
+from repro.core.rounding import randomized_rounding
 from repro.demands.demand import Demand
 from repro.demands.generators import random_permutation_demand
+from repro.engine import AdaptivePathRouter, FixedRatioRouter, SemiObliviousRouter, build_router
 from repro.exceptions import RoutingError
-from repro.graphs import topologies
 from repro.graphs.cuts import CutCache
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.valiant import ValiantHypercubeRouting
 
 
+def _installed(network, oblivious, alpha, pairs=None, rng=0, **kwargs):
+    router = SemiObliviousRouter(network, oblivious, alpha=alpha, rng=rng, **kwargs)
+    router.install(pairs)
+    return router
+
+
 def test_sample_constructor(cube3, valiant3):
-    router = SemiObliviousRouting.sample(cube3, alpha=3, oblivious=valiant3, rng=0)
+    router = _installed(cube3, valiant3, alpha=3)
     assert router.alpha == 3
-    assert router.sparsity() <= 3
-    assert "valiant" in router.source_name
+    assert router.system.sparsity() <= 3
+    assert router.oblivious is valiant3
     assert router.network is cube3
-    assert "SemiObliviousRouting" in repr(router)
+    assert "SemiObliviousRouter" in repr(router)
 
 
 def test_sample_with_cut_constructor(cube3, valiant3):
     cuts = CutCache(cube3)
-    router = SemiObliviousRouting.sample_with_cut(
-        cube3, alpha=1, oblivious=valiant3, cut_cache=cuts, pairs=[(0, 7)], rng=0
-    )
+    router = _installed(cube3, valiant3, alpha=1, pairs=[(0, 7)], cut=True, cut_cache=cuts)
     assert router.system.is_alpha_plus_cut_sparse(1, cuts)
 
 
 def test_network_mismatch_rejected(cube3, cube4):
     valiant4 = ValiantHypercubeRouting(cube4, 4, rng=0)
-    with pytest.raises(RoutingError):
-        SemiObliviousRouting.sample(cube3, alpha=2, oblivious=valiant4, rng=0)
+    with pytest.raises(RoutingError, match="do not match"):
+        SemiObliviousRouter(cube3, valiant4, alpha=2, rng=0)
+    for router_class in (AdaptivePathRouter, FixedRatioRouter):
+        with pytest.raises(RoutingError, match="do not match"):
+            router_class(cube3, valiant4)
+    with pytest.raises(RoutingError, match="do not match"):
+        build_router({"name": "semi-oblivious", "oblivious": valiant4}, cube3, rng=0)
 
 
 def test_route_and_congestion(cube3, valiant3, permutation_demand_cube3):
-    router = SemiObliviousRouting.sample(
-        cube3, alpha=4, oblivious=valiant3, pairs=permutation_demand_cube3.pairs(), rng=0
-    )
+    router = _installed(cube3, valiant3, alpha=4, pairs=permutation_demand_cube3.pairs())
     result = router.route(permutation_demand_cube3)
     assert result.routing is not None
     assert result.routing.is_supported_on(router.system)
-    assert router.congestion(permutation_demand_cube3) == pytest.approx(result.congestion)
+    assert result.congestion == pytest.approx(result.routing.congestion(permutation_demand_cube3))
+    assert result.extra == {"alpha": 4, "sparsity": router.system.sparsity()}
 
 
 def test_route_integral(cube3, valiant3, permutation_demand_cube3):
-    router = SemiObliviousRouting.sample(
-        cube3, alpha=4, oblivious=valiant3, pairs=permutation_demand_cube3.pairs(), rng=0
-    )
-    rounded = router.route_integral(permutation_demand_cube3, rng=1)
+    router = _installed(cube3, valiant3, alpha=4, pairs=permutation_demand_cube3.pairs())
+    fractional = router.route(permutation_demand_cube3).routing
+    rounded = randomized_rounding(fractional, permutation_demand_cube3.rounded_up(), rng=1)
     assert rounded.routing.is_integral_on(permutation_demand_cube3)
     assert rounded.congestion <= rounded.bound + 1e-9
 
 
 def test_route_integral_empty_demand_raises(cube3, valiant3):
-    router = SemiObliviousRouting.sample(cube3, alpha=2, oblivious=valiant3, pairs=[(0, 1)], rng=0)
-    with pytest.raises(RoutingError):
-        router.route_integral(Demand.empty())
+    # An empty demand has nothing to round: its route carries no routing.
+    router = _installed(cube3, valiant3, alpha=2, pairs=[(0, 1)])
+    result = router.route(Demand.empty())
+    assert result.routing is None
+    assert result.congestion == 0.0
 
 
 def test_evaluate_reports_ratio(cube3, valiant3, permutation_demand_cube3):
-    router = SemiObliviousRouting.sample(
-        cube3, alpha=4, oblivious=valiant3, pairs=permutation_demand_cube3.pairs(), rng=0
-    )
-    report = router.evaluate(permutation_demand_cube3)
+    router = _installed(cube3, valiant3, alpha=4, pairs=permutation_demand_cube3.pairs())
+    report = evaluate_path_system(router.system, permutation_demand_cube3, scheme=router.name)
     assert report.ratio >= 1.0 - 1e-6
-    assert report.scheme == router.source_name
+    assert report.scheme == "semi-oblivious"
+    assert report.achieved_congestion == pytest.approx(
+        router.route(permutation_demand_cube3).congestion
+    )
 
 
 def test_wrapping_custom_system(cube3):
     system = PathSystem(cube3)
     system.add_path(0, 1, (0, 1))
-    router = SemiObliviousRouting(system)
-    assert router.alpha is None
-    assert router.source_name == "custom"
-    assert router.congestion(Demand({(0, 1): 2.0})) == pytest.approx(2.0)
+    assert optimal_rates(system, Demand({(0, 1): 2.0})).congestion == pytest.approx(2.0)
 
 
 def test_more_paths_never_hurt(small_expander):
     oblivious = RaeckeTreeRouting(small_expander, rng=0)
     demand = random_permutation_demand(small_expander, rng=1)
-    sparse = SemiObliviousRouting.sample(
-        small_expander, alpha=1, oblivious=oblivious, pairs=demand.pairs(), rng=2
-    )
-    dense = SemiObliviousRouting.sample(
-        small_expander, alpha=6, oblivious=oblivious, pairs=demand.pairs(), rng=2
-    )
+    sparse = _installed(small_expander, oblivious, alpha=1, pairs=demand.pairs(), rng=2)
+    dense = _installed(small_expander, oblivious, alpha=6, pairs=demand.pairs(), rng=2)
     # Not guaranteed per-sample, but with the same seed the dense sample contains
     # a superset of candidate paths in distribution, so congestion is typically lower;
     # we assert the weak property that the dense system is at least as sparse-rich.
     assert dense.system.num_paths() >= sparse.system.num_paths()
-    assert dense.congestion(demand) <= sparse.congestion(demand) * 1.5 + 1e-9
+    assert dense.route(demand).congestion <= sparse.route(demand).congestion * 1.5 + 1e-9

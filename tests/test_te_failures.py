@@ -5,10 +5,13 @@ import pytest
 from repro.core.path_system import PathSystem
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, SolverError
 from repro.graphs import topologies
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.te.failures import (
+    FailureEvent,
+    FailureEventReport,
+    FailureReport,
     evaluate_failure,
     failed_network,
     failure_coverage,
@@ -91,3 +94,17 @@ def test_failure_sweep_summary(small_expander):
     worst = summary.worst_ratio()
     if worst is not None:
         assert worst >= 1.0 - 1e-9
+
+
+def test_failure_report_ratios_pass_through_the_ratio_rule():
+    event = FailureEvent(failed_edges=((0, 1),))
+    with pytest.raises(SolverError, match="below 1"):
+        FailureEventReport(event, 1.0, achieved_congestion=1.0, optimal_congestion=2.0).ratio
+    with pytest.raises(SolverError, match="below 1"):
+        FailureReport((0, 1), 1.0, achieved_congestion=1.0, optimal_congestion=2.0).ratio
+    assert FailureEventReport(event, 1.0, 3.0, 2.0).ratio == pytest.approx(1.5)
+    assert FailureEventReport(event, 1.0, 0.0, 0.0).ratio == 1.0
+    assert FailureEventReport(event, 1.0, 1.0, 0.0).ratio == float("inf")
+    # A missing side still reads as no ratio at all.
+    assert FailureEventReport(event, 0.5, None, 2.0).ratio is None
+    assert FailureReport((0, 1), 0.5, 1.0, None).ratio is None
