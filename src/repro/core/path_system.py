@@ -23,7 +23,7 @@ from typing import (
 import numpy as np
 
 from repro.exceptions import PathError, RoutingError
-from repro.graphs.network import Network, Path, Vertex, edge_key, path_edges
+from repro.graphs.network import Network, Path, Vertex
 
 Pair = Tuple[Vertex, Vertex]
 T = TypeVar("T")
@@ -224,19 +224,6 @@ class PathSystem:
             if pair in wanted:
                 restricted.add_paths(pair[0], pair[1], paths)
         return restricted
-
-    def without_edge(self, u: Vertex, v: Vertex) -> "PathSystem":
-        """A new path system dropping every candidate path through edge {u, v}.
-
-        This is the elementary step of the Lemma 5.6 deletion process.
-        """
-        banned = edge_key(u, v)
-        filtered = PathSystem(self._network)
-        for (source, target), paths in self._paths.items():
-            kept = [path for path in paths if banned not in path_edges(path)]
-            if kept:
-                filtered.add_paths(source, target, kept)
-        return filtered
 
     def covers(self, pairs: Iterable[Pair]) -> bool:
         """True when every listed pair has at least one candidate path."""

@@ -40,6 +40,7 @@ from repro.oblivious.shortest_path import KShortestPathRouting, ShortestPathRout
 from repro.oblivious.valiant import ValiantHypercubeRouting
 from repro.oblivious.valiant_general import ValiantGeneralRouting
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.spec_grammar import parse_call
 
 from repro.engine.adapters import (
     AdaptivePathRouter,
@@ -244,68 +245,14 @@ def _format_value(value: Any) -> str:
     return repr(value)
 
 
-def _parse_value(token: str) -> Any:
-    token = token.strip()
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    lowered = token.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if lowered in ("none", "null"):
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
-
-
-def _split_args(body: str) -> List[str]:
-    """Split a spec argument list on top-level commas (quote-aware)."""
-    parts: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    current = ""
-    for char in body:
-        if quote is not None:
-            current += char
-            if char == quote:
-                quote = None
-            continue
-        if char in "'\"":
-            quote = char
-            current += char
-            continue
-        if char in "([":
-            depth += 1
-        elif char in ")]":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += char
-    if quote is not None:
-        raise SchemeError(f"unterminated quote in scheme spec arguments {body!r}")
-    if current.strip():
-        parts.append(current)
-    return [part.strip() for part in parts if part.strip()]
-
-
 def parse_spec(spec: Union[str, Mapping[str, Any], SchemeSpec]) -> SchemeSpec:
     """Parse a scheme spec (string, dict, or :class:`SchemeSpec`).
 
-    String grammar: ``name`` or ``name(arg, key=value, ...)``.  Bare
-    positional arguments are mapped onto the scheme's declared
-    positional parameter names (``semi-oblivious(racke, alpha=8)`` is
-    ``semi-oblivious(oblivious=racke, alpha=8)``).  Values parse as
-    int/float/bool/None when they look like one, strings otherwise.
+    Strings follow the spec grammar of :mod:`repro.utils.spec_grammar`:
+    ``name`` or ``name(arg, key=value, ...)``.  Bare positional arguments
+    are mapped onto the scheme's declared positional parameter names
+    (``semi-oblivious(racke, alpha=8)`` is
+    ``semi-oblivious(oblivious=racke, alpha=8)``).
     """
     if isinstance(spec, SchemeSpec):
         entry = _lookup(spec.name)
@@ -320,26 +267,15 @@ def parse_spec(spec: Union[str, Mapping[str, Any], SchemeSpec]) -> SchemeSpec:
     if not isinstance(spec, str):
         raise SchemeError(f"cannot parse scheme spec of type {type(spec).__name__}")
 
-    text = spec.strip()
-    match = re.match(r"^([A-Za-z_][A-Za-z0-9_+\-]*)\s*(?:\((.*)\))?$", text, re.DOTALL)
-    if not match:
-        raise SchemeError(f"malformed scheme spec {spec!r}")
-    name, body = match.group(1), match.group(2)
+    name, positional, keywords = parse_call(spec, SchemeError, "scheme")
     entry = _lookup(name)
-    params: Dict[str, Any] = {}
-    positional_index = 0
-    for token in _split_args(body or ""):
-        key_match = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", token, re.DOTALL)
-        if key_match:
-            params[key_match.group(1)] = _parse_value(key_match.group(2))
-        else:
-            if positional_index >= len(entry.positional):
-                raise SchemeError(
-                    f"scheme {entry.name!r} takes at most {len(entry.positional)} "
-                    f"positional argument(s); got extra {token!r} in {spec!r}"
-                )
-            params[entry.positional[positional_index]] = _parse_value(token)
-            positional_index += 1
+    if len(positional) > len(entry.positional):
+        raise SchemeError(
+            f"scheme {entry.name!r} takes at most {len(entry.positional)} "
+            f"positional argument(s); got {len(positional)} in {spec!r}"
+        )
+    params = dict(zip(entry.positional, positional))
+    params.update(keywords)
     return SchemeSpec(name=entry.name, params=tuple(params.items()))
 
 

@@ -48,17 +48,21 @@ Per cell, per snapshot, per scheme:
 
 * **healthy cells** route through ``engine.route`` — the per-snapshot
   optimal MCF is solved once and shared across schemes;
-* **failure cells** degrade the network (:func:`apply_failure`), rebase
-  each scheme's installed candidate paths onto the degraded network, and
-  re-optimize only the sending rates — forwarding state is never
-  recomputed, which is precisely the semi-oblivious robustness story.
-  Fixed-ratio schemes renormalize each pair's surviving path
-  distribution on their compiled operators (once per failure event, no
-  recompilation); the ``optimal`` scheme re-solves the MCF on the
-  degraded network (it is the fair post-failure baseline).  A scheme
-  that loses every candidate path for some demanded pair gets infinite
-  congestion and a coverage below 1.  Cells whose failure disconnects
-  the network report null congestion and keep only coverage.
+* **failure cells** degrade the network (:func:`apply_failure`) and
+  solve one degraded-network optimum per snapshot, shared by every
+  scheme (it is also the ``optimal`` scheme's result: the fair
+  post-failure baseline).  Forwarding state is never recomputed, which
+  is precisely the semi-oblivious robustness story: system-backed
+  schemes re-optimize only the sending rates on their surviving
+  candidate paths through :func:`~repro.te.failures.readapt_surviving`,
+  the same step :func:`~repro.te.failures.evaluate_failure_event` takes;
+  fixed-ratio schemes renormalize each pair's surviving path
+  distribution on their compiled operators
+  (``routing.evaluator("auto").rebased(event)``, once per failure event,
+  no recompilation).  A scheme that loses every candidate path for some
+  demanded pair gets infinite congestion and a coverage below 1.  Cells
+  whose failure disconnects the network report null congestion and keep
+  only coverage, read off the same two sources.
 """
 
 from __future__ import annotations
@@ -70,16 +74,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.rate_adaptation import optimal_rates
 from repro.demands.demand import Demand
 from repro.engine.adapters import FixedRatioRouter, OptimalRouter
 from repro.engine.engine import RoutingEngine
 from repro.engine.router import RouteResult
-from repro.graphs.network import Network, edge_key
+from repro.graphs.network import Network
 from repro.linalg._matrix import resolve_representation
 from repro.mcf.lp import min_congestion_lp
 from repro.obs import JsonlSink, Tracer, active_tracer, install_tracer, merge_trace_parts, trace_span
-from repro.te.failures import apply_failure, rebase_system, rebase_without_network
+from repro.te.failures import FailureEvent, apply_failure, readapt_surviving
 
 from repro.scenarios.spec import ScenarioCell, ScenarioSuite
 from repro.scenarios.report import SuiteResult
@@ -99,38 +102,20 @@ def _derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 # --------------------------------------------------------------------- #
 # Per-scheme evaluation under failure
 # --------------------------------------------------------------------- #
-def _coverage(surviving_paths: Dict[Tuple, List], demand: Demand) -> float:
-    pairs = demand.pairs()
-    if not pairs:
-        return 1.0
-    return sum(1 for pair in pairs if surviving_paths.get(pair)) / len(pairs)
-
-
-def _disconnected_coverage(router: Any, event, demand: Demand) -> float:
+def _disconnected_coverage(router: Any, event: FailureEvent, demand: Demand) -> float:
     """Surviving-candidate coverage when the event disconnects the network.
 
     Congestion is undefined here, but coverage is still derivable from
-    the installed forwarding state: candidate paths for system-backed
-    routers, split distributions for fixed-ratio routers.  The optimal
-    MCF has no installed state, so its coverage is NaN.
+    the installed forwarding state: the rebased compiled operator for
+    fixed-ratio routers, the surviving candidate paths for system-backed
+    routers.  The optimal MCF has no installed state, so its coverage is
+    NaN.
     """
+    if isinstance(router, FixedRatioRouter):
+        return router.routing.evaluator("auto").rebased(event).coverage(demand)
     system = getattr(router, "system", None)
     if system is not None:
-        return _coverage(rebase_without_network(system, event), demand)
-    if isinstance(router, FixedRatioRouter):
-        banned = {edge_key(u, v) for u, v in event.failed_edges}
-        pairs = demand.pairs()
-        if not pairs:
-            return 1.0
-        covered = 0
-        for source, target in pairs:
-            if not router.routing.covers(source, target):
-                continue
-            for path in router.routing.distribution(source, target):
-                if all(edge_key(u, v) not in banned for u, v in zip(path, path[1:])):
-                    covered += 1
-                    break
-        return covered / len(pairs)
+        return readapt_surviving(system, demand, event, None)[0]
     return float("nan")
 
 
@@ -140,7 +125,7 @@ def _route_under_failure(
     demand: Demand,
     degraded: Network,
     optimum: float,
-    event,
+    event: FailureEvent,
 ) -> Tuple[RouteResult, float]:
     """One scheme's post-failure result: re-adapt rates, never re-install."""
     if isinstance(router, OptimalRouter):
@@ -172,23 +157,10 @@ def _route_under_failure(
             method="unsupported-under-failure",
         )
         return result, float("nan")
-    survivors = rebase_system(system, degraded)
-    pairs = demand.pairs()
-    coverage = (
-        sum(1 for pair in pairs if survivors.paths(*pair)) / len(pairs) if pairs else 1.0
-    )
-    if pairs and not survivors.covers(pairs):
-        result = RouteResult(
-            scheme=label,
-            congestion=float("inf"),
-            optimal_congestion=optimum,
-            method="lp",
-        )
-        return result, coverage
-    adaptation = optimal_rates(survivors, demand)
+    coverage, congestion = readapt_surviving(system, demand, event, degraded)
     result = RouteResult(
         scheme=label,
-        congestion=adaptation.congestion,
+        congestion=float("inf") if congestion is None else congestion,
         optimal_congestion=optimum,
         method="lp",
     )

@@ -39,7 +39,6 @@ Example::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -54,6 +53,7 @@ from repro.exceptions import ReproError
 from repro.graphs.network import Network
 from repro.te.failures import FailureProcess, build_failure_process
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.spec_grammar import parse_call
 
 
 class ScenarioError(ReproError):
@@ -207,42 +207,6 @@ def _register_builtin_topologies() -> None:
 _register_builtin_topologies()
 
 
-# ``"kind"`` or ``"kind(positional, key=value, …)"`` axis shorthand.
-_KIND_STRING_RE = re.compile(r"^\s*([\w.-]+)\s*(?:\((.*)\))?\s*$")
-
-
-def _coerce_scalar(text: str) -> Any:
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
-def _parse_kind_string(text: str, what: str) -> Tuple[str, List[Any], Dict[str, Any]]:
-    """Parse ``"zoo(abilene)"`` / ``"torus(4, cols=5)"`` shorthand."""
-    match = _KIND_STRING_RE.match(text)
-    if not match or (match.group(2) is None and "(" in text):
-        raise ScenarioError(f"cannot parse {what} spec string {text!r}")
-    kind = match.group(1)
-    positional: List[Any] = []
-    params: Dict[str, Any] = {}
-    arguments = match.group(2)
-    if arguments and arguments.strip():
-        for token in arguments.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                key, _, value = token.partition("=")
-                params[key.strip()] = _coerce_scalar(value.strip())
-            else:
-                positional.append(_coerce_scalar(token))
-    return kind, positional, params
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """One topology-axis entry: a generator kind, a size, extra parameters.
@@ -305,10 +269,10 @@ class TopologySpec:
         An integer positional argument is the size; a non-integer one is
         the catalog ``name`` parameter.
         """
-        kind, positional, params = _parse_kind_string(text, "topology")
+        kind, positional, params = parse_call(text, ScenarioError, "topology")
         size = None
         for argument in positional:
-            if isinstance(argument, int) and size is None:
+            if isinstance(argument, int) and not isinstance(argument, bool) and size is None:
                 size = argument
             elif isinstance(argument, str) and "name" not in params:
                 params["name"] = argument
@@ -456,7 +420,7 @@ class DemandSpec:
     @classmethod
     def from_string(cls, text: str) -> "DemandSpec":
         """Parse axis shorthand: ``"gravity"``, ``"max-entropy(total=20)"``."""
-        kind, positional, params = _parse_kind_string(text, "demand")
+        kind, positional, params = parse_call(text, ScenarioError, "demand")
         if positional:
             raise ScenarioError(
                 f"demand spec {text!r} takes key=value arguments only"
@@ -475,13 +439,17 @@ def available_demand_kinds() -> List[str]:
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class FailureSpec:
-    """One failure-axis entry, resolved through :func:`build_failure_process`."""
+    """One failure-axis entry, resolved through :func:`build_failure_process`.
+
+    Parameters are kept sorted by name, the order :meth:`describe`
+    renders them in, so every entry round-trips through its string.
+    """
 
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "params", tuple(sorted(self.params, key=lambda item: item[0])))
         self.process()  # validate kind and parameters eagerly
 
     def process(self) -> FailureProcess:
@@ -499,7 +467,17 @@ class FailureSpec:
         kind = mapping.pop("kind", None)
         if not kind:
             raise ScenarioError(f"failure spec needs a 'kind' key: {payload!r}")
-        return cls(kind=kind, params=tuple(sorted(mapping.items())))
+        return cls(kind=kind, params=tuple(mapping.items()))
+
+    @classmethod
+    def from_string(cls, text: str) -> "FailureSpec":
+        """Parse axis shorthand: ``"none"``, ``"regional(radius=1)"``."""
+        kind, positional, params = parse_call(text, ScenarioError, "failure")
+        if positional:
+            raise ScenarioError(
+                f"failure spec {text!r} takes key=value arguments only"
+            )
+        return cls(kind=kind, params=tuple(params.items()))
 
 
 def _coerce(spec: Any, cls: type, what: str) -> Any:
@@ -508,10 +486,7 @@ def _coerce(spec: Any, cls: type, what: str) -> Any:
     if isinstance(spec, Mapping):
         return cls.from_dict(spec)
     if isinstance(spec, str):
-        # Axis shorthand where supported: "zoo(abilene)", "torus(4)".
-        if hasattr(cls, "from_string"):
-            return cls.from_string(spec)
-        return cls.from_dict({"kind": spec})
+        return cls.from_string(spec)
     raise ScenarioError(f"cannot interpret {spec!r} as a {what} spec")
 
 

@@ -32,13 +32,13 @@ and counts it separately — see ``forced_resolves`` in the run summary.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union, runtime_checkable
 
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import StreamError
 from repro.graphs.network import Network
+from repro.utils.spec_grammar import parse_call
 
 
 class PolicyContext:
@@ -157,9 +157,9 @@ class PeriodicPolicy(_BasePolicy):
 
     def __init__(self, k: int = 8) -> None:
         super().__init__()
-        if k < 1:
-            raise StreamError(f"periodic policy needs k >= 1, got {k}")
         self.k = int(k)
+        if self.k < 1:
+            raise StreamError(f"periodic policy needs k >= 1, got {k}")
         self.name = f"periodic(k={self.k})"
 
     def should_resolve(
@@ -183,9 +183,9 @@ class ThresholdPolicy(_BasePolicy):
 
     def __init__(self, u: float = 1.0) -> None:
         super().__init__()
-        if u <= 0:
-            raise StreamError(f"threshold policy needs u > 0, got {u}")
         self.u = float(u)
+        if self.u <= 0:
+            raise StreamError(f"threshold policy needs u > 0, got {u}")
         self.name = f"threshold(u={self.u:g})"
 
     def should_resolve(
@@ -210,9 +210,9 @@ class SemiObliviousPolicy(_BasePolicy):
 
     def __init__(self, every: int = 1) -> None:
         super().__init__()
-        if every < 1:
-            raise StreamError(f"semi-oblivious policy needs every >= 1, got {every}")
         self.every = int(every)
+        if self.every < 1:
+            raise StreamError(f"semi-oblivious policy needs every >= 1, got {every}")
         self.name = f"semi-oblivious(every={self.every})"
 
     def should_resolve(
@@ -233,8 +233,6 @@ _POLICY_KINDS: Dict[str, Tuple[Callable[..., _BasePolicy], Tuple[str, ...], str]
     ),
 }
 
-_POLICY_SPEC = re.compile(r"^\s*(?P<kind>[A-Za-z][\w-]*)\s*(?:\((?P<args>.*)\))?\s*$")
-
 
 def available_policies() -> List[str]:
     """Canonical names of the registered policy kinds."""
@@ -246,24 +244,12 @@ def policy_descriptions() -> Dict[str, str]:
     return {name: description for name, (_, _, description) in sorted(_POLICY_KINDS.items())}
 
 
-def _parse_value(text: str) -> Union[int, float, str]:
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def build_policy(spec: Union[str, StreamPolicy]) -> StreamPolicy:
     """Build a policy from a spec string (``"periodic(k=8)"``-style).
 
-    Accepts ready :class:`StreamPolicy` objects unchanged.  Arguments
-    are comma-separated ``key=value`` entries; bare values bind to the
-    kind's parameters in declaration order (``periodic(8)`` ==
+    Accepts ready :class:`StreamPolicy` objects unchanged.  Strings follow
+    the spec grammar of :mod:`repro.utils.spec_grammar`; bare values bind
+    to the kind's parameters in declaration order (``periodic(8)`` ==
     ``periodic(k=8)``).  Unknown kinds or malformed arguments raise
     :class:`StreamError`.
     """
@@ -271,35 +257,19 @@ def build_policy(spec: Union[str, StreamPolicy]) -> StreamPolicy:
         if isinstance(spec, StreamPolicy):
             return spec
         raise StreamError(f"cannot interpret {spec!r} as a rerouting policy")
-    match = _POLICY_SPEC.match(spec)
-    if not match:
-        raise StreamError(f"malformed policy spec {spec!r}")
-    kind = match.group("kind")
+    kind, positional, keywords = parse_call(spec, StreamError, "policy")
     if kind not in _POLICY_KINDS:
         raise StreamError(f"unknown policy {kind!r}; available: {available_policies()}")
-    constructor, positional, _ = _POLICY_KINDS[kind]
-    kwargs: Dict[str, Any] = {}
-    args_text = match.group("args")
-    if args_text and args_text.strip():
-        position = 0
-        for chunk in args_text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" in chunk:
-                key, _, value = chunk.partition("=")
-                kwargs[key.strip()] = _parse_value(value)
-            else:
-                if position >= len(positional):
-                    raise StreamError(
-                        f"policy {kind!r} takes at most {len(positional)} "
-                        f"positional argument(s): {spec!r}"
-                    )
-                kwargs[positional[position]] = _parse_value(chunk)
-                position += 1
+    constructor, names, _ = _POLICY_KINDS[kind]
+    if len(positional) > len(names):
+        raise StreamError(
+            f"policy {kind!r} takes at most {len(names)} positional argument(s): {spec!r}"
+        )
+    kwargs = dict(zip(names, positional))
+    kwargs.update(keywords)
     try:
         return constructor(**kwargs)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise StreamError(f"bad parameters for policy {kind!r}: {error}") from error
 
 

@@ -9,7 +9,6 @@ from repro.te.failures import (
     FailureEvent,
     FailureEventReport,
     FailureProcess,
-    FailureReport,
     FailureSweepSummary,
     KEdgeFailureProcess,
     NoFailure,
@@ -17,24 +16,18 @@ from repro.te.failures import (
     apply_failure,
     available_failure_processes,
     build_failure_process,
-    evaluate_failure,
     evaluate_failure_event,
-    failure_coverage,
     failure_sweep,
+    readapt_surviving,
     rebase_system,
-    surviving_system,
 )
 
 __all__ = [
     "max_link_utilization",
     "utilization_percentiles",
     "throughput_at_capacity",
-    "FailureReport",
     "FailureSweepSummary",
-    "evaluate_failure",
-    "failure_coverage",
     "failure_sweep",
-    "surviving_system",
     "FailureEvent",
     "FailureEventReport",
     "FailureProcess",
@@ -46,5 +39,6 @@ __all__ = [
     "build_failure_process",
     "apply_failure",
     "rebase_system",
+    "readapt_surviving",
     "evaluate_failure_event",
 ]

@@ -3,10 +3,10 @@
 One of the practical reasons SMORE samples *diverse* paths from an
 oblivious routing (rather than, say, k shortest paths) is robustness: when
 links fail, the rates can be shifted onto the surviving candidate paths
-without touching forwarding tables.  This module provides both the
-single-failure sweep used by experiment E12 and the generalized failure
-*processes* the scenario-sweep subsystem (:mod:`repro.scenarios`) draws
-from.
+without touching forwarding tables.  This module provides the failure
+*events* and *processes* the scenario-sweep subsystem
+(:mod:`repro.scenarios`) draws from, and the one evaluation path every
+failure result goes through.
 
 Contracts
 ---------
@@ -31,21 +31,17 @@ fair comparator, since the failure affects the offline optimum too.
 
 Evaluation helpers:
 
-* :func:`surviving_system` — drop every candidate path using a failed link,
 * :func:`apply_failure` / :func:`rebase_system` — build the degraded
   network for an event and re-anchor a path system onto it,
+* :func:`readapt_surviving` — coverage and re-optimized congestion of a
+  path system's surviving candidates; the scenario runner calls it per
+  scheme and shares one degraded-network optimum across a cell's schemes,
+* :func:`evaluate_failure_event` — one system against one event, with its
+  own degraded-network optimum; :func:`failure_sweep` loops it over every
+  single-link failure (E12),
 * ``routing.evaluator("auto").rebased(event)`` — the counterpart for
   fixed-ratio routings: mask failed paths and rescale capacities on the
-  compiled arrays (:mod:`repro.linalg`) instead of recompiling,
-* :func:`failure_coverage` — fraction of demanded pairs that still have at
-  least one candidate path after the failure,
-* :func:`evaluate_failure` / :func:`failure_sweep` — re-optimize rates on
-  the surviving paths over all single-link failures (E12),
-* :func:`evaluate_failure_event` — the multi-edge, capacity-aware
-  generalization: the standalone one-system counterpart of the scenario
-  runner's per-scheme evaluation (the runner inlines the same
-  rebase-and-re-optimize steps so it can share one degraded-network
-  optimum across all schemes of a cell).
+  compiled arrays (:mod:`repro.linalg`) instead of recompiling.
 """
 
 from __future__ import annotations
@@ -60,104 +56,18 @@ from repro.core.path_system import PathSystem
 from repro.core.rate_adaptation import optimal_rates
 from repro.demands.demand import Demand
 from repro.exceptions import GraphError, ReproError
-from repro.graphs.network import Network, Vertex, edge_key
+from repro.graphs.network import Network, Vertex, edge_key, path_edges
 from repro.mcf.lp import min_congestion_lp
 from repro.utils.rng import RngLike, ensure_rng
 
 Edge = Tuple[Vertex, Vertex]
 
 
-def surviving_system(system: PathSystem, failed_edge: Edge) -> PathSystem:
-    """The candidate path system after removing paths through ``failed_edge``."""
-    return system.without_edge(*failed_edge)
-
-
-def failure_coverage(system: PathSystem, demand: Demand, failed_edge: Edge) -> float:
-    """Fraction of demanded pairs still covered after ``failed_edge`` fails."""
-    pairs = demand.pairs()
-    if not pairs:
-        return 1.0
-    survivors = surviving_system(system, failed_edge)
-    covered = sum(1 for pair in pairs if survivors.paths(*pair))
-    return covered / len(pairs)
-
-
-def failed_network(network: Network, failed_edge: Edge) -> Optional[Network]:
-    """The network with ``failed_edge`` removed, or ``None`` if it disconnects."""
-    graph = network.graph.copy()
-    u, v = failed_edge
-    if not graph.has_edge(u, v):
-        raise GraphError(f"edge {failed_edge!r} is not in the network")
-    graph.remove_edge(u, v)
-    if not nx.is_connected(graph):
-        return None
-    return Network(graph, name=f"{network.name}-minus-{failed_edge}")
-
-
-@dataclass
-class FailureReport:
-    """Outcome of a single-link failure against a candidate path system."""
-
-    failed_edge: Edge
-    coverage: float
-    achieved_congestion: Optional[float]
-    optimal_congestion: Optional[float]
-    disconnects_network: bool = False
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.achieved_congestion is None or self.optimal_congestion is None:
-            return None
-        return congestion_ratio(self.achieved_congestion, self.optimal_congestion)
-
-
-def evaluate_failure(
-    system: PathSystem,
-    demand: Demand,
-    failed_edge: Edge,
-) -> FailureReport:
-    """Re-optimize rates on the surviving candidate paths after one link failure.
-
-    The comparison baseline is the offline optimum *on the failed network*
-    (the fair comparator: the failure affects everyone).  When the failure
-    disconnects the network, or some demanded pair loses all of its
-    candidate paths, the corresponding congestion is reported as ``None``
-    and only coverage is meaningful.
-    """
-    failed_edge = edge_key(*failed_edge)
-    coverage = failure_coverage(system, demand, failed_edge)
-    remaining = failed_network(system.network, failed_edge)
-    if remaining is None:
-        return FailureReport(
-            failed_edge=failed_edge,
-            coverage=coverage,
-            achieved_congestion=None,
-            optimal_congestion=None,
-            disconnects_network=True,
-        )
-    optimum = min_congestion_lp(remaining, demand).congestion
-    survivors = surviving_system(system, failed_edge)
-    if not survivors.covers(demand.pairs()):
-        return FailureReport(
-            failed_edge=failed_edge,
-            coverage=coverage,
-            achieved_congestion=None,
-            optimal_congestion=optimum,
-        )
-    achieved = optimal_rates(survivors, demand).congestion
-    return FailureReport(
-        failed_edge=failed_edge,
-        coverage=coverage,
-        achieved_congestion=achieved,
-        optimal_congestion=optimum,
-    )
-
-
 @dataclass
 class FailureSweepSummary:
     """Aggregate of single-link-failure reports."""
 
-    reports: List[FailureReport] = field(default_factory=list)
+    reports: List[FailureEventReport] = field(default_factory=list)
 
     @property
     def num_failures(self) -> int:
@@ -193,7 +103,8 @@ def failure_sweep(
         edges = system.network.edges
     summary = FailureSweepSummary()
     for edge in edges:
-        summary.reports.append(evaluate_failure(system, demand, edge))
+        event = FailureEvent(failed_edges=(edge_key(*edge),), label="k-edge(k=1)")
+        summary.reports.append(evaluate_failure_event(system, demand, event))
     return summary
 
 
@@ -474,76 +385,62 @@ class FailureEventReport:
         return congestion_ratio(self.achieved_congestion, self.optimal_congestion)
 
 
+def readapt_surviving(
+    system: PathSystem,
+    demand: Demand,
+    event: FailureEvent,
+    degraded: Optional[Network],
+) -> Tuple[float, Optional[float]]:
+    """Coverage and re-adapted congestion of the paths of ``system`` surviving ``event``.
+
+    A candidate path survives iff it avoids every failed edge, so the
+    coverage (fraction of demanded pairs keeping at least one path) is
+    defined even when the event disconnects the network.  ``degraded`` is
+    ``apply_failure(system.network, event)``; the congestion re-optimizes
+    the rates over the survivors rebased onto it (:func:`rebase_system`),
+    and is ``None`` when ``degraded`` is ``None`` or some demanded pair
+    lost every candidate path.
+    """
+    pairs = demand.pairs()
+    failed = {edge_key(u, v) for u, v in event.failed_edges}
+    covered = sum(
+        1
+        for pair in pairs
+        if any(failed.isdisjoint(path_edges(path)) for path in system.paths(*pair))
+    )
+    coverage = covered / len(pairs) if pairs else 1.0
+    if degraded is None or covered < len(pairs):
+        return coverage, None
+    if not pairs:
+        return coverage, 0.0
+    return coverage, optimal_rates(rebase_system(system, degraded), demand).congestion
+
+
 def evaluate_failure_event(
     system: PathSystem,
     demand: Demand,
     event: FailureEvent,
 ) -> FailureEventReport:
-    """Re-optimize rates on the paths surviving ``event`` (multi-edge aware).
+    """Re-optimize rates on the paths surviving ``event``.
 
-    The generalization of :func:`evaluate_failure`: removed edges break
-    candidate paths, capacity scales thin the surviving links, and the
-    comparison baseline is the optimum on the degraded network.
+    Removed edges break candidate paths, capacity scales thin the
+    surviving links, and the comparison baseline is the optimum on the
+    degraded network.  An unknown failed edge raises :class:`GraphError`.
     """
     degraded = apply_failure(system.network, event)
-    if degraded is None:
-        pairs = demand.pairs()
-        survivors = rebase_without_network(system, event)
-        coverage = (
-            sum(1 for pair in pairs if survivors.get(pair)) / len(pairs) if pairs else 1.0
-        )
-        return FailureEventReport(
-            event=event,
-            coverage=coverage,
-            achieved_congestion=None,
-            optimal_congestion=None,
-            disconnects_network=True,
-        )
-    survivors = rebase_system(system, degraded)
-    pairs = demand.pairs()
-    coverage = (
-        sum(1 for pair in pairs if survivors.paths(*pair)) / len(pairs) if pairs else 1.0
-    )
-    optimum = min_congestion_lp(degraded, demand).congestion
-    if pairs and not survivors.covers(pairs):
-        return FailureEventReport(
-            event=event,
-            coverage=coverage,
-            achieved_congestion=None,
-            optimal_congestion=optimum,
-        )
-    achieved = optimal_rates(survivors, demand).congestion if pairs else 0.0
+    optimum = None if degraded is None else min_congestion_lp(degraded, demand).congestion
+    coverage, achieved = readapt_surviving(system, demand, event, degraded)
     return FailureEventReport(
         event=event,
         coverage=coverage,
         achieved_congestion=achieved,
         optimal_congestion=optimum,
+        disconnects_network=degraded is None,
     )
 
 
-def rebase_without_network(
-    system: PathSystem, event: FailureEvent
-) -> Dict[Tuple[Vertex, Vertex], List]:
-    """Surviving paths per pair as a plain dict (works even when disconnected)."""
-    banned = {edge_key(u, v) for u, v in event.failed_edges}
-    survivors: Dict[Tuple[Vertex, Vertex], List] = {}
-    for pair, paths in system.items():
-        kept = [
-            path
-            for path in paths
-            if all(edge_key(u, v) not in banned for u, v in zip(path, path[1:]))
-        ]
-        survivors[pair] = kept
-    return survivors
-
-
 __all__ = [
-    "surviving_system",
-    "failure_coverage",
-    "failed_network",
-    "FailureReport",
     "FailureSweepSummary",
-    "evaluate_failure",
     "failure_sweep",
     "FailureEvent",
     "FailureEventReport",
@@ -556,5 +453,6 @@ __all__ = [
     "build_failure_process",
     "apply_failure",
     "rebase_system",
+    "readapt_surviving",
     "evaluate_failure_event",
 ]

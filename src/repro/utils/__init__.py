@@ -1,4 +1,4 @@
-"""Shared utilities: reproducible randomness, tables, and timing helpers."""
+"""Shared utilities: reproducible randomness, the spec grammar, tables, and timing helpers."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.tables import Table, format_float, format_series

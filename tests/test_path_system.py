@@ -76,16 +76,6 @@ def test_max_hops_and_restriction(cube3):
     assert restricted.pairs() == [(0, 1)]
 
 
-def test_without_edge_removes_crossing_paths(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 3, (0, 1, 3))
-    system.add_path(0, 3, (0, 2, 3))
-    filtered = system.without_edge(0, 1)
-    assert filtered.paths(0, 3) == [(0, 2, 3)]
-    # Dropping the other edge too removes the pair entirely.
-    assert not filtered.without_edge(0, 2).has_pair(0, 3)
-
-
 def test_covers(cube3):
     system = PathSystem(cube3)
     system.add_path(0, 1, (0, 1))

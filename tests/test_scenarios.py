@@ -146,6 +146,53 @@ def test_axis_shorthand_strings_round_trip():
         DemandSpec.from_string("max-entropy(20)")
 
 
+@pytest.mark.parametrize(
+    "axis, text, expected",
+    [
+        # Quotes are part of the grammar on every axis, not part of the name.
+        (TopologySpec, "zoo('abilene')", TopologySpec("zoo", params=(("name", "abilene"),))),
+        # A stray parenthesis is a malformed spec, not a bad size.
+        (TopologySpec, "torus(4))", "malformed topology spec"),
+        # A key with no value is malformed, never the empty string.
+        (DemandSpec, "gravity(total=)", "malformed demand spec"),
+        # The failure axis accepts the strings it prints.
+        (FailureSpec, "regional(radius=1)", FailureSpec("regional", params=(("radius", 1),))),
+        (FailureSpec, "none", FailureSpec("none")),
+        (FailureSpec, "regional(1)", "key=value arguments only"),
+    ],
+)
+def test_axis_spec_grammar_regressions(axis, text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ScenarioError, match=expected):
+            axis.from_string(text)
+    else:
+        assert axis.from_string(text) == expected
+
+
+def test_failure_axis_accepts_its_printed_strings():
+    spec = FailureSpec("regional", params=(("radius", 1),))
+    suite = tiny_suite(failures=["none", spec.describe()])
+    assert suite.failures == (FailureSpec("none"), spec)
+
+
+def _builtin_suite_entries():
+    for name in available_suites():
+        suite = get_suite(name)
+        for axis in ("topologies", "demands", "failures"):
+            for spec in getattr(suite, axis):
+                yield pytest.param(spec, id=f"{name}-{spec.describe()}")
+        for scheme in suite.schemes:
+            yield pytest.param(parse_spec(scheme), id=f"{name}-{scheme}")
+
+
+@pytest.mark.parametrize("entry", list(_builtin_suite_entries()))
+def test_builtin_suite_entries_round_trip_through_their_strings(entry):
+    if hasattr(entry, "spec_string"):
+        assert parse_spec(entry.spec_string()) == entry
+    else:
+        assert type(entry).from_string(entry.describe()) == entry
+
+
 # --------------------------------------------------------------------- #
 # Failure processes
 # --------------------------------------------------------------------- #
@@ -266,6 +313,48 @@ def test_disconnected_cells_keep_fixed_ratio_coverage():
     for row in cell["rows"]:
         assert row["coverage"] == row["coverage"]  # not NaN
         assert 0.0 <= row["coverage"] < 1.0
+
+
+def test_failure_cell_system_rows_equal_evaluate_failure_event():
+    # The runner's system-backed rows go through the same step as the
+    # standalone evaluator: same congestion, optimum and coverage, on a
+    # connected cut, a disconnecting regional outage and a brown-out.
+    from repro.scenarios.runner import _STREAM_DEMAND, _build_topology_engine, _derived_rng
+
+    suite = tiny_suite(
+        topologies=[TopologySpec("hypercube", 3)],
+        demands=[DemandSpec("permutation")],
+        failures=[
+            FailureSpec("k-edge", params=(("k", 2),)),
+            FailureSpec("regional", params=(("radius", 1),)),
+            FailureSpec("degrade", params=(("fraction", 0.5), ("factor", 0.5))),
+        ],
+        schemes=("semi-oblivious(racke, alpha=2)", "ksp(k=2)", "spf"),
+        num_snapshots=2,
+    )
+    result = run_suite(suite, workers=1)
+    engine = _build_topology_engine(suite, 0)
+    series = suite.demands[0].series(
+        engine.network, suite.num_snapshots, _derived_rng(suite.seed, _STREAM_DEMAND, 0)
+    )
+    checked = 0
+    for cell in result.cells:
+        event = FailureEvent.from_dict(cell["failure"]["event"])
+        for row in cell["rows"]:
+            if row["scheme"] == "spf":
+                continue  # fixed-ratio: read off the rebased compiled operator
+            report = evaluate_failure_event(
+                engine[row["scheme"]].system, series[row["snapshot"]], event
+            )
+            assert row["coverage"] == report.coverage
+            if report.disconnects_network:
+                assert cell["disconnected"] and row["congestion"] != row["congestion"]
+                continue
+            assert row["optimal_congestion"] == report.optimal_congestion
+            achieved = report.achieved_congestion
+            assert row["congestion"] == (float("inf") if achieved is None else achieved)
+            checked += 1
+    assert checked and any(cell["disconnected"] for cell in result.cells)
 
 
 def test_healthy_cells_have_unit_coverage_and_sane_ratios():

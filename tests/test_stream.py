@@ -237,9 +237,31 @@ class TestPolicies:
         assert build_policy("semi-oblivious(every=3)").every == 3
         policy = build_policy("static")
         assert build_policy(policy) is policy
-        for bad in ("nope", "periodic(k=0)", "threshold(u=-1)", "periodic(1, 2)"):
+        for bad in (
+            "nope", "periodic(k=0)", "threshold(u=-1)", "periodic(1, 2)",
+            "periodic(k=)", "periodic(k=8))", "periodic(k='x')",
+        ):
             with pytest.raises(StreamError):
                 build_policy(bad)
+
+    @pytest.mark.parametrize(
+        "text, same_as",
+        [
+            # Quoting a value never changes what the policy means.
+            ("periodic(k='8')", "periodic(8)"),
+            ("threshold(u='0.5')", "threshold(0.5)"),
+            ("semi-oblivious(every=\"2\")", "semi-oblivious(2)"),
+        ],
+    )
+    def test_quoted_and_bare_specs_agree(self, text, same_as):
+        assert build_policy(text).describe() == build_policy(same_as).describe()
+
+    @pytest.mark.parametrize("kind", sorted(available_policies()))
+    def test_every_policy_round_trips_through_its_string(self, kind):
+        policy = build_policy(kind)
+        rebuilt = build_policy(policy.describe())
+        assert type(rebuilt) is type(policy)
+        assert rebuilt.describe() == policy.describe()
 
     def test_resolve_counts(self, torus3):
         engine = RoutingEngine(torus3, ["spf"], rng=0)

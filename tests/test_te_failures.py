@@ -6,18 +6,21 @@ from repro.core.path_system import PathSystem
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
 from repro.exceptions import GraphError, SolverError
-from repro.graphs import topologies
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.te.failures import (
     FailureEvent,
     FailureEventReport,
-    FailureReport,
-    evaluate_failure,
-    failed_network,
-    failure_coverage,
+    apply_failure,
+    evaluate_failure_event,
     failure_sweep,
-    surviving_system,
+    readapt_surviving,
+    rebase_system,
 )
+
+
+def cut(u, v):
+    """The single-link failure event of edge {u, v}."""
+    return FailureEvent(failed_edges=((u, v),))
 
 
 def two_path_system(cube3):
@@ -29,36 +32,43 @@ def two_path_system(cube3):
 
 def test_surviving_system_drops_paths(cube3):
     system = two_path_system(cube3)
-    survivors = surviving_system(system, (0, 1))
+    survivors = rebase_system(system, apply_failure(cube3, cut(0, 1)))
     assert survivors.paths(0, 3) == [(0, 2, 3)]
+    # Cutting the other path's edge too removes the pair entirely.
+    both = FailureEvent(failed_edges=((0, 1), (0, 2)))
+    assert not rebase_system(system, apply_failure(cube3, both)).has_pair(0, 3)
 
 
 def test_failure_coverage(cube3):
     system = two_path_system(cube3)
     demand = Demand({(0, 3): 1.0})
-    assert failure_coverage(system, demand, (0, 1)) == 1.0
-    # Failing both edges one at a time never drops coverage; a pair with a single
-    # candidate path loses coverage when that path's edge dies.
+    assert readapt_surviving(system, demand, cut(0, 1), None)[0] == 1.0
+    # A pair with a single candidate path loses coverage when that path's
+    # edge dies; coverage needs no degraded network, so it is defined even
+    # when the event disconnects the graph.
     single = PathSystem(cube3)
     single.add_path(0, 3, (0, 1, 3))
-    assert failure_coverage(single, demand, (0, 1)) == 0.0
-    assert failure_coverage(single, Demand.empty(), (0, 1)) == 1.0
+    assert readapt_surviving(single, demand, cut(0, 1), None) == (0.0, None)
+    assert readapt_surviving(single, Demand.empty(), cut(0, 1), None)[0] == 1.0
 
 
 def test_failed_network(cube3, path4):
-    remaining = failed_network(cube3, (0, 1))
+    remaining = apply_failure(cube3, cut(0, 1))
     assert remaining is not None
     assert remaining.num_edges == cube3.num_edges - 1
     # Removing a bridge of a path graph disconnects it.
-    assert failed_network(path4, (1, 2)) is None
+    assert apply_failure(path4, cut(1, 2)) is None
+
+
+def test_unknown_failed_edge_raises_graph_error(cube3):
     with pytest.raises(GraphError):
-        failed_network(cube3, (0, 7))
+        evaluate_failure_event(two_path_system(cube3), Demand({(0, 3): 1.0}), cut(0, 7))
 
 
 def test_evaluate_failure_with_redundancy(cube3):
     system = two_path_system(cube3)
     demand = Demand({(0, 3): 1.0})
-    report = evaluate_failure(system, demand, (0, 1))
+    report = evaluate_failure_event(system, demand, cut(0, 1))
     assert report.coverage == 1.0
     assert not report.disconnects_network
     assert report.achieved_congestion is not None
@@ -69,18 +79,21 @@ def test_evaluate_failure_without_redundancy(cube3):
     single = PathSystem(cube3)
     single.add_path(0, 3, (0, 1, 3))
     demand = Demand({(0, 3): 1.0})
-    report = evaluate_failure(single, demand, (0, 1))
+    report = evaluate_failure_event(single, demand, cut(0, 1))
     assert report.coverage == 0.0
     assert report.achieved_congestion is None
+    assert report.optimal_congestion is not None
     assert report.ratio is None
 
 
 def test_evaluate_failure_disconnecting(path4):
     system = PathSystem(path4)
     system.add_path(0, 3, (0, 1, 2, 3))
-    report = evaluate_failure(system, Demand({(0, 3): 1.0}), (1, 2))
+    report = evaluate_failure_event(system, Demand({(0, 3): 1.0}), cut(1, 2))
     assert report.disconnects_network
+    assert report.coverage == 0.0
     assert report.optimal_congestion is None
+    assert report.ratio is None
 
 
 def test_failure_sweep_summary(small_expander):
@@ -89,6 +102,9 @@ def test_failure_sweep_summary(small_expander):
     system = alpha_sample(oblivious, alpha=3, pairs=demand.pairs(), rng=1)
     summary = failure_sweep(system, demand, edges=small_expander.edges[:8])
     assert summary.num_failures == 8
+    assert [report.event.failed_edges for report in summary.reports] == [
+        (edge,) for edge in small_expander.edges[:8]
+    ]
     assert 0.0 <= summary.mean_coverage() <= 1.0
     assert 0.0 <= summary.full_coverage_fraction() <= 1.0
     worst = summary.worst_ratio()
@@ -100,11 +116,9 @@ def test_failure_report_ratios_pass_through_the_ratio_rule():
     event = FailureEvent(failed_edges=((0, 1),))
     with pytest.raises(SolverError, match="below 1"):
         FailureEventReport(event, 1.0, achieved_congestion=1.0, optimal_congestion=2.0).ratio
-    with pytest.raises(SolverError, match="below 1"):
-        FailureReport((0, 1), 1.0, achieved_congestion=1.0, optimal_congestion=2.0).ratio
     assert FailureEventReport(event, 1.0, 3.0, 2.0).ratio == pytest.approx(1.5)
     assert FailureEventReport(event, 1.0, 0.0, 0.0).ratio == 1.0
     assert FailureEventReport(event, 1.0, 1.0, 0.0).ratio == float("inf")
     # A missing side still reads as no ratio at all.
     assert FailureEventReport(event, 0.5, None, 2.0).ratio is None
-    assert FailureReport((0, 1), 0.5, 1.0, None).ratio is None
+    assert FailureEventReport(event, 0.5, 1.0, None).ratio is None
