@@ -3,9 +3,14 @@
 A Fleischer / Garg–Könemann style maximum-concurrent-flow computation:
 maintain exponential edge lengths, repeatedly push each commodity's
 demand along its currently shortest path, and stop once every edge length
-has grown past the budget.  After scaling, the sent flow is a
-``(1 + epsilon)``-approximate maximum concurrent flow, and its inverse is
-a ``(1 + epsilon)``-approximation of the optimum congestion.
+has grown past the budget (or after a fixed number of phases).  Scaling
+the sent flow by the number of phases gives a feasible routing of the
+demand, so the reported congestion is an *upper bound*: never below the
+optimum ``opt``.  It is **not** guaranteed within ``(1 + epsilon)`` of
+it: on 40 seeded Watts–Strogatz graphs of 5-10 nodes, capacities mixing
+~1 and ~10 and a random demand over n pairs, the worst ratios to the
+exact LP were 1.17 (epsilon 0.05), 1.34 (0.1) and 1.59 (0.25).  Smaller
+``epsilon`` narrows the gap.
 
 This solver is LP-free, scales to instances where the exact edge-flow LP
 becomes slow, and doubles as an independent cross-check of the LP results
@@ -40,11 +45,12 @@ def approximate_min_congestion(
     epsilon: float = 0.1,
     max_iterations: int = 100_000,
 ) -> ApproximateCongestionResult:
-    """Approximate ``opt_{G,R}(d)`` within a ``(1 + epsilon)`` factor (upper bound).
+    """Approximate ``opt_{G,R}(d)`` from above.
 
-    Returns the estimated congestion along with the weighted paths of the
-    feasible routing achieving it (so the result is always an *upper*
-    bound on the optimum, approaching it as epsilon shrinks).
+    Returns the congestion of a feasible routing of ``demand`` along with
+    its weighted paths, so the result is never below the optimum.  The
+    gap shrinks with ``epsilon`` but is not bounded by ``1 + epsilon``
+    (see the module docstring for measured gaps).
     """
     commodities = [(pair, amount) for pair, amount in demand.items() if amount > 0]
     if not commodities:

@@ -25,12 +25,21 @@ the per-tree unique paths (duplicate paths merged).  The competitiveness
 of the construction is *measured* (experiment E10) rather than assumed;
 on the evaluated topologies it is a small factor, which is all that
 Theorem 5.3 needs from its sampling source.
+
+Representation
+--------------
+Each tree is kept as the parent map (and per-vertex depth) of the
+shortest-path tree it comes from, rooted at its Dijkstra root.  A tree
+has exactly one simple ``s``–``t`` path, so a path is read off the map
+by walking both endpoints up to their lowest common ancestor, O(depth)
+steps; no per-pair graph search runs.  The relative loads use the same
+map: subtree sizes accumulate in order of decreasing depth.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -38,6 +47,10 @@ from repro.exceptions import RoutingError
 from repro.graphs.network import Network, Path, Vertex, edge_key
 from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.utils.rng import RngLike, ensure_rng
+
+#: A routing tree: each vertex's parent (``None`` at the root) and depth.
+ParentMap = Dict[Vertex, Optional[Vertex]]
+DepthMap = Dict[Vertex, int]
 
 
 class RaeckeTreeRouting(ObliviousRoutingBuilder):
@@ -77,7 +90,7 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         self._epsilon = epsilon
         self._perturbation = perturbation
         self._rng = ensure_rng(rng)
-        self._trees: List[nx.Graph] = []
+        self._trees: List[Tuple[ParentMap, DepthMap]] = []
         self._tree_weights: List[float] = []
         self._build_trees()
 
@@ -86,8 +99,14 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
     # ------------------------------------------------------------------ #
     @property
     def trees(self) -> List[nx.Graph]:
-        """The routing trees (spanning trees of the network)."""
-        return list(self._trees)
+        """The routing trees (spanning trees of the network), built from the parent maps."""
+        graphs = []
+        for parent, _ in self._trees:
+            tree = nx.Graph()
+            tree.add_nodes_from(self.network.graph.nodes())
+            tree.add_edges_from((v, u) for v, u in parent.items() if u is not None)
+            graphs.append(tree)
+        return graphs
 
     @property
     def tree_weights(self) -> List[float]:
@@ -95,15 +114,13 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         return list(self._tree_weights)
 
     def _build_trees(self) -> None:
-        graph = self.network.graph
         lengths: Dict[Tuple[Vertex, Vertex], float] = {
             edge: 1.0 / self.network.capacity_of(edge) for edge in self.network.edges
         }
-        vertices = self.network.vertices
         for _ in range(self._num_trees):
-            tree = self._congestion_aware_tree(lengths)
-            self._trees.append(tree)
-            loads = self._relative_loads(tree)
+            parent, depth = self._congestion_aware_tree(lengths)
+            self._trees.append((parent, depth))
+            loads = self._relative_loads(parent, depth)
             max_load = max(loads.values(), default=1.0)
             if max_load <= 0:
                 max_load = 1.0
@@ -114,11 +131,11 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         # calibration runs and complicates reproducibility, so we keep the
         # uniform mixture and let the MWU length updates do the balancing.)
         self._tree_weights = [1.0 / len(self._trees)] * len(self._trees)
-        _ = vertices
 
-    def _congestion_aware_tree(self, lengths: Dict[Tuple[Vertex, Vertex], float]) -> nx.Graph:
+    def _congestion_aware_tree(
+        self, lengths: Dict[Tuple[Vertex, Vertex], float]
+    ) -> Tuple[ParentMap, DepthMap]:
         """A shortest-path tree from a random root under perturbed lengths."""
-        graph = self.network.graph
         weighted = nx.Graph()
         for u, v in self.network.edges:
             base = lengths[edge_key(u, v)]
@@ -126,18 +143,14 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
             weighted.add_edge(u, v, weight=base * noise)
         root_index = int(self._rng.integers(0, self.network.num_vertices))
         root = self.network.vertices[root_index]
-        distances, paths = nx.single_source_dijkstra(weighted, root, weight="weight")
-        tree = nx.Graph()
-        tree.add_nodes_from(graph.nodes())
-        for vertex, path in paths.items():
-            for u, v in zip(path, path[1:]):
-                tree.add_edge(u, v)
-        _ = distances
-        if tree.number_of_nodes() != graph.number_of_nodes() or not nx.is_connected(tree):
+        _, paths = nx.single_source_dijkstra(weighted, root, weight="weight")
+        if len(paths) != self.network.num_vertices:
             raise RoutingError("failed to build a spanning routing tree")
-        return tree
+        parent: ParentMap = {v: (path[-2] if len(path) > 1 else None) for v, path in paths.items()}
+        depth: DepthMap = {v: len(path) - 1 for v, path in paths.items()}
+        return parent, depth
 
-    def _relative_loads(self, tree: nx.Graph) -> Dict[Tuple[Vertex, Vertex], float]:
+    def _relative_loads(self, parent: ParentMap, depth: DepthMap) -> Dict[Tuple[Vertex, Vertex], float]:
         """Relative load each network edge receives when the uniform demand rides the tree.
 
         Removing a tree edge splits the vertices into two sides of sizes
@@ -146,41 +159,43 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         """
         n = self.network.num_vertices
         loads: Dict[Tuple[Vertex, Vertex], float] = {}
-        # Root the tree and compute subtree sizes in one DFS.
-        root = next(iter(tree.nodes()))
-        parent: Dict[Vertex, Optional[Vertex]] = {root: None}
-        order: List[Vertex] = []
-        stack = [root]
-        seen = {root}
-        while stack:
-            vertex = stack.pop()
-            order.append(vertex)
-            for neighbor in tree.neighbors(vertex):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    parent[neighbor] = vertex
-                    stack.append(neighbor)
-        subtree_size = {vertex: 1 for vertex in tree.nodes()}
-        for vertex in reversed(order):
-            if parent[vertex] is not None:
-                subtree_size[parent[vertex]] += subtree_size[vertex]
-        for vertex in order:
-            if parent[vertex] is None:
+        subtree_size = {vertex: 1 for vertex in parent}
+        for vertex in sorted(parent, key=depth.__getitem__, reverse=True):
+            above = parent[vertex]
+            if above is None:
                 continue
             below = subtree_size[vertex]
-            crossing = below * (n - below)
-            edge = edge_key(vertex, parent[vertex])
-            loads[edge] = crossing / self.network.capacity_of(edge)
+            subtree_size[above] += below
+            edge = edge_key(vertex, above)
+            loads[edge] = below * (n - below) / self.network.capacity_of(edge)
         return loads
 
     # ------------------------------------------------------------------ #
     # Distribution per pair
     # ------------------------------------------------------------------ #
+    def tree_path(self, index: int, source: Vertex, target: Vertex) -> Path:
+        """The unique ``source``–``target`` path of tree ``index``.
+
+        Walks the deeper endpoint up to the other's depth, then both
+        together until they meet at their lowest common ancestor.
+        """
+        parent, depth = self._trees[index]
+        up = [source]
+        down = [target]
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        down.pop()
+        return tuple(up + down[::-1])
+
     def distribution_for(self, source: Vertex, target: Vertex) -> Dict[Path, float]:
         distribution: Dict[Path, float] = {}
-        for tree, weight in zip(self._trees, self._tree_weights):
-            nodes = nx.shortest_path(tree, source, target)
-            path: Path = tuple(nodes)
+        for index, weight in enumerate(self._tree_weights):
+            path = self.tree_path(index, source, target)
             distribution[path] = distribution.get(path, 0.0) + weight
         return distribution
 
@@ -188,8 +203,7 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         """Draw one path: pick a tree by weight, return its unique (s, t)-path."""
         generator = ensure_rng(rng) if rng is not None else self._rng
         index = int(generator.choice(len(self._trees), p=self._tree_weights))
-        nodes = nx.shortest_path(self._trees[index], source, target)
-        return tuple(nodes)
+        return self.tree_path(index, source, target)
 
 
 __all__ = ["RaeckeTreeRouting"]

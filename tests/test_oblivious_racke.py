@@ -1,13 +1,20 @@
 """Unit tests for the Räcke-style MWU-over-trees oblivious routing."""
 
+import hashlib
+
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.demands.generators import random_permutation_demand
 from repro.exceptions import RoutingError
 from repro.graphs import topologies
+from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
 from repro.oblivious.racke import RaeckeTreeRouting
+from repro.synth import isp
 
 
 def test_trees_are_spanning(small_expander):
@@ -65,3 +72,90 @@ def test_reproducible_with_seed(small_expander):
     a = RaeckeTreeRouting(small_expander, num_trees=3, rng=7)
     b = RaeckeTreeRouting(small_expander, num_trees=3, rng=7)
     assert a.pair_distribution(0, 5) == b.pair_distribution(0, 5)
+
+
+# sha256 of ``routing()`` over every ordered pair plus 200 seeded
+# ``sample_path`` draws, for three topologies at seeds 0-2 (see
+# ``_seeded_output_digest``).  A tree has one simple path per pair, so no
+# change in how tree paths are computed may move it.
+SEEDED_OUTPUT_SHA256 = "5499966451cca978bfba25c636640e038e8a729cd6f3bf2df55bf9d63f658176"
+
+
+def _seeded_output_digest() -> str:
+    digest = hashlib.sha256()
+    networks = [topologies.hypercube(3), topologies.torus_2d(4), isp(pops=6, seed=0)]
+    for network in networks:
+        pairs = list(network.vertex_pairs(ordered=True))
+        for seed in range(3):
+            builder = RaeckeTreeRouting(network, rng=seed)
+            routing = builder.routing()
+            for pair in pairs:
+                digest.update(repr((pair, sorted(routing.distribution(*pair).items()))).encode())
+            draws = np.random.default_rng(seed)
+            for index in range(200):
+                source, target = pairs[index % len(pairs)]
+                digest.update(repr(builder.sample_path(source, target, rng=draws)).encode())
+    return digest.hexdigest()
+
+
+def test_seeded_routing_and_samples_are_pinned():
+    assert _seeded_output_digest() == SEEDED_OUTPUT_SHA256
+
+
+def test_tree_paths_run_no_graph_search(monkeypatch):
+    network = isp(pops=6, seed=0)
+    builder = RaeckeTreeRouting(network, rng=0)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a tree path ran a per-pair graph search")
+
+    monkeypatch.setattr(nx, "shortest_path", no_search)
+    monkeypatch.setattr(nx, "bidirectional_shortest_path", no_search)
+    pairs = list(network.vertex_pairs(ordered=True))
+    assert builder.prewarm(pairs) == len(pairs)
+    for source, target in pairs[:50]:
+        network.validate_path(builder.sample_path(source, target), source=source, target=target)
+
+
+# Vertex labels of each type, from an integer index.
+_LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "tuple": lambda i: (i // 3, i % 3),
+}
+
+
+@st.composite
+def labelled_networks(draw) -> Network:
+    """A connected 2-9 node graph with int, str or tuple labels and random capacities."""
+    label = _LABELS[draw(st.sampled_from(sorted(_LABELS)))]
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a random spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    graph = nx.Graph()
+    for u, v in sorted(edges):
+        graph.add_edge(label(u), label(v), capacity=draw(st.floats(0.25, 4.0, allow_nan=False)))
+    return Network(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    network=labelled_networks(),
+    num_trees=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_tree_paths_are_the_unique_tree_paths(network, num_trees, seed):
+    builder = RaeckeTreeRouting(network, num_trees=num_trees, rng=seed)
+    trees = builder.trees
+    assert len(trees) == num_trees
+    n = network.num_vertices
+    for tree in trees:
+        assert tree.number_of_nodes() == n and nx.is_connected(tree)
+        assert tree.number_of_edges() == n - 1
+        assert all(network.has_edge(u, v) for u, v in tree.edges())
+    for source, target in network.vertex_pairs(ordered=True):
+        for index, tree in enumerate(trees):
+            expected = tuple(nx.shortest_path(tree, source, target))
+            assert builder.tree_path(index, source, target) == expected
+        assert sum(builder.distribution_for(source, target).values()) == pytest.approx(1.0)
