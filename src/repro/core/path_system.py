@@ -49,7 +49,6 @@ class PathIncidence:
     @classmethod
     def build(cls, system: "PathSystem") -> "PathIncidence":
         network = system.network
-        edge_index = network.edge_index
         paths: List[Path] = []
         slices: Dict[Pair, Tuple[int, int]] = {}
         rows: List[List[int]] = []
@@ -57,7 +56,7 @@ class PathIncidence:
             slices[pair] = (len(paths), len(paths) + len(bucket))
             for path in bucket:
                 paths.append(path)
-                rows.append(sorted(edge_index(u, v) for u, v in zip(path, path[1:])))
+                rows.append(sorted(network.path_edge_ids(path)))
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
         edge_ids = np.array([edge for row in rows for edge in row], dtype=np.int64)

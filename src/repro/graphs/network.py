@@ -6,7 +6,9 @@ the role of capacities (Section 4).  ``Network`` wraps a
 equivalent to ``c`` parallel unit edges), and provides:
 
 * canonical vertex indexing (for LP column layouts),
-* canonical undirected edge keys and directed-arc iteration,
+* edge ids from one interned adjacency map ``{u: {v: edge_id}}`` for every
+  hot lookup (:func:`edge_key` is kept only for the public edge keys),
+* directed-arc iteration,
 * path validation (simple, adjacent, correct endpoints),
 * congestion accounting for weighted path collections,
 * cached shortest paths and connectivity checks.
@@ -34,7 +36,7 @@ def edge_key(u: Vertex, v: Vertex) -> Edge:
 
     Endpoints are ordered by ``repr``, so an equal vertex of another type
     (``np.int64(10)`` for ``10``) orders differently; a :class:`Network`
-    looks such keys up through its own vertex objects.
+    finds edge ids through its adjacency map instead.
     """
     return (u, v) if repr(u) <= repr(v) else (v, u)
 
@@ -107,12 +109,11 @@ class Network:
         self._vertex_index: Dict[Vertex, int] = {v: i for i, v in enumerate(self._vertices)}
         # Any equal label (np.int64(3) for 3) -> the network's own vertex object.
         self._own: Dict[Vertex, Vertex] = {v: v for v in self._vertices}
-        self._edges: List[Edge] = [edge_key(u, v) for u, v in simple.edges()]
-        self._edges.sort(key=repr)
-        self._edge_index: Dict[Edge, int] = {e: i for i, e in enumerate(self._edges)}
-        self._capacities: Dict[Edge, float] = {
-            edge_key(u, v): float(simple[u][v]["capacity"]) for u, v in simple.edges()
-        }
+        self._edges: List[Edge] = sorted((edge_key(u, v) for u, v in simple.edges()), key=repr)
+        self._capacities: List[float] = [float(simple[u][v]["capacity"]) for u, v in self._edges]
+        self._adjacent: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in self._vertices}
+        for index, (u, v) in enumerate(self._edges):
+            self._adjacent[u][v] = self._adjacent[v][u] = index
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -146,37 +147,34 @@ class Network:
         except KeyError as exc:
             raise GraphError(f"vertex {vertex!r} is not in the network") from exc
 
-    def _own_edge_key(self, u: Vertex, v: Vertex) -> Optional[Edge]:
-        """The key of {u, v} over the network's own vertex objects (``None`` if foreign)."""
-        try:
-            return edge_key(self._own[u], self._own[v])
-        except KeyError:
-            return None
-
     def edge_index(self, u: Vertex, v: Vertex) -> int:
+        """Position of the undirected edge {u, v} in :attr:`edges`."""
         try:
-            return self._edge_index[edge_key(u, v)]
-        except KeyError:
-            index = self._edge_index.get(self._own_edge_key(u, v))
-            if index is None:
-                raise GraphError(f"edge {(u, v)!r} is not in the network") from None
-            return index
+            return self._adjacent[u][v]
+        except (KeyError, TypeError):
+            raise GraphError(f"edge {(u, v)!r} is not in the network") from None
+
+    def path_edge_ids(self, path: Sequence[Vertex]) -> List[int]:
+        """The ids of the edges ``path`` traverses, in order."""
+        adjacent = self._adjacent
+        try:
+            return [adjacent[u][v] for u, v in zip(path, path[1:])]
+        except (KeyError, TypeError):
+            # Walk again through edge_index for the typed error naming the bad step.
+            return [self.edge_index(u, v) for u, v in zip(path, path[1:])]
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._vertex_index
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return edge_key(u, v) in self._edge_index or self._own_edge_key(u, v) in self._edge_index
+        try:
+            return v in self._adjacent.get(u, ())
+        except TypeError:
+            return False
 
     def capacity(self, u: Vertex, v: Vertex) -> float:
         """Capacity of the undirected edge {u, v}."""
-        try:
-            return self._capacities[edge_key(u, v)]
-        except KeyError:
-            capacity = self._capacities.get(self._own_edge_key(u, v))
-            if capacity is None:
-                raise GraphError(f"edge {(u, v)!r} is not in the network") from None
-            return capacity
+        return self._capacities[self.edge_index(u, v)]
 
     def capacity_of(self, edge: Edge) -> float:
         return self.capacity(edge[0], edge[1])
@@ -233,9 +231,9 @@ class Network:
         except KeyError:
             vertex = next(vertex for vertex in path if vertex not in own)
             raise PathError(f"path vertex {vertex!r} is not in the network") from None
-        edge_index = self._edge_index
+        adjacent = self._adjacent
         for u, v in zip(canonical, canonical[1:]):
-            if edge_key(u, v) not in edge_index:
+            if v not in adjacent[u]:
                 raise PathError(f"path step {(u, v)!r} is not an edge of the network")
         if source is not None and canonical[0] != source:
             raise PathError(f"path starts at {canonical[0]!r}, expected {source!r}")
@@ -290,7 +288,7 @@ class Network:
         loads = self.edge_loads(weighted_paths)
         worst = 0.0
         for edge, load in loads.items():
-            worst = max(worst, load / self._capacities[edge])
+            worst = max(worst, load / self.capacity_of(edge))
         return worst
 
     # ------------------------------------------------------------------ #

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError, LinalgError, RoutingError
-from repro.graphs.network import Edge, Network, Path, Vertex, path_edges
+from repro.graphs.network import Network, Vertex
 from repro.linalg._matrix import build_matrix, resolve_representation, to_dense
 from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.obs import trace_span
@@ -220,7 +220,6 @@ class CompiledRouting:
         inc_rows = _ChunkedIndices(np.int64)
         inc_cols = _ChunkedIndices(np.int64)
         pair_max_hops = np.zeros(num_pairs, dtype=np.int64)
-        edge_index = network.edge_index
         for pair_idx, (source, target) in enumerate(pairs):
             for path, probability in routing.distribution(source, target).items():
                 if probability <= 0:
@@ -231,7 +230,7 @@ class CompiledRouting:
                 hops = len(path) - 1
                 path_hops.append(hops)
                 pair_max_hops[pair_idx] = max(pair_max_hops[pair_idx], hops)
-                columns = [edge_index(*edge) for edge in path_edges(path)]
+                columns = network.path_edge_ids(path)
                 inc_rows.extend([path_idx] * len(columns))
                 inc_cols.extend(columns)
         path_pair_arr = path_pair.finalize()

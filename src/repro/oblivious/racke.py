@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.exceptions import RoutingError
-from repro.graphs.network import Network, Path, Vertex, edge_key
+from repro.graphs.network import Network, Path, Vertex
 from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -114,18 +114,22 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         return list(self._tree_weights)
 
     def _build_trees(self) -> None:
-        lengths: Dict[Tuple[Vertex, Vertex], float] = {
-            edge: 1.0 / self.network.capacity_of(edge) for edge in self.network.edges
-        }
+        edges = self.network.edges
+        lengths: List[float] = [1.0 / self.network.capacity_of(edge) for edge in edges]
+        # One Dijkstra graph; each tree rewrites its edge weights in place, so
+        # adjacency order and tie-breaks are those of a graph built per tree.
+        weighted = nx.Graph()
+        weighted.add_edges_from(edges)
+        slots = [weighted[u][v] for u, v in edges]
         for _ in range(self._num_trees):
-            parent, depth = self._congestion_aware_tree(lengths)
+            parent, depth = self._congestion_aware_tree(weighted, slots, lengths)
             self._trees.append((parent, depth))
             loads = self._relative_loads(parent, depth)
             max_load = max(loads.values(), default=1.0)
             if max_load <= 0:
                 max_load = 1.0
-            for edge, load in loads.items():
-                lengths[edge] *= math.exp(self._epsilon * load / max_load)
+            for edge_id, load in loads.items():
+                lengths[edge_id] *= math.exp(self._epsilon * load / max_load)
         # Uniform mixture: each tree contributes equally.  (Weighting trees
         # by inverse max relative load gave no measurable improvement in
         # calibration runs and complicates reproducibility, so we keep the
@@ -133,14 +137,12 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         self._tree_weights = [1.0 / len(self._trees)] * len(self._trees)
 
     def _congestion_aware_tree(
-        self, lengths: Dict[Tuple[Vertex, Vertex], float]
+        self, weighted: nx.Graph, slots: List[Dict[str, float]], lengths: List[float]
     ) -> Tuple[ParentMap, DepthMap]:
-        """A shortest-path tree from a random root under perturbed lengths."""
-        weighted = nx.Graph()
-        for u, v in self.network.edges:
-            base = lengths[edge_key(u, v)]
+        """A shortest-path tree from a random root (``slots[i]``: edge ``i``'s weight dict)."""
+        for slot, base in zip(slots, lengths):
             noise = 1.0 + self._perturbation * float(self._rng.random())
-            weighted.add_edge(u, v, weight=base * noise)
+            slot["weight"] = base * noise
         root_index = int(self._rng.integers(0, self.network.num_vertices))
         root = self.network.vertices[root_index]
         _, paths = nx.single_source_dijkstra(weighted, root, weight="weight")
@@ -150,15 +152,15 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         depth: DepthMap = {v: len(path) - 1 for v, path in paths.items()}
         return parent, depth
 
-    def _relative_loads(self, parent: ParentMap, depth: DepthMap) -> Dict[Tuple[Vertex, Vertex], float]:
-        """Relative load each network edge receives when the uniform demand rides the tree.
+    def _relative_loads(self, parent: ParentMap, depth: DepthMap) -> Dict[int, float]:
+        """Relative load each network edge (by id) receives when the uniform demand rides the tree.
 
         Removing a tree edge splits the vertices into two sides of sizes
         ``a`` and ``n - a``; the uniform all-pairs demand sends ``a * (n -
         a)`` units over that edge.  Non-tree edges receive no load.
         """
         n = self.network.num_vertices
-        loads: Dict[Tuple[Vertex, Vertex], float] = {}
+        loads: Dict[int, float] = {}
         subtree_size = {vertex: 1 for vertex in parent}
         for vertex in sorted(parent, key=depth.__getitem__, reverse=True):
             above = parent[vertex]
@@ -166,8 +168,8 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
                 continue
             below = subtree_size[vertex]
             subtree_size[above] += below
-            edge = edge_key(vertex, above)
-            loads[edge] = below * (n - below) / self.network.capacity_of(edge)
+            edge_id = self.network.edge_index(vertex, above)
+            loads[edge_id] = below * (n - below) / self.network.capacity(vertex, above)
         return loads
 
     # ------------------------------------------------------------------ #

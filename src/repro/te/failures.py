@@ -56,7 +56,7 @@ from repro.core.path_system import PathSystem
 from repro.core.rate_adaptation import optimal_rates
 from repro.demands.demand import Demand
 from repro.exceptions import GraphError, ReproError
-from repro.graphs.network import Network, Vertex, edge_key, path_edges
+from repro.graphs.network import Network, Vertex, edge_key
 from repro.mcf.lp import min_congestion_lp
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -399,14 +399,16 @@ def readapt_surviving(
     ``apply_failure(system.network, event)``; the congestion re-optimizes
     the rates over the survivors rebased onto it (:func:`rebase_system`),
     and is ``None`` when ``degraded`` is ``None`` or some demanded pair
-    lost every candidate path.
+    lost every candidate path.  A failed edge not in the network raises
+    :class:`GraphError`.
     """
     pairs = demand.pairs()
-    failed = {edge_key(u, v) for u, v in event.failed_edges}
+    network = system.network
+    failed = {network.edge_index(u, v) for u, v in event.failed_edges}
     covered = sum(
         1
         for pair in pairs
-        if any(failed.isdisjoint(path_edges(path)) for path in system.paths(*pair))
+        if any(failed.isdisjoint(network.path_edge_ids(path)) for path in system.paths(*pair))
     )
     coverage = covered / len(pairs) if pairs else 1.0
     if degraded is None or covered < len(pairs):

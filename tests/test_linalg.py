@@ -1,12 +1,17 @@
 """Unit tests for the compiled linear-algebra evaluation backend."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.demands.traffic_matrix import TrafficMatrixSeries
 from repro.exceptions import DemandError, LinalgError, RoutingError
+from repro.graphs import network as network_module
+from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.linalg import (
     CompiledRouting,
@@ -16,7 +21,11 @@ from repro.linalg import (
     build_evaluator,
 )
 from repro.linalg import _matrix
+from repro.linalg.compiled import CompiledRouting
 from repro.linalg.bench import available_benches, run_bench, write_bench_artifact
+from repro.oblivious.racke import RaeckeTreeRouting
+from repro.oblivious.shortest_path import ShortestPathRouting
+from repro.synth import isp
 from repro.te.failures import FailureEvent
 from repro.te.metrics import (
     max_link_utilization,
@@ -319,3 +328,48 @@ def test_bench_cli_writes_artifact(tmp_path, capsys):
     assert "speedup" in out
     assert main(["bench", "list"]) == 0
     assert main(["bench", "wat", "--output-dir", str(tmp_path)]) == 2
+
+
+# sha256 of the compiled index arrays of Räcke-oblivious and shortest-path
+# routings over every ordered pair of ``torus_2d(4)`` and ``isp(pops=6)``,
+# seeds 0-2 (see ``_compiled_arrays_digest``).  Edge ids are positions in
+# ``network.edges``, so no change in how they are looked up may move it.
+COMPILED_ARRAYS_SHA256 = "adfed1533e5ad802f8c5b93ccae6bd927ae72e08dd5e874a3359560d23ac0759"
+
+
+def _compiled_arrays_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for network in (topologies.torus_2d(4), isp(pops=6, seed=seed)):
+            routings = (
+                RaeckeTreeRouting(network, rng=seed).routing(),
+                ShortestPathRouting(network).routing(),
+            )
+            for routing in routings:
+                _, arrays = CompiledRouting.from_routing(routing).export_arrays()
+                for name in ("path_pair", "path_prob", "inc_rows", "inc_cols", "capacities"):
+                    digest.update(name.encode())
+                    digest.update(arrays[name].tobytes())
+    return digest.hexdigest()
+
+
+def test_compiled_arrays_are_pinned():
+    assert _compiled_arrays_digest() == COMPILED_ARRAYS_SHA256
+
+
+def test_edge_ids_never_go_through_edge_key(monkeypatch):
+    network = topologies.torus_2d(4)
+
+    def forbidden(u, v):
+        raise AssertionError("edge ids must come from the adjacency map, not edge_key")
+
+    monkeypatch.setattr(network_module, "edge_key", forbidden)
+    routing = RaeckeTreeRouting(network, rng=0).routing()
+    routing = Routing(network, {pair: routing.distribution(*pair) for pair in routing.pairs()})
+    compiled = CompiledRouting.from_routing(routing)
+    assert compiled.num_paths > 0
+    system = PathSystem(network)
+    for pair in routing.pairs():
+        system.add_paths(*pair, routing.distribution(*pair))
+    incidence = system.incidence()
+    assert len(incidence.paths) == system.num_paths()

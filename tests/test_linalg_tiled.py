@@ -8,14 +8,19 @@ within 1e-9 on both the scipy and numpy-only legs, through failures and
 rebases, while a fixed working-set budget actually bounds peak memory.
 """
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import LinalgError
 from repro.graphs import topologies
+from repro.graphs.network import Network
 from repro.linalg import build_evaluator
 from repro.linalg._matrix import HAVE_SCIPY
 from repro.linalg.compiled import CompiledRouting
@@ -167,6 +172,71 @@ def test_memory_budget_knob_matches_untiled():
     np.testing.assert_allclose(
         tiled.congestions(demands), untiled.congestions(demands), atol=TOL, rtol=0
     )
+
+
+# One label per vertex, of mixed types; ``foreign`` gives an equal label
+# of another type where one exists (the form numpy code hands back).
+# np.int64 appears only as a foreign label: as a vertex of its own it
+# compares against tuple vertices elementwise, which networkx rejects.
+_LABELS = (
+    (lambda i: i, np.int64),
+    (lambda i: f"v{i}", lambda i: f"v{i}"),
+    (lambda i: (i, "t"), lambda i: (np.int64(i), "t")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=3, max_value=9), data=st.data())
+def test_tiled_equals_untiled_and_the_dict_oracle(n, data):
+    kinds = [data.draw(st.integers(0, len(_LABELS) - 1)) for _ in range(n)]
+    own = [_LABELS[kind][0](i) for i, kind in enumerate(kinds)]
+    foreign = [_LABELS[kind][1](i) for i, kind in enumerate(kinds)]
+    graph = nx.Graph()
+    graph.add_nodes_from(own)
+    for i in range(1, n):  # a random spanning tree keeps the graph connected
+        graph.add_edge(own[i], own[data.draw(st.integers(0, i - 1))], capacity=1.0)
+    for i, j in itertools.combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            graph.add_edge(own[i], own[j], capacity=data.draw(st.sampled_from((0.5, 1.0, 3.0))))
+    network = Network(graph)
+    index = {label: i for i, label in enumerate(own)}
+
+    distributions = {}
+    for s, t in data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=12)
+    ):
+        if s == t:
+            continue
+        paths = list(itertools.islice(nx.shortest_simple_paths(graph, own[s], own[t]), 3))
+        paths = paths[: data.draw(st.integers(1, len(paths)))]
+        weights = [data.draw(st.integers(1, 5)) for _ in paths]
+        distributions[(own[s], own[t])] = {
+            tuple(data.draw(st.sampled_from((own, foreign)))[index[v]] for v in path): w / sum(weights)
+            for path, w in zip(paths, weights)
+        }
+    if not distributions:
+        return
+    routing = Routing(network, distributions)
+    pairs = list(routing.pairs())
+    demands = [
+        Demand({pair: data.draw(st.floats(0.05, 4.0)) for pair in pairs})
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    tile_pairs = data.draw(st.integers(1, len(pairs)))
+
+    untiled = build_evaluator(routing, backend="auto")
+    tiled = build_evaluator(routing, backend="auto", tile_pairs=tile_pairs)
+    oracle = build_evaluator(routing, backend="dict")
+    loads = oracle.edge_load_matrix(demands)
+    congestions = oracle.congestions(demands)
+    for evaluator in (tiled, untiled):
+        np.testing.assert_allclose(evaluator.edge_load_matrix(demands), loads, atol=TOL, rtol=0)
+        np.testing.assert_allclose(evaluator.congestions(demands), congestions, atol=TOL, rtol=0)
+    np.testing.assert_allclose(
+        tiled.edge_load_matrix(demands), untiled.edge_load_matrix(demands), atol=TOL, rtol=0
+    )
+    for demand in demands:
+        assert tiled.congestion(demand) == pytest.approx(untiled.congestion(demand), abs=TOL)
 
 
 def test_operator_tiles_concatenate_to_the_full_operator():

@@ -274,3 +274,37 @@ def test_equal_labels_of_another_type_find_the_same_edges(kind, n, data):
         assert network.capacity(v, u) == network.capacity_of(edges[index])
     # The index order is the network's own and does not depend on the lookups.
     assert network.edges == edges
+    # Every edge, both orientations, any mix of label types: one id, the
+    # edge's position in ``network.edges``.
+    for index, (a, b) in enumerate(edges):
+        u = data.draw(st.sampled_from((own, foreign)))(position[a])
+        v = data.draw(st.sampled_from((own, foreign)))(position[b])
+        assert network.edge_index(u, v) == network.edge_index(v, u) == index
+        assert edges.index(edge_key(a, b)) == index
+    assert network.path_edge_ids(mixed) == [
+        network.edge_index(u, v) for u, v in zip(mixed, mixed[1:])
+    ]
+    # Non-edges and unhashable labels raise the typed error at the boundary.
+    far = foreign(n - 1)  # only labels at most two apart are joined, and n >= 4
+    assert not network.has_edge(own(0), far)
+    with pytest.raises(GraphError):
+        network.edge_index(own(0), far)
+    with pytest.raises(GraphError):
+        network.path_edge_ids([own(0), far])
+    for unhashable in ([0], {0: 1}):
+        assert not network.has_edge(unhashable, own(0))
+        assert not network.has_edge(own(0), unhashable)
+        with pytest.raises(GraphError):
+            network.edge_index(unhashable, own(0))
+        with pytest.raises(GraphError):
+            network.edge_index(own(0), unhashable)
+        with pytest.raises(GraphError):
+            network.path_edge_ids([own(0), own(1), unhashable])
+
+
+def test_unhashable_labels_raise_typed_errors(cube3):
+    assert not cube3.has_edge([1], 2)
+    with pytest.raises(GraphError):
+        cube3.edge_index([1], 2)
+    with pytest.raises(GraphError):
+        cube3.capacity([1], 2)

@@ -1,11 +1,14 @@
 """Unit tests for link-failure robustness analysis."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.path_system import PathSystem
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
 from repro.exceptions import GraphError, SolverError
+from repro.graphs.network import Network
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.te.failures import (
     FailureEvent,
@@ -122,3 +125,15 @@ def test_failure_report_ratios_pass_through_the_ratio_rule():
     # A missing side still reads as no ratio at all.
     assert FailureEventReport(event, 0.5, None, 2.0).ratio is None
     assert FailureEventReport(event, 0.5, 1.0, None).ratio is None
+
+
+@pytest.mark.parametrize("failed", [(10, 11), (np.int64(10), 11), (11, np.int64(10))])
+def test_failed_edge_with_numpy_labels_breaks_the_paths_crossing_it(failed):
+    # edge_key orders np.int64(10) after 11 but 10 before it; matching on
+    # edge ids finds the failed edge whatever the label type.
+    network = Network(nx.cycle_graph(12))
+    system = PathSystem(network)
+    system.add_path(0, 10, (0, 11, 10))
+    event = FailureEvent(failed_edges=(failed,))
+    degraded = apply_failure(network, event)
+    assert readapt_surviving(system, Demand({(0, 10): 1.0}), event, degraded) == (0.0, None)
