@@ -66,6 +66,7 @@ class Demand:
             if amount > 0:
                 cleaned[(source, target)] = cleaned.get((source, target), 0.0) + amount
         self._values: Dict[Pair, float] = cleaned
+        self._hash: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Basic access
@@ -113,8 +114,19 @@ class Demand:
         keys = set(self._values) | set(other._values)
         return all(abs(self.value(*k) - other.value(*k)) <= 1e-12 for k in keys)
 
-    def __hash__(self) -> int:  # Demands are mutated never, only rebuilt.
-        return hash(frozenset((k, round(v, 12)) for k, v in self._values.items()))
+    def __hash__(self) -> int:
+        # Demands are mutated never, only rebuilt, so the hash is computed once.
+        if self._hash is None:
+            self._hash = hash(frozenset((k, round(v, 12)) for k, v in self._values.items()))
+        return self._hash
+
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes differ between processes: the cached hash does not travel.
+        return {"_values": self._values}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self._values = state["_values"]
+        self._hash = None
 
     def __repr__(self) -> str:
         return f"Demand(pairs={self.support_size()}, size={self.size():.3f})"

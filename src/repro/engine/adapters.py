@@ -151,10 +151,10 @@ class AdaptivePathRouter(BaseRouter):
 
     def _route(self, demand: Demand) -> RouteResult:
         adaptation = optimal_rates(self._system, demand)
-        return RouteResult(
+        return RouteResult.deferred(
+            lambda: adaptation.routing,
             scheme=self.name,
             congestion=adaptation.congestion,
-            routing=adaptation.routing,
             method="lp",
             extra=dict(self._extra),
         )
@@ -256,16 +256,12 @@ class FixedRatioRouter(BaseRouter):
         self._routing = self._builder.routing(pairs=pairs)
 
     def _route(self, demand: Demand) -> RouteResult:
-        for source, target in demand.pairs():
-            if not self._routing.covers(source, target):
-                raise RoutingError(
-                    f"router {self.name!r} was installed without pair {(source, target)!r}"
-                )
+        try:
+            congestion = self._routing.evaluator("auto").congestion(demand)
+        except RoutingError as error:  # a demanded pair the install did not cover
+            raise RoutingError(f"router {self.name!r}: {error}") from None
         return RouteResult(
-            scheme=self.name,
-            congestion=self._routing.evaluator("auto").congestion(demand),
-            routing=self._routing,
-            method="fixed",
+            scheme=self.name, congestion=congestion, routing=self._routing, method="fixed"
         )
 
 

@@ -72,11 +72,13 @@ class MemoizedOptimalSolver:
         self.num_solves = 0
 
     def __call__(self, demand: Demand) -> float:
-        if demand not in self._cache:
+        congestion = self._cache.get(demand)
+        if congestion is None:
             self.num_solves += 1
             with trace_span("mcf.optimal_solve"):
-                self._cache[demand] = min_congestion_lp(self._network, demand).congestion
-        return self._cache[demand]
+                congestion = min_congestion_lp(self._network, demand).congestion
+            self._cache[demand] = congestion
+        return congestion
 
     def prime(self, demand: Demand, congestion: float) -> None:
         """Seed the memo with an optimum computed elsewhere.

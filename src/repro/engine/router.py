@@ -21,8 +21,8 @@ normally constructed through the scheme registry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Protocol, Tuple, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.competitive import congestion_ratio
 from repro.core.routing import Routing
@@ -31,7 +31,7 @@ from repro.graphs.network import Vertex
 
 Pair = Tuple[Vertex, Vertex]
 
-@dataclass
+@dataclass(init=False)
 class RouteResult:
     """Outcome of routing one demand through one scheme.
 
@@ -47,6 +47,7 @@ class RouteResult:
         most once per snapshot and shares it across schemes).
     routing:
         The realizing fractional routing, when the scheme exposes one.
+        A result made by :meth:`deferred` builds it on first read.
     method:
         How the congestion was obtained, informational: ``"lp"`` (path-LP
         rate adaptation), ``"fixed"`` (fixed split ratios), ``"mcf"``
@@ -57,10 +58,53 @@ class RouteResult:
 
     scheme: str
     congestion: float
-    optimal_congestion: Optional[float] = None
-    routing: Optional[Routing] = None
-    method: Optional[str] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
+    optimal_congestion: Optional[float]
+    method: Optional[str]
+    extra: Dict[str, Any]
+
+    def __init__(
+        self,
+        scheme: str,
+        congestion: float,
+        optimal_congestion: Optional[float] = None,
+        routing: Optional[Routing] = None,
+        method: Optional[str] = None,
+        extra: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.scheme = scheme
+        self.congestion = congestion
+        self.optimal_congestion = optimal_congestion
+        self.routing = routing
+        self.method = method
+        self.extra = {} if extra is None else extra
+
+    @classmethod
+    def deferred(cls, routing: Callable[[], Optional[Routing]], **fields: Any) -> "RouteResult":
+        """A result whose ``routing`` is ``routing()``, called on its first read.
+
+        For schemes whose routing costs more to build than the congestion
+        (the path LP's per-pair distributions): a caller that reads only
+        the congestion never pays for it.
+        """
+        result = cls(**fields)
+        result._pending = routing
+        return result
+
+    @property
+    def routing(self) -> Optional[Routing]:
+        if self._pending is not None:
+            self._routing, self._pending = self._pending(), None
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing: Optional[Routing]) -> None:
+        self._routing, self._pending = routing, None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The pending builder need not pickle: build the routing first.
+        state = dict(self.__dict__)
+        state["_routing"], state["_pending"] = self.routing, None
+        return state
 
     @property
     def ratio(self) -> float:

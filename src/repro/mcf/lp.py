@@ -27,7 +27,8 @@ amount is routed, and each pair's path weights are normalized.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.obs import trace_span
 _SUPPORT_TOLERANCE = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class MinCongestionResult:
     """Result of the min-congestion LP.
 
@@ -59,13 +60,24 @@ class MinCongestionResult:
         The optimal maximum edge congestion ``opt_{G,R}(d)``.
     routing:
         An optimal fractional routing (``None`` unless requested).
-    edge_congestions:
-        Per-edge congestion of the optimal flow.
+    network:
+        The network solved on (``None`` for an empty demand).
+    utilization:
+        Per-edge congestion of the optimal flow, in ``network.edges``
+        order (``None`` for an empty demand).
     """
 
     congestion: float
     routing: Optional[Routing]
-    edge_congestions: Dict[Tuple[Vertex, Vertex], float]
+    network: Optional[Network] = None
+    utilization: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def edge_congestions(self) -> Dict[Tuple[Vertex, Vertex], float]:
+        """Per-edge congestion of the optimal flow, built from ``utilization`` on first read."""
+        if self.utilization is None:
+            return {}
+        return {edge: float(value) for edge, value in zip(self.network.edges, self.utilization)}
 
 
 def min_congestion_lp(
@@ -92,7 +104,7 @@ def min_congestion_lp(
         )
     commodities = [(pair, amount) for pair, amount in demand.items() if amount > 0]
     if not commodities:
-        return MinCongestionResult(congestion=0.0, routing=None, edge_congestions={})
+        return MinCongestionResult(congestion=0.0, routing=None)
 
     edges = network.edges
     m = len(edges)
@@ -137,8 +149,7 @@ def min_congestion_lp(
 
     congestion = float(result.x[-1])
     flows = result.x[:-1].reshape(k, m, 2)  # (source, edge, direction u->v / v->u)
-    loads = flows.sum(axis=(0, 2)) / capacity
-    edge_congestions = {edge: float(value) for edge, value in zip(edges, loads)}
+    utilization = flows.sum(axis=(0, 2)) / capacity
 
     routing = None
     if return_routing:
@@ -146,9 +157,7 @@ def min_congestion_lp(
         routing = _peel_routing(network, commodities, source_row, net_flow, tails, heads)
 
     return MinCongestionResult(
-        congestion=congestion,
-        routing=routing,
-        edge_congestions=edge_congestions,
+        congestion=congestion, routing=routing, network=network, utilization=utilization
     )
 
 

@@ -44,7 +44,15 @@ uniform demand (1 on every installed pair).
 * A system solved once (a failure survivor, a system built for one
   experiment) is never warm-started, so it pays no reference solve.
 
-A demanded pair with no candidate path raises :class:`InfeasibleError`.
+The demand enters as one right-hand-side vector, mapped onto the
+installed pairs in a single pass (a demanded pair with no candidate path
+raises :class:`InfeasibleError`).  The result keeps the optimal flow of
+every installed path and the demanded pairs' indices; only ``congestion``
+is computed eagerly.  :attr:`PathLPResult.routing` (one distribution per
+demanded pair, in the demand's order) and
+:attr:`PathLPResult.edge_congestions` are built from those arrays on first
+read and cached: an online router that reads only the congestion never
+builds them, which on ``adapt-isp`` was about a third of each route.
 The models go to the HiGHS binding that scipy bundles
 (``scipy.optimize._highspy``, scipy >= 1.15) with default options, bar
 the warm attempt's iteration cap.
@@ -52,8 +60,9 @@ the warm attempt's iteration cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +86,7 @@ from repro.core.path_system import PathIncidence, PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import InfeasibleError, SolverError
-from repro.graphs.network import Vertex
+from repro.graphs.network import Network, Vertex
 from repro.obs import trace_span
 
 #: Dual simplex iterations a re-solve from the reference basis may take
@@ -87,23 +96,69 @@ from repro.obs import trace_span
 WARM_ITERATIONS = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class PathLPResult:
     """Result of the path-restricted min-congestion LP.
+
+    ``routing`` and ``edge_congestions`` are built from ``flows`` on
+    first read, then cached; the other fields are set by the solve.
 
     Attributes
     ----------
     congestion:
         ``cong_R(P, d)`` — the best congestion achievable on the system.
-    routing:
-        The optimal routing on the path system (``None`` for empty demands).
-    edge_congestions:
-        Per-edge congestion under the optimal rates.
+    network:
+        The system's network (``None`` for an empty demand, as are
+        ``lp``, ``flows`` and ``order``).
+    lp:
+        The :class:`RateLP` solved; its incidence indexes ``flows``.
+    flows:
+        The optimal flow on every installed path, in incidence order:
+        zero below 1e-12, and a demanded pair whose paths all read zero
+        carries its whole amount on its first path.
+    order:
+        The demanded pairs as indices into ``lp.pairs``, in the
+        demand's iteration order.
     """
 
     congestion: float
-    routing: Optional[Routing]
-    edge_congestions: Dict[Tuple[Vertex, Vertex], float]
+    network: Optional[Network] = None
+    lp: Optional["RateLP"] = field(default=None, repr=False)
+    flows: Optional[np.ndarray] = field(default=None, repr=False)
+    order: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def routing(self) -> Optional[Routing]:
+        """The optimal routing on the path system (``None`` for empty demands)."""
+        if self.lp is None:
+            return None
+        flat, pairs, incidence = self.flows.tolist(), self.lp.pairs, self.lp.incidence
+        weights = {}
+        for index in self.order.tolist():
+            pair = pairs[index]
+            start, stop = incidence.slices[pair]
+            weights[pair] = {
+                path: w
+                for path, w in zip(incidence.paths[start:stop], flat[start:stop])
+                if w > 0
+            }
+        return Routing._from_validated(self.network, weights)
+
+    @cached_property
+    def edge_congestions(self) -> Dict[Tuple[Vertex, Vertex], float]:
+        """Per-edge congestion under the optimal rates (edges with load only)."""
+        if self.lp is None:
+            return {}
+        incidence = self.lp.incidence
+        capacity = incidence.capacities
+        loads = np.bincount(
+            incidence.edge_ids, weights=np.repeat(self.flows, self.lp.hops),
+            minlength=len(capacity),
+        )
+        edges = self.network.edges
+        return {
+            edges[edge]: float(loads[edge] / capacity[edge]) for edge in np.flatnonzero(loads)
+        }
 
 
 class RateLP:
@@ -142,17 +197,19 @@ class RateLP:
         self.hops = hops
         self.pair_starts = pair_starts
         self.paths_per_pair = paths_per_pair
-        #: Installed pair -> its position in the ``amounts`` of :meth:`solve`.
-        self.pair_index = {pair: i for i, pair in enumerate(incidence.slices)}
+        #: The installed pairs, in incidence order.
+        self.pairs = list(incidence.slices)
+        #: Installed pair -> its position in ``pairs`` and in the ``amounts`` of :meth:`solve`.
+        self.pair_index = {pair: i for i, pair in enumerate(self.pairs)}
         self.num_edges = m
-        self._incidence = incidence
+        self.incidence = incidence
         self._start, self._index, self._value = start, index, value
         self._reference = reference
         self._basis = None
 
     def __reduce__(self):
         # The HiGHS basis does not pickle; its status codes do.
-        return (RateLP, (self._incidence, self._reference))
+        return (RateLP, (self.incidence, self._reference))
 
     def reference(self) -> Tuple[np.ndarray, np.ndarray]:
         """The reference basis as column and row status codes, solved on first call."""
@@ -283,56 +340,51 @@ def min_congestion_on_paths(system: PathSystem, demand: Demand) -> PathLPResult:
     """Optimally split ``demand`` over the candidate paths of ``system``.
 
     The LP is the system's cached :class:`RateLP` with ``demand`` as the
-    right-hand side, warm-started only after :func:`warm_start`.
+    right-hand side, warm-started only after :func:`warm_start`.  The
+    result's ``routing`` and ``edge_congestions`` are built on first read.
 
     Raises
     ------
     InfeasibleError
         When some demanded pair has no candidate path in the system.
     """
-    incidence = system.incidence()
-    commodities: List[Tuple[Tuple[Vertex, Vertex], float, int, int]] = []
-    for pair, amount in demand.items():
-        if amount <= 0:
-            continue
-        rows = incidence.slices.get(pair)
-        if rows is None:
-            raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
-        commodities.append((pair, amount, *rows))
-    if not commodities:
-        return PathLPResult(congestion=0.0, routing=None, edge_congestions={})
+    if demand.is_empty():
+        return PathLPResult(congestion=0.0)
 
-    capacity = incidence.capacities
     with trace_span("mcf.path_lp") as span:
         lp = rate_lp(system)
         with trace_span("mcf.path_lp_setup"):
-            amounts = np.zeros(len(lp.pair_index))
-            for pair, amount, _, _ in commodities:
-                amounts[lp.pair_index[pair]] = amount
+            order, amounts = _right_hand_side(lp, demand)
         with trace_span("mcf.path_lp_solve"):
             flows, congestion, counters = lp.solve(amounts)
         for name, count in counters.items():
             span.add(name, count)
 
-    used = np.where(flows > 1e-12, flows, 0.0)
+    flows = np.where(flows > 1e-12, flows, 0.0)
     # Degenerate LP output (no positive weight): route everything on the first path.
-    degenerate = (amounts > 0) & (np.add.reduceat(used, lp.pair_starts) == 0)
-    used[lp.pair_starts[degenerate]] = amounts[degenerate]
-
-    loads = np.bincount(
-        incidence.edge_ids, weights=np.repeat(used, lp.hops), minlength=len(capacity)
+    degenerate = (amounts > 0) & (np.add.reduceat(flows, lp.pair_starts) == 0)
+    flows[lp.pair_starts[degenerate]] = amounts[degenerate]
+    return PathLPResult(
+        congestion=congestion, network=system.network, lp=lp, flows=flows, order=order
     )
-    edges = system.network.edges
-    edge_congestions = {
-        edges[edge]: float(loads[edge] / capacity[edge]) for edge in np.flatnonzero(loads)
-    }
-    flat, paths = used.tolist(), incidence.paths
-    weights = {
-        pair: {path: w for path, w in zip(paths[start:stop], flat[start:stop]) if w > 0}
-        for pair, _, start, stop in commodities
-    }
-    routing = Routing._from_validated(system.network, weights)
-    return PathLPResult(congestion=congestion, routing=routing, edge_congestions=edge_congestions)
+
+
+def _right_hand_side(lp: RateLP, demand: Demand) -> Tuple[np.ndarray, np.ndarray]:
+    """The demanded pairs' indices in ``lp.pairs`` (demand order) and the per-pair amounts.
+
+    Every amount of a :class:`Demand` is positive: its constructor drops zeros.
+    """
+    pair_index = lp.pair_index
+    order, values = [], []
+    for pair, amount in demand.items():
+        index = pair_index.get(pair)
+        if index is None:
+            raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
+        order.append(index)
+        values.append(amount)
+    amounts = np.zeros(len(pair_index))
+    amounts[order] = values
+    return np.array(order, dtype=np.int64), amounts
 
 
 __all__ = [

@@ -1,5 +1,7 @@
 """Unit tests for the Demand class (Definition 2.2 / 5.5)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +132,20 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Demand({(0, 1): 2.0})
+
+
+def test_hash_is_stable_across_calls_orders_and_pickles():
+    values = {(0, 1): 1.0, ("a", "b"): 2.5, (3, 2): 1e-3}
+    demand = Demand(values)
+    first = hash(demand)
+    assert hash(demand) == first  # the cached value
+    reordered = Demand(dict(reversed(list(values.items()))))
+    assert reordered == demand and hash(reordered) == first
+    # String hashes differ between processes, so the cached hash never travels.
+    assert "_hash" not in demand.__getstate__()
+    restored = pickle.loads(pickle.dumps(demand))
+    assert restored == demand and hash(restored) == first
+    assert hash(Demand({(0, 1): 1.0})) != hash(Demand({(0, 1): 2.0}))
 
 
 def test_from_pairs_and_empty():

@@ -23,7 +23,7 @@ from repro.engine import (
     register_scheme,
     unregister_scheme,
 )
-from repro.exceptions import SolverError
+from repro.exceptions import RoutingError, SolverError
 from repro.graphs import topologies
 from repro.mcf.lp import min_congestion_lp
 from repro.oblivious.racke import RaeckeTreeRouting
@@ -212,6 +212,13 @@ def test_alpha_plus_cut_spec(cube3):
     router.install(pairs=[(0, 7)])
     # cut_G(0, 7) = 3 on the 3-cube, so up to 1 + 3 = 4 distinct paths.
     assert 1 <= len(router.system.paths(0, 7)) <= 4
+
+
+def test_fixed_ratio_route_on_an_uninstalled_pair_names_the_router(cube3):
+    router = build_router("spf", cube3)
+    router.install(pairs=[(0, 7)])
+    with pytest.raises(RoutingError, match=r"router 'spf': .*\(1, 6\)"):
+        router.route(Demand({(0, 7): 1.0, (1, 6): 1.0}))
 
 
 def test_route_before_install_raises(cube3):

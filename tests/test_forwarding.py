@@ -15,12 +15,17 @@ import dataclasses
 import itertools
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.routing import Routing
 from repro.demands.generators import gravity_demand
 from repro.engine import RoutingEngine, build_router
 from repro.exceptions import ForwardingError
+from repro.graphs.network import Network
 from repro.forwarding import (
     analyze_placement,
     evaluate_realization,
@@ -55,6 +60,31 @@ def _routing(network, spec="oblivious(ksp, k=3)", seed=0):
     result = router.route(demand)
     assert result.routing is not None
     return result.routing, demand
+
+
+@st.composite
+def _random_routings(draw):
+    """A routing on a connected 4-7 node graph: 1-4 random-weight simple paths per pair."""
+    n = draw(st.integers(4, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a random spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    network = Network.from_edges(sorted(edges))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                 min_size=1, max_size=5, unique=True)
+    )
+    distributions = {}
+    for source, target in pairs:
+        candidates = list(nx.all_simple_paths(network.graph, source, target))
+        picks = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1, max_size=4,
+                              unique=True))
+        weights = [draw(st.floats(1e-3, 1.0)) for _ in picks]
+        distributions[(source, target)] = {
+            tuple(candidates[pick]): w / sum(weights) for pick, w in zip(picks, weights)
+        }
+    return Routing(network, distributions)
 
 
 # --------------------------------------------------------------------- #
@@ -126,6 +156,23 @@ class TestQuantizer:
         assert entry.next_hop_sets()["a"] == frozenset({"b"})
         assert [path for path, _ in entry.paths] == [("a", "b", "c")]
         assert entry.error == pytest.approx(tiny, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_routings(), st.integers(1, 16))
+    def test_per_node_bucket_counts_sum_to_k_on_random_graphs(self, routing, buckets):
+        table = quantize_routing(routing, buckets=buckets)
+        assert table.pairs() == sorted(routing.pairs(), key=repr)
+        for pair in table.pairs():
+            entry = table[pair]
+            if entry.mode == "next-hop":
+                assert entry.next_hops
+                for node, counts in entry.next_hops:
+                    assert all(count >= 0 for _, count in counts)
+                    assert sum(count for _, count in counts) == buckets
+            else:  # path form: the path weights are whole buckets summing to k
+                counts = [weight * buckets for _, weight in entry.paths]
+                assert counts == pytest.approx([round(c) for c in counts], abs=1e-9)
+                assert sum(round(c) for c in counts) == buckets
 
     def test_buckets_must_be_positive(self, cube3):
         routing, _ = _routing(cube3)

@@ -1,13 +1,20 @@
 """Unit tests for the path-restricted min-congestion LP."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.path_system import PathSystem
+from repro.core.routing import Routing
+from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
+from repro.engine import RoutingEngine, build_router
 from repro.exceptions import InfeasibleError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
-from repro.mcf.path_lp import min_congestion_on_paths
+from repro.mcf.path_lp import min_congestion_on_paths, warm_start
+from repro.oblivious.racke import RaeckeTreeRouting
 
 
 def two_path_system(cube3):
@@ -80,3 +87,106 @@ def test_path_lp_matches_full_lp_when_support_is_rich(cube3):
     restricted = min_congestion_on_paths(system, demand)
     full = min_congestion_lp(cube3, demand)
     assert restricted.congestion == pytest.approx(full.congestion, abs=1e-5)
+
+
+# --------------------------------------------------------------------- #
+# The result's routing and edge dict are built from its arrays on first read
+# --------------------------------------------------------------------- #
+def _eager_reference(system, demand, flows):
+    """The routing and edge congestions built pair by pair from ``flows``, as a loop."""
+    incidence = system.incidence()
+    network = system.network
+    weights = {}
+    for pair, _ in demand.items():
+        start, stop = incidence.slices[pair]
+        weights[pair] = {
+            path: float(flows[j])
+            for j, path in zip(range(start, stop), incidence.paths[start:stop])
+            if flows[j] > 0
+        }
+    loads = [0.0] * len(network.edges)
+    for j, path in enumerate(incidence.paths):
+        for edge in sorted(network.path_edge_ids(path)):
+            loads[edge] += float(flows[j])
+    edge_congestions = {
+        edge: load / network.capacity_of(edge)
+        for edge, load in zip(network.edges, loads) if load
+    }
+    return Routing._from_validated(network, weights), edge_congestions
+
+
+def _seeded_system(network, pairs, seed):
+    system = alpha_sample(RaeckeTreeRouting(network, rng=seed), 3, pairs=pairs, rng=seed)
+    warm_start(system)
+    return system
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ["full", "partial", "degenerate"])
+def test_lazy_routing_and_edge_congestions_equal_the_eager_reference(torus3, seed, case):
+    pairs = list(torus3.vertex_pairs(ordered=True))
+    system = _seeded_system(torus3, pairs, seed)
+    rng = np.random.default_rng(seed)
+    amounts = rng.lognormal(size=len(pairs)).tolist()
+    if case == "full":
+        chosen = list(zip(pairs, amounts))
+    else:
+        picks = rng.choice(len(pairs), size=len(pairs) // 3, replace=False)
+        chosen = [(pairs[i], amounts[i]) for i in picks]  # not in installed order
+        if case == "degenerate":
+            # Far below the 1e-12 flow floor: the fix-up puts it on its first path.
+            chosen[0] = (chosen[0][0], 1e-15)
+    demand = Demand(dict(chosen))
+    result = min_congestion_on_paths(system, demand)
+    routing, edge_congestions = _eager_reference(system, demand, result.flows)
+
+    assert list(result.routing) == demand.pairs()
+    assert [result.routing.distribution(*p) for p in result.routing] == [
+        routing.distribution(*p) for p in routing
+    ]
+    assert list(result.edge_congestions) == list(edge_congestions)
+    for edge, value in edge_congestions.items():
+        assert result.edge_congestions[edge] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert max(edge_congestions.values()) == pytest.approx(result.congestion, rel=1e-9)
+    assert result.routing is result.routing  # built once, then cached
+    if case == "degenerate":
+        first = system.paths(*demand.pairs()[0])[0]
+        assert result.routing.distribution(*demand.pairs()[0]) == {first: 1.0}
+
+
+def test_reading_the_congestion_builds_no_routing(cube3, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the routing was built")
+
+    engine = RoutingEngine(cube3, ["semi-oblivious(racke, alpha=2)", "ksp(k=2)"], rng=0)
+    engine.install()
+    demand = Demand({(0, 7): 1.0, (5, 2): 2.0, (3, 4): 0.5})
+    monkeypatch.setattr(Routing, "_from_validated", forbidden)
+    results = engine.route(demand, with_optimal=False)
+    for label in ("semi-oblivious", "ksp"):
+        assert results[label].congestion > 0
+        assert results[label].method == "lp"
+        with pytest.raises(AssertionError, match="the routing was built"):
+            results[label].routing
+    result = min_congestion_on_paths(engine["ksp"].system, demand)
+    assert result.congestion == pytest.approx(results["ksp"].congestion)
+    with pytest.raises(AssertionError, match="the routing was built"):
+        result.routing
+
+
+def test_deferred_route_result_pickles_with_its_routing(cube3):
+    router = build_router("semi-oblivious(racke, alpha=2)", cube3, rng=0)
+    router.install()
+    demand = Demand({(5, 2): 2.0, (0, 7): 1.0})
+    expected = router.route(demand).routing
+    for read_before_pickling in (False, True):
+        result = router.route(demand)
+        result.optimal_congestion = 0.5
+        if read_before_pickling:
+            assert result.routing is not None
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored == result
+        assert restored.to_dict() == result.to_dict()
+        assert [(pair, restored.routing.distribution(*pair)) for pair in restored.routing] == [
+            (pair, expected.distribution(*pair)) for pair in demand
+        ]
