@@ -60,10 +60,9 @@ class PathIncidence:
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
         edge_ids = np.array([edge for row in rows for edge in row], dtype=np.int64)
-        capacities = np.array([network.capacity_of(edge) for edge in network.edges], dtype=float)
         return cls(
             paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
-            capacities=capacities,
+            capacities=network.capacities,
         )
 
 
@@ -173,8 +172,8 @@ class PathSystem:
     def rate_lp(self, build: Callable[[PathIncidence], T]) -> T:
         """The Stage-4 rate LP, ``build(self.incidence())``, cached until ``add_path``.
 
-        :func:`repro.mcf.path_lp.rate_lp` supplies ``build``; the LP
-        pickles with the system.
+        ``build`` is :class:`repro.mcf.path_lp.RateLP`; the LP pickles
+        with the system.
         """
         if self._rate_lp is None:
             self._rate_lp = build(self.incidence())

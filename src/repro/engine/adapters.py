@@ -59,7 +59,6 @@ from repro.demands.demand import Demand
 from repro.exceptions import RoutingError, SolverError
 from repro.graphs.cuts import CutCache
 from repro.graphs.network import Network
-from repro.mcf.lp import min_congestion_lp
 from repro.mcf.path_lp import warm_start
 from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.utils.rng import RngLike, ensure_rng
@@ -268,15 +267,15 @@ class FixedRatioRouter(BaseRouter):
 class OptimalRouter(BaseRouter):
     """The per-demand optimal MCF (the normalizer; ratio 1 by definition).
 
-    ``solver`` lets the engine inject a shared memoizing solver so the
-    LP runs at most once per snapshot even when the optimum is also
-    needed to normalize other schemes.
+    ``solver`` returns a demand's optimum; the engine passes its shared
+    memoizing solver, so the LP runs at most once per snapshot even when
+    the optimum is also needed to normalize other schemes.
     """
 
     def __init__(
         self,
         network: Network,
-        solver: Optional[Callable[[Demand], float]] = None,
+        solver: Callable[[Demand], float],
         name: str = "optimal",
     ) -> None:
         super().__init__(network, name)
@@ -286,10 +285,7 @@ class OptimalRouter(BaseRouter):
         pass  # nothing to install: the MCF uses every edge of the network
 
     def _route(self, demand: Demand) -> RouteResult:
-        if self._solver is not None:
-            congestion = self._solver(demand)
-        else:
-            congestion = min_congestion_lp(self._network, demand).congestion
+        congestion = self._solver(demand)
         return RouteResult(
             scheme=self.name,
             congestion=congestion,

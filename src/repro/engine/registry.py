@@ -540,7 +540,7 @@ def _build_optimal(
     rng: RngLike = None,
     context: Optional[EngineContext] = None,
 ) -> Router:
-    solver = context.optimal_solver if context is not None else None
+    solver = context.optimal_solver if context is not None else MemoizedOptimalSolver(network)
     return OptimalRouter(network, solver=solver)
 
 

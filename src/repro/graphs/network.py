@@ -5,7 +5,8 @@ the role of capacities (Section 4).  ``Network`` wraps a
 :class:`networkx.Graph` with per-edge capacities (a capacity-``c`` edge is
 equivalent to ``c`` parallel unit edges), and provides:
 
-* canonical vertex indexing (for LP column layouts),
+* canonical vertex indexing (for LP column layouts), and edge capacities
+  as one read-only array in edge-id order,
 * edge ids from one interned adjacency map ``{u: {v: edge_id}}`` for every
   hot lookup (:func:`edge_key` is kept only for the public edge keys),
 * directed-arc iteration,
@@ -23,6 +24,7 @@ import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import GraphError, PathError
 
@@ -111,6 +113,8 @@ class Network:
         self._own: Dict[Vertex, Vertex] = {v: v for v in self._vertices}
         self._edges: List[Edge] = sorted((edge_key(u, v) for u, v in simple.edges()), key=repr)
         self._capacities: List[float] = [float(simple[u][v]["capacity"]) for u, v in self._edges]
+        self._capacity_array = np.array(self._capacities)
+        self._capacity_array.flags.writeable = False
         self._adjacent: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in self._vertices}
         for index, (u, v) in enumerate(self._edges):
             self._adjacent[u][v] = self._adjacent[v][u] = index
@@ -140,6 +144,11 @@ class Network:
     def edges(self) -> List[Edge]:
         """Canonical undirected edge keys in indexing order."""
         return list(self._edges)
+
+    @property
+    def capacities(self) -> np.ndarray:
+        """Edge capacities in :attr:`edges` (edge-id) order, as one read-only array."""
+        return self._capacity_array
 
     def vertex_index(self, vertex: Vertex) -> int:
         try:
@@ -357,6 +366,10 @@ class Network:
             raise GraphError(f"vertices {sorted(map(repr, missing))} are not in the network")
         sub = self._graph.subgraph(vertex_set).copy()
         return Network(sub, name=name or f"{self.name}-sub")
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._capacity_array.flags.writeable = False  # a pickle round trip drops the flag
 
     def __contains__(self, vertex: Vertex) -> bool:
         return self.has_vertex(vertex)

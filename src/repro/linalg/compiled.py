@@ -254,11 +254,10 @@ class CompiledRouting:
                 path_pair_arr, path_prob_arr, inc_rows_arr, inc_cols_arr,
                 (num_pairs, num_edges), representation,
             )
-        capacities = np.array([network.capacity_of(edge) for edge in network.edges], dtype=float)
         return cls(
             network=network,
             pairs=pairs,
-            capacities=capacities,
+            capacities=network.capacities,
             path_pair=path_pair_arr,
             path_prob=path_prob_arr,
             path_hops=path_hops.finalize(),

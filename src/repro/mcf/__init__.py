@@ -5,19 +5,22 @@ The paper compares semi-oblivious routings against the offline optimum
 fractional routings of the demand.  This package provides:
 
 * :func:`~repro.mcf.lp.min_congestion_lp` — the exact edge-flow LP
-  (scipy / HiGHS) with one arc flow per demanded *source*, so
-  ``k_src * 2m + 1`` columns; it returns the optimum value and, on
-  request, an optimal routing peeled per sink from each source's flow,
+  with one arc flow per demanded *source*, so ``k_src * 2m + 1``
+  columns; it returns the optimum value and, on request, an optimal
+  routing peeled per sink from each source's flow,
 * :func:`~repro.mcf.path_lp.min_congestion_on_paths` — the path-based LP
   restricted to a candidate path system (this computes ``cong_R(P, d)``,
   the Stage-4 adaptive rate optimization), cached per system and, on the
   installed semi-oblivious router's system, re-solved from a fixed
   reference basis,
+* :mod:`~repro.mcf.highs` — the one HiGHS driver both LPs go through
+  (scipy >= 1.15's bundled binding); ``scipy.optimize.linprog`` survives
+  only as the tests' oracle and in perfbench's reference work,
 * :func:`~repro.mcf.mwu.approximate_min_congestion` — a Garg–Könemann /
-  Fleischer multiplicative-weights approximation, used for large
-  instances and as an LP-free cross-check; its congestion is a feasible
-  upper bound, never below the optimum, but not within ``(1 + epsilon)``
-  of it (measured gaps up to 1.59 at ``epsilon = 0.25``),
+  Fleischer multiplicative-weights approximation, an LP-free
+  cross-check that nothing in the pipeline calls; its congestion is a
+  feasible upper bound, never below the optimum, but not within
+  ``(1 + epsilon)`` of it (measured gaps up to 1.59 at ``epsilon = 0.25``),
 * :func:`~repro.mcf.integral.exact_integral_optimum` — brute-force
   integral optimum for tiny instances (used by lower-bound tests).
 """

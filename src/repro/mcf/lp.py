@@ -14,8 +14,11 @@ per-pair flow sums to such a flow and every single-source flow peels
 back into per-pair flows, so the optimum equals that of the per-pair
 arc LP while the LP has ``k_src * 2m + 1`` columns (``k_src`` demanded
 sources, one column per source and arc, plus ``z``) instead of
-``k_pairs * 2m + 1``.  It is assembled with vectorized index arithmetic
-and solved with ``scipy.optimize.linprog`` (HiGHS).
+``k_pairs * 2m + 1``.  It is assembled column-wise with vectorized
+index arithmetic and solved by the one HiGHS driver both congestion LPs
+share (:mod:`repro.mcf.highs`); the optimum is bit-identical to
+``linprog(method="highs")`` on the same model stacked as
+``A_ub``/``A_eq``, which the tests keep as the oracle.
 
 With ``return_routing=True`` each source's flow is turned into a
 :class:`~repro.core.routing.Routing`: antiparallel arc flow is
@@ -33,17 +36,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-try:
-    from scipy import sparse
-    from scipy.optimize import linprog
-except ImportError:  # pragma: no cover - scipy ships via the [lp] extra
-    sparse = None
-    linprog = None
-
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.exceptions import InfeasibleError, SolverError
 from repro.graphs.network import Network, Path, Vertex
+from repro.mcf import highs
 from repro.obs import trace_span
 
 # Flow below this share of a source's supply is LP noise, not support.
@@ -97,58 +93,34 @@ def min_congestion_lp(
         When True, decompose each source's optimal flow into per-pair
         path distributions and return them as a :class:`Routing`.
     """
-    if linprog is None:
-        raise SolverError(
-            "scipy is required for LP solving; install the 'lp' extra "
-            "(pip install repro-semi-oblivious-routing[lp])"
-        )
     commodities = [(pair, amount) for pair, amount in demand.items() if amount > 0]
     if not commodities:
         return MinCongestionResult(congestion=0.0, routing=None)
 
-    edges = network.edges
-    m = len(edges)
+    edges, m = network.edges, network.num_edges
     index = network.vertex_index
     tails = np.array([index(u) for u, _ in edges], dtype=np.int64)
     heads = np.array([index(v) for _, v in edges], dtype=np.int64)
-    capacity = np.array([network.capacity_of(edge) for edge in edges], dtype=float)
-    source_row: Dict[Vertex, int] = {}
-    for (source, _), _ in commodities:
-        source_row.setdefault(source, len(source_row))
+    capacity = network.capacities
+    sources = dict.fromkeys(source for (source, _), _ in commodities)  # first-seen order
+    source_row: Dict[Vertex, int] = {source: row for row, source in enumerate(sources)}
     k = len(source_row)
-    num_vars = k * 2 * m + 1  # + z
 
     with trace_span("mcf.lp") as span:
         with trace_span("mcf.lp_setup"):
-            a_eq, b_eq, a_ub = _source_flow_system(
+            model, rhs = _source_flow_model(
                 network, commodities, source_row, tails, heads, capacity
             )
-        span.add("columns", num_vars)
-        span.add("rows", a_eq.shape[0] + a_ub.shape[0])
-        span.add("nnz", a_eq.nnz + a_ub.nnz)
+        span.add("columns", len(model[0]))
+        span.add("rows", m + len(rhs))
+        span.add("nnz", len(model[2]))
         span.add("sources", k)
         span.add("pairs", len(commodities))
-
-        cost = np.zeros(num_vars)
-        cost[-1] = 1.0
         with trace_span("mcf.lp_solve"):
-            result = linprog(
-                cost,
-                A_ub=a_ub,
-                b_ub=np.zeros(m),
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=(0, None),
-                method="highs",
-            )
-        span.add("iterations", int(result.nit))
-    if result.status == 2:
-        raise InfeasibleError("min-congestion LP is infeasible (disconnected demand?)")
-    if not result.success:
-        raise SolverError(f"min-congestion LP failed: {result.message}")
+            solution = highs.solve(*model, m, rhs, "min-congestion LP")
+        span.add("iterations", solution.iterations)
 
-    congestion = float(result.x[-1])
-    flows = result.x[:-1].reshape(k, m, 2)  # (source, edge, direction u->v / v->u)
+    flows = solution.x[:-1].reshape(k, m, 2)  # (source, edge, direction u->v / v->u)
     utilization = flows.sum(axis=(0, 2)) / capacity
 
     routing = None
@@ -157,47 +129,39 @@ def min_congestion_lp(
         routing = _peel_routing(network, commodities, source_row, net_flow, tails, heads)
 
     return MinCongestionResult(
-        congestion=congestion, routing=routing, network=network, utilization=utilization
+        congestion=float(solution.x[-1]), routing=routing, network=network,
+        utilization=utilization,
     )
 
 
-def _source_flow_system(network, commodities, source_row, tails, heads, capacity):
-    """Flow conservation (eq) per source and vertex, capacity coupling (ub) per edge.
+def _source_flow_model(network, commodities, source_row, tails, heads, capacity):
+    """The column-wise model and the conservation right-hand side.
 
     Column ``c * 2m + 2e`` is source ``c``'s flow on edge ``e`` in its
-    stored direction, ``c * 2m + 2e + 1`` the reverse; the last column is ``z``.
+    stored direction, ``c * 2m + 2e + 1`` the reverse; it holds its edge's
+    capacity row ``e``, then its tail's (+1) and head's (-1) conservation
+    rows ``m + c * n + vertex``, in ascending row order.  The last column
+    is ``z``, holding ``-c`` on the edge rows.
     """
-    n = network.num_vertices
-    m = len(tails)
-    k = len(source_row)
-    arc_tail = np.empty(2 * m, dtype=np.int64)
-    arc_head = np.empty(2 * m, dtype=np.int64)
-    arc_tail[0::2], arc_tail[1::2] = tails, heads
-    arc_head[0::2], arc_head[1::2] = heads, tails
+    n, m, k = network.num_vertices, len(tails), len(source_row)
+    low, high = np.minimum(tails, heads), np.maximum(tails, heads)
+    # Arc 2e runs tail -> head, arc 2e + 1 back: +1 on its tail's row, -1 on its head's.
+    on_low = np.stack([np.where(tails < heads, 1.0, -1.0)] * 2, axis=1) * [1.0, -1.0]
+    arc_rows = np.repeat(np.stack([np.arange(m), m + low, m + high], axis=1), 2, axis=0)
+    arc_values = np.stack([np.ones(2 * m), on_low.ravel(), -on_low.ravel()], axis=1)
+    shift = np.multiply.outer(np.arange(k) * n, [0, 1, 1])[:, None, :]
+    index = np.concatenate([(arc_rows + shift).ravel(), np.arange(m)]).astype(np.int32)
+    value = np.concatenate([np.tile(arc_values.ravel(), k), -capacity])
+    start = np.arange(0, 3 * k * 2 * m + 1, 3, dtype=np.int32)
 
-    columns = np.arange(k * 2 * m)
-    row_base = (columns // (2 * m)) * n
-    arc = columns % (2 * m)
-    eq_rows = np.concatenate([row_base + arc_tail[arc], row_base + arc_head[arc]])
-    eq_values = np.concatenate([np.ones(columns.size), -np.ones(columns.size)])
-    a_eq = sparse.csr_matrix(
-        (eq_values, (eq_rows, np.concatenate([columns, columns]))), shape=(k * n, k * 2 * m + 1)
-    )
-
-    index = network.vertex_index
+    index_of = network.vertex_index
     rows = np.array([source_row[source] for (source, _), _ in commodities], dtype=np.int64) * n
+    ends = np.array([[index_of(s), index_of(t)] for (s, t), _ in commodities], dtype=np.int64)
     amounts = np.array([amount for _, amount in commodities], dtype=float)
-    targets = np.array([index(target) for (_, target), _ in commodities], dtype=np.int64)
-    sources = np.array([index(source) for (source, _), _ in commodities], dtype=np.int64)
-    b_eq = np.zeros(k * n)
-    np.add.at(b_eq, rows + sources, amounts)
-    np.add.at(b_eq, rows + targets, -amounts)
-
-    ub_rows = np.concatenate([arc // 2, np.arange(m)])
-    ub_columns = np.concatenate([columns, np.full(m, k * 2 * m)])
-    ub_values = np.concatenate([np.ones(columns.size), -capacity])
-    a_ub = sparse.csr_matrix((ub_values, (ub_rows, ub_columns)), shape=(m, k * 2 * m + 1))
-    return a_eq, b_eq, a_ub
+    rhs = np.zeros(k * n)
+    np.add.at(rhs, rows + ends[:, 0], amounts)
+    np.add.at(rhs, rows + ends[:, 1], -amounts)
+    return (start, index, value), rhs
 
 
 def _peel_routing(network, commodities, source_row, net_flow, tails, heads) -> Routing:

@@ -14,48 +14,35 @@ candidate path) plus the congestion variable ``z``.
 
 Each :class:`~repro.core.path_system.PathSystem` caches a
 :class:`RateLP` (:meth:`PathSystem.rate_lp
-<repro.core.path_system.PathSystem.rate_lp>`): the matrix over every
-installed path, in HiGHS's column-wise form.  A demand is solved cold,
-with presolve, over the demanded pairs' columns only.
+<repro.core.path_system.PathSystem.rate_lp>`): the column-wise matrix
+over every installed path, solved through :mod:`repro.mcf.highs`, the
+one HiGHS driver the normalizer shares.  A demand is solved cold, with
+presolve, over the demanded pairs' columns only.
 
-Between two demands over one installed system only the demanded
-amounts change, and they are the right-hand side of the LP's equality
-rows.  A router that installs a system for many demands therefore calls
-:func:`warm_start` (the engine's semi-oblivious router does), which
-solves the system's **reference basis**: the optimal basis for the
-uniform demand (1 on every installed pair).
+Only the demanded amounts, the right-hand side of the pair rows, change
+between two demands over one installed system.  A router that installs
+a system for many demands therefore calls :func:`warm_start` (the
+engine's semi-oblivious router does), which solves the system's
+**reference basis**: the optimal basis for the uniform demand.
 
 * A demand on **every** installed pair is first re-solved from that
-  basis.  The cost vector and the matrix never change, so the basis
-  stays dual-feasible for every right-hand side and dual simplex only
-  repairs primal feasibility: a median 17 iterations instead of ~700
-  cold on ``adapt-isp``.
+  basis, which stays dual-feasible for every right-hand side: a median
+  17 dual simplex iterations instead of ~700 cold on ``adapt-isp``.
 * Where the basis is far from the demand (torus and hypercube gravity
-  demands need 120-2500 iterations from it, each dearer than a cold
-  iteration after presolve), the attempt stops after
-  :data:`WARM_ITERATIONS` and the demand is solved cold.
+  demands), the attempt stops after :data:`WARM_ITERATIONS` and the
+  demand is solved cold.
 * A demand that leaves an installed pair out is solved cold: its zero
-  right-hand side rows serve the uniform basis badly (a permutation
-  over an all-pairs install of a torus took 40-160× longer from it).
+  right-hand side rows serve the uniform basis badly.
 * Every model is fresh and its start depends only on the system, so the
   result depends only on (system, demand), never on which demands were
-  solved before, nor on the worker or executor that solves it.  The
-  reference basis pickles with the system.
-* A system solved once (a failure survivor, a system built for one
-  experiment) is never warm-started, so it pays no reference solve.
+  solved before or where.  The reference basis pickles with the system;
+  a system never warm-started pays no reference solve.
 
-The demand enters as one right-hand-side vector, mapped onto the
-installed pairs in a single pass (a demanded pair with no candidate path
-raises :class:`InfeasibleError`).  The result keeps the optimal flow of
-every installed path and the demanded pairs' indices; only ``congestion``
-is computed eagerly.  :attr:`PathLPResult.routing` (one distribution per
-demanded pair, in the demand's order) and
-:attr:`PathLPResult.edge_congestions` are built from those arrays on first
-read and cached: an online router that reads only the congestion never
-builds them, which on ``adapt-isp`` was about a third of each route.
-The models go to the HiGHS binding that scipy bundles
-(``scipy.optimize._highspy``, scipy >= 1.15) with default options, bar
-the warm attempt's iteration cap.
+A demanded pair with no candidate path raises :class:`InfeasibleError`.
+The result keeps the optimal flow of every installed path and the
+demanded pairs' indices; :attr:`PathLPResult.routing` and
+:attr:`PathLPResult.edge_congestions` are built from them on first read,
+so a router that reads only the congestion never builds them.
 """
 
 from __future__ import annotations
@@ -66,27 +53,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-try:
-    import scipy
-except ImportError:  # pragma: no cover - scipy ships via the [lp] extra
-    scipy = None
-try:
-    from scipy.optimize._highspy import _core as highs
-except ImportError:  # pragma: no cover - bundled since scipy 1.15
-    highs = None
-# The binding is private to scipy: one that lacks a member used here counts as missing.
-_HIGHS_MEMBERS = (
-    "_Highs", "HighsBasis", "HighsBasisStatus", "HighsModelStatus", "MatrixFormat", "ObjSense",
-    "kHighsInf",
-)
-if highs is not None and not all(hasattr(highs, name) for name in _HIGHS_MEMBERS):
-    highs = None  # pragma: no cover
-
 from repro.core.path_system import PathIncidence, PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.exceptions import InfeasibleError, SolverError
+from repro.exceptions import InfeasibleError
 from repro.graphs.network import Network, Vertex
+from repro.mcf import highs
 from repro.obs import trace_span
 
 #: Dual simplex iterations a re-solve from the reference basis may take
@@ -181,18 +153,12 @@ class RateLP:
         pair_starts = np.array([start for start, _ in incidence.slices.values()], dtype=np.int64)
         paths_per_pair = np.diff(np.append(pair_starts, num_paths))
         # Path column j holds its edge rows, then its pair row; z holds every edge row.
-        start = np.zeros(num_paths + 1, dtype=np.int32)
-        np.cumsum(hops + 1, out=start[1:])
-        paths_nnz = int(start[-1])
-        index = np.empty(paths_nnz + m, dtype=np.int32)
-        pair_slots = start[1:] - 1
-        edge_slots = np.ones(paths_nnz, dtype=bool)
-        edge_slots[pair_slots] = False
-        index[:paths_nnz][edge_slots] = incidence.edge_ids
-        index[pair_slots] = m + np.repeat(np.arange(len(pair_starts)), paths_per_pair)
-        index[paths_nnz:] = np.arange(m)
-        value = np.ones(paths_nnz + m)
-        value[paths_nnz:] = -capacity
+        start = (incidence.indptr + np.arange(num_paths + 1)).astype(np.int32)
+        pair_rows = m + np.repeat(np.arange(len(pair_starts)), paths_per_pair)
+        index = np.concatenate([
+            np.insert(incidence.edge_ids, incidence.indptr[1:], pair_rows), np.arange(m),
+        ]).astype(np.int32)
+        value = np.concatenate([np.ones(len(index) - m), -capacity])
 
         self.hops = hops
         self.pair_starts = pair_starts
@@ -215,55 +181,11 @@ class RateLP:
         """The reference basis as column and row status codes, solved on first call."""
         if self._reference is None:
             with trace_span("mcf.path_lp_reference") as span:
-                solver = self._run(
-                    self._start, self._index, self._value, np.ones(len(self.pair_index))
-                )
-                span.add("iterations", solver.getInfo().simplex_iteration_count)
-            basis = solver.getBasis()
-            self._reference = (
-                np.array([int(status) for status in basis.col_status], dtype=np.int8),
-                np.array([int(status) for status in basis.row_status], dtype=np.int8),
-            )
+                model, uniform = (self._start, self._index, self._value), np.ones(len(self.pairs))
+                solution = highs.solve(*model, self.num_edges, uniform, "path LP")
+                span.add("iterations", solution.iterations)
+            self._reference = solution.basis_codes()
         return self._reference
-
-    def _reference_basis(self) -> "highs.HighsBasis":
-        if self._basis is None:
-            columns, rows = self._reference
-            self._basis = highs.HighsBasis()
-            self._basis.col_status = [highs.HighsBasisStatus(int(code)) for code in columns]
-            self._basis.row_status = [highs.HighsBasisStatus(int(code)) for code in rows]
-            self._basis.valid = True
-            self._basis.alien = False
-        return self._basis
-
-    def _run(self, start, index, value, amounts, basis=None) -> Optional["highs._Highs"]:
-        """Solve one model; ``None`` when the attempt from ``basis`` hits its cap."""
-        num_cols, m = len(start), self.num_edges
-        cost = np.zeros(num_cols)
-        cost[-1] = 1.0
-        solver = highs._Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.passModel(
-            num_cols, m + len(amounts), len(value),
-            int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
-            cost, np.zeros(num_cols), np.full(num_cols, highs.kHighsInf),
-            np.concatenate([np.full(m, -highs.kHighsInf), amounts]),
-            np.concatenate([np.zeros(m), amounts]),
-            # The array form of passModel takes an integrality vector: all continuous.
-            start, index, value, np.zeros(num_cols, dtype=np.int32),
-        )
-        if basis is not None:
-            solver.setOptionValue("simplex_iteration_limit", WARM_ITERATIONS)
-            solver.setBasis(basis)
-        solver.run()
-        status = solver.getModelStatus()
-        if basis is not None and status == highs.HighsModelStatus.kIterationLimit:
-            return None
-        if status == highs.HighsModelStatus.kInfeasible:
-            raise InfeasibleError("path LP infeasible")
-        if status != highs.HighsModelStatus.kOptimal:
-            raise SolverError(f"path LP failed: {solver.modelStatusToString(status)}")
-        return solver
 
     def _demanded_columns(self, demanded: np.ndarray):
         """The installed paths of the demanded pairs, and the model over only them."""
@@ -287,43 +209,29 @@ class RateLP:
         ``warm`` (1 when the reference basis gave the answer).
         """
         demanded = amounts > 0
-        columns, model = None, (self._start, self._index, self._value)
-        solver, iterations = None, 0
+        columns, model, m = slice(None), (self._start, self._index, self._value), self.num_edges
+        solution, iterations = None, 0
         if demanded.all() and self._reference is not None:
-            solver = self._run(*model, amounts, basis=self._reference_basis())
-            iterations = 0 if solver is not None else WARM_ITERATIONS
-        warm = solver is not None
+            if self._basis is None:
+                self._basis = highs.basis_from_codes(self._reference)
+            solution = highs.solve(*model, m, amounts, "path LP", self._basis, WARM_ITERATIONS)
+            iterations = 0 if solution is not None else WARM_ITERATIONS
+        warm = solution is not None
         if not demanded.all():
             columns, model = self._demanded_columns(demanded)
             amounts = amounts[demanded]
-        if solver is None:
-            solver = self._run(*model, amounts)
-        solution = np.asarray(solver.getSolution().col_value)
-        if columns is None:
-            flows = solution[:-1]
-        else:
-            flows = np.zeros(len(self.hops))
-            flows[columns] = solution[:-1]
+        if solution is None:
+            solution = highs.solve(*model, m, amounts, "path LP")
+        flows = np.zeros(len(self.hops))
+        flows[columns] = solution.x[:-1]
         counters = {
-            "rows": self.num_edges + int(demanded.sum()),
+            "rows": m + int(demanded.sum()),
             "cols": len(model[0]),
             "nnz": len(model[2]),
-            "iterations": iterations + solver.getInfo().simplex_iteration_count,
+            "iterations": iterations + solution.iterations,
             "warm": int(warm),
         }
-        return flows, float(solution[-1]), counters
-
-
-def rate_lp(system: PathSystem) -> RateLP:
-    """The cached :class:`RateLP` of ``system``."""
-    if highs is None:
-        found = "none" if scipy is None else scipy.__version__
-        raise SolverError(
-            "the path LP needs the HiGHS binding bundled with scipy >= 1.15 "
-            f"(found scipy {found}); install the 'lp' extra "
-            "(pip install repro-semi-oblivious-routing[lp])"
-        )
-    return system.rate_lp(RateLP)
+        return flows, float(solution.x[-1]), counters
 
 
 def warm_start(system: PathSystem) -> None:
@@ -333,7 +241,7 @@ def warm_start(system: PathSystem) -> None:
     on every installed pair is first re-solved from the basis.  Calling
     it again is free; ``add_path`` drops the basis with the rest of the LP.
     """
-    rate_lp(system).reference()
+    system.rate_lp(RateLP).reference()
 
 
 def min_congestion_on_paths(system: PathSystem, demand: Demand) -> PathLPResult:
@@ -352,7 +260,7 @@ def min_congestion_on_paths(system: PathSystem, demand: Demand) -> PathLPResult:
         return PathLPResult(congestion=0.0)
 
     with trace_span("mcf.path_lp") as span:
-        lp = rate_lp(system)
+        lp = system.rate_lp(RateLP)
         with trace_span("mcf.path_lp_setup"):
             order, amounts = _right_hand_side(lp, demand)
         with trace_span("mcf.path_lp_solve"):
@@ -388,6 +296,6 @@ def _right_hand_side(lp: RateLP, demand: Demand) -> Tuple[np.ndarray, np.ndarray
 
 
 __all__ = [
-    "min_congestion_on_paths", "PathLPResult", "RateLP", "rate_lp", "warm_start",
+    "min_congestion_on_paths", "PathLPResult", "RateLP", "warm_start",
     "WARM_ITERATIONS",
 ]

@@ -24,8 +24,8 @@ Lifecycle contract
 * Segment names embed the owning pid (``repro_shm_<pid>_<seq>``), so
   debris from a SIGKILLed parent is identifiable:
   :func:`cleanup_stale_segments` removes segments whose owner is dead,
-  and :func:`live_segments` lets tests and the bench assert that a
-  finished sweep left zero segments behind.
+  and :func:`live_segments` (:func:`owned_segments`: one process tree's)
+  let tests and the bench assert that a finished sweep left none behind.
 """
 
 from __future__ import annotations
@@ -174,6 +174,22 @@ def live_segments() -> List[str]:
     )
 
 
+def owned_segments(root_pid: int) -> List[str]:
+    """Present segments owned by ``root_pid`` or a live descendant, not another process tree."""
+    owned = []
+    for name in live_segments():
+        pid = _owner_pid(name)
+        while pid > 0 and pid != root_pid:  # walk up the parents /proc reports
+            try:  # "pid (comm) state ppid ...": comm may hold spaces and parens
+                with open(f"/proc/{pid}/stat") as stat:
+                    pid = int(stat.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, ValueError, IndexError):
+                pid = -1
+        if pid == root_pid:
+            owned.append(name)
+    return owned
+
+
 def cleanup_stale_segments() -> List[str]:
     """Unlink segments whose owning process is dead; return their names.
 
@@ -200,5 +216,6 @@ __all__ = [
     "attach_arrays",
     "release_parent_segments",
     "live_segments",
+    "owned_segments",
     "cleanup_stale_segments",
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,15 @@ def no_leaked_shm_segments():
 
     Dead-owner debris (e.g. from the SIGKILL harness in
     ``test_sweep_resume``) is swept first — only segments whose owning
-    process is still alive count as leaks.
+    process is still alive count as leaks, and only those owned by this
+    session's process or its descendants: another session's sweeps on
+    the same machine are not this one's leaks.
     """
     yield
-    from repro.scenarios.shm import cleanup_stale_segments, live_segments
+    from repro.scenarios.shm import cleanup_stale_segments, owned_segments
 
     cleanup_stale_segments()
-    leaked = live_segments()
+    leaked = owned_segments(os.getpid())
     assert not leaked, f"sweep executor leaked shared-memory segments: {leaked}"
 
 

@@ -207,6 +207,24 @@ def test_optimal_router_matches_lp(cube3):
     assert result.ratio == pytest.approx(1.0)
 
 
+def test_optimal_router_without_a_context_solves_through_the_memo(cube3):
+    from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
+
+    router = build_router("optimal", cube3)
+    router.install()
+    demand = Demand({(0, 7): 4.0, (1, 6): 1.0})
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        first = router.route(demand).congestion
+        second = router.route(Demand({(0, 7): 4.0, (1, 6): 1.0})).congestion
+    finally:
+        uninstall_tracer()
+    assert first == second == min_congestion_lp(cube3, demand).congestion
+    names = [record["name"] for record in span_records(tracer.records)]
+    assert names.count("mcf.optimal_solve") == 1  # the second route is a memo hit
+    assert names.count("mcf.lp") == 1
+
+
 def test_alpha_plus_cut_spec(cube3):
     router = build_router("semi-oblivious(racke, alpha=1, cut=true)", cube3, rng=0)
     router.install(pairs=[(0, 7)])

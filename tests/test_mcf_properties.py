@@ -1,12 +1,15 @@
 """Cross-checks of the two LPs behind the competitive ratio.
 
 The normalizer (:func:`repro.mcf.lp.min_congestion_lp`) aggregates
-commodities by source; the per-pair arc LP below is its oracle.  The
-path LP over *every* simple path must reach the same optimum, and the
-ratio every scheme reports passes through
-:func:`repro.core.competitive.congestion_ratio`, which refuses a routing
-that beats the optimum.  On one installed system, the rates the path LP
-adapts congest no more than any fixed split over the same paths.
+commodities by source; the per-pair arc LP below is its oracle.  It
+drives HiGHS through :mod:`repro.mcf.highs`, and ``linprog`` on the same
+model, stacked as ``A_ub``/``A_eq``, must return the same ``z`` and
+utilization bit for bit.  The path LP over *every* simple path must
+reach the same optimum, and the ratio every scheme reports passes
+through :func:`repro.core.competitive.congestion_ratio`, which refuses
+a routing that beats the optimum.  On one installed system, the rates
+the path LP adapts congest no more than any fixed split over the same
+paths.
 
 The multiplicative-weights approximation is checked against the same
 LP: its routing carries the whole demand and its congestion never reads
@@ -41,7 +44,7 @@ from repro.exceptions import SolverError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
 from repro.mcf.mwu import approximate_min_congestion
-from repro.mcf import path_lp
+from repro.mcf import highs, path_lp
 from repro.mcf.path_lp import min_congestion_on_paths
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
 
@@ -85,6 +88,53 @@ def per_pair_optimum(network: Network, demand: Demand) -> float:
     )
     assert result.success, result.message
     return float(result.x[-1])
+
+
+def source_aggregated_linprog(network: Network, demand: Demand):
+    """The normalizer's model, stacked as ``A_ub``/``A_eq`` and solved by ``linprog``.
+
+    Returns ``z`` and the per-edge utilization, computed as the
+    normalizer computes them from the primal vector.
+    """
+    commodities = [(pair, amount) for pair, amount in demand.items() if amount > 0]
+    sources = list(dict.fromkeys(source for (source, _), _ in commodities))
+    n, edges = network.num_vertices, network.edges
+    m, k = len(edges), len(sources)
+    num_vars = k * 2 * m + 1
+    eq_rows, eq_cols, eq_vals = [], [], []
+    b_eq = np.zeros(k * n)
+    for (source, target), amount in commodities:
+        row = sources.index(source) * n
+        b_eq[row + network.vertex_index(source)] += amount
+        b_eq[row + network.vertex_index(target)] -= amount
+    ub_rows, ub_cols, ub_vals = [], [], []
+    for c in range(k):
+        for e, (u, v) in enumerate(edges):
+            for a, (tail, head) in enumerate(((u, v), (v, u))):
+                column = c * 2 * m + 2 * e + a
+                eq_rows += [c * n + network.vertex_index(tail), c * n + network.vertex_index(head)]
+                eq_cols += [column, column]
+                eq_vals += [1.0, -1.0]
+                ub_rows.append(e)
+                ub_cols.append(column)
+                ub_vals.append(1.0)
+    ub_rows += range(m)
+    ub_cols += [num_vars - 1] * m
+    ub_vals += [-network.capacity_of(edge) for edge in edges]
+    cost = np.zeros(num_vars)
+    cost[-1] = 1.0
+    result = linprog(
+        cost,
+        A_ub=sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(m, num_vars)),
+        b_ub=np.zeros(m),
+        A_eq=sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(k * n, num_vars)),
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.success, result.message
+    utilization = result.x[:-1].reshape(k, m, 2).sum(axis=(0, 2)) / network.capacities
+    return float(result.x[-1]), utilization
 
 
 def column_selected_optimum(system: PathSystem, demand: Demand) -> float:
@@ -211,6 +261,16 @@ def test_source_aggregated_optimum_equals_per_pair_oracle(instance):
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
+def test_normalizer_is_bit_identical_to_linprog_on_the_stacked_model(instance):
+    network, demand = instance
+    result = min_congestion_lp(network, demand)
+    congestion, utilization = source_aggregated_linprog(network, demand)
+    assert result.congestion == congestion
+    assert result.utilization.tobytes() == utilization.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
 def test_peeled_routing_is_valid_and_optimal(instance):
     network, demand = instance
     result = min_congestion_lp(network, demand, return_routing=True)
@@ -324,11 +384,15 @@ def test_adapted_rates_congest_no_more_than_any_fixed_split(instance, data):
 
 
 def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypatch):
-    monkeypatch.setattr(path_lp, "highs", None)
+    monkeypatch.setattr(highs, "highs", None)
     system = PathSystem(cube3)
     system.add_path(0, 1, (0, 1))
-    with pytest.raises(SolverError, match=r"scipy >= 1\.15"):
-        min_congestion_on_paths(system, Demand({(0, 1): 1.0}))
+    demand = Demand({(0, 1): 1.0})
+    with pytest.raises(SolverError, match=r"scipy >= 1\.15") as path_error:
+        min_congestion_on_paths(system, demand)
+    with pytest.raises(SolverError, match=r"scipy >= 1\.15") as normalizer_error:
+        min_congestion_lp(cube3, demand)
+    assert str(normalizer_error.value) == str(path_error.value)
 
 
 def test_path_added_after_a_route_is_used_by_the_next(cycle5):

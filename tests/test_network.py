@@ -196,6 +196,19 @@ def test_congestion_respects_capacities():
     assert net.congestion([((1, 2), 2.0)]) == pytest.approx(2.0)
 
 
+def test_capacities_array_is_read_only_in_edge_order():
+    import pickle
+
+    net = Network.from_edges([(0, 1), (1, 2), (2, 0)], capacities={(1, 2): 3.5, (2, 0): 0.5})
+    expected = [net.capacity_of(edge) for edge in net.edges]
+    for network in (net, pickle.loads(pickle.dumps(net))):
+        assert network.capacities.tolist() == expected
+        assert network.capacities.dtype == float
+        with pytest.raises(ValueError):
+            network.capacities[0] = 9.0
+    assert net.capacities is net.capacities  # built once
+
+
 def test_from_edges_merges_duplicates():
     net = Network.from_edges([(0, 1), (0, 1), (1, 2)])
     assert net.capacity(0, 1) == pytest.approx(2.0)

@@ -288,3 +288,28 @@ def test_stale_segment_cleanup_never_touches_live_owners():
         live.close()
         live.unlink()
     assert live.name.lstrip("/") not in live_segments()
+
+
+def test_owned_segments_count_only_this_process_tree():
+    # A live process outside this tree (pid 1) owns none of this session's
+    # segments; this process and a live child do.
+    from multiprocessing import shared_memory
+
+    from repro.scenarios.shm import SEGMENT_PREFIX, owned_segments
+
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    segments = [
+        shared_memory.SharedMemory(create=True, size=64, name=f"{SEGMENT_PREFIX}{pid}_owner_probe")
+        for pid in (1, os.getpid(), child.pid)
+    ]
+    try:
+        owned = owned_segments(os.getpid())
+        assert f"{SEGMENT_PREFIX}1_owner_probe" not in owned
+        assert f"{SEGMENT_PREFIX}{os.getpid()}_owner_probe" in owned
+        assert f"{SEGMENT_PREFIX}{child.pid}_owner_probe" in owned
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        for segment in segments:
+            segment.close()
+            segment.unlink()
