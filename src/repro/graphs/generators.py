@@ -20,14 +20,6 @@ from repro.graphs.network import Network
 from repro.utils.rng import RngLike, ensure_rng
 
 
-def _largest_connected(graph: nx.Graph) -> nx.Graph:
-    components = list(nx.connected_components(graph))
-    if not components:
-        raise GraphError("generated graph has no vertices")
-    biggest = max(components, key=len)
-    return graph.subgraph(biggest).copy()
-
-
 def waxman_isp(
     n: int,
     alpha: float = 0.4,

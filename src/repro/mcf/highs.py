@@ -7,11 +7,19 @@ equal to the demand after.  Callers pass the matrix column-wise, row
 indices ascending within a column; it goes to the HiGHS binding scipy
 bundles (scipy >= 1.15) as ``linprog(method="highs")`` would pass it,
 with default options bar ``output_flag`` and a warm attempt's cap.
+
+:func:`solve` passes a fresh model and solves it cold, with presolve.
+A :class:`Model` keeps one model across warm re-solves whose right-hand
+side changes: each demand row gets a fixed-bound **supply column**, so
+a new right-hand side is one vectorized column-bounds change.  Both map
+the solver's status the same way (:func:`_outcome`).
 """
 
 from __future__ import annotations
 
+import operator
 import sys
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,10 +29,20 @@ try:
 except ImportError:  # pragma: no cover - scipy ships via the [lp] extra, the binding since 1.15
     highs = None
 # The binding is private to scipy: one that lacks a member used here counts as missing.
-_HIGHS_MEMBERS = ("_Highs", "HighsBasis", "HighsBasisStatus", "HighsModelStatus", "MatrixFormat",
-                  "ObjSense", "kHighsInf")
-if highs is not None and not all(hasattr(highs, name) for name in _HIGHS_MEMBERS):
-    highs = None  # pragma: no cover
+_HIGHS_MEMBERS = ("_Highs", "_Highs.changeColsBounds", "_Highs.clearSolver", "HighsBasis",
+                  "HighsBasisStatus", "HighsModelStatus", "MatrixFormat", "ObjSense", "kHighsInf")
+
+
+def checked(binding):
+    """``binding`` when it has every member in :data:`_HIGHS_MEMBERS`, else ``None``."""
+    try:
+        operator.attrgetter(*_HIGHS_MEMBERS)(binding)
+    except AttributeError:
+        return None
+    return binding
+
+
+highs = checked(highs)
 
 from repro.exceptions import InfeasibleError, SolverError
 
@@ -32,18 +50,25 @@ from repro.exceptions import InfeasibleError, SolverError
 class Solution:
     """An optimal solve: column values ``x`` (``z`` last) and simplex ``iterations``."""
 
-    def __init__(self, solver: "highs._Highs") -> None:
-        self.x = np.asarray(solver.getSolution().col_value)
+    def __init__(self, solver: "highs._Highs", num_cols: int) -> None:
+        self.x = np.asarray(solver.getSolution().col_value)[:num_cols]
         self.iterations = solver.getInfo().simplex_iteration_count
         self._solver = solver
 
-    def basis_codes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The optimal basis as column and row ``HighsBasisStatus`` codes."""
+    def basis_codes(self, supply: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The optimal basis as column and row ``HighsBasisStatus`` codes.
+
+        ``supply`` appends the codes of a :class:`Model`'s supply columns
+        for this model's right-hand side: nonbasic at their fixed value,
+        they leave the basis optimal for the model with them.
+        """
         basis = self._solver.getBasis()
-        return tuple(
+        cols, rows = (
             np.array([int(code) for code in codes], dtype=np.int8)
             for codes in (basis.col_status, basis.row_status)
         )
+        lower = np.full(supply, int(highs.HighsBasisStatus.kLower), dtype=np.int8)
+        return np.concatenate([cols, lower]), rows
 
 
 def basis_from_codes(codes: Tuple[np.ndarray, np.ndarray]) -> "highs.HighsBasis":
@@ -56,45 +81,102 @@ def basis_from_codes(codes: Tuple[np.ndarray, np.ndarray]) -> "highs.HighsBasis"
     return basis
 
 
-def solve(start, index, value, num_edges, rhs, what, basis=None, cap=0) -> Optional[Solution]:
-    """Minimize ``z`` over the model; ``None`` when the attempt from ``basis`` hits ``cap``.
+def solve(start, index, value, num_edges, rhs, what) -> Solution:
+    """Minimize ``z`` over a fresh model, cold with presolve.
 
     ``start`` holds each column's first offset into ``index``/``value``
     (one entry per column); the ``num_edges`` edge rows come first, then
     one row per ``rhs`` entry.  ``what`` names the LP in errors.
     """
+    solver = _load(start, index, value, num_edges, rhs, supply=False)
+    solver.run()
+    return _outcome(solver, len(start), what)
+
+
+class Model:
+    """The model of :func:`solve`, kept across solves of different right-hand sides.
+
+    Each of the ``num_rows`` rows after the edges is bounded ``[0, 0]``:
+    row ``num_edges + i`` gets supply column ``len(start) + i``,
+    coefficient ``-1`` on that row, both bounds at ``rhs[i]`` of the
+    solve.  The binding changes column bounds in one vectorized call
+    but row bounds only one at a time, so a new ``rhs`` moves the supply
+    columns.  Every solve clears the solver's state first: the answer
+    depends on the model, ``rhs`` and the start basis only, never on the
+    solves before.  Solves from several threads run one at a time.  The
+    model does not pickle; its basis codes do.
+    """
+
+    def __init__(self, start, index, value, num_edges, num_rows, what) -> None:
+        self._solver = _load(start, index, value, num_edges, np.zeros(num_rows), supply=True)
+        self._num_cols = len(start)
+        self._supply = np.arange(len(start), len(start) + num_rows, dtype=np.int32)
+        self._what = what
+        self._codes = self._basis = None
+        self._lock = threading.Lock()
+
+    def solve(self, rhs, codes, cap) -> Optional[Solution]:
+        """Minimize ``z`` for ``rhs`` from basis ``codes``; ``None`` when that takes over ``cap``.
+
+        ``codes`` cover every column, supply columns included
+        (:meth:`Solution.basis_codes` with ``supply``).
+        """
+        solver = self._solver
+        # One solve at a time: concurrent calls into one solver crash the process.
+        with self._lock:
+            if codes is not self._codes:
+                self._codes, self._basis = codes, basis_from_codes(codes)
+            solver.changeColsBounds(len(self._supply), self._supply, rhs, rhs)
+            solver.clearSolver()
+            solver.setOptionValue("simplex_iteration_limit", cap)
+            solver.setBasis(self._basis)
+            solver.run()
+            return _outcome(solver, self._num_cols, self._what)
+
+
+def _load(start, index, value, num_edges, rhs, supply: bool) -> "highs._Highs":
+    """A solver holding the model, with supply columns for the ``rhs`` rows if ``supply``."""
     if highs is None:
         raise SolverError(
             "the congestion LPs need the HiGHS binding bundled with scipy >= 1.15 (found scipy "
             f"{getattr(sys.modules.get('scipy'), '__version__', 'none')}); install the 'lp' extra "
             "(pip install repro-semi-oblivious-routing[lp])"
         )
-    num_cols = len(start)
+    num_cols, num_rows, inf = len(start), num_edges + len(rhs), highs.kHighsInf
     cost = np.zeros(num_cols)
     cost[-1] = 1.0
+    col_lower, col_upper = np.zeros(num_cols), np.full(num_cols, inf)
+    row_lower = np.concatenate([np.full(num_edges, -inf), rhs])
+    row_upper = np.concatenate([np.zeros(num_edges), rhs])
+    if supply:
+        start = np.concatenate([start, len(value) + np.arange(len(rhs))]).astype(np.int32)
+        index = np.concatenate([index, np.arange(num_edges, num_rows)]).astype(np.int32)
+        value = np.concatenate([value, np.full(len(rhs), -1.0)])
+        cost = np.concatenate([cost, np.zeros(len(rhs))])
+        col_lower, col_upper = np.concatenate([col_lower, rhs]), np.concatenate([col_upper, rhs])
+        row_lower[num_edges:] = row_upper[num_edges:] = 0.0
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.passModel(
-        num_cols, num_edges + len(rhs), len(value),
+        len(start), num_rows, len(value),
         int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
-        cost, np.zeros(num_cols), np.full(num_cols, highs.kHighsInf),
-        np.concatenate([np.full(num_edges, -highs.kHighsInf), rhs]),
-        np.concatenate([np.zeros(num_edges), rhs]),
+        cost, col_lower, col_upper, row_lower, row_upper,
         # The array form of passModel takes an integrality vector: all continuous.
-        start, index, value, np.zeros(num_cols, dtype=np.int32),
+        start, index, value, np.zeros(len(start), dtype=np.int32),
     )
-    if basis is not None:
-        solver.setOptionValue("simplex_iteration_limit", cap)
-        solver.setBasis(basis)
-    solver.run()
+    return solver
+
+
+def _outcome(solver: "highs._Highs", num_cols: int, what: str) -> Optional[Solution]:
+    """The solution over the first ``num_cols`` columns; ``None`` at the iteration cap."""
     status = solver.getModelStatus()
-    if basis is not None and status == highs.HighsModelStatus.kIterationLimit:
+    if status == highs.HighsModelStatus.kIterationLimit:
         return None
     if status == highs.HighsModelStatus.kInfeasible:
         raise InfeasibleError(f"{what} is infeasible")
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"{what} failed: {solver.modelStatusToString(status)}")
-    return Solution(solver)
+    return Solution(solver, num_cols)
 
 
-__all__ = ["Solution", "basis_from_codes", "solve"]
+__all__ = ["Model", "Solution", "basis_from_codes", "checked", "solve"]

@@ -17,26 +17,40 @@ Each :class:`~repro.core.path_system.PathSystem` caches a
 <repro.core.path_system.PathSystem.rate_lp>`): the column-wise matrix
 over every installed path, solved through :mod:`repro.mcf.highs`, the
 one HiGHS driver the normalizer shares.  A demand is solved cold, with
-presolve, over the demanded pairs' columns only.
+presolve, on a fresh model over the demanded pairs' columns only.
 
 Only the demanded amounts, the right-hand side of the pair rows, change
 between two demands over one installed system.  A router that installs
 a system for many demands therefore calls :func:`warm_start` (the
 engine's semi-oblivious router does), which solves the system's
-**reference basis**: the optimal basis for the uniform demand.
+**reference basis**: the optimal basis for the uniform demand.  Demands
+on every installed pair then go to the system's one **persistent
+model** (:class:`highs.Model <repro.mcf.highs.Model>`), built on the
+first of them: every pair row is bounded ``[0, 0]`` and gets a **supply
+column** with coefficient ``-1`` on it, whose fixed bounds carry the
+pair's amount.  The reference basis is solved without them and covers
+them nonbasic at their fixed value of 1.  On ``adapt-isp`` those are the
+very codes a cold solve of the persistent model reaches, found in ~16%
+less time.
 
-* A demand on **every** installed pair is first re-solved from that
-  basis, which stays dual-feasible for every right-hand side: a median
-  17 dual simplex iterations instead of ~700 cold on ``adapt-isp``.
+* A demand on **every** installed pair moves the supply bounds in one
+  vectorized call and is re-solved on the persistent model from the
+  reference basis, which stays dual-feasible for every right-hand side:
+  a median 17 dual simplex iterations instead of ~700 cold on
+  ``adapt-isp``, and no model to pass.
 * Where the basis is far from the demand (torus and hypercube gravity
   demands), the attempt stops after :data:`WARM_ITERATIONS` and the
-  demand is solved cold.
+  demand is solved cold on a fresh model.
 * A demand that leaves an installed pair out is solved cold: its zero
   right-hand side rows serve the uniform basis badly.
-* Every model is fresh and its start depends only on the system, so the
-  result depends only on (system, demand), never on which demands were
-  solved before or where.  The reference basis pickles with the system;
-  a system never warm-started pays no reference solve.
+* Each re-solve clears the solver's state (``clearSolver``) before it
+  loads the reference basis, so the result depends only on (system,
+  demand), never on which demands were solved before or where: without
+  it, flows of one demand differ after different predecessors.  The
+  reference basis pickles with the system as status codes (``P + 1 + K``
+  column codes for ``P`` paths, ``z`` and ``K`` supply columns); the
+  model never pickles and is built again on the first warm solve.  A
+  system never warm-started pays no reference solve and builds no model.
 
 A demanded pair with no candidate path raises :class:`InfeasibleError`.
 The result keeps the optimal flow of every installed path and the
@@ -139,9 +153,10 @@ class RateLP:
     Column ``j < P`` is installed path ``j`` (incidence order), column
     ``P`` is ``z``.  Rows ``0..m-1`` are the edges, ``load - z·c <= 0``;
     row ``m + i`` is the ``i``-th installed pair, whose path weights sum
-    to its demanded amount.  ``reference`` adopts a reference basis
-    exported by :meth:`reference` instead of solving it; the LP pickles
-    that way.
+    to its demanded amount.  The persistent model appends supply column
+    ``P + 1 + i`` for pair ``i``.  ``reference`` adopts a reference
+    basis exported by :meth:`reference` instead of solving it; the LP
+    pickles that way.
     """
 
     def __init__(
@@ -171,10 +186,10 @@ class RateLP:
         self.incidence = incidence
         self._start, self._index, self._value = start, index, value
         self._reference = reference
-        self._basis = None
+        self._model: Optional[highs.Model] = None
 
     def __reduce__(self):
-        # The HiGHS basis does not pickle; its status codes do.
+        # The HiGHS model does not pickle; the reference basis's status codes do.
         return (RateLP, (self.incidence, self._reference))
 
     def reference(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,8 +199,15 @@ class RateLP:
                 model, uniform = (self._start, self._index, self._value), np.ones(len(self.pairs))
                 solution = highs.solve(*model, self.num_edges, uniform, "path LP")
                 span.add("iterations", solution.iterations)
-            self._reference = solution.basis_codes()
+            self._reference = solution.basis_codes(supply=len(self.pairs))
         return self._reference
+
+    def _persistent(self) -> highs.Model:
+        """The system's one persistent model, with a supply column per installed pair."""
+        if self._model is None:
+            model = (self._start, self._index, self._value)
+            self._model = highs.Model(*model, self.num_edges, len(self.pairs), "path LP")
+        return self._model
 
     def _demanded_columns(self, demanded: np.ndarray):
         """The installed paths of the demanded pairs, and the model over only them."""
@@ -204,17 +226,18 @@ class RateLP:
     def solve(self, amounts: np.ndarray) -> Tuple[np.ndarray, float, Dict[str, int]]:
         """Optimal path flows (incidence order) and ``z`` for per-pair ``amounts``.
 
-        Also returns counters: the answering model's ``rows``/``cols``/
-        ``nnz``, the simplex ``iterations`` of every model tried, and
-        ``warm`` (1 when the reference basis gave the answer).
+        Also returns counters: the size of the path LP that answered,
+        ``rows`` (edges and demanded pairs), ``cols`` (the demanded
+        pairs' paths and ``z``) and ``nnz``, never counting the
+        persistent model's supply columns; the simplex ``iterations`` of
+        every attempt; and ``warm`` (1 when the persistent model's
+        re-solve from the reference basis gave the answer).
         """
         demanded = amounts > 0
         columns, model, m = slice(None), (self._start, self._index, self._value), self.num_edges
         solution, iterations = None, 0
         if demanded.all() and self._reference is not None:
-            if self._basis is None:
-                self._basis = highs.basis_from_codes(self._reference)
-            solution = highs.solve(*model, m, amounts, "path LP", self._basis, WARM_ITERATIONS)
+            solution = self._persistent().solve(amounts, self._reference, WARM_ITERATIONS)
             iterations = 0 if solution is not None else WARM_ITERATIONS
         warm = solution is not None
         if not demanded.all():

@@ -1,6 +1,9 @@
 """Unit tests for the path-restricted min-congestion LP."""
 
+import multiprocessing
 import pickle
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from repro.demands.demand import Demand
 from repro.engine import RoutingEngine, build_router
 from repro.exceptions import InfeasibleError
 from repro.graphs.network import Network
+from repro.mcf import path_lp
 from repro.mcf.lp import min_congestion_lp
-from repro.mcf.path_lp import min_congestion_on_paths, warm_start
+from repro.mcf.path_lp import RateLP, min_congestion_on_paths, warm_start
+from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
 from repro.oblivious.racke import RaeckeTreeRouting
 
 
@@ -190,3 +195,92 @@ def test_deferred_route_result_pickles_with_its_routing(cube3):
         assert [(pair, restored.routing.distribution(*pair)) for pair in restored.routing] == [
             (pair, expected.distribution(*pair)) for pair in demand
         ]
+
+
+# --------------------------------------------------------------------- #
+# The persistent model: results depend on (system, demand) only
+# --------------------------------------------------------------------- #
+def _warm_solves(system, demands):
+    """Path-LP results for ``demands`` in order, and each solve's ``warm`` counter."""
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        results = [min_congestion_on_paths(system, demand) for demand in demands]
+    finally:
+        uninstall_tracer()
+    spans = [r for r in span_records(tracer.records) if r["name"] == "mcf.path_lp"]
+    return results, [span["counters"]["warm"] for span in spans]
+
+
+def _all_pairs_demand(pairs, rng):
+    return Demand(dict(zip(pairs, (1.0 + 0.5 * rng.random(len(pairs))).tolist())))
+
+
+def test_all_pairs_answer_does_not_depend_on_the_solves_before(torus3, monkeypatch):
+    pairs = list(torus3.vertex_pairs(ordered=True))
+    rng = np.random.default_rng(5)
+    target = _all_pairs_demand(pairs, rng)
+    others = [_all_pairs_demand(pairs, rng) for _ in range(3)]
+    partial = Demand(dict(list(target.items())[::3]))
+    (fresh,), warm = _warm_solves(_seeded_system(torus3, pairs, 0), [target])
+    assert warm == [1]
+
+    system = _seeded_system(torus3, pairs, 0)
+    results, warm = _warm_solves(system, others + [target, partial, target])
+    assert warm == [1, 1, 1, 1, 0, 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(path_lp, "WARM_ITERATIONS", 0)
+        _, warm = _warm_solves(system, [others[0]])  # a capped attempt, answered cold
+    assert warm == [0]
+    (after_cap,), warm = _warm_solves(system, [target])
+    assert warm == [1]
+    for result in (results[3], results[5], after_cap):
+        assert result.congestion == fresh.congestion
+        assert result.flows.tobytes() == fresh.flows.tobytes()
+
+
+def test_unpickled_rate_lp_rebuilds_its_model_and_answers_identically(torus3):
+    pairs = list(torus3.vertex_pairs(ordered=True))
+    system = _seeded_system(torus3, pairs, 1)
+    rng = np.random.default_rng(6)
+    demands = [_all_pairs_demand(pairs, rng) for _ in range(3)]
+    expected, warm = _warm_solves(system, demands)
+    assert warm == [1, 1, 1]
+
+    lp = system.rate_lp(RateLP)
+    restored = pickle.loads(pickle.dumps(lp))
+    assert restored._model is None  # no HiGHS object crossed the pickle
+    num_paths, num_pairs = len(lp.hops), len(lp.pairs)
+    col_codes, row_codes = restored.reference()
+    assert len(col_codes) == num_paths + 1 + num_pairs
+    assert len(row_codes) == lp.num_edges + num_pairs
+    for codes, original in zip((col_codes, row_codes), lp.reference()):
+        assert codes.tobytes() == original.tobytes()
+
+    twin = PathSystem(torus3, dict(system.items()))
+    twin._rate_lp = restored
+    results, warm = _warm_solves(twin, demands)
+    assert warm == [1, 1, 1]
+    assert restored._model is not None
+    # A spawned worker unpickles the system, as the shared sweep executor ships it.
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        spawned = list(pool.map(min_congestion_on_paths, [system] * 3, demands))
+    for result, original in zip(results + spawned, expected * 2):
+        assert result.congestion == original.congestion
+        assert result.flows.tobytes() == original.flows.tobytes()
+
+
+def test_threads_routing_one_system_get_the_sequential_answers(torus3):
+    pairs = list(torus3.vertex_pairs(ordered=True))
+    system = _seeded_system(torus3, pairs, 2)
+    rng = np.random.default_rng(8)
+    demands = [_all_pairs_demand(pairs, rng) for _ in range(20)]
+    expected = [min_congestion_on_paths(system, demand).flows.tobytes() for demand in demands]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(min_congestion_on_paths, system, d) for d in demands * 3]
+            flows = [future.result(timeout=60).flows.tobytes() for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert flows == expected * 3

@@ -16,15 +16,18 @@ LP: its routing carries the whole demand and its congestion never reads
 below the optimum.
 
 The path LP solves a demand cold over its own pairs' paths; after
-``warm_start`` it first re-solves a demand on every installed pair from
-the system's reference basis.  The cold ``linprog`` LP over only the
-demanded pairs' paths below is its oracle, and its results must not
-depend on solve order or on a pickle round trip of the system.
+``warm_start`` it first re-solves a demand on every installed pair on
+the system's persistent model, from the reference basis.  The cold
+``linprog`` LP over only the demanded pairs' paths below is its oracle:
+a persistent re-solve reaches its ``z`` with flows that carry every
+demanded amount within the congestion, and results must not depend on
+solve order or on a pickle round trip of the system.
 """
 
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -324,6 +327,27 @@ def test_warm_started_path_lp_equals_cold_oracle(instance):
             assert _close(max(result.edge_congestions.values()), result.congestion)
 
 
+@settings(max_examples=40, deadline=None)
+@given(installed_systems(), st.data())
+def test_persistent_re_solve_equals_a_fresh_cold_solve_and_is_feasible(instance, data):
+    system, _ = instance
+    lp = system.rate_lp(path_lp.RateLP)
+    incidence = lp.incidence
+    positive = st.floats(0.05, 3.0, allow_nan=False)
+    for _ in range(3):
+        amounts = np.array([data.draw(positive) for _ in lp.pairs])
+        flows, z, counters = lp.solve(amounts)
+        assert counters["warm"] == 1  # answered by the persistent model
+        assert _close(z, column_selected_optimum(system, Demand(dict(zip(lp.pairs, amounts)))))
+        carried = np.add.reduceat(flows, lp.pair_starts)
+        assert np.all(np.abs(carried - amounts) <= 1e-9 * amounts), (carried, amounts)
+        loads = np.bincount(
+            incidence.edge_ids, weights=np.repeat(flows, lp.hops),
+            minlength=len(incidence.capacities),
+        )
+        assert np.all(loads <= z * incidence.capacities * (1 + 1e-9)), (loads, z)
+
+
 @settings(max_examples=30, deadline=None)
 @given(installed_systems())
 def test_path_lp_results_do_not_depend_on_solve_order(instance):
@@ -384,15 +408,25 @@ def test_adapted_rates_congest_no_more_than_any_fixed_split(instance, data):
 
 
 def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypatch):
+    binding = highs.highs
+    assert highs.checked(binding) is binding
+    # A binding whose solver lacks a method the persistent model calls counts as missing.
+    methods = ("changeColsBounds", "clearSolver")
+    for lacking in methods:
+        solver = type("_Highs", (), {name: None for name in methods if name != lacking})
+        members = {name: getattr(binding, name) for name in dir(binding)}
+        assert highs.checked(SimpleNamespace(**{**members, "_Highs": solver})) is None
     monkeypatch.setattr(highs, "highs", None)
     system = PathSystem(cube3)
     system.add_path(0, 1, (0, 1))
     demand = Demand({(0, 1): 1.0})
     with pytest.raises(SolverError, match=r"scipy >= 1\.15") as path_error:
         min_congestion_on_paths(system, demand)
+    with pytest.raises(SolverError, match=r"scipy >= 1\.15") as warm_error:
+        path_lp.warm_start(system)
     with pytest.raises(SolverError, match=r"scipy >= 1\.15") as normalizer_error:
         min_congestion_lp(cube3, demand)
-    assert str(normalizer_error.value) == str(path_error.value)
+    assert str(normalizer_error.value) == str(path_error.value) == str(warm_error.value)
 
 
 def test_path_added_after_a_route_is_used_by_the_next(cycle5):
