@@ -4,7 +4,7 @@
 Scales:
 
 * ``smoke`` — seconds, tiny instances (what the test suite uses),
-* ``small`` — tens of seconds (what the benchmark suite uses; default),
+* ``small`` — seconds (what the headline-shape tests use; default),
 * ``paper`` — minutes, the sizes recorded in EXPERIMENTS.md.
 
 Run with::

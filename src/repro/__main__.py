@@ -73,17 +73,17 @@ Subcommands
     ``repro te --topology "zoo(abilene)"``.
 
 ``bench``
-    Run registered benchmark targets and write schema-stable
+    Run benchmark targets (:mod:`repro.bench`) and write schema-stable
     ``BENCH_<name>.json`` artifacts comparing a reference and a fast
     evaluation path (``dict`` vs ``sparse``, per-step batch vs
-    incremental streaming, the real-topology catalog)::
+    incremental streaming, the real-topology catalog); ``check`` runs
+    every target's gate over given artifacts and exits 1 on a violation::
 
         python -m repro bench list
         python -m repro bench linalg --scale smoke
-        python -m repro bench stream --scale small
-        python -m repro bench net --scale smoke
         python -m repro bench scale --scale small     # nodes-vs-seconds/peak-MB
         python -m repro bench --scale full --output-dir .
+        python -m repro bench check bench-artifacts/BENCH_*_smoke.json BENCH_*.json
 
 ``forwarding``
     ECMP realization: quantize any scheme's routing into per-node
@@ -458,14 +458,25 @@ def _cmd_stream_run(
 
 
 def _cmd_bench_list() -> int:
-    from repro.linalg.bench import BENCH_TARGETS, _ensure_registered
+    from repro.bench import TARGETS, target
 
-    # Pull in the extension layers (stream, net, telemetry) before
-    # enumerating: BENCH_TARGETS alone only holds the linalg built-ins.
-    _ensure_registered()
-    for name in sorted(BENCH_TARGETS):
-        _, description = BENCH_TARGETS[name]
-        print(f"{name:12s} {description}")
+    for name in sorted(TARGETS):
+        print(f"{name:12s} {target(name).DESCRIPTION}")
+    return 0
+
+
+def _cmd_bench_check(paths: List[str]) -> int:
+    from repro.bench import check
+
+    if not paths:
+        print("bench check needs at least one BENCH_*.json path", file=sys.stderr)
+        return 2
+    problems = check(paths)
+    for problem in problems:
+        print(f"violated: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"bench check: {len(paths)} artifact(s), every gate holds")
     return 0
 
 
@@ -478,52 +489,30 @@ def _cmd_bench(
 ) -> int:
     import os
 
+    from repro import bench
     from repro.exceptions import ReproError
-    from repro.linalg.bench import available_benches, run_bench, write_bench_artifact
 
     # Resolve the artifact directory up front so a relative --output-dir
     # means "relative to where the user invoked the CLI" even if a bench
     # target chdirs or the path is consumed late.
     output_dir = os.path.abspath(os.path.expanduser(output_dir))
-    chosen = names or available_benches()
-    unknown = [name for name in chosen if name not in available_benches()]
+    chosen = names or sorted(bench.TARGETS)
+    unknown = [name for name in chosen if name not in bench.TARGETS]
     if unknown:
-        print(f"unknown bench target(s): {unknown}; available: {available_benches()}",
+        print(f"unknown bench target(s): {unknown}; available: {sorted(bench.TARGETS)}",
               file=sys.stderr)
         return 2
     payloads = []
     for name in chosen:
         try:
-            payload = run_bench(name, scale=scale, seed=seed)
+            payload = bench.run(name, scale=scale, seed=seed)
         except ReproError as error:
             print(f"bench {name!r} failed: {error}", file=sys.stderr)
             return 1
-        path = write_bench_artifact(payload, output_dir=output_dir)
+        path = bench.write(payload, output_dir=output_dir)
         payloads.append(payload)
         if not as_json:
-            # Backends are ordered baseline-first in every payload; the
-            # speedup key varies per target ("speedup_<fast>_over_<base>").
-            timings = " ".join(
-                f"{key}={entry['seconds']:.4f}s"
-                for key, entry in payload["backends"].items()
-            )
-            speedup = next(
-                (value for key, value in payload.items() if key.startswith("speedup_")),
-                None,
-            )
-            speedup_text = f"{speedup:.1f}x" if speedup else "n/a"
-            extras = ""
-            if "max_abs_difference" in payload:
-                extras += f" max|diff|={payload['max_abs_difference']:.2e}"
-            if "artifacts_identical" in payload:
-                extras += f" identical={payload['artifacts_identical']}"
-            if "leaked_segments" in payload:
-                extras += f" leaked={payload['leaked_segments']}"
-            if "overhead_enabled_pct" in payload:
-                extras += (f" overhead: disabled={payload['overhead_disabled_pct']:+.2f}%"
-                           f" enabled={payload['overhead_enabled_pct']:+.2f}%")
-            print(f"{name}: n={payload['network']['n']} m={payload['network']['m']} "
-                  f"{timings} speedup={speedup_text}{extras}")
+            print(f"{name}: {bench.headline(payload)}")
             print(f"  wrote {path}", file=sys.stderr)
     if as_json:
         print(json_dumps(payloads))
@@ -1229,7 +1218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench", help="run benchmark targets and write BENCH_<name>.json artifacts"
     )
     bench_parser.add_argument("names", nargs="*",
-                              help="bench targets ('list' to enumerate; default: all)")
+                              help="bench targets (default: all); 'list' enumerates them, "
+                                   "'check PATH...' runs every target's gate on artifacts")
     bench_parser.add_argument("--scale", choices=("smoke", "small", "full"), default="small")
     bench_parser.add_argument("--seed", type=int, default=0)
     bench_parser.add_argument("--output-dir", default=".",
@@ -1321,6 +1311,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench":
         if args.names == ["list"]:
             return _cmd_bench_list()
+        if args.names[:1] == ["check"]:
+            return _cmd_bench_check(args.names[1:])
         return _cmd_bench(args.names, args.scale, args.seed, args.output_dir, as_json=args.json)
     if args.command == "quickstart":
         return _cmd_quickstart(args.dimension, args.alpha)

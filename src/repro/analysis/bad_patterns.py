@@ -11,7 +11,6 @@ suite compares against each other.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def bad_pattern_count_bound(num_edges: int, demand_size: float, gamma: float, alpha: int) -> float:
@@ -39,13 +38,6 @@ def bad_pattern_exponent_bound(num_edges: int, demand_size: float, alpha: int) -
     if num_edges < 2 or alpha < 1:
         raise ValueError("need m >= 2 and alpha >= 1")
     return 4.0 * demand_size / alpha
-
-
-@lru_cache(maxsize=None)
-def _compositions_at_most(total: int, parts: int) -> int:
-    """Number of tuples of ``parts`` nonnegative integers summing to <= total."""
-    # stars and bars: sum_{s=0}^{total} C(s + parts - 1, parts - 1) = C(total + parts, parts)
-    return math.comb(total + parts, parts)
 
 
 def count_bad_patterns_exact(num_edges: int, demand_size: int, gamma: int) -> int:

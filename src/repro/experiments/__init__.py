@@ -1,8 +1,8 @@
 """Experiment harness reproducing every quantitative claim of the paper.
 
 Each ``exp_*`` module exposes a ``run(config) -> ExperimentResult``
-function; the benchmark suite wraps them with pytest-benchmark, and the
-example scripts print the resulting tables.  The experiment ids match the
+function; ``tests/test_experiments.py`` checks the paper's headline
+shapes on their tables, and the example scripts print them.  The experiment ids match the
 per-experiment index in DESIGN.md and the records in EXPERIMENTS.md.
 """
 

@@ -24,7 +24,7 @@ class ExperimentConfig:
     seed:
         Master random seed (every experiment derives its randomness from it).
     scale:
-        ``"small"`` (fast, used by the benchmark suite), ``"paper"``
+        ``"small"`` (fast, used by the headline-shape tests), ``"paper"``
         (the sizes recorded in EXPERIMENTS.md), or ``"smoke"`` (tiny,
         used by the test suite).
     overrides:

@@ -14,9 +14,10 @@ costs:
   probabilities for random flow placement, Monte Carlo beyond;
 * :mod:`repro.forwarding.router` — the ``realized(scheme, buckets=8)``
   engine wrapper;
-* :mod:`repro.forwarding.scenario_axes` / ``bench`` — the ``ecmp-gap``
-  suite and the ``ecmp`` bench target (loaded lazily by the scenario
-  spec and bench registries).
+* :mod:`repro.forwarding.scenario_axes` — the ``ecmp-gap`` suite
+  (loaded lazily by the scenario spec layer);
+* :mod:`repro.forwarding.bench` — the ``ecmp`` target of the
+  :mod:`repro.bench` harness.
 """
 
 from repro.forwarding.analytic import (

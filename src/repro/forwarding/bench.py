@@ -1,20 +1,19 @@
 """The ``ecmp`` bench target: fractional-vs-realized gaps on the catalog.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench ecmp`` CLI path).  For each bundled real topology the
-bench installs the ``oblivious(ksp, k=4)`` fixed-ratio routing (LP-free,
-so the target runs identically on the numpy-only leg), fits one seeded
-gravity demand, and measures the max-congestion ratio between the
-fractional routing and its ECMP quantization for k in {2, 4, 8, 16},
-plus a flow-level realization at k=8 and the exact analytic
-non-congestion probability of the matching random flow placement.
+For each bundled real topology the bench installs the
+``oblivious(ksp, k=4)`` fixed-ratio routing (LP-free, so the target runs
+identically on the numpy-only leg), fits one seeded gravity demand, and
+measures the max-congestion ratio between the fractional routing and its
+ECMP quantization for k in {2, 4, 8, 16}, plus a flow-level realization
+at k=8 and the exact analytic non-congestion probability of the matching
+random flow placement.
 
 The quantized gaps depend only on (topology, scheme, seed, k) — demand
 generation is scale-invariant by construction (one snapshot, the same
-per-topology SeedSequence streams at every scale) — so CI can compare a
-fresh smoke run against the committed full-scale ``BENCH_ecmp.json`` on
-the shared topologies with a tight tolerance.  Only the flow count (and
-hence runtime) grows with scale.
+per-topology SeedSequence streams at every scale) — so :func:`gate`
+compares a fresh smoke run against the committed full-scale
+``BENCH_ecmp.json`` on the shared topologies with a tight tolerance.
+Only the flow count (and hence runtime) grows with scale.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from repro.bench import legs, violations
 from repro.engine.registry import build_router
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
 from repro.linalg.evaluator import build_evaluator
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
@@ -34,6 +33,8 @@ from repro.utils.timing import Stopwatch, timing_entry
 from repro.forwarding.analytic import analyze_placement
 from repro.forwarding.quantize import quantize_routing
 from repro.forwarding.realize import realize_flows
+
+DESCRIPTION = "fractional-vs-ECMP-realized congestion gaps on the real-topology catalog"
 
 #: Discrete flows per pair in the flow-level leg, per scale.  Gaps from
 #: the quantized (flow-free) leg are scale-invariant; only this grows.
@@ -51,7 +52,7 @@ _BASE_SCHEME = "oblivious(ksp, k=4)"
 _SMOKE_TOPOLOGIES = 3
 
 
-def bench_ecmp(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Quantize and realize the catalog; report per-topology ECMP gaps."""
     flows = _FLOW_SCALES[scale]
     entries = sorted(catalog_entries(), key=lambda entry: (entry.nodes, entry.name))
@@ -148,11 +149,7 @@ def bench_ecmp(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         )
 
     num_tables = len(entries) * len(_BUCKET_SWEEP)
-    payload: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "name": "ecmp",
-        "scale": scale,
-        "seed": seed,
+    return {
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -183,13 +180,44 @@ def bench_ecmp(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         "mean_gap_k8": mean_gap_k8 / len(entries),
         "gap_by_buckets": gap_by_buckets,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
-    return payload
 
 
-register_bench(
-    "ecmp",
-    bench_ecmp,
-    "fractional-vs-ECMP-realized congestion gaps on the real-topology catalog",
-)
+def headline(payload: Dict[str, Any]) -> str:
+    workload = payload["workload"]
+    return (
+        f"{workload['num_topologies']} topologies x {len(workload['buckets'])} bucket sizes; "
+        f"{legs(payload)}; max gap {payload['max_gap']:.3f}x, "
+        f"mean k=8 gap {payload['mean_gap_k8']:.3f}x"
+    )
+
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    problems = violations(
+        payloads,
+        ("buckets == [2, 4, 8, 16]", lambda p: p["workload"]["buckets"] == list(_BUCKET_SWEEP)),
+        ("max_gap >= 1 - 1e-9", lambda p: p["max_gap"] >= 1.0 - 1e-9),
+    )
+    # Gaps are seeded and scale-invariant, so any other scale must
+    # reproduce the full-scale per-topology gaps on shared topologies:
+    # drift is a quantizer or realization regression.
+    committed = {
+        topology["name"]: topology["gaps"]
+        for payload in payloads
+        if payload["scale"] == "full"
+        for topology in payload["topologies"]
+    }
+    if not committed:
+        return problems
+    for payload in payloads:
+        if payload["scale"] == "full":
+            continue
+        for topology in payload["topologies"]:
+            baseline = committed.get(topology["name"], {})
+            for buckets, gap in topology["gaps"].items():
+                if buckets not in baseline or not abs(gap - baseline[buckets]) <= 1e-6:
+                    problems.append(
+                        f"{payload['scale']}: {topology['name']} k={buckets} gap {gap!r} "
+                        f"not within 1e-6 of the full-scale gap {baseline.get(buckets)!r}"
+                    )
+    return problems

@@ -23,11 +23,9 @@ scipy CSR, dense numpy without scipy.  A routing evaluated once
 ``dict`` memo, which is also the test oracle.  Only
 ``Routing.evaluator(backend)`` and :func:`build_evaluator` (whose
 ``tile_pairs``/``memory_budget_mb`` serve the scale bench) name a
-backend.  ``repro bench`` emits the ``BENCH_*.json``
-performance baselines comparing the backends; its targets live in
-:mod:`repro.linalg.bench`, imported on demand (benchmarks pull in the
-``te``/``scenarios`` layers above this package, so they are not loaded
-here).
+backend.  The ``linalg`` target of the :mod:`repro.bench` harness
+(:mod:`repro.linalg.bench`, imported on demand, never here) measures the
+``dict`` oracle against the compiled backend.
 """
 
 from repro.linalg._matrix import HAVE_SCIPY

@@ -1,14 +1,13 @@
 """The ``net`` bench target: compile + evaluate every catalog topology.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench net`` CLI path).  For each bundled real topology the bench
-parses the catalog file, installs the shortest-path (``spf``) routing,
-fits a gravity demand batch, and measures congestion evaluation through
-the ``dict`` reference evaluator against the compiled ``sparse`` backend
-— so the committed ``BENCH_net.json`` baseline records, per real
-topology, the parse, compile, and batch-evaluate costs on heterogeneous
-real capacities (where utilization division actually exercises the
-capacity vector, unlike the unit-capacity synthetic workloads).
+For each bundled real topology the bench parses the catalog file,
+installs the shortest-path-tree routing, fits a gravity demand batch,
+and measures congestion evaluation through the ``dict`` reference
+evaluator against the compiled ``sparse`` backend — so the committed
+``BENCH_net.json`` baseline records, per real topology, the parse,
+compile, and batch-evaluate costs on heterogeneous real capacities
+(where utilization division actually exercises the capacity vector,
+unlike the unit-capacity synthetic workloads).
 
 The aggregate ``backends`` / ``speedup`` / ``max_abs_difference`` keys
 follow the ``repro-bench/v1`` schema; the per-topology breakdown lives
@@ -21,11 +20,14 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
+from repro.bench import AGREEMENT, legs, speedup, violations
 from repro.linalg.evaluator import DictEvaluator, build_evaluator
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
+from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.utils.timing import Stopwatch, timing_entry
+
+DESCRIPTION = "real-topology catalog: parse + compile + batch evaluation per entry"
 
 #: Demand matrices evaluated per topology, per scale.
 _NET_SCALES: Dict[str, int] = {"smoke": 20, "small": 100, "full": 400}
@@ -35,10 +37,8 @@ _NET_SCALES: Dict[str, int] = {"smoke": 20, "small": 100, "full": 400}
 _SMOKE_TOPOLOGIES = 3
 
 
-def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Parse, compile, and batch-evaluate the bundled real-topology catalog."""
-    from repro.linalg.bench import _shortest_path_routing
-
     num_demands = _NET_SCALES[scale]
     entries = sorted(catalog_entries(), key=lambda entry: (entry.nodes, entry.name))
     if scale == "smoke":
@@ -56,7 +56,7 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     for index, entry in enumerate(entries):
         with Stopwatch() as parse_watch:
             network = load_catalog_topology(entry.qualified_name)
-        routing = _shortest_path_routing(network)
+        routing = shortest_path_tree_routing(network)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
         demands = list(fitted_gravity_series(network, num_demands, rng=rng))
 
@@ -104,10 +104,6 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     evaluations = num_demands * len(entries)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "net",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -133,14 +129,17 @@ def bench_net(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         "speedup_sparse_over_dict": dict_total / sparse_total if sparse_total > 0 else None,
         "max_abs_difference": max_diff,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
 
 
-register_bench(
-    "net",
-    bench_net,
-    "real-topology catalog: parse + compile + batch evaluation per entry",
-)
+def headline(payload: Dict[str, Any]) -> str:
+    workload = payload["workload"]
+    return (
+        f"{workload['num_topologies']} topologies x {workload['num_demands']} demands; "
+        f"{legs(payload)}; speedup {speedup(payload['speedup_sparse_over_dict'])}; "
+        f"max diff {payload['max_abs_difference']:.1e}"
+    )
 
-__all__ = ["bench_net"]
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    return violations(payloads, AGREEMENT)

@@ -8,6 +8,10 @@ Two baselines:
 * :class:`KShortestPathRouting` — the uniform distribution over the k
   shortest simple paths, a common traffic-engineering baseline (and the
   path set "KSP" that SMORE compares against).
+
+:func:`shortest_path_tree_routing` builds the single-path routing along
+each source's BFS tree in one pass; it is the fixed measurement routing
+of the bench targets and the ODME demand axis.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Dict
 
 import networkx as nx
 
+from repro.core.routing import Routing
 from repro.exceptions import RoutingError
 from repro.graphs.network import Network, Path, Vertex
 from repro.oblivious.base import ObliviousRoutingBuilder
@@ -82,4 +87,22 @@ class KShortestPathRouting(ObliviousRoutingBuilder):
         return {path: probability for path in paths}
 
 
-__all__ = ["ShortestPathRouting", "KShortestPathRouting"]
+def shortest_path_tree_routing(network: Network) -> Routing:
+    """Single shortest path per ordered pair, read off one BFS tree per source.
+
+    Not the ``spf`` scheme (:class:`ShortestPathRouting`): that searches
+    each pair on its own and ties break differently (20 of the 7656
+    ordered pairs of ``isp(pops=8, seed=3)`` get another path), so the
+    two routings are kept apart.
+    """
+    trees = dict(nx.all_pairs_shortest_path(network.graph))
+    mapping = {
+        (source, target): trees[source][target]
+        for source in network.vertices
+        for target in network.vertices
+        if source != target
+    }
+    return Routing.single_path(network, mapping)
+
+
+__all__ = ["ShortestPathRouting", "KShortestPathRouting", "shortest_path_tree_routing"]

@@ -1,10 +1,9 @@
 """The ``obs`` bench target: what the tracing layer itself costs.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench obs`` CLI path).  The instrumentation threaded through the
-hot paths is only acceptable if it is effectively free when no tracer is
-installed and cheap when one is; this target measures both, so the
-observability layer is perf-regression-gated like every other subsystem.
+The instrumentation threaded through the hot paths is only acceptable
+if it is effectively free when no tracer is installed and cheap when one
+is; this target measures both, so the observability layer is
+perf-regression-gated like every other subsystem.
 
 Two legs:
 
@@ -30,26 +29,25 @@ Two legs:
     figure is informational, the gated numbers come from the batched
     leg where min-of-reps makes them stable).
 
-Gate fields (asserted by CI against the committed ``BENCH_obs.json``):
-``overhead_disabled_pct`` must stay ≈ 0 and ``overhead_enabled_pct``
-must stay < 5.
+Gate (:func:`gate`): at full scale, the committed ``BENCH_obs.json``,
+``overhead_disabled_pct`` must stay ≈ 0 (within ±5) and
+``overhead_enabled_pct`` < 5; a fresh smoke run on a noisy shared
+runner only has to stay within ±25.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.linalg.bench import (
-    BENCH_SCHEMA,
-    _workload,
-    environment_info,
-    register_bench,
-)
+from repro.bench import legs, violations
+from repro.linalg.bench import _workload
 from repro.linalg.evaluator import build_evaluator
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Tracer, install_tracer, uninstall_tracer
+
+DESCRIPTION = "tracing overhead: untraced vs no-op spans vs a recording tracer"
 
 #: Per-scale (rounds, inner evaluations per timed chunk) for the
 #: batched leg.  Small scales need many inner evaluations to push each
@@ -150,7 +148,7 @@ def _overhead_pct(seconds: float, baseline: float) -> float:
     return (seconds / baseline - 1.0) * 100.0
 
 
-def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Instrumentation overhead: untraced vs no-op-traced vs recording."""
     network, routing, demands = _workload(scale, seed)
     rounds, inner = _OBS_REPS[scale]
@@ -212,10 +210,6 @@ def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     batch_size = len(demands)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "obs",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "num_demands": batch_size,
@@ -255,16 +249,29 @@ def bench_obs(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
             "overhead_pct": _overhead_pct(sweep_traced, sweep_plain),
             "num_spans": sweep_spans,
         },
-        "environment": environment_info(),
     }
 
 
-# overwrite=True keeps module re-imports (test reloads) idempotent.
-register_bench(
-    "obs",
-    bench_obs,
-    "tracing overhead: untraced vs no-op spans vs a recording tracer",
-    overwrite=True,
-)
+def headline(payload: Dict[str, Any]) -> str:
+    return (
+        f"{payload['workload']['num_demands']} demands; {legs(payload)}; "
+        f"overhead disabled {payload['overhead_disabled_pct']:+.1f}%, "
+        f"enabled {payload['overhead_enabled_pct']:+.1f}%, "
+        f"sweep {payload['sweep']['overhead_pct']:+.1f}%"
+    )
 
-__all__ = ["bench_obs"]
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    return violations(
+        payloads,
+        ("|overhead_disabled_pct| < 25", lambda p: abs(p["overhead_disabled_pct"]) < 25.0),
+        ("|overhead_enabled_pct| < 25", lambda p: abs(p["overhead_enabled_pct"]) < 25.0),
+        ("sweep.num_spans > 0", lambda p: p["sweep"]["num_spans"] > 0),
+    ) + violations(
+        # The contract the layer ships under: tracing disabled is free,
+        # full recording stays under 5% on the batched-evaluation hot path.
+        [payload for payload in payloads if payload["scale"] == "full"],
+        ("|overhead_disabled_pct| < 5", lambda p: abs(p["overhead_disabled_pct"]) < 5.0),
+        ("overhead_enabled_pct < 5", lambda p: p["overhead_enabled_pct"] < 5.0),
+        ("|sweep.overhead_pct| < 10", lambda p: abs(p["sweep"]["overhead_pct"]) < 10.0),
+    )

@@ -1,9 +1,7 @@
 """The ``sweep`` bench target: shared-memory executor vs rebuild baseline.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench sweep`` CLI path).  The bench runs one install-heavy
-scenario suite twice through :func:`repro.scenarios.runner.run_suite`
-with identical worker counts:
+The bench runs one install-heavy scenario suite twice through
+:func:`repro.scenarios.runner.run_suite` with identical worker counts:
 
 * ``rebuild`` — the honest baseline the shared executor replaces: a
   cell-granular work queue whose workers rebuild and re-install every
@@ -26,24 +24,28 @@ every worker.
 Two correctness gates ride along in the payload: ``artifacts_identical``
 records that both executors serialized bit-identical suite artifacts,
 and ``leaked_segments`` counts ``repro_shm_*`` segments still alive
-after both runs (must be zero — the parent unlinks on exit).
+after both runs in this process tree (must be zero — the parent
+unlinks on exit).  :func:`gate` holds both.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import os
+from typing import Any, Dict, List
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
+from repro.bench import legs, speedup, violations
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.scenarios.runner import _STREAM_TOPOLOGY, _derived_rng, run_suite
-from repro.scenarios.shm import cleanup_stale_segments, live_segments
+from repro.scenarios.shm import cleanup_stale_segments, owned_segments
 from repro.scenarios.spec import (
     DemandSpec,
     FailureSpec,
     ScenarioSuite,
     TopologySpec,
 )
+
+DESCRIPTION = "sweep executors: shared-memory operators vs rebuild-per-worker engines"
 
 #: Per-scale suite shape: topology axis, hop-constrained ensemble depth,
 #: failure axis length, and pool size.  Failure cells per topology stay
@@ -73,12 +75,8 @@ _SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
 }
 
 
-def sweep_bench_suite(scale: str = "small", seed: int = 0) -> ScenarioSuite:
+def _suite(scale: str, seed: int) -> ScenarioSuite:
     """The install-heavy suite a given bench scale executes."""
-    if scale not in _SWEEP_SCALES:
-        raise ValueError(
-            f"unknown bench scale {scale!r}; available: {sorted(_SWEEP_SCALES)}"
-        )
     config = _SWEEP_SCALES[scale]
     failures = [FailureSpec("none")]
     failures += [
@@ -105,10 +103,10 @@ def sweep_bench_suite(scale: str = "small", seed: int = 0) -> ScenarioSuite:
     )
 
 
-def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Time the shared-memory executor against the rebuild-per-worker baseline."""
     config = _SWEEP_SCALES[scale]
-    suite = sweep_bench_suite(scale, seed)
+    suite = _suite(scale, seed)
     workers = int(config["workers"])
 
     networks = [
@@ -121,16 +119,13 @@ def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         rebuild_result = run_suite(suite, workers=workers, executor="rebuild")
     with Stopwatch() as shared_watch:
         shared_result = run_suite(suite, workers=workers, executor="shared")
-    leaked = live_segments()
+    # Only this process tree's segments: a concurrent sweep's are not leaks.
+    leaked = owned_segments(os.getpid())
 
     num_cells = suite.num_cells()
     rebuild_seconds = rebuild_watch.elapsed
     shared_seconds = shared_watch.elapsed
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "sweep",
-        "scale": scale,
-        "seed": seed,
         "network": {
             "name": "+".join(network.name for network in networks),
             "n": sum(network.num_vertices for network in networks),
@@ -159,14 +154,21 @@ def bench_sweep(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         ),
         "artifacts_identical": rebuild_result.to_json() == shared_result.to_json(),
         "leaked_segments": len(leaked),
-        "environment": environment_info(),
     }
 
 
-register_bench(
-    "sweep",
-    bench_sweep,
-    "sweep executors: shared-memory operators vs rebuild-per-worker engines",
-)
+def headline(payload: Dict[str, Any]) -> str:
+    workload = payload["workload"]
+    return (
+        f"{workload['num_cells']} cells x {workload['workers']} workers; {legs(payload)}; "
+        f"speedup {speedup(payload['speedup_shared_over_rebuild'])}; "
+        f"identical={payload['artifacts_identical']}, leaked={payload['leaked_segments']}"
+    )
 
-__all__ = ["bench_sweep", "sweep_bench_suite"]
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    return violations(
+        payloads,
+        ("artifacts_identical", lambda payload: payload["artifacts_identical"] is True),
+        ("leaked_segments == 0", lambda payload: payload["leaked_segments"] == 0),
+    )

@@ -66,8 +66,7 @@ class ScenarioError(ReproError):
 #: Modules registering extension axis kinds on import (the ingestion
 #: layer adds ``zoo``/``sndlib`` topologies and the fitted demand
 #: models).  Loaded lazily through :func:`_ensure_extension_axes` so the
-#: spec layer never imports upward eagerly — same pattern as the bench
-#: target registry in :mod:`repro.linalg.bench`.
+#: spec layer never imports upward eagerly.
 _EXTENSION_AXIS_MODULES = (
     "repro.net.scenario_axes",
     "repro.telemetry.scenario_axes",

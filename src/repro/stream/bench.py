@@ -29,19 +29,17 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.bench import AGREEMENT, legs, speedup, violations
 from repro.graphs.topologies import torus_2d
-from repro.linalg.bench import (
-    BENCH_SCHEMA,
-    _shortest_path_routing,
-    environment_info,
-    register_bench,
-)
 from repro.linalg.compiled import CompiledRouting
+from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.stream.incremental import IncrementalStreamEvaluator
 from repro.stream.metrics import RollingStreamStats
 from repro.stream.sources import RandomWalkStream
+
+DESCRIPTION = "streaming replay: incremental deltas vs per-step batch recompute"
 
 #: Per-scale (torus side, timesteps, support pairs, churn fraction).
 #: ``full`` is the committed baseline: a 15x15 torus has 225 vertices
@@ -57,11 +55,11 @@ _WINDOW = 32
 _THRESHOLD = 1.0
 
 
-def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Streaming replay: per-step batch recompute vs incremental deltas."""
     side, num_steps, num_pairs, churn = _STREAM_SCALES[scale]
     network = torus_2d(side)
-    routing = _shortest_path_routing(network)
+    routing = shortest_path_tree_routing(network)
     stream = RandomWalkStream(
         network, num_steps, seed=seed, num_pairs=num_pairs, churn=churn
     )
@@ -105,10 +103,6 @@ def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     )
     steps = len(updates)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "stream",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "stream": stream.describe(),
@@ -140,16 +134,16 @@ def bench_stream(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
             batch_seconds / incremental_seconds if incremental_seconds > 0 else None
         ),
         "max_abs_difference": max_diff,
-        "environment": environment_info(),
     }
 
 
-# overwrite=True keeps module re-imports (test reloads) idempotent.
-register_bench(
-    "stream",
-    bench_stream,
-    "streaming replay: incremental deltas vs per-step batch recompute",
-    overwrite=True,
-)
+def headline(payload: Dict[str, Any]) -> str:
+    return (
+        f"{payload['workload']['num_steps']} stream steps; {legs(payload)}; "
+        f"speedup {speedup(payload['speedup_incremental_over_batch'])}; "
+        f"max diff {payload['max_abs_difference']:.1e}"
+    )
 
-__all__ = ["bench_stream"]
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    return violations(payloads, AGREEMENT)

@@ -216,12 +216,6 @@ class IncrementalStreamEvaluator:
         self._num_steps += 1
         return self._loads
 
-    def refresh(self) -> np.ndarray:
-        """Recompute the loads from the maintained vector (drift reset)."""
-        self._loads = np.asarray(self._vector @ self._operator, dtype=float).ravel()
-        self._num_full_recomputes += 1
-        return self._loads
-
     # ------------------------------------------------------------------ #
     # Metrics
     # ------------------------------------------------------------------ #

@@ -9,10 +9,11 @@ for memory-bounded tiled evaluation (:mod:`repro.linalg.tiled`):
   geographic backbone.
 
 Registered as scenario topology kinds (``isp(pops=16)``,
-``backbone(2000)``) via :mod:`repro.synth.scenario_axes` and as the
-``scale`` bench target via :mod:`repro.synth.bench`; both hook in
-lazily through the spec/bench registries, so importing this package
-never pulls the scenario or bench layers eagerly.
+``backbone(2000)``) via :mod:`repro.synth.scenario_axes`, and measured
+by the ``scale`` bench target in :mod:`repro.synth.bench`; the spec
+layer and the :mod:`repro.bench` harness import those modules lazily,
+so importing this package never pulls the scenario or bench layers
+eagerly.
 """
 
 from repro.synth.generators import (

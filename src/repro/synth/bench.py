@@ -19,9 +19,9 @@ The artifact extends the common ``repro-bench/v1`` schema with:
 * the usual baseline-first ``backends`` block (untiled vs tiled at the
   largest point where both ran) with ``mem_peak_kb`` fields.
 
-CI regenerates the smoke scale on both dependency legs and gates the
-committed full-scale ``BENCH_scale.json`` (≥ 1k-node point evaluated
-under budget, tiled-vs-untiled agreement ≤ 1e-9).
+:func:`gate` holds every artifact to tiled-vs-untiled agreement
+≤ 1e-9 with every point under budget, and a full-scale one to a
+≥ 1k-node point per backend.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ import numpy as np
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.graphs.network import Network
+from repro.bench import AGREEMENT, violations
 from repro.linalg._matrix import HAVE_SCIPY
-from repro.linalg.bench import environment_info, register_bench
 from repro.linalg.evaluator import build_evaluator
 from repro.synth.generators import isp
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import PeakMemory, Stopwatch, timing_entry
 
-#: Tolerance the tiled path must meet against the untiled reference
-#: (float summation order is the only difference).
-EQUIVALENCE_TOL = 1e-9
+DESCRIPTION = "scale frontier: nodes-vs-seconds/peak-MB curves, tiled vs untiled"
 
 #: Every tiled evaluation in this bench runs under this working-set
 #: budget; ``within_budget`` compares the measured peak against it.
@@ -111,7 +109,7 @@ def _backends() -> List[str]:
     return ["sparse", "dense"] if HAVE_SCIPY else ["dense"]
 
 
-def bench_scale(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Scale-frontier curves: tiled vs untiled evaluation per backend."""
     config = _SCALE_CONFIG[scale]
     num_demands = int(config["num_demands"])
@@ -210,10 +208,6 @@ def bench_scale(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     assert largest is not None
     return {
-        "schema": "repro-bench/v1",
-        "name": "scale",
-        "scale": scale,
-        "seed": seed,
         "network": {
             "name": largest.name,
             "n": largest.num_vertices,
@@ -232,14 +226,47 @@ def bench_scale(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         "curves": curves,
         "backends": backends_block,
         "max_abs_difference": max_abs_difference,
-        "environment": environment_info(),
     }
 
 
-register_bench(
-    "scale",
-    bench_scale,
-    "scale frontier: nodes-vs-seconds/peak-MB curves, tiled vs untiled",
-)
+def _points(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    return [point for points in payload["curves"].values() for point in points]
 
-__all__ = ["EQUIVALENCE_TOL", "MEMORY_BUDGET_MB", "bench_scale"]
+
+def headline(payload: Dict[str, Any]) -> str:
+    counts = payload["workload"]["node_counts"]
+    peak = max(point["mem_peak_mb"] for point in _points(payload))
+    return (
+        f"{counts[0]}-{counts[-1]} nodes x {payload['workload']['num_demands']} demands; "
+        f"tiled peak {peak:.1f} / {payload['memory_budget_mb']:.0f} MB; "
+        f"max diff {payload['max_abs_difference']:.1e}"
+    )
+
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    def points_agree(payload):
+        return all(
+            point["max_abs_difference"] <= 1e-9
+            for point in _points(payload)
+            if "max_abs_difference" in point  # where the untiled reference ran
+        )
+
+    def reaches_1k_nodes(payload):
+        return all(
+            any(point["nodes"] >= 1000 for point in points)
+            for points in payload["curves"].values()
+        )
+
+    return violations(
+        payloads,
+        AGREEMENT,
+        ("within_budget", lambda p: p["within_budget"] is True),
+        ("every backend has curve points", lambda p: all(p["curves"].values()) and p["curves"]),
+        ("every curve point within budget", lambda p: all(q["within_budget"] for q in _points(p))),
+        ("every curve point's max_abs_difference <= 1e-9", points_agree),
+    ) + violations(
+        # The subsystem's acceptance bar: a >= 1k-node network evaluated
+        # end-to-end under the memory budget on every backend.
+        [payload for payload in payloads if payload["scale"] == "full"],
+        ("a >= 1000-node point per backend", reaches_1k_nodes),
+    )

@@ -20,9 +20,9 @@ that gap with three pieces:
   :class:`~repro.stream.RollingStreamStats` load window.
 
 Importing :mod:`repro.telemetry.scenario_axes` registers the
-``estimated(...)`` demand kind; :mod:`repro.telemetry.bench` registers
-the ``odme`` bench target.  Both are pulled in lazily by the scenario
-and bench registries.
+``estimated(...)`` demand kind, pulled in lazily by the scenario spec
+layer; :mod:`repro.telemetry.bench` is the ``odme`` target of the
+:mod:`repro.bench` harness, imported by name on use.
 """
 
 from repro.telemetry.observation import (

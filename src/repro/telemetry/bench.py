@@ -1,10 +1,9 @@
 """The ``odme`` bench target: demand estimation across the real catalog.
 
-Registered with the :mod:`repro.linalg.bench` target registry (the
-``repro bench odme`` CLI path).  For each bundled real topology the
-bench compiles the shortest-path routing, generates fitted-gravity truth
-snapshots, observes them through noise-free full-coverage ingress
-telemetry, and times the two estimator legs against each other:
+For each bundled real topology the bench compiles the shortest-path-tree
+routing, generates fitted-gravity truth snapshots, observes them through
+noise-free full-coverage ingress telemetry, and times the two estimator
+legs against each other:
 
 * ``nnls`` — per-source non-negative least squares on the compiled
   pair × edge operator (the scipy leg, or the numpy active-set
@@ -28,14 +27,17 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.linalg.bench import BENCH_SCHEMA, environment_info, register_bench
+from repro.bench import AGREEMENT, legs, speedup, violations
 from repro.linalg.compiled import CompiledRouting
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
+from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.telemetry.observation import ObservationModel
 from repro.telemetry.odme import estimate_demand
+
+DESCRIPTION = "demand estimation: NNLS vs entropy-IPF over the real-topology catalog"
 
 #: Truth snapshots estimated per topology, per scale.
 _ODME_SCALES: Dict[str, int] = {"smoke": 1, "small": 2, "full": 4}
@@ -45,10 +47,8 @@ _ODME_SCALES: Dict[str, int] = {"smoke": 1, "small": 2, "full": 4}
 _SMOKE_TOPOLOGIES = 3
 
 
-def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
+def run(scale: str, seed: int) -> Dict[str, Any]:
     """Time NNLS vs entropy-IPF demand estimation on the real catalog."""
-    from repro.linalg.bench import _shortest_path_routing
-
     num_snapshots = _ODME_SCALES[scale]
     entries = sorted(catalog_entries(), key=lambda entry: (entry.nodes, entry.name))
     if scale == "smoke":
@@ -68,7 +68,7 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
     representation = "sparse"
     for index, entry in enumerate(entries):
         network = load_catalog_topology(entry.qualified_name)
-        routing = _shortest_path_routing(network)
+        routing = shortest_path_tree_routing(network)
         with Stopwatch() as compile_watch:
             compiled = CompiledRouting.from_routing(routing)
         representation = compiled.representation
@@ -123,10 +123,6 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
 
     estimations = num_snapshots * len(entries)
     return {
-        "schema": BENCH_SCHEMA,
-        "name": "odme",
-        "scale": scale,
-        "seed": seed,
         "network": {"name": "catalog", "n": total_nodes, "m": total_edges},
         "workload": {
             "num_topologies": len(entries),
@@ -153,14 +149,16 @@ def bench_odme(scale: str = "small", seed: int = 0) -> Dict[str, Any]:
         ),
         "max_abs_difference": max_error,
         "topologies": per_topology,
-        "environment": environment_info(),
     }
 
 
-register_bench(
-    "odme",
-    bench_odme,
-    "demand estimation: NNLS vs entropy-IPF over the real-topology catalog",
-)
+def headline(payload: Dict[str, Any]) -> str:
+    return (
+        f"{payload['workload']['num_estimations']} estimations; {legs(payload)}; "
+        f"speedup {speedup(payload['speedup_nnls_over_entropy'])}; "
+        f"max recovery error {payload['max_abs_difference']:.1e}"
+    )
 
-__all__ = ["bench_odme"]
+
+def gate(payloads: List[Dict[str, Any]]) -> List[str]:
+    return violations(payloads, AGREEMENT)

@@ -27,6 +27,7 @@ from typing import Any, Dict
 from repro.demands.traffic_matrix import TrafficMatrixSeries
 from repro.graphs.network import Network
 from repro.linalg.compiled import CompiledRouting
+from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.scenarios.spec import DemandSpec, register_demand_kind
 
 from repro.telemetry.observation import ObservationModel
@@ -45,12 +46,10 @@ def _series_estimated(
     )
     truth = DemandSpec(base_kind, params=base_params).series(network, snapshots, rng)
 
-    # The measurement routing is the spf baseline: demand-independent,
-    # deterministic, and per-source shortest-path trees keep the
+    # The measurement routing follows each source's shortest-path tree:
+    # demand-independent, deterministic, and per-source trees keep the
     # ingress-telemetry inverse problems well-posed.
-    from repro.linalg.bench import _shortest_path_routing
-
-    compiled = CompiledRouting.from_routing(_shortest_path_routing(network))
+    compiled = CompiledRouting.from_routing(shortest_path_tree_routing(network))
     model = ObservationModel(
         noise=float(params.get("noise", 0.05)),
         coverage=float(params.get("coverage", 1.0)),

@@ -2,7 +2,7 @@
 
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.tables import Table, format_float, format_series
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import Stopwatch
 
 __all__ = [
     "ensure_rng",
@@ -11,5 +11,4 @@ __all__ = [
     "format_float",
     "format_series",
     "Stopwatch",
-    "Timer",
 ]

@@ -2,7 +2,7 @@
 
 The experiment harness prints the same rows/series that EXPERIMENTS.md
 records, so the formatting lives in one small module that both the
-benchmarks and the example scripts share.
+experiments and the example scripts share.
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
 """Timing helpers shared by the harness and the benchmark targets.
 
 All wall-clock measurement in the repository goes through
-``time.perf_counter`` (monotonic, highest available resolution) — either
-via :class:`Stopwatch` for one-off measurements or via
-:class:`Timer` for named, accumulated sections.
+``time.perf_counter`` (monotonic, highest available resolution) via
+:class:`Stopwatch`.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class Stopwatch:
@@ -61,51 +59,6 @@ class Stopwatch:
         monotonic timeline without a second ``perf_counter`` call.
         """
         return self._start
-
-
-@dataclass
-class Timer:
-    """Accumulates wall-clock time per named section.
-
-    Usage::
-
-        timer = Timer()
-        with timer.section("lp"):
-            solve()
-        print(timer.totals["lp"])
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def section(self, name: str) -> "_Section":
-        return _Section(self, name)
-
-    def record(self, name: str, elapsed: float) -> None:
-        self.totals[name] = self.totals.get(name, 0.0) + elapsed
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def summary(self) -> List[str]:
-        lines = []
-        for name in sorted(self.totals):
-            total = self.totals[name]
-            count = self.counts[name]
-            lines.append(f"{name}: {total:.3f}s over {count} call(s)")
-        return lines
-
-
-class _Section:
-    def __init__(self, timer: Timer, name: str):
-        self._timer = timer
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._timer.record(self._name, time.perf_counter() - self._start)
 
 
 class PeakMemory:
@@ -183,4 +136,4 @@ def timing_entry(
     return entry
 
 
-__all__ = ["PeakMemory", "Stopwatch", "Timer", "timing_entry"]
+__all__ = ["PeakMemory", "Stopwatch", "timing_entry"]

@@ -1,10 +1,12 @@
 """Unit tests for the compiled linear-algebra evaluation backend."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from repro import bench
 from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
@@ -22,7 +24,6 @@ from repro.linalg import (
 )
 from repro.linalg import _matrix
 from repro.linalg.compiled import CompiledRouting
-from repro.linalg.bench import available_benches, run_bench, write_bench_artifact
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
 from repro.synth import isp
@@ -291,8 +292,8 @@ def test_backend_choices_single_source(square):
 
 
 def test_bench_smoke_schema(tmp_path):
-    assert "linalg" in available_benches()
-    payload = run_bench("linalg", scale="smoke", seed=0)
+    assert "linalg" in bench.TARGETS
+    payload = bench.run("linalg", scale="smoke", seed=0)
     assert payload["schema"] == "repro-bench/v1"
     assert payload["name"] == "linalg"
     assert payload["network"]["n"] == 36
@@ -304,19 +305,17 @@ def test_bench_smoke_schema(tmp_path):
     assert payload["max_abs_difference"] <= 1e-9
     # Non-full scales encode the scale in the filename, so they cannot
     # clobber the committed full-scale BENCH_linalg.json baseline.
-    path = write_bench_artifact(payload, output_dir=str(tmp_path))
+    path = bench.write(payload, output_dir=str(tmp_path))
     assert path.endswith("BENCH_linalg_smoke.json")
-    assert write_bench_artifact({**payload, "scale": "full"}, output_dir=str(tmp_path)).endswith(
+    assert bench.write({**payload, "scale": "full"}, output_dir=str(tmp_path)).endswith(
         "BENCH_linalg.json"
     )
-    import json
-
     with open(path, encoding="utf-8") as handle:
         assert json.load(handle)["schema"] == "repro-bench/v1"
     with pytest.raises(LinalgError):
-        run_bench("nope")
+        bench.run("nope")
     with pytest.raises(LinalgError):
-        run_bench("linalg", scale="galactic")
+        bench.run("linalg", scale="galactic")
 
 
 def test_bench_cli_writes_artifact(tmp_path, capsys):
@@ -326,6 +325,12 @@ def test_bench_cli_writes_artifact(tmp_path, capsys):
     assert (tmp_path / "BENCH_linalg_smoke.json").exists()
     out = capsys.readouterr().out
     assert "speedup" in out
+    # The harness stamps the envelope around the target's body and the
+    # CLI prints the target's own headline.
+    payload = json.loads((tmp_path / "BENCH_linalg_smoke.json").read_text())
+    assert out == f"linalg: {bench.headline(payload)}\n"
+    assert list(payload)[:4] == ["schema", "name", "scale", "seed"]
+    assert list(payload)[-1] == "environment"
     assert main(["bench", "list"]) == 0
     assert main(["bench", "wat", "--output-dir", str(tmp_path)]) == 2
 

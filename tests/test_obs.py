@@ -315,9 +315,9 @@ def test_timing_entry_schema():
 
 
 def test_bench_obs_payload_smoke():
-    from repro.obs.bench import bench_obs
+    from repro import bench
 
-    payload = bench_obs(scale="smoke", seed=0)
+    payload = bench.run("obs", scale="smoke", seed=0)
     assert payload["name"] == "obs"
     assert set(payload["backends"]) == {"baseline", "disabled", "enabled"}
     for entry in payload["backends"].values():

@@ -377,10 +377,10 @@ class TestRunner:
 # --------------------------------------------------------------------- #
 class TestStreamBench:
     def test_smoke_payload(self):
-        from repro.linalg.bench import available_benches, run_bench
+        from repro import bench
 
-        assert "stream" in available_benches()
-        payload = run_bench("stream", scale="smoke", seed=0)
+        assert "stream" in bench.TARGETS
+        payload = bench.run("stream", scale="smoke", seed=0)
         assert payload["schema"] == "repro-bench/v1"
         assert payload["name"] == "stream"
         assert set(payload["backends"]) == {"batch", "incremental"}

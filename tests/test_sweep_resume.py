@@ -32,7 +32,12 @@ from repro.scenarios import (
     get_suite,
     run_suite,
 )
-from repro.scenarios.shm import cleanup_stale_segments, live_segments
+from repro.scenarios.shm import (
+    SEGMENT_PREFIX,
+    cleanup_stale_segments,
+    live_segments,
+    owned_segments,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,8 +139,11 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
     # The resume evaluated only the missing cells on top of the survivors.
     assert store_record_count(store_dir) == 12
     # Any segments the killed parent leaked were owned by a dead pid and
-    # swept by the resume; nothing may stay behind afterwards.
-    assert live_segments() == []
+    # swept by the resume; nothing may stay behind afterwards.  Another
+    # session's sweeps may hold segments meanwhile, so count only ours.
+    victim_prefix = f"{SEGMENT_PREFIX}{victim.pid}_"
+    assert [name for name in live_segments() if name.startswith(victim_prefix)] == []
+    assert owned_segments(os.getpid()) == []
 
 
 def test_resume_against_different_suite_is_rejected(tmp_path):
@@ -189,7 +197,7 @@ def test_executor_equivalence_on_probe_suite():
     reference = run_suite(suite, workers=1).to_json()
     assert run_suite(suite, workers=4, executor="shared").to_json() == reference
     assert run_suite(suite, workers=2, executor="rebuild").to_json() == reference
-    assert live_segments() == []
+    assert owned_segments(os.getpid()) == []
 
 
 def test_backend_equivalence_across_executors(monkeypatch):
@@ -206,7 +214,7 @@ def test_backend_equivalence_across_executors(monkeypatch):
         assert shared.to_json() == inline.to_json(), (
             f"{representation!r} diverged under the shared executor"
         )
-    assert live_segments() == []
+    assert owned_segments(os.getpid()) == []
 
 
 def test_real_world_suite_bit_identical_across_executors(tmp_path):
@@ -269,8 +277,6 @@ def test_stale_segment_cleanup_never_touches_live_owners():
     # a cleanup sweep; a dead-pid segment must not.
     from multiprocessing import resource_tracker, shared_memory
 
-    from repro.scenarios.shm import SEGMENT_PREFIX
-
     live = shared_memory.SharedMemory(
         create=True, size=64, name=f"{SEGMENT_PREFIX}{os.getpid()}_probe"
     )
@@ -294,8 +300,6 @@ def test_owned_segments_count_only_this_process_tree():
     # A live process outside this tree (pid 1) owns none of this session's
     # segments; this process and a live child do.
     from multiprocessing import shared_memory
-
-    from repro.scenarios.shm import SEGMENT_PREFIX, owned_segments
 
     child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
     segments = [

@@ -19,7 +19,8 @@ from repro.engine import RoutingEngine
 from repro.exceptions import DemandError, TelemetryError
 from repro.graphs import topologies
 from repro.linalg import _matrix
-from repro.linalg.bench import _shortest_path_routing, run_bench
+from repro import bench
+from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.linalg.compiled import CompiledRouting
 from repro.net import load_network
 from repro.net.fitting import IpfDiagnostics, fitted_gravity_series, max_entropy_demand
@@ -45,7 +46,7 @@ RECOVERY_TOPOLOGIES = ("zoo(abilene)", "sndlib(polska)", "sndlib(nobel-germany)"
 
 def _compiled_and_truth(source, seed=0):
     network = load_network(source)
-    compiled = CompiledRouting.from_routing(_shortest_path_routing(network))
+    compiled = CompiledRouting.from_routing(shortest_path_tree_routing(network))
     truth = fitted_gravity_series(network, 1, rng=seed)[0]
     return network, compiled, truth
 
@@ -153,7 +154,7 @@ def test_gravity_prior_regularizes_link_granularity():
 def test_estimate_rejects_mismatched_observation():
     _, compiled, truth = _compiled_and_truth("zoo(abilene)")
     network = topologies.hypercube(3)
-    other = CompiledRouting.from_routing(_shortest_path_routing(network))
+    other = CompiledRouting.from_routing(shortest_path_tree_routing(network))
     observation = ObservationModel().observe(other, fitted_gravity_series(network, 1, rng=0)[0])
     with pytest.raises(TelemetryError):
         estimate_demand(compiled, observation)
@@ -314,7 +315,7 @@ def test_max_entropy_prior_warm_start_biases_fit():
 
 
 # --------------------------------------------------------------------- #
-# CLI + bench registry
+# CLI + bench harness
 # --------------------------------------------------------------------- #
 def test_cli_net_odme_json_is_bit_identical(capsys):
     argv = ["net", "odme", "zoo(abilene)", "--snapshots", "2", "--json"]
@@ -361,7 +362,7 @@ def test_cli_bench_output_dir_accepts_relative_paths(tmp_path, monkeypatch, caps
 
 
 def test_bench_odme_smoke_payload_schema():
-    payload = run_bench("odme", scale="smoke", seed=0)
+    payload = bench.run("odme", scale="smoke", seed=0)
     assert payload["schema"] == "repro-bench/v1"
     assert set(payload["backends"]) == {"entropy", "nnls"}
     assert payload["workload"]["num_topologies"] == 3

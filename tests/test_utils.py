@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.rng import ensure_rng, random_permutation, spawn_rngs, weighted_choice
 from repro.utils.tables import Table, format_float, format_series
-from repro.utils.timing import Timer
 
 
 def test_ensure_rng_accepts_all_forms():
@@ -68,17 +67,6 @@ def test_table_rendering():
     assert str(table) == text
     with pytest.raises(ValueError):
         table.add_row(1)
-
-
-def test_timer_accumulates():
-    timer = Timer()
-    with timer.section("work"):
-        pass
-    with timer.section("work"):
-        pass
-    assert timer.counts["work"] == 2
-    assert timer.totals["work"] >= 0.0
-    assert any("work" in line for line in timer.summary())
 
 
 def test_stopwatch_measures_block():

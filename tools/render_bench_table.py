@@ -3,12 +3,13 @@
 
 Usage::
 
-    python tools/render_bench_table.py [BENCH_linalg.json BENCH_rebase.json ...]
+    PYTHONPATH=src python tools/render_bench_table.py [BENCH_linalg.json BENCH_rebase.json ...]
 
 With no arguments, reads every ``BENCH_*.json`` at the repository root.
-Prints a GitHub-flavored markdown table; paste the output into the
-"Evaluation backends" section of README.md after regenerating baselines
-with ``python -m repro bench --scale full``.
+Prints a GitHub-flavored markdown table, one row per artifact with the
+target's own headline; paste the output into the "Evaluation backends"
+section of README.md after regenerating baselines with
+``python -m repro bench --scale full``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+from repro.bench import SCHEMA, headline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,74 +28,20 @@ def load_artifacts(paths):
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        if payload.get("schema") != "repro-bench/v1":
+        if payload.get("schema") != SCHEMA:
             raise SystemExit(f"{path}: unknown bench schema {payload.get('schema')!r}")
         artifacts.append(payload)
     return artifacts
 
 
-def _workload_summary(workload) -> str:
-    if "num_steps" in workload:
-        return f"{workload['num_steps']} stream steps"
-    if "num_estimations" in workload:
-        return f"{workload['num_estimations']} estimations"
-    if "num_cells" in workload:
-        return f"{workload['num_cells']} cells x {workload['workers']} workers"
-    if "buckets" in workload:
-        return (f"{workload['num_topologies']} topologies x "
-                f"{len(workload['buckets'])} bucket sizes")
-    if "node_counts" in workload:
-        counts = workload["node_counts"]
-        return f"{counts[0]}-{counts[-1]} nodes x {workload['num_demands']} demands"
-    summary = f"{workload['num_demands']} demands"
-    if "num_events" in workload:
-        summary += f" x {workload['num_events']} failures"
-    return summary
-
-
 def render(artifacts) -> str:
-    """Baseline/fast columns are generic: every payload orders its
-    ``backends`` mapping baseline-first and carries either one
-    ``speedup_<fast>_over_<baseline>`` key or (overhead-style benches,
-    e.g. ``obs``) an ``overhead_enabled_pct`` figure."""
-    lines = [
-        "| bench | topology | workload | baseline | fast | speedup |",
-        "|---|---|---|---|---|---|",
-    ]
+    lines = ["| bench | topology | result |", "|---|---|---|"]
     for payload in artifacts:
         network = payload["network"]
-        baseline_name, fast_name = list(payload["backends"])[:2]
-        baseline = payload["backends"][baseline_name]
-        fast = payload["backends"][fast_name]
-        speedup = next(
-            (value for key, value in payload.items() if key.startswith("speedup_")),
-            None,
-        )
-        if speedup is not None:
-            figure = f"**{speedup:.1f}x**"
-        elif "max_gap" in payload:
-            # Gap-style payloads (e.g. ``ecmp``) compare a fractional
-            # reference against a realized leg, not slow-vs-fast.
-            figure = f"{payload['max_gap']:.3f}x max gap"
-        elif "curves" in payload:
-            # Scale-curve payloads compare untiled vs memory-bounded
-            # tiled evaluation; the figure is the largest tiled peak
-            # against the configured budget.
-            peak = max(
-                point["mem_peak_mb"]
-                for points in payload["curves"].values()
-                for point in points
-            )
-            figure = f"{peak:.1f} / {payload['memory_budget_mb']:.0f} MB peak"
-        else:
-            figure = f"{payload['overhead_enabled_pct']:+.1f}% overhead"
         lines.append(
             f"| `{payload['name']}` "
             f"| {network['name']} (n={network['n']}, m={network['m']}) "
-            f"| {_workload_summary(payload['workload'])} "
-            f"| {baseline['seconds']:.2f} s ({baseline_name}) "
-            f"| {fast['seconds']:.2f} s ({fast_name}) "
-            f"| {figure} |"
+            f"| {headline(payload)} |"
         )
     return "\n".join(lines)
 
