@@ -20,22 +20,14 @@ setup(
         "repro.net.catalog": ["*.graphml", "*.txt", "*.xml", "*.json"],
     },
     python_requires=">=3.10",
-    # Core stays numpy-only: the compiled evaluation backend
-    # (repro.linalg) falls back to dense numpy operators without scipy,
-    # and the LP solvers raise a clear SolverError pointing at the extra.
+    # scipy >= 1.15 bundles the HiGHS binding (scipy.optimize._highspy)
+    # that both congestion LPs drive directly, and its CSR matrices are
+    # the compiled evaluation backend.  The binding is private to scipy
+    # (the 15-argument array passModel among it), so the range stops
+    # below the first release it was not tested on (1.17.1 was).
     install_requires=[
         "numpy",
         "networkx",
+        "scipy>=1.15,<1.18",
     ],
-    # scipy >= 1.15 bundles the HiGHS binding (scipy.optimize._highspy)
-    # that the Stage-4 path LP drives directly.  The binding is private
-    # to scipy (the 15-argument array passModel among it), so the range
-    # stops below the first release it was not tested on (1.17.1 was).
-    extras_require={
-        # scipy CSR matrices for the sparse evaluation backend
-        "sparse": ["scipy>=1.15,<1.18"],
-        # HiGHS via scipy for the exact MCF / rate LPs
-        "lp": ["scipy>=1.15,<1.18"],
-        "full": ["scipy>=1.15,<1.18"],
-    },
 )

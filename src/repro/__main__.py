@@ -503,12 +503,16 @@ def _cmd_bench(
               file=sys.stderr)
         return 2
     payloads = []
+    failed = []
     for name in chosen:
+        # A failing target does not stop the others: each still runs
+        # and writes its artifact, and the exit status reports failures.
         try:
             payload = bench.run(name, scale=scale, seed=seed)
         except ReproError as error:
             print(f"bench {name!r} failed: {error}", file=sys.stderr)
-            return 1
+            failed.append(name)
+            continue
         path = bench.write(payload, output_dir=output_dir)
         payloads.append(payload)
         if not as_json:
@@ -516,6 +520,9 @@ def _cmd_bench(
             print(f"  wrote {path}", file=sys.stderr)
     if as_json:
         print(json_dumps(payloads))
+    if failed:
+        print(f"{len(failed)} bench target(s) failed: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 

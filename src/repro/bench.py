@@ -24,7 +24,7 @@ scale check, the envelope and the artifact file name.  Artifact layout
       "seed": 0,
       ...                           # the target's body, e.g. network,
                                     # workload, backends (baseline first)
-      "environment": {"python": ..., "numpy": ..., "scipy": "1.x" | false}
+      "environment": {"python": ..., "numpy": ..., "scipy": "1.x"}
     }
 
 Keys are only ever added, never renamed.  ``repro bench check PATH...``
@@ -41,9 +41,9 @@ from types import ModuleType
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy
 
 from repro.exceptions import LinalgError
-from repro.linalg._matrix import HAVE_SCIPY
 from repro.utils.serialization import dumps as json_dumps
 
 SCHEMA = "repro-bench/v1"
@@ -73,16 +73,10 @@ def target(name: str) -> ModuleType:
 
 def _environment() -> Dict[str, Any]:
     """The ``environment`` block closing every artifact."""
-    try:
-        import scipy
-
-        scipy_version = scipy.__version__
-    except ImportError:  # pragma: no cover
-        scipy_version = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy_version if HAVE_SCIPY else False,
+        "scipy": scipy.__version__,
     }
 
 

@@ -62,7 +62,7 @@ class Routing:
 
     def __getstate__(self):
         # Evaluator caches hold compiled operators (potentially large
-        # scipy/numpy matrices); they are rebuildable from the
+        # scipy matrices); they are rebuildable from the
         # distributions, so pickles ship lean and receivers either
         # recompile lazily or re-seed via :meth:`attach_evaluator`
         # (shared-memory sweep workers do the latter).
@@ -187,25 +187,18 @@ class Routing:
 
         One rule picks ``backend`` by how the routing is used: a routing
         installed once and evaluated for many demands compiles through
-        ``"auto"`` (scipy CSR, dense numpy without scipy); a routing
-        evaluated once keeps ``"dict"`` (reference loops with a
-        per-demand memo, and the test oracle), because compiling first
-        costs about two dict passes.  ``"sparse"``/``"dense"`` name a
-        compiled form explicitly.  Evaluators are cached per form and
-        invalidated when a distribution changes; ``"auto"`` reuses
-        whichever compiled form is already cached, including one seeded
-        by :meth:`attach_evaluator`.  See :mod:`repro.linalg`.
+        ``"auto"`` (scipy CSR); a routing evaluated once keeps ``"dict"``
+        (reference loops with a per-demand memo, and the test oracle),
+        because compiling first costs about two dict passes.
+        ``"sparse"`` names the compiled form explicitly.  Evaluators are
+        cached per form and invalidated when a distribution changes;
+        ``"auto"`` reuses the compiled form already cached, including one
+        seeded by :meth:`attach_evaluator`.  See :mod:`repro.linalg`.
         """
         if backend == "auto":
-            for key in ("sparse", "dense"):
-                if key in self._evaluators:
-                    return self._evaluators[key]
-        if backend != "dict":
-            # "auto"/"sparse"/"dense" can resolve to the same compiled
-            # form; cache under the resolved name to compile only once.
-            from repro.linalg._matrix import resolve_representation
-
-            backend = resolve_representation(backend)
+            # "auto" and "sparse" are the same compiled form; cache it
+            # under one name to compile only once.
+            backend = "sparse"
         evaluator = self._evaluators.get(backend)
         if evaluator is None:
             from repro.linalg.evaluator import build_evaluator
@@ -221,8 +214,8 @@ class Routing:
         parent and rebuilds evaluators in workers from zero-copy array
         views; attaching them here makes :meth:`evaluator` (and every
         metric built on it) hit the prebuilt form instead of recompiling.
-        ``backend`` must already be resolved (``"sparse"``/``"dense"``/
-        ``"dict"``), matching the cache keys :meth:`evaluator` uses.  The
+        ``backend`` must already be resolved (``"sparse"``/``"dict"``),
+        matching the cache keys :meth:`evaluator` uses.  The
         attachment is invalidated by mutation exactly like a cached
         compile.
         """

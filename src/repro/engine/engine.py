@@ -336,20 +336,16 @@ class RoutingEngine:
         router = self[label]
         optimal = self.optimal_congestion if with_optimal else None
 
-        from repro.linalg._matrix import HAVE_SCIPY
+        def optimal_routing(demand):
+            # One LP serves both consumers: the policy needs the
+            # routing, the ratio normalization needs the congestion —
+            # prime the engine's memoized solver so ``optimal(demand)``
+            # right after a re-solve is a cache hit, not a second LP.
+            from repro.mcf.lp import min_congestion_lp
 
-        optimal_routing = None
-        if HAVE_SCIPY:
-            def optimal_routing(demand):
-                # One LP serves both consumers: the policy needs the
-                # routing, the ratio normalization needs the congestion —
-                # prime the engine's memoized solver so ``optimal(demand)``
-                # right after a re-solve is a cache hit, not a second LP.
-                from repro.mcf.lp import min_congestion_lp
-
-                result = min_congestion_lp(self._network, demand, return_routing=True)
-                self._context.optimal_solver.prime(demand, result.congestion)
-                return result.routing
+            result = min_congestion_lp(self._network, demand, return_routing=True)
+            self._context.optimal_solver.prime(demand, result.congestion)
+            return result.routing
 
         common = dict(
             window=window,
@@ -479,16 +475,13 @@ class RoutingEngine:
         The worker side of the handshake: ``compiled`` is typically
         :meth:`~repro.linalg.compiled.CompiledRouting.from_arrays` over
         zero-copy shared-memory views.  The scheme's routing caches a
-        :class:`~repro.linalg.evaluator.SparseEvaluator` under the
-        compiled representation, so routing demands through the scheme
+        :class:`~repro.linalg.evaluator.SparseEvaluator`, so routing demands through the scheme
         hits the attached operators instead of recompiling.
         """
         from repro.linalg.evaluator import SparseEvaluator
 
         routing = self[label].routing
-        routing.attach_evaluator(
-            compiled.representation, SparseEvaluator(compiled, source_routing=routing)
-        )
+        routing.attach_evaluator("sparse", SparseEvaluator(compiled, source_routing=routing))
 
     # ------------------------------------------------------------------ #
     # Scenario sweeps

@@ -53,9 +53,6 @@ class LinalgError(ReproError):
 
     Examples include unknown backend or bench-target names and using a
     compiled evaluator whose routing has mutated since compilation.
-    (Requesting ``"sparse"`` without scipy is *not* an error: it falls
-    back to the dense numpy representation by design; the evaluator's
-    ``backend`` attribute records what actually ran.)
     """
 
 
@@ -64,7 +61,7 @@ class StreamError(ReproError):
 
     Examples include unknown stream or policy names, malformed policy
     specs, non-positive step counts, and rerouting policies that need
-    the LP solver on an install without one.  (A routing that stops
+    an optimal-MCF solver their context lacks.  (A routing that stops
     covering a streamed pair is *not* an error: the runner treats it as
     a forced re-solve so controllers keep running through demand
     shifts.)

@@ -118,9 +118,8 @@ def _wilson_interval(
     """Wilson score interval for a binomial proportion."""
     if samples <= 0:
         return 0.0, 1.0
-    # Normal quantile via the rational approximation of Acklam — scipy
-    # may be absent on the numpy-only leg, and the common confidences
-    # dominate anyway.
+    # Normal quantile from a table of the common confidences, with a
+    # rational approximation for the rest.
     z = {0.90: 1.6448536, 0.95: 1.9599640, 0.99: 2.5758293}.get(
         round(confidence, 2)
     )

@@ -1,8 +1,8 @@
 """The ``ecmp`` bench target: fractional-vs-realized gaps on the catalog.
 
 For each bundled real topology the bench installs the
-``oblivious(ksp, k=4)`` fixed-ratio routing (LP-free, so the target runs
-identically on the numpy-only leg), fits one seeded gravity demand, and
+``oblivious(ksp, k=4)`` fixed-ratio routing (LP-free), fits one seeded
+gravity demand, and
 measures the max-congestion ratio between the fractional routing and its
 ECMP quantization for k in {2, 4, 8, 16}, plus a flow-level realization
 at k=8 and the exact analytic non-congestion probability of the matching
@@ -43,8 +43,8 @@ _FLOW_SCALES: Dict[str, int] = {"smoke": 32, "small": 128, "full": 256}
 #: ECMP group sizes swept by the bench (the committed-artifact contract).
 _BUCKET_SWEEP = (2, 4, 8, 16)
 
-#: The fixed-ratio base scheme: k-shortest-path splitting, solvable
-#: without scipy so both dependency legs run the identical workload.
+#: The fixed-ratio base scheme: k-shortest-path splitting, which needs
+#: no LP.
 _BASE_SCHEME = "oblivious(ksp, k=4)"
 
 #: The smoke scale trims the catalog to its smallest entries so the CI
@@ -65,7 +65,6 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
     quantize_total = 0.0
     total_nodes = 0
     total_edges = 0
-    resolved_backend = "sparse"
     gap_by_buckets: Dict[str, float] = {str(k): 0.0 for k in _BUCKET_SWEEP}
     mean_gap_k8 = 0.0
     for index, entry in enumerate(entries):
@@ -88,9 +87,6 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             fractional_evaluator = build_evaluator(routing, backend="sparse")
             fractional = float(fractional_evaluator.congestion(demand))
         fractional_total += fractional_watch.elapsed
-        # "sparse" resolves to the dense representation on numpy-only
-        # installs; record what actually ran.
-        resolved_backend = fractional_evaluator.backend
 
         gaps: Dict[str, float] = {}
         table_k8 = None
@@ -159,7 +155,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         },
         "backends": {
             "fractional": {
-                "backend": resolved_backend,
+                "backend": "sparse",
                 **timing_entry(
                     fractional_total,
                     count=len(entries),
@@ -167,7 +163,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 ),
             },
             "realized": {
-                "backend": resolved_backend,
+                "backend": "sparse",
                 **timing_entry(
                     realized_total,
                     count=num_tables,

@@ -7,7 +7,7 @@ the fractional ideal.  This module samples that placement with
 SeedSequence-derived generators (bit-identical for a given seed,
 independent of pair iteration order) and evaluates the resulting
 empirical routing through its compiled pair-x-edge operator
-(``routing.evaluator("auto")``: scipy CSR, dense numpy without scipy).
+(``routing.evaluator("auto")``: scipy CSR).
 
 Per pair, ``flows`` equal-size flows each carry ``demand(s, t)/flows``:
 
@@ -27,7 +27,6 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import ForwardingError
 from repro.graphs.network import Path
-from repro.linalg._matrix import resolve_representation
 from repro.obs import trace_span
 
 from repro.forwarding.quantize import ForwardingTable, quantize_routing
@@ -152,19 +151,18 @@ def evaluate_realization(
 
     Returns the forwarding table and a :class:`RealizationResult` whose
     congestions are all evaluated through the compiled operator
-    (``routing.evaluator("auto")``); ``result.backend`` records the
-    resolved representation.  A pre-built
-    ``table`` for the same routing skips the quantization step (the
-    ``realized(...)`` scheme caches tables across snapshots this way).
+    (``routing.evaluator("auto")``); ``result.backend`` records
+    ``"sparse"``.  A pre-built ``table`` for the same routing skips the
+    quantization step (the ``realized(...)`` scheme caches tables across
+    snapshots this way).
     """
-    representation = resolve_representation("auto")
     if table is None:
         table = quantize_routing(routing, buckets=buckets, on_cycle=on_cycle)
     with trace_span(
         "forwarding.realize",
         buckets=table.buckets,
         flows=0 if flows is None else int(flows),
-        backend=representation,
+        backend="sparse",
     ) as span:
         fractional = routing.evaluator("auto").congestion(demand)
         quantized = table.routing().evaluator("auto").congestion(demand)
@@ -175,7 +173,7 @@ def evaluate_realization(
         result = RealizationResult(
             buckets=table.buckets,
             flows=None if flows is None else int(flows),
-            backend=representation,
+            backend="sparse",
             fractional_congestion=fractional,
             quantized_congestion=quantized,
             flow_congestion=flow_congestion,

@@ -13,8 +13,7 @@ The suite sweeps the full 8-topology ingestion catalog with one fitted
 gravity snapshot per topology and no failures (ECMP realization under
 failure is a rate-adaptation question the scheme wrapper intentionally
 reports as unsupported).  The base scheme is the LP-free
-``oblivious(ksp, k=4)`` so both dependency legs produce bit-identical
-artifacts for any worker count.
+``oblivious(ksp, k=4)``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ plus a CSR path × edge incidence matrix and a pair × path distribution
 matrix, so that edge loads for a whole demand matrix become one sparse
 matmul and congestion / dilation / utilization metrics become vectorized
 reductions.  Exposed to the rest of the package as pluggable evaluator
-backends (``dict`` reference loops vs compiled ``sparse``/``dense``)::
+backends (``dict`` reference loops vs compiled ``sparse``)::
 
     from repro.linalg import build_evaluator
 
@@ -18,9 +18,9 @@ No layer above this package takes a backend option; one rule picks the
 evaluator by how a routing is used.  A routing installed once and
 evaluated for many demands (fixed-ratio schemes, sweeps, streams, ODME,
 ECMP realization) compiles through ``routing.evaluator("auto")`` —
-scipy CSR, dense numpy without scipy.  A routing evaluated once
-(``Routing.congestion``, the single-demand ``te.metrics``) keeps the
-``dict`` memo, which is also the test oracle.  Only
+scipy CSR.  A routing evaluated once (``Routing.congestion``, the
+single-demand ``te.metrics``) keeps the ``dict`` memo, which is also the
+test oracle.  Only
 ``Routing.evaluator(backend)`` and :func:`build_evaluator` (whose
 ``tile_pairs``/``memory_budget_mb`` serve the scale bench) name a
 backend.  The ``linalg`` target of the :mod:`repro.bench` harness
@@ -28,7 +28,6 @@ backend.  The ``linalg`` target of the :mod:`repro.bench` harness
 ``dict`` oracle against the compiled backend.
 """
 
-from repro.linalg._matrix import HAVE_SCIPY
 from repro.linalg.compiled import CompiledRouting
 from repro.linalg.evaluator import (
     BACKENDS,
@@ -41,7 +40,6 @@ from repro.linalg.evaluator import (
 )
 
 __all__ = [
-    "HAVE_SCIPY",
     "BACKENDS",
     "BACKEND_CHOICES",
     "CompiledRouting",

@@ -1,12 +1,9 @@
-"""Minimal sparse-matrix shim: scipy CSR when available, dense numpy otherwise.
+"""The one matrix form of the compiled backend: scipy CSR.
 
 The compiled evaluation backend (:mod:`repro.linalg.compiled`) only needs
-three operations — build a matrix from COO triplets, matrix @ matrix /
-matrix @ vector products, and densification — all of which work through
-the same ``@`` operator for both ``scipy.sparse.csr_matrix`` and plain
-``numpy.ndarray``.  Keeping the representation choice behind this shim is
-what lets ``setup.py`` declare scipy as an *extra*: a numpy-only install
-still gets the full compiled backend, just with dense operators.
+to build a matrix from COO triplets (duplicates summed), multiply, and
+densify a product; this module keeps that construction in one place so
+every operator is summed in the same float order.
 """
 
 from __future__ import annotations
@@ -14,33 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.exceptions import LinalgError
-
-try:  # pragma: no cover - exercised via the dense representation tests
-    from scipy import sparse as _scipy_sparse
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _scipy_sparse = None
-    HAVE_SCIPY = False
-
-#: Matrix representations understood by :func:`build_matrix`.
-REPRESENTATIONS = ("sparse", "dense")
-
-
-def resolve_representation(representation: str) -> str:
-    """Normalize a representation name, falling back to dense without scipy."""
-    if representation == "auto":
-        return "sparse" if HAVE_SCIPY else "dense"
-    if representation not in REPRESENTATIONS:
-        raise LinalgError(
-            f"unknown matrix representation {representation!r}; "
-            f"available: {REPRESENTATIONS + ('auto',)}"
-        )
-    if representation == "sparse" and not HAVE_SCIPY:
-        return "dense"
-    return representation
+from scipy import sparse
 
 
 def build_matrix(
@@ -48,41 +19,19 @@ def build_matrix(
     cols: Sequence[int],
     data: Sequence[float],
     shape: tuple,
-    representation: str,
-):
-    """A ``shape`` matrix with ``data`` at ``(rows, cols)`` (duplicates summed)."""
-    representation = resolve_representation(representation)
-    if representation == "sparse":
-        matrix = _scipy_sparse.csr_matrix(
-            (np.asarray(data, dtype=float), (np.asarray(rows), np.asarray(cols))),
-            shape=shape,
-        )
-        matrix.sum_duplicates()
-        return matrix
-    dense = np.zeros(shape, dtype=float)
-    if len(data):
-        np.add.at(dense, (np.asarray(rows), np.asarray(cols)), np.asarray(data, dtype=float))
-    return dense
+) -> sparse.csr_matrix:
+    """A ``shape`` CSR matrix with ``data`` at ``(rows, cols)`` (duplicates summed)."""
+    matrix = sparse.csr_matrix(
+        (np.asarray(data, dtype=float), (np.asarray(rows), np.asarray(cols))),
+        shape=shape,
+    )
+    matrix.sum_duplicates()
+    return matrix
 
 
 def to_dense(matrix) -> np.ndarray:
-    """Densify either representation into a contiguous ndarray."""
-    if hasattr(matrix, "toarray"):
-        return np.asarray(matrix.toarray(), dtype=float)
-    return np.asarray(matrix, dtype=float)
+    """Densify a sparse matrix into a contiguous ndarray."""
+    return np.asarray(matrix.toarray(), dtype=float)
 
 
-def matvec(matrix, vector: np.ndarray) -> np.ndarray:
-    """``vector @ matrix`` as a flat ndarray (row-vector convention)."""
-    result = vector @ matrix
-    return np.asarray(result, dtype=float).ravel()
-
-
-__all__ = [
-    "HAVE_SCIPY",
-    "REPRESENTATIONS",
-    "resolve_representation",
-    "build_matrix",
-    "to_dense",
-    "matvec",
-]
+__all__ = ["build_matrix", "to_dense"]

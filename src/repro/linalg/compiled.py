@@ -31,10 +31,11 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import GraphError, LinalgError, RoutingError
 from repro.graphs.network import Network, Vertex
-from repro.linalg._matrix import build_matrix, resolve_representation, to_dense
+from repro.linalg._matrix import build_matrix, to_dense
 from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.obs import trace_span
 
@@ -43,14 +44,12 @@ Pair = Tuple[Vertex, Vertex]
 #: Probabilities below this are treated as dead paths after renormalization.
 _PROB_TOL = 0.0
 
-#: How many rebased operators one compiled routing memoizes (LRU), per
-#: representation.  Each rebase holds its own pair × edge matrix; in the
-#: dense fallback that is a full (num_pairs × num_edges) float array
-#: (~181 MB on a 225-node torus), so the dense bound stays tight.
-_REBASE_CACHE_SIZE = {"sparse": 8, "dense": 2}
+#: How many rebased operators one compiled routing memoizes (LRU); each
+#: rebase holds its own pair × edge matrix.
+_REBASE_CACHE_SIZE = 8
 
 
-def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape, representation):
+def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape):
     """``M = D @ A`` built straight from incidence triplets.
 
     Entry ``(pair_of_path(p), e)`` accumulates ``prob(p)`` for every
@@ -60,7 +59,7 @@ def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape, represent
     weights = path_prob[inc_rows]
     keep = weights > 0
     return build_matrix(
-        path_pair[inc_rows[keep]], inc_cols[keep], weights[keep], shape, representation
+        path_pair[inc_rows[keep]], inc_cols[keep], weights[keep], shape
     )
 
 
@@ -132,7 +131,6 @@ class CompiledRouting:
         pair_edge,
         pair_max_hops: np.ndarray,
         covered: np.ndarray,
-        representation: str,
         incidence_holder: Optional[Dict[str, object]] = None,
         tile_pairs: Optional[int] = None,
         memory_budget_mb: Optional[float] = None,
@@ -151,7 +149,6 @@ class CompiledRouting:
         self._pair_edge = pair_edge
         self._pair_max_hops = pair_max_hops
         self._covered = covered
-        self._representation = representation
         # Pair-dimension tiling knobs (None/None = untiled).  Validated
         # eagerly so a bad knob fails at construction, not mid-batch.
         plan_pair_tiles(0, 0, tile_pairs=tile_pairs, memory_budget_mb=memory_budget_mb)
@@ -170,15 +167,10 @@ class CompiledRouting:
     def from_routing(
         cls,
         routing,
-        representation: str = "auto",
         tile_pairs: Optional[int] = None,
         memory_budget_mb: Optional[float] = None,
     ) -> "CompiledRouting":
         """Compile ``routing`` (index arrays built once, in canonical order).
-
-        ``representation`` selects the matrix storage: ``"sparse"``
-        (scipy CSR), ``"dense"`` (plain numpy), or ``"auto"`` (sparse
-        when scipy is importable, dense otherwise).
 
         ``tile_pairs`` / ``memory_budget_mb`` switch the instance into
         memory-bounded *tiled* evaluation: the full pair × edge operator
@@ -187,11 +179,10 @@ class CompiledRouting:
         from the incidence triplets.  Results agree with the untiled
         path within float summation-order noise (≤ 1e-9).
         """
-        representation = resolve_representation(representation)
         network: Network = routing.network
-        with trace_span("linalg.compile", representation=representation) as span:
+        with trace_span("linalg.compile") as span:
             return cls._compile(
-                routing, network, representation, span,
+                routing, network, span,
                 tile_pairs=tile_pairs, memory_budget_mb=memory_budget_mb,
             )
 
@@ -200,7 +191,6 @@ class CompiledRouting:
         cls,
         routing,
         network,
-        representation: str,
         span,
         tile_pairs: Optional[int] = None,
         memory_budget_mb: Optional[float] = None,
@@ -244,15 +234,14 @@ class CompiledRouting:
 
         # Build M = D @ A directly from the incidence triplets: entry
         # (pair_of_path, edge) accumulates the path's probability.  This
-        # never materializes D (num_pairs × num_paths) or A — which in
-        # the dense fallback would be quadratic-size allocations.  With
+        # never materializes D (num_pairs × num_paths) or A.  With
         # tiling knobs set, even M stays implicit: evaluation rebuilds
         # one pair-row tile at a time from the triplets.
         pair_edge = None
         if not tiling:
             pair_edge = _pair_edge_matrix(
                 path_pair_arr, path_prob_arr, inc_rows_arr, inc_cols_arr,
-                (num_pairs, num_edges), representation,
+                (num_pairs, num_edges),
             )
         return cls(
             network=network,
@@ -266,7 +255,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=np.ones(num_pairs, dtype=bool),
-            representation=representation,
             tile_pairs=tile_pairs,
             memory_budget_mb=memory_budget_mb,
         )
@@ -278,11 +266,10 @@ class CompiledRouting:
         """Split the compiled form into small metadata plus raw arrays.
 
         Returns ``(metadata, arrays)``: ``metadata`` is a small picklable
-        dict (pairs, representation, operator shape) and ``arrays`` maps
+        dict (pairs, operator shape, tiling knobs) and ``arrays`` maps
         canonical names to the underlying numpy arrays — index arrays,
-        capacities, coverage mask, and the pair × edge operator (CSR
-        ``data``/``indices``/``indptr`` triple in the sparse
-        representation, one dense array otherwise).  Publishing the
+        capacities, coverage mask, and the pair × edge operator's CSR
+        ``data``/``indices``/``indptr`` triple.  Publishing the
         arrays through ``multiprocessing.shared_memory`` and rebuilding
         with :meth:`from_arrays` reconstructs an equivalent compiled
         routing without copying or recompiling; the scenario sweep
@@ -298,19 +285,14 @@ class CompiledRouting:
             "pair_max_hops": self._pair_max_hops,
             "covered": self._covered,
         }
-        if self._pair_edge is None:
-            # Tiled compiles never materialized the operator; the index
-            # arrays above are the complete evaluation state.
-            pass
-        elif self._representation == "sparse":
+        # Tiled compiles never materialized the operator; the index
+        # arrays above are then the complete evaluation state.
+        if self._pair_edge is not None:
             operator = self._pair_edge
             arrays["operator_data"] = np.asarray(operator.data)
             arrays["operator_indices"] = np.asarray(operator.indices)
             arrays["operator_indptr"] = np.asarray(operator.indptr)
-        else:
-            arrays["operator_dense"] = np.asarray(self._pair_edge)
         metadata: Dict[str, object] = {
-            "representation": self._representation,
             "pairs": self._pairs,
             "operator_shape": (self.num_pairs, self.num_edges),
             "operator_materialized": self._pair_edge is not None,
@@ -336,20 +318,14 @@ class CompiledRouting:
         workers guarantee this by rebuilding topologies from the same
         seeded specs.
         """
-        representation = str(metadata["representation"])
         shape = tuple(metadata["operator_shape"])  # type: ignore[arg-type]
-        if not metadata.get("operator_materialized", True):
-            pair_edge = None
-        elif representation == "sparse":
-            from scipy import sparse as scipy_sparse  # deferred: dense leg has no scipy
-
-            pair_edge = scipy_sparse.csr_matrix(
+        pair_edge = None
+        if metadata.get("operator_materialized", True):
+            pair_edge = sparse.csr_matrix(
                 (arrays["operator_data"], arrays["operator_indices"], arrays["operator_indptr"]),
                 shape=shape,
                 copy=False,
             )
-        else:
-            pair_edge = np.asarray(arrays["operator_dense"])
         return cls(
             network=network,
             pairs=tuple(metadata["pairs"]),  # type: ignore[arg-type]
@@ -362,7 +338,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=np.asarray(arrays["pair_max_hops"]),
             covered=np.asarray(arrays["covered"]),
-            representation=representation,
             tile_pairs=metadata.get("tile_pairs"),
             memory_budget_mb=metadata.get("memory_budget_mb"),
         )
@@ -373,11 +348,6 @@ class CompiledRouting:
     @property
     def network(self) -> Network:
         return self._network
-
-    @property
-    def representation(self) -> str:
-        """Matrix storage actually in use: ``"sparse"`` or ``"dense"``."""
-        return self._representation
 
     @property
     def pairs(self) -> Tuple[Pair, ...]:
@@ -410,8 +380,8 @@ class CompiledRouting:
         """The path × edge incidence matrix (lazy; shared across rebases).
 
         Built on first access from the COO triplets — evaluation never
-        needs it, so lean (dense-fallback) instances only pay for it
-        when introspected.  Do not mutate.
+        needs it, so instances only pay for it when introspected.  Do
+        not mutate.
         """
         matrix = self._incidence_holder.get("incidence")
         if matrix is None:
@@ -420,7 +390,6 @@ class CompiledRouting:
                 self._inc_cols,
                 np.ones(len(self._inc_rows)),
                 (self.num_paths, self.num_edges),
-                self._representation,
             )
             self._incidence_holder["incidence"] = matrix
         return matrix
@@ -430,9 +399,7 @@ class CompiledRouting:
         """The pair × path probability matrix (lazy; per instance).
 
         Like :attr:`incidence`, an introspection aid: evaluation uses
-        the fused :attr:`pair_edge_operator` instead.  In the dense
-        representation this is a (num_pairs × num_paths) allocation —
-        avoid on large compiles.  Do not mutate.
+        the fused :attr:`pair_edge_operator` instead.  Do not mutate.
         """
         if getattr(self, "_distribution_cache", None) is None:
             live = self._path_prob > 0
@@ -441,7 +408,6 @@ class CompiledRouting:
                 np.flatnonzero(live),
                 self._path_prob[live],
                 (self.num_pairs, self.num_paths),
-                self._representation,
             )
         return self._distribution_cache
 
@@ -458,7 +424,7 @@ class CompiledRouting:
         if self._pair_edge is None:
             self._pair_edge = _pair_edge_matrix(
                 self._path_pair, self._path_prob, self._inc_rows, self._inc_cols,
-                (self.num_pairs, self.num_edges), self._representation,
+                (self.num_pairs, self.num_edges),
             )
         return self._pair_edge
 
@@ -500,7 +466,6 @@ class CompiledRouting:
         return plan_pair_tiles(
             self.num_pairs,
             self.num_edges,
-            representation=self._representation,
             batch_rows=batch_rows,
             tile_pairs=tile_pairs,
             memory_budget_mb=memory_budget_mb,
@@ -528,9 +493,9 @@ class CompiledRouting:
         """Rows ``[start, stop)`` of the pair × edge operator.
 
         Built from the incidence triplets without touching the full
-        operator — a ``(stop - start) × num_edges`` matrix in the
-        compiled representation.  When the full operator happens to be
-        materialized, this is a plain row slice.
+        operator — a ``(stop - start) × num_edges`` CSR matrix.  When
+        the full operator happens to be materialized, this is a plain
+        row slice.
         """
         if not (0 <= start <= stop <= self.num_pairs):
             raise LinalgError(
@@ -555,7 +520,6 @@ class CompiledRouting:
             cols_sel[keep],
             weights[keep],
             (stop - start, self.num_edges),
-            self._representation,
         )
 
     def _streamed_loads(self, batch, plan: TilePlan) -> np.ndarray:
@@ -569,11 +533,9 @@ class CompiledRouting:
         loads = np.zeros((num_rows, self.num_edges), dtype=float)
         if num_rows == 0 or plan.num_tiles == 0:
             return loads
-        columns = batch
-        if hasattr(batch, "tocsc"):
-            # CSR column slicing is O(nnz) per tile; one CSC conversion
-            # up front makes every column slice cheap.
-            columns = batch.tocsc()
+        # CSR column slicing is O(nnz) per tile; one CSC conversion up
+        # front makes every column slice cheap.
+        columns = batch.tocsc()
         with trace_span(
             "linalg.tiled_evaluate", tiles=plan.num_tiles, tile_pairs=plan.tile_pairs
         ) as span:
@@ -629,8 +591,8 @@ class CompiledRouting:
     def demand_matrix(self, demands: Sequence, missing: str = "error"):
         """Batch of demand vectors as one (batch × pair) matrix.
 
-        Stored in the compiled representation (CSR or dense), ready for
-        the single ``@ pair_edge_operator`` product.
+        Stored as CSR, ready for the single ``@ pair_edge_operator``
+        product.
         """
         rows: List[int] = []
         cols: List[int] = []
@@ -647,7 +609,7 @@ class CompiledRouting:
                 rows.append(row)
                 cols.append(index)
                 data.append(float(amount))
-        return build_matrix(rows, cols, data, (len(demands), self.num_pairs), self._representation)
+        return build_matrix(rows, cols, data, (len(demands), self.num_pairs))
 
     def _has_uncovered(self, vector: np.ndarray) -> bool:
         if self._covered.all():
@@ -789,7 +751,7 @@ class CompiledRouting:
         with trace_span("linalg.rebase", failed=len(event.failed_edges)):
             rebased = self._rebase(event)
         self._rebase_cache[event] = rebased
-        while len(self._rebase_cache) > _REBASE_CACHE_SIZE[self._representation]:
+        while len(self._rebase_cache) > _REBASE_CACHE_SIZE:
             self._rebase_cache.popitem(last=False)
         return rebased
 
@@ -834,7 +796,7 @@ class CompiledRouting:
         if self._tile_pairs is None and self._memory_budget_mb is None:
             pair_edge = _pair_edge_matrix(
                 self._path_pair, new_prob, self._inc_rows, self._inc_cols,
-                (self.num_pairs, self.num_edges), self._representation,
+                (self.num_pairs, self.num_edges),
             )
 
         pair_max_hops = np.zeros(self.num_pairs, dtype=np.int64)
@@ -869,7 +831,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=covered,
-            representation=self._representation,
             incidence_holder=self._incidence_holder,
             tile_pairs=self._tile_pairs,
             memory_budget_mb=self._memory_budget_mb,
@@ -884,7 +845,7 @@ class CompiledRouting:
             )
         return (
             f"CompiledRouting(pairs={self.num_pairs}, paths={self.num_paths}, "
-            f"edges={self.num_edges}, representation={self._representation!r}{tiling})"
+            f"edges={self.num_edges}{tiling})"
         )
 
 

@@ -11,10 +11,9 @@ contract:
     per-(routing, demand) memo so one (routing, demand) pair is
     evaluated exactly once no matter how many metrics ask for it.
 
-``sparse`` (and its pure-numpy twin ``dense``)
-    The compiled backend of :mod:`repro.linalg.compiled`: one sparse
-    matmul per demand batch.  ``sparse`` uses scipy CSR matrices and
-    silently falls back to ``dense`` when scipy is not installed.
+``sparse``
+    The compiled backend of :mod:`repro.linalg.compiled`: one scipy CSR
+    matmul per demand batch.
 
 The backends are numerically equivalent within 1e-9 (enforced by the
 randomized suite in ``tests/test_linalg_equivalence.py``); they are not
@@ -48,7 +47,7 @@ from repro.linalg.compiled import CompiledRouting
 from repro.obs import trace_span
 
 #: Backend names accepted by :func:`build_evaluator`.
-BACKENDS = ("dict", "sparse", "dense")
+BACKENDS = ("dict", "sparse")
 
 #: The full set of backend selectors (``Routing.evaluator``,
 #: :func:`build_evaluator`): the concrete backends plus ``"auto"``.
@@ -59,8 +58,7 @@ _DICT_CACHE_SIZE = 16
 
 
 def available_backends() -> List[str]:
-    """Evaluation backends usable in this environment (``sparse`` always
-    resolves — to scipy CSR when available, dense numpy otherwise)."""
+    """Evaluation backends accepted by :func:`build_evaluator`."""
     return list(BACKENDS)
 
 
@@ -196,9 +194,10 @@ class SparseEvaluator:
     compile must be rebuilt, never silently served.
     """
 
+    backend = "sparse"
+
     def __init__(self, compiled: CompiledRouting, source_routing=None) -> None:
         self._compiled = compiled
-        self.backend = compiled.representation
         self._source_routing = source_routing
         self._source_version = getattr(source_routing, "_version", 0)
 
@@ -206,7 +205,6 @@ class SparseEvaluator:
     def from_routing(
         cls,
         routing,
-        representation: str = "auto",
         tile_pairs: Optional[int] = None,
         memory_budget_mb: Optional[float] = None,
     ) -> "SparseEvaluator":
@@ -220,7 +218,6 @@ class SparseEvaluator:
         return cls(
             CompiledRouting.from_routing(
                 routing,
-                representation=representation,
                 tile_pairs=tile_pairs,
                 memory_budget_mb=memory_budget_mb,
             ),
@@ -308,8 +305,7 @@ def build_evaluator(
     """Construct an evaluation backend for ``routing``.
 
     ``backend`` is one of ``"dict"`` (reference loops), ``"sparse"``
-    (scipy CSR, dense fallback), ``"dense"`` (pure numpy), or ``"auto"``
-    (the fastest available compiled form).
+    (scipy CSR), or ``"auto"`` (the compiled default, ``"sparse"``).
 
     ``tile_pairs`` / ``memory_budget_mb`` bound the peak memory of
     batched evaluation on the compiled backends by streaming over
@@ -328,7 +324,6 @@ def build_evaluator(
     if backend in BACKEND_CHOICES:
         return SparseEvaluator.from_routing(
             routing,
-            representation=backend,
             tile_pairs=tile_pairs,
             memory_budget_mb=memory_budget_mb,
         )

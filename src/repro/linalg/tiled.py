@@ -2,10 +2,8 @@
 
 A 10k-node network has ~10^8 ordered pairs; even a demanded-pairs-only
 compile can put tens of thousands of rows into the pair × edge operator,
-and the dense (numpy-only) representation materializes all of them at
-once — (num_pairs × num_edges) floats — before the first demand is
-evaluated.  Tiling blocks the *pair* dimension instead: the batched
-product ``loads = batch @ M`` distributes over a row partition of ``M``::
+all of them built before the first demand is evaluated.  Tiling blocks
+the *pair* dimension instead: the batched product ``loads = batch @ M`` distributes over a row partition of ``M``::
 
     loads = sum over tiles t of  batch[:, t] @ M[t, :]
 
@@ -75,7 +73,6 @@ def plan_pair_tiles(
     num_pairs: int,
     num_edges: int,
     *,
-    representation: str = "dense",
     batch_rows: int = 1,
     tile_pairs: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
@@ -88,12 +85,9 @@ def plan_pair_tiles(
     ``tile_pairs`` wins when both are given).  With neither knob the
     plan is a single tile covering every pair — the untiled fast path.
 
-    The budget model charges, per pair row of a tile:
-
-    * dense — one operator row (``num_edges`` floats) plus one batch
-      column (``batch_rows`` floats);
-    * sparse — ``nnz_per_pair`` stored entries (data + indices + CSR
-      build temporaries) plus the batch column.
+    The budget model charges, per pair row of a tile, ``nnz_per_pair``
+    stored entries (data + indices + CSR build temporaries; ``num_edges``
+    when unknown) plus one batch column (``batch_rows`` floats).
 
     Only :data:`_BUDGET_SAFETY` of the budget is spent on that per-row
     cost; the rest covers tile-to-tile overlap and temporaries.  The
@@ -114,12 +108,8 @@ def plan_pair_tiles(
     if memory_budget_mb is None:
         return TilePlan(num_pairs=num_pairs, tile_pairs=num_pairs)
 
-    if representation == "sparse":
-        per_entry = nnz_per_pair if nnz_per_pair is not None else float(num_edges)
-        per_pair_bytes = per_entry * _BYTES_PER_SPARSE_NNZ
-    else:
-        per_pair_bytes = num_edges * _BYTES_PER_FLOAT
-    per_pair_bytes += batch_rows * _BYTES_PER_FLOAT
+    per_entry = nnz_per_pair if nnz_per_pair is not None else float(num_edges)
+    per_pair_bytes = per_entry * _BYTES_PER_SPARSE_NNZ + batch_rows * _BYTES_PER_FLOAT
     per_pair_bytes = max(per_pair_bytes, 1.0)
     usable = memory_budget_mb * 1024.0 * 1024.0 * _BUDGET_SAFETY
     width = int(usable / per_pair_bytes)

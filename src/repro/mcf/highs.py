@@ -26,7 +26,7 @@ import numpy as np
 
 try:
     from scipy.optimize._highspy import _core as highs
-except ImportError:  # pragma: no cover - scipy ships via the [lp] extra, the binding since 1.15
+except ImportError:  # pragma: no cover - scipy is a core dependency, the binding since 1.15
     highs = None
 # The binding is private to scipy: one that lacks a member used here counts as missing.
 _HIGHS_MEMBERS = ("_Highs", "_Highs.changeColsBounds", "_Highs.clearSolver", "HighsBasis",
@@ -139,8 +139,8 @@ def _load(start, index, value, num_edges, rhs, supply: bool) -> "highs._Highs":
     if highs is None:
         raise SolverError(
             "the congestion LPs need the HiGHS binding bundled with scipy >= 1.15 (found scipy "
-            f"{getattr(sys.modules.get('scipy'), '__version__', 'none')}); install the 'lp' extra "
-            "(pip install repro-semi-oblivious-routing[lp])"
+            f"{getattr(sys.modules.get('scipy'), '__version__', 'none')}); install the declared "
+            "range (pip install 'scipy>=1.15,<1.18')"
         )
     num_cols, num_rows, inf = len(start), num_edges + len(rhs), highs.kHighsInf
     cost = np.zeros(num_cols)

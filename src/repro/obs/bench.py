@@ -217,7 +217,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             "num_paths": compiled.num_paths,
             "rounds": rounds,
             "inner_evaluations": inner,
-            "representation": compiled.representation,
+            "representation": "sparse",
         },
         "backends": {
             "baseline": {

@@ -308,7 +308,7 @@ def trace_span(name: str, memory: bool = False, **attrs: Any):
 
     This is the one function instrumentation sites call::
 
-        with trace_span("linalg.compile", representation=rep) as span:
+        with trace_span("linalg.rebase", failed=len(event.failed_edges)) as span:
             ...
             span.add("nnz", len(rows))
 

@@ -37,11 +37,11 @@ ARTIFACT_VERSION = 1
 class SuiteResult:
     """Outcome of one scenario-suite run: manifest plus per-cell rows.
 
-    ``backend`` records the compiled representation that produced the
-    rows (``sparse``, or ``dense`` on numpy-only installs; the two agree
-    within 1e-9 but differ in float summation order), so an artifact is
-    attributable even when two runs of the same manifest are
-    byte-different.
+    ``backend`` records the compiled backend that produced the rows
+    (``sparse``; artifacts of the former dense numpy backend say
+    ``dense`` and agree within 1e-9 but differ in float summation
+    order), so an artifact is attributable even when two runs of the
+    same manifest are byte-different.
     """
 
     suite: ScenarioSuite

@@ -36,7 +36,7 @@ With ``artifact_dir=`` (or ``resume=``) every completed cell is
 streamed — by the parent, the store's single writer — into an
 append-only chunked :class:`~repro.scenarios.store.ArtifactStore`.  A
 killed sweep resumes by re-opening the store (validated against the
-content hash of the suite and the resolved compiled representation),
+content hash of the suite and the compiled backend),
 dropping at most one crash-truncated trailing record, and evaluating
 only the missing cells; finalization re-serializes from store records,
 so the resumed artifact is byte-identical to an uninterrupted run's.
@@ -79,7 +79,6 @@ from repro.engine.adapters import FixedRatioRouter, OptimalRouter
 from repro.engine.engine import RoutingEngine
 from repro.engine.router import RouteResult
 from repro.graphs.network import Network
-from repro.linalg._matrix import resolve_representation
 from repro.mcf.lp import min_congestion_lp
 from repro.obs import JsonlSink, Tracer, active_tracer, install_tracer, merge_trace_parts, trace_span
 from repro.te.failures import FailureEvent, apply_failure, readapt_surviving
@@ -488,8 +487,8 @@ def run_suite(
     across worker counts, executors, kills, and resumes.
 
     Fixed-ratio schemes evaluate through their compiled operators
-    (``routing.evaluator("auto")``: scipy CSR, dense numpy without
-    scipy); the artifact's ``backend`` field records the resolved form.
+    (``routing.evaluator("auto")``: scipy CSR); the artifact's
+    ``backend`` field records ``"sparse"``.
 
     ``executor`` picks the execution strategy (see the module docs):
     ``"auto"`` (inline for ``workers=1``, shared otherwise),
@@ -547,7 +546,7 @@ def run_suite(
         if store is not None:
             store.close()
     cells = [payloads[index] for index in range(suite.num_cells())]
-    return SuiteResult(suite=suite, cells=cells, backend=resolve_representation("auto"))
+    return SuiteResult(suite=suite, cells=cells, backend="sparse")
 
 
 __all__ = ["run_suite", "EXECUTOR_CHOICES"]

@@ -6,8 +6,7 @@ in the parent, copies the backing arrays into one
 topology, and hands workers only a small picklable *descriptor*
 (segment name + per-array offset/shape/dtype).  Workers reconstruct
 zero-copy read-only :func:`numpy.frombuffer` views — no recompilation,
-no per-worker copies of the operators (the dense numpy-only leg ships
-the dense operator the same way).
+no per-worker copies of the operators.
 
 Lifecycle contract
 ------------------

@@ -7,12 +7,13 @@ instead of rerunning:
 ``manifest.json``
     Written atomically (temp file + ``os.replace``) when the store is
     created.  Records the store schema version, the suite manifest, the
-    resolved compiled representation (``sparse``, or ``dense`` without
-    scipy), the cell count, and — the resume key — a SHA-256 content
-    hash of the suite and that representation.  Opening a store whose
-    hash does not match the suite/environment resuming it raises a
-    typed :class:`~repro.exceptions.ArtifactError` instead of silently
-    mixing artifacts from different sweeps.
+    compiled backend (``sparse``), the cell count, and — the resume key —
+    a SHA-256 content hash of the suite and that backend.  Opening a
+    store whose hash does not match the suite resuming it raises a typed
+    :class:`~repro.exceptions.ArtifactError` instead of silently mixing
+    artifacts from different sweeps.  A store written by the former
+    dense numpy backend hashes differently (its cells were summed in
+    another float order) and is refused the same way.
 
 ``cells-00000.jsonl``, ``cells-00001.jsonl``, …
     Chunked completion records, one JSON object per line:
@@ -40,7 +41,6 @@ import os
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.exceptions import ArtifactError
-from repro.linalg._matrix import resolve_representation
 from repro.utils.serialization import dumps as _json_dumps
 
 #: Store schema version, bumped on any incompatible layout change.
@@ -55,18 +55,21 @@ DEFAULT_CHUNK_LINES = 512
 _CHUNK_PREFIX = "cells-"
 _CHUNK_SUFFIX = ".jsonl"
 
+#: The compiled backend every sweep evaluates with, recorded in (and
+#: hashed into) the manifest.
+_BACKEND = "sparse"
+
 
 def suite_hash(suite_payload: Mapping[str, Any]) -> str:
     """SHA-256 content hash keying a store to one suite in this environment.
 
     Computed over the sorted-key canonical JSON of the suite manifest
-    plus the resolved compiled representation the sweep evaluates with,
-    so any change to the grid, the schemes, seeds, snapshot counts, or
-    the representation (a scipy vs a numpy-only install) produces a
-    different store identity.
+    plus the compiled backend the sweep evaluates with, so any change to
+    the grid, the schemes, seeds or snapshot counts — or a store written
+    under another backend — produces a different store identity.
     """
     canonical = json.dumps(
-        {"suite": suite_payload, "backend": resolve_representation("auto")},
+        {"suite": suite_payload, "backend": _BACKEND},
         sort_keys=True,
         default=str,
     )
@@ -115,7 +118,7 @@ class ArtifactStore:
 
         An existing store must carry the exact :func:`suite_hash` of
         ``suite_payload`` — resuming a different sweep into it, or the
-        same sweep under another compiled representation, raises
+        same sweep stored under another compiled backend, raises
         :class:`ArtifactError`.
         """
         manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -141,7 +144,7 @@ class ArtifactStore:
             if found != expected:
                 raise ArtifactError(
                     f"store {path} belongs to a different sweep: its suite hash is "
-                    f"{found}, the resuming suite/representation hashes to {expected}"
+                    f"{found}, the resuming suite/backend hashes to {expected}"
                 )
             return cls(path, manifest)
         os.makedirs(path, exist_ok=True)
@@ -149,7 +152,7 @@ class ArtifactStore:
             "artifact": "sweep-store",
             "version": STORE_VERSION,
             "suite_hash": expected,
-            "backend": resolve_representation("auto"),
+            "backend": _BACKEND,
             "num_cells": int(num_cells),
             "chunk_lines": int(chunk_lines),
             "suite": json.loads(_json_dumps(dict(suite_payload), indent=None)),

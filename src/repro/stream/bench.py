@@ -66,7 +66,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
     updates = stream.materialize()
 
     with Stopwatch() as compile_watch:
-        compiled = CompiledRouting.from_routing(routing, representation="sparse")
+        compiled = CompiledRouting.from_routing(routing)
     capacities = compiled.capacities
 
     # Both timed loops do identical work around the evaluation itself:
@@ -116,11 +116,11 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         },
         "backends": {
             "batch": {
-                "backend": f"batch-{compiled.representation}",
+                "backend": "batch-sparse",
                 **timing_entry(batch_seconds, count=steps, rate_key="steps_per_sec"),
             },
             "incremental": {
-                "backend": f"incremental-{compiled.representation}",
+                "backend": "incremental-sparse",
                 **timing_entry(
                     incremental_seconds,
                     count=steps,

@@ -11,18 +11,16 @@ edge loads in the demand::
 
 by maintaining the current demand vector and edge-load vector and
 applying only the **delta**: a step that changes ``k`` pairs touches
-``k`` rows of ``M`` instead of all of them.  For sparse (CSR) operators
-the per-row update indexes straight into the raw ``indptr``/``indices``
-/``data`` arrays; for the dense numpy fallback it is one fancy-indexed
-``Δ @ M[rows]`` product.  Dense deltas (more than
+``k`` rows of ``M`` instead of all of them: the per-row update indexes
+straight into the CSR operator's raw ``indptr``/``indices``/``data``
+arrays.  Dense deltas (more than
 ``full_recompute_fraction`` of the pairs changed at once) fall back to
 one full ``vector @ M`` product — never slower than batch evaluation,
 and a full recompute also resets any accumulated floating-point drift.
 
 Equivalence contract: at every step the maintained loads match a
 from-scratch :meth:`CompiledRouting.edge_load_vector` evaluation of the
-current demand within 1e-9 (enforced by ``tests/test_stream.py`` on
-both the scipy CSR and the pure-numpy dense legs).
+current demand within 1e-9 (enforced by ``tests/test_stream.py``).
 """
 
 from __future__ import annotations
@@ -64,19 +62,7 @@ class IncrementalStreamEvaluator:
         self._demand: Demand = Demand.empty()
         self._num_steps = 0
         self._num_full_recomputes = 0
-        operator = compiled.pair_edge_operator
-        if hasattr(operator, "indptr"):  # scipy CSR
-            self._operator = operator
-            self._indptr = operator.indptr
-            self._indices = operator.indices
-            self._data = operator.data
-            self._dense_operator: Optional[np.ndarray] = None
-        else:
-            self._operator = operator
-            self._indptr = None
-            self._indices = None
-            self._data = None
-            self._dense_operator = np.asarray(operator, dtype=float)
+        self._operator = compiled.pair_edge_operator
         self._full_threshold = max(
             1, int(full_recompute_fraction * max(1, compiled.num_pairs))
         )
@@ -123,33 +109,31 @@ class IncrementalStreamEvaluator:
             self._num_full_recomputes += 1
             return
         loads = self._loads
-        if self._indptr is not None:
-            indptr, indices, data = self._indptr, self._indices, self._data
-            if len(rows) <= 4:
-                for row, delta in zip(rows, deltas):
-                    start, stop = indptr[row], indptr[row + 1]
-                    loads[indices[start:stop]] += delta * data[start:stop]
-            else:
-                # One vectorized gather over all touched rows: flat CSR
-                # positions are `repeat(starts, counts) + intra-row
-                # offsets`, so the whole delta lands in one np.add.at
-                # (different rows may share edge columns, hence add.at
-                # rather than fancy-index assignment).
-                row_arr = np.asarray(rows, dtype=np.int64)
-                starts = indptr[row_arr]
-                counts = np.asarray(indptr[row_arr + 1] - starts, dtype=np.int64)
-                total = int(counts.sum())
-                if total:
-                    offsets = np.cumsum(counts) - counts
-                    flat = np.arange(total, dtype=np.int64) + np.repeat(
-                        starts - offsets, counts
-                    )
-                    contributions = np.repeat(
-                        np.asarray(deltas, dtype=float), counts
-                    ) * data[flat]
-                    np.add.at(loads, indices[flat], contributions)
+        operator = self._operator
+        indptr, indices, data = operator.indptr, operator.indices, operator.data
+        if len(rows) <= 4:
+            for row, delta in zip(rows, deltas):
+                start, stop = indptr[row], indptr[row + 1]
+                loads[indices[start:stop]] += delta * data[start:stop]
         else:
-            loads += np.asarray(deltas, dtype=float) @ self._dense_operator[rows]
+            # One vectorized gather over all touched rows: flat CSR
+            # positions are `repeat(starts, counts) + intra-row
+            # offsets`, so the whole delta lands in one np.add.at
+            # (different rows may share edge columns, hence add.at
+            # rather than fancy-index assignment).
+            row_arr = np.asarray(rows, dtype=np.int64)
+            starts = indptr[row_arr]
+            counts = np.asarray(indptr[row_arr + 1] - starts, dtype=np.int64)
+            total = int(counts.sum())
+            if total:
+                offsets = np.cumsum(counts) - counts
+                flat = np.arange(total, dtype=np.int64) + np.repeat(
+                    starts - offsets, counts
+                )
+                contributions = np.repeat(
+                    np.asarray(deltas, dtype=float), counts
+                ) * data[flat]
+                np.add.at(loads, indices[flat], contributions)
 
     def _collect(
         self, items: Iterable[Tuple[Pair, float]], missing: str

@@ -54,8 +54,9 @@ class PolicyContext:
         ``semi-oblivious`` route through it.
     optimal_routing:
         ``demand -> Routing`` solving the optimal MCF (used by
-        ``periodic`` and ``threshold``).  ``None`` when no LP solver is
-        available — MCF policies then fail fast with a typed error.
+        ``periodic`` and ``threshold``).  ``None`` leaves the context
+        without one — MCF policies then fail fast with a typed error
+        (:func:`~repro.stream.runner.run_stream` always supplies one).
     """
 
     def __init__(
@@ -133,9 +134,8 @@ class _BasePolicy:
         solver = self.context.optimal_routing
         if solver is None:
             raise StreamError(
-                f"policy {self.name!r} re-solves the optimal MCF, which needs the LP "
-                "solver (install the [lp] extra) — use 'static' or 'semi-oblivious' "
-                "on LP-free installs"
+                f"policy {self.name!r} re-solves the optimal MCF, but its context has "
+                "no optimal_routing solver — use 'static' or 'semi-oblivious' instead"
             )
         return solver(demand)
 

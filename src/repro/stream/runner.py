@@ -30,7 +30,6 @@ from repro.core.competitive import congestion_ratio
 from repro.demands.demand import Demand
 from repro.exceptions import RoutingError, StreamError
 from repro.graphs.network import Network
-from repro.linalg._matrix import resolve_representation
 from repro.obs import NO_OP_SPAN, trace_span
 from repro.utils.serialization import dumps as _json_dumps
 
@@ -214,22 +213,15 @@ def run_stream(
 
     Every installed routing is evaluated incrementally through its
     compiled operator (``routing.evaluator("auto")``); the result's
-    ``backend`` records the resolved representation.
+    ``backend`` records ``"sparse"``.
     """
     updates = _materialize(stream)
 
     if optimal_routing is None:
-        # Only install the LP-backed default when an LP can actually run:
-        # on numpy-only installs the context keeps ``optimal_routing=None``
-        # and MCF policies fail fast with the typed StreamError instead of
-        # a deep SolverError out of repro.mcf.lp.
-        from repro.linalg._matrix import HAVE_SCIPY
+        def optimal_routing(demand: Demand):  # noqa: F811 - deliberate default
+            from repro.mcf.lp import min_congestion_lp
 
-        if HAVE_SCIPY:
-            def optimal_routing(demand: Demand):  # noqa: F811 - deliberate default
-                from repro.mcf.lp import min_congestion_lp
-
-                return min_congestion_lp(network, demand, return_routing=True).routing
+            return min_congestion_lp(network, demand, return_routing=True).routing
 
     policy = build_policy(policy)
     policy.bind(PolicyContext(network, router, optimal_routing=optimal_routing))
@@ -340,7 +332,7 @@ def run_stream(
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
         policy=policy.name,
-        backend=resolve_representation("auto"),
+        backend="sparse",
         num_steps=len(updates),
         summary=summary,
         records=records,
@@ -380,7 +372,7 @@ def run_stream_comparison(
         network_name=network.name,
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
-        backend=resolve_representation("auto"),
+        backend="sparse",
         num_steps=len(updates),
     )
     for policy in built:

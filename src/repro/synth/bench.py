@@ -1,19 +1,21 @@
 """``repro bench scale`` — nodes-vs-seconds / nodes-vs-peak-MB curves.
 
 For a ladder of synthetic ISP networks (:func:`repro.synth.generators.isp`)
-this target measures the full end-to-end pipeline per compiled backend —
-generate → install routes → compile → batched evaluate — and records,
-per ladder point, wall time and tracemalloc peak memory for the
-memory-bounded *tiled* evaluation path next to the untiled reference
-(run only where the untiled operator is small enough to materialize).
+this target measures the full end-to-end pipeline on the compiled
+``sparse`` backend — generate → install routes → compile → batched
+evaluate — and records, per ladder point, wall time and tracemalloc peak
+memory for the memory-bounded *tiled* evaluation path next to the
+untiled reference.
 
 The artifact extends the common ``repro-bench/v1`` schema with:
 
 * ``curves`` — per-backend lists of ladder points (``nodes``, ``edges``,
   ``pairs``, ``generate_seconds``, ``install_seconds``,
   ``compile_seconds``, ``evaluate_seconds``, ``mem_peak_mb``,
-  ``within_budget``, and — where the untiled reference ran —
-  ``untiled_seconds``, ``untiled_mem_peak_mb``, ``max_abs_difference``);
+  ``within_budget``, ``untiled_seconds``, ``untiled_mem_peak_mb``,
+  ``max_abs_difference``), one ``sparse`` curve per run (the committed
+  full-scale artifact also holds a ``dense`` curve of the removed numpy
+  backend, partly without the untiled keys, which :func:`gate` accepts);
 * ``memory_budget_mb`` — the tiling budget every tiled evaluation ran
   under (``within_budget`` gates its peak against it);
 * the usual baseline-first ``backends`` block (untiled vs tiled at the
@@ -34,7 +36,6 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.graphs.network import Network
 from repro.bench import AGREEMENT, violations
-from repro.linalg._matrix import HAVE_SCIPY
 from repro.linalg.evaluator import build_evaluator
 from repro.synth.generators import isp
 from repro.utils.rng import ensure_rng
@@ -47,14 +48,12 @@ DESCRIPTION = "scale frontier: nodes-vs-seconds/peak-MB curves, tiled vs untiled
 MEMORY_BUDGET_MB = 64.0
 
 #: Per-scale ladder: PoP counts (11 vertices per PoP with the default
-#: tier widths), demand-batch size, targets sampled per source, and the
-#: largest node count at which the *dense* untiled reference operator is
-#: still reasonable to materialize for the comparison leg.  ``full``
-#: tops out at 2002 vertices — the committed ≥ 1k-node baseline.
+#: tier widths), demand-batch size and targets sampled per source.
+#: ``full`` tops out at 2002 vertices — the committed ≥ 1k-node baseline.
 _SCALE_CONFIG: Dict[str, Dict[str, Any]] = {
-    "smoke": {"pops": [4, 8], "num_demands": 4, "targets": 8, "untiled_max_dense": 10**6},
-    "small": {"pops": [8, 16, 32], "num_demands": 8, "targets": 16, "untiled_max_dense": 10**6},
-    "full": {"pops": [23, 45, 91, 182], "num_demands": 8, "targets": 32, "untiled_max_dense": 1100},
+    "smoke": {"pops": [4, 8], "num_demands": 4, "targets": 8},
+    "small": {"pops": [8, 16, 32], "num_demands": 8, "targets": 16},
+    "full": {"pops": [23, 45, 91, 182], "num_demands": 8, "targets": 32},
 }
 
 
@@ -105,22 +104,18 @@ def _demand_batch(
     return demands
 
 
-def _backends() -> List[str]:
-    return ["sparse", "dense"] if HAVE_SCIPY else ["dense"]
-
-
 def run(scale: str, seed: int) -> Dict[str, Any]:
-    """Scale-frontier curves: tiled vs untiled evaluation per backend."""
+    """Scale-frontier curve: tiled vs untiled compiled evaluation."""
     config = _SCALE_CONFIG[scale]
     num_demands = int(config["num_demands"])
 
-    curves: Dict[str, List[Dict[str, Any]]] = {name: [] for name in _backends()}
-    summary: Dict[str, Dict[str, Any]] = {}
+    curve: List[Dict[str, Any]] = []
+    summary: Dict[str, Any] = {}
     max_abs_difference = 0.0
     largest: Optional[Network] = None
     pairs_max = 0
 
-    for point_index, pops in enumerate(config["pops"]):
+    for pops in config["pops"]:
         rng = ensure_rng(
             np.random.default_rng(np.random.SeedSequence([int(seed), 2, int(pops)]))
         )
@@ -135,21 +130,28 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         with Stopwatch() as install_watch:
             routing = _spf_routing(network, pairs)
         demands = _demand_batch(pairs, num_demands, rng)
-        is_last = point_index == len(config["pops"]) - 1
 
-        for backend in _backends():
-            # Peak memory spans compile + evaluate: the untiled leg's
-            # dominant allocation is the operator materialized at
-            # compile time, which an evaluate-only window would miss.
-            with PeakMemory() as tiled_mem:
-                with Stopwatch() as compile_watch:
-                    tiled = build_evaluator(
-                        routing, backend=backend, memory_budget_mb=MEMORY_BUDGET_MB
-                    )
-                with Stopwatch() as tiled_watch:
-                    tiled_congestions = tiled.congestions(demands)
-            mem_peak_mb = tiled_mem.peak_kb / 1024.0
-            point: Dict[str, Any] = {
+        # Peak memory spans compile + evaluate: the untiled leg's
+        # dominant allocation is the operator materialized at compile
+        # time, which an evaluate-only window would miss.
+        with PeakMemory() as tiled_mem:
+            with Stopwatch() as compile_watch:
+                tiled = build_evaluator(
+                    routing, backend="sparse", memory_budget_mb=MEMORY_BUDGET_MB
+                )
+            with Stopwatch() as tiled_watch:
+                tiled_congestions = tiled.congestions(demands)
+        mem_peak_mb = tiled_mem.peak_kb / 1024.0
+        with PeakMemory() as untiled_mem:
+            untiled = build_evaluator(routing, backend="sparse")
+            with Stopwatch() as untiled_watch:
+                untiled_congestions = untiled.congestions(demands)
+        difference = float(
+            np.max(np.abs(tiled_congestions - untiled_congestions), initial=0.0)
+        )
+        max_abs_difference = max(max_abs_difference, difference)
+        curve.append(
+            {
                 "nodes": network.num_vertices,
                 "edges": network.num_edges,
                 "pairs": len(pairs),
@@ -159,52 +161,27 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 "evaluate_seconds": tiled_watch.elapsed,
                 "mem_peak_mb": mem_peak_mb,
                 "within_budget": bool(mem_peak_mb <= MEMORY_BUDGET_MB),
+                "untiled_seconds": untiled_watch.elapsed,
+                "untiled_mem_peak_mb": untiled_mem.peak_kb / 1024.0,
+                "max_abs_difference": difference,
             }
-
-            # The untiled reference materializes the full pair × edge
-            # operator — always fine in CSR, only at the smaller ladder
-            # points in the dense fallback.
-            run_untiled = backend == "sparse" or network.num_vertices <= int(
-                config["untiled_max_dense"]
-            )
-            if run_untiled:
-                with PeakMemory() as untiled_mem:
-                    untiled = build_evaluator(routing, backend=backend)
-                    with Stopwatch() as untiled_watch:
-                        untiled_congestions = untiled.congestions(demands)
-                difference = float(
-                    np.max(np.abs(tiled_congestions - untiled_congestions), initial=0.0)
-                )
-                point["untiled_seconds"] = untiled_watch.elapsed
-                point["untiled_mem_peak_mb"] = untiled_mem.peak_kb / 1024.0
-                point["max_abs_difference"] = difference
-                max_abs_difference = max(max_abs_difference, difference)
-                if is_last or backend not in summary:
-                    summary[backend] = {
-                        "untiled": timing_entry(
-                            untiled_watch.elapsed,
-                            count=num_demands,
-                            rate_key="demands_per_sec",
-                            mem_peak_kb=untiled_mem.peak_kb,
-                        ),
-                        "tiled": timing_entry(
-                            tiled_watch.elapsed,
-                            count=num_demands,
-                            rate_key="demands_per_sec",
-                            mem_peak_kb=tiled_mem.peak_kb,
-                            compile_seconds=compile_watch.elapsed,
-                        ),
-                        "nodes": network.num_vertices,
-                    }
-            curves[backend].append(point)
-
-    # Baseline-first backends block from the preferred backend's largest
-    # point where both legs ran (sparse when available, dense otherwise).
-    preferred = summary.get("sparse") or summary["dense"]
-    backends_block = {
-        "untiled": {"backend": "untiled", **preferred["untiled"]},
-        "tiled": {"backend": "tiled", **preferred["tiled"]},
-    }
+        )
+        # The baseline-first backends block reports the largest point.
+        summary = {
+            "untiled": timing_entry(
+                untiled_watch.elapsed,
+                count=num_demands,
+                rate_key="demands_per_sec",
+                mem_peak_kb=untiled_mem.peak_kb,
+            ),
+            "tiled": timing_entry(
+                tiled_watch.elapsed,
+                count=num_demands,
+                rate_key="demands_per_sec",
+                mem_peak_kb=tiled_mem.peak_kb,
+                compile_seconds=compile_watch.elapsed,
+            ),
+        }
 
     assert largest is not None
     return {
@@ -215,16 +192,17 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         },
         "workload": {
             "num_networks": len(config["pops"]),
-            "node_counts": [point["nodes"] for point in curves[_backends()[0]]],
+            "node_counts": [point["nodes"] for point in curve],
             "num_demands": num_demands,
             "pairs_max": pairs_max,
         },
         "memory_budget_mb": MEMORY_BUDGET_MB,
-        "within_budget": bool(
-            all(point["within_budget"] for points in curves.values() for point in points)
-        ),
-        "curves": curves,
-        "backends": backends_block,
+        "within_budget": bool(all(point["within_budget"] for point in curve)),
+        "curves": {"sparse": curve},
+        "backends": {
+            "untiled": {"backend": "untiled", **summary["untiled"]},
+            "tiled": {"backend": "tiled", **summary["tiled"]},
+        },
         "max_abs_difference": max_abs_difference,
     }
 

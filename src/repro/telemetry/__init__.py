@@ -10,7 +10,7 @@ that gap with three pieces:
   (per-ingress NetFlow-style rows or aggregate SNMP-style totals).
 * :func:`estimate_demand` — origin–destination matrix estimation (ODME)
   by inverting the compiled pair × edge operator: non-negative least
-  squares (scipy, with a deterministic numpy active-set fallback) or
+  squares (``scipy.optimize.nnls``) or
   entropy projection via IPF on the inferred node marginals, optionally
   warm-started from the gravity prior (:func:`gravity_prior`).
 * :func:`run_odme_loop` — the closed loop (route truth → observe →

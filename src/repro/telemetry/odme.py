@@ -8,10 +8,8 @@ demand from measured loads means solving ``d >= 0, d @ M ≈ y`` over the
 reporting counters.  Two estimator families are provided:
 
 * **non-negative least squares** (:func:`estimate_demand` with
-  ``method="nnls"``/``"auto"``): solve the restricted system directly.
-  With scipy, ``scipy.optimize.nnls`` does the work; on numpy-only
-  installs a deterministic Lawson–Hanson active-set implementation
-  takes over, so the estimator runs on both CI dependency legs.  Under
+  ``method="nnls"``/``"auto"``): solve the restricted system directly
+  with ``scipy.optimize.nnls``.  Under
   ``"ingress"`` telemetry the problem decomposes into one small
   well-posed system per source node (shortest-path rows per source form
   a tree, hence an invertible path matrix) and noise-free recovery is
@@ -35,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
+from scipy.optimize import nnls
 
 from repro.demands.demand import Demand
 from repro.exceptions import TelemetryError
-from repro.linalg import _matrix
 from repro.linalg._matrix import to_dense
 from repro.telemetry.observation import LinkLoadObservation
 
@@ -76,64 +74,6 @@ class OdmeEstimate:
             "granularity": self.granularity,
             "total_volume": float(self.vector.sum()),
         }
-
-
-def _nnls_numpy(
-    A: np.ndarray, b: np.ndarray, max_iterations: Optional[int] = None
-) -> np.ndarray:
-    """Lawson–Hanson active-set NNLS in plain numpy.
-
-    Deterministic (ties broken by lowest index via ``argmax``), solving
-    the passive-set least-squares subproblems with ``lstsq``.  Intended
-    for the small per-source systems of ingress telemetry (tens of
-    unknowns); scipy's Fortran implementation takes over when available.
-    """
-    m, n = A.shape
-    if max_iterations is None:
-        max_iterations = 3 * n
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    gradient = A.T @ (b - A @ x)
-    tolerance = 10 * np.finfo(float).eps * np.linalg.norm(A, 1) * (max(m, n) + 1)
-    iterations = 0
-    while (not passive.all()) and np.any(gradient[~passive] > tolerance):
-        iterations += 1
-        if iterations > max_iterations:
-            break  # return the best iterate found so far
-        candidates = np.where(~passive, gradient, -np.inf)
-        passive[int(np.argmax(candidates))] = True
-        while True:
-            z = np.zeros(n)
-            z[passive], *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            if np.all(z[passive] > 0):
-                x = z
-                break
-            # Step toward z only as far as feasibility allows, then
-            # drop the variables that hit zero from the passive set.
-            blocking = passive & (z <= 0)
-            denominator = np.where(blocking, np.maximum(x - z, 1e-300), 1.0)
-            steps = np.where(blocking, x / denominator, np.inf)
-            alpha = float(np.min(steps[blocking]))
-            x = x + alpha * (z - x)
-            passive &= x > tolerance
-            x[~passive] = 0.0
-        gradient = A.T @ (b - A @ x)
-    return x
-
-
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dispatch to scipy's NNLS when present, the numpy fallback otherwise.
-
-    ``HAVE_SCIPY`` is read from the module at call time (not import
-    time) so the dependency-leg tests that monkeypatch it exercise the
-    numpy path on a scipy-equipped machine.
-    """
-    if _matrix.HAVE_SCIPY:
-        from scipy.optimize import nnls as _scipy_nnls
-
-        solution, _ = _scipy_nnls(A, b)
-        return solution
-    return _nnls_numpy(A, b)
 
 
 def _anchored(A: np.ndarray, b: np.ndarray, regularization: float, anchor: np.ndarray):
@@ -213,14 +153,14 @@ def _estimate_nnls(
             b = observation.loads[row_of_source, columns]
             if regularization > 0.0 and prior is not None:
                 A, b = _anchored(A, b, regularization, prior[rows])
-            vector[rows] = _nnls(A, b)
+            vector[rows] = nnls(A, b)[0]
         return vector
     A = operator[:, columns].T
     b = observation.loads[columns]
     if regularization > 0.0:
         anchor = prior if prior is not None else np.zeros(compiled.num_pairs)
         A, b = _anchored(A, b, regularization, anchor)
-    return _nnls(A, b)
+    return nnls(A, b)[0]
 
 
 def _estimate_entropy(
@@ -276,8 +216,8 @@ def estimate_demand(
     observation:
         The telemetry snapshot (see :class:`ObservationModel`).
     method:
-        ``"auto"``/``"nnls"`` (non-negative least squares; scipy when
-        available, numpy active-set otherwise) or ``"entropy"``
+        ``"auto"``/``"nnls"`` (non-negative least squares,
+        ``scipy.optimize.nnls``) or ``"entropy"``
         (marginal aggregation + IPF projection).
     prior:
         Optional demand vector over ``compiled.pairs`` used as warm
@@ -316,7 +256,7 @@ def estimate_demand(
         vector = _estimate_nnls(compiled, observation, prior, regularization)
         demand = _vector_to_demand(compiled, vector)
         converged = True
-        name = "nnls-scipy" if _matrix.HAVE_SCIPY else "nnls-numpy"
+        name = "nnls-scipy"
 
     operator = to_dense(compiled.pair_edge_operator)
     columns = observation.observed_indices

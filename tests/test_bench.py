@@ -124,3 +124,25 @@ def test_check_rejects_missing_and_misnamed_artifacts(tmp_path):
     assert "named BENCH_obs.json" in bench.check([str(tmp_path / "BENCH_net.json")])[0]
     assert "unreadable" in bench.check([str(tmp_path / "BENCH_absent.json")])[0]
 
+
+
+def test_failing_target_does_not_stop_the_later_ones(tmp_path, monkeypatch, capsys):
+    from repro.exceptions import ReproError
+
+    def broken(scale, seed):
+        raise ReproError("target broke on purpose")
+
+    monkeypatch.setattr(bench.target("ecmp"), "run", broken)
+    monkeypatch.setattr(bench.target("linalg"), "run", lambda scale, seed: {"backends": {}})
+    monkeypatch.setattr(bench.target("linalg"), "headline", lambda payload: "stub")
+    monkeypatch.setattr(bench.target("net"), "run", lambda scale, seed: {"backends": {}})
+    monkeypatch.setattr(bench.target("net"), "headline", lambda payload: "stub")
+    argv = ["bench", "ecmp", "linalg", "net", "--scale", "smoke", "--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "BENCH_linalg_smoke.json",
+        "BENCH_net_smoke.json",
+    ]
+    err = capsys.readouterr().err
+    assert "bench 'ecmp' failed: target broke on purpose" in err
+    assert "1 bench target(s) failed: ['ecmp']" in err

@@ -36,22 +36,13 @@ from repro.forwarding import (
     quantize_routing,
     realize_flows,
 )
-from repro.linalg import HAVE_SCIPY, _matrix
+from repro.linalg import BACKENDS
 from repro.net import load_catalog_topology
 from repro.scenarios import get_suite, run_suite
 from repro.stream import build_stream
 
-REPRESENTATIONS = ("sparse", "dense")
-
-
-def _leg(representation, monkeypatch):
-    """Run the rest of the test on one compiled representation."""
-    if representation == "sparse" and not HAVE_SCIPY:
-        pytest.skip("scipy leg unavailable")
-    if representation == "dense":
-        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
-    return representation
-
+#: Every compiled backend (all but the dict oracle).
+COMPILED = [backend for backend in BACKENDS if backend != "dict"]
 
 def _routing(network, spec="oblivious(ksp, k=3)", seed=0):
     router = build_router(spec, network, rng=seed)
@@ -200,25 +191,19 @@ class TestQuantizer:
 # Flow realization and convergence
 # --------------------------------------------------------------------- #
 class TestRealization:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_quantized_congestion_converges_as_buckets_grow(
-        self, cube3, representation, monkeypatch
-    ):
-        _leg(representation, monkeypatch)
+    @pytest.mark.parametrize("backend", COMPILED)
+    def test_quantized_congestion_converges_as_buckets_grow(self, cube3, backend):
         routing, demand = _routing(cube3)
         gaps = []
         for buckets in (2, 16, 256):
             _, result = evaluate_realization(routing, demand, buckets=buckets)
-            assert result.backend == representation
+            assert result.backend == backend
             gaps.append(abs(result.gap - 1.0))
         assert gaps[0] >= gaps[2]
         assert gaps[2] < 5e-2
 
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_flow_loads_converge_to_fractional_as_flows_grow(
-        self, cube3, representation, monkeypatch
-    ):
-        _leg(representation, monkeypatch)
+    @pytest.mark.parametrize("backend", COMPILED)
+    def test_flow_loads_converge_to_fractional_as_flows_grow(self, cube3, backend):
         routing, demand = _routing(cube3)
         table = quantize_routing(routing, buckets=8)
         deviations = []
@@ -226,6 +211,7 @@ class TestRealization:
             _, result = evaluate_realization(
                 routing, demand, buckets=8, flows=flows, seed=7, table=table,
             )
+            assert result.backend == backend
             deviations.append(abs(result.flow_congestion - result.quantized_congestion))
         assert deviations[1] <= deviations[0]
         assert deviations[1] < 0.05 * result.quantized_congestion

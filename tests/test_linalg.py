@@ -22,7 +22,6 @@ from repro.linalg import (
     available_backends,
     build_evaluator,
 )
-from repro.linalg import _matrix
 from repro.linalg.compiled import CompiledRouting
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
@@ -148,33 +147,23 @@ def test_rebase_rejects_invalid_capacity_scale(square):
             )
 
 
-def test_suite_artifact_records_resolved_backend(monkeypatch):
+def test_suite_artifact_records_resolved_backend():
     from repro.scenarios import get_suite, run_suite
 
-    suite = get_suite("smoke")
-    assert run_suite(suite).to_dict()["backend"] == "sparse"
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
-    assert run_suite(suite).to_dict()["backend"] == "dense"
+    assert run_suite(get_suite("smoke")).to_dict()["backend"] == "sparse"
 
 
 def test_unknown_backend_and_representation(square):
     _, routing = square
     with pytest.raises(LinalgError):
         build_evaluator(routing, backend="turbo")
+    # The dense numpy representation is gone: naming it is an unknown
+    # backend like any other, and the error lists the ones there are.
+    with pytest.raises(LinalgError, match=r"'dense'.*\['dict', 'sparse'\]"):
+        build_evaluator(routing, "dense")
     with pytest.raises(LinalgError):
-        CompiledRouting.from_routing(routing, representation="turbo")
-    assert set(available_backends()) == {"dict", "sparse", "dense"}
-
-
-def test_dense_fallback_without_scipy(square, monkeypatch):
-    _, routing = square
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
-    evaluator = build_evaluator(routing, backend="sparse")
-    assert evaluator.backend == "dense"
-    demand = Demand({(0, 2): 4.0})
-    assert evaluator.congestion(demand) == pytest.approx(3.0)
-    rebased = evaluator.rebased(FailureEvent(failed_edges=((0, 1),), label="cut"))
-    assert rebased.congestion(demand) == pytest.approx(4.0)
+        routing.evaluator("dense")
+    assert available_backends() == ["dict", "sparse"]
 
 
 def test_dict_evaluator_memoizes_and_copies(square):
@@ -200,15 +189,16 @@ def test_routing_evaluator_cached_and_invalidated(square):
 
 
 def test_auto_reuses_any_cached_compiled_form(square):
-    # "auto" means the compiled operator, whichever form is already here:
-    # an attached dense operator (a shared-memory sweep worker's case)
-    # serves "auto" even where scipy would compile CSR.
+    # "auto" means the compiled operator already here: an attached one
+    # (a shared-memory sweep worker's case) serves "auto" and "sparse".
     _, routing = square
-    dense = SparseEvaluator(CompiledRouting.from_routing(routing, representation="dense"))
-    routing.attach_evaluator("dense", dense)
-    assert routing.evaluator("auto") is dense
+    attached = SparseEvaluator(CompiledRouting.from_routing(routing))
+    routing.attach_evaluator("sparse", attached)
+    assert routing.evaluator("auto") is attached
+    assert routing.evaluator("sparse") is attached
     routing.set_distribution(0, 2, {(0, 1, 2): 1.0})  # invalidates the attachment
-    assert routing.evaluator("auto").backend == _matrix.resolve_representation("auto")
+    assert routing.evaluator("auto") is not attached
+    assert routing.evaluator("auto").backend == "sparse"
 
 
 def test_standalone_evaluators_detect_routing_mutation(square):

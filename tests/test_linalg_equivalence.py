@@ -2,8 +2,8 @@
 
 For random topologies, random multi-path routings and random demands —
 including zero amounts, pairs missing from the routing, and post-failure
-rebased systems — every backend must agree on edge loads, congestion and
-dilation within 1e-9 (bit-identity is not required: float summation
+rebased systems — the compiled backend must agree with the dict oracle on
+edge loads, congestion and dilation within 1e-9 (bit-identity is not required: float summation
 order differs between the loop and matmul implementations).
 """
 
@@ -23,8 +23,6 @@ from repro.linalg import build_evaluator
 from repro.te.failures import FailureEvent, KEdgeFailureProcess
 
 TOL = 1e-9
-
-BACKENDS = ("sparse", "dense")
 
 
 def random_routing(network: Network, rng, pair_fraction=0.6, max_paths=3) -> Routing:
@@ -84,27 +82,26 @@ def test_backends_match_dict_on_random_instances():
     for trial, network in enumerate(_topologies(rng)):
         routing = random_routing(network, rng)
         reference = build_evaluator(routing, backend="dict")
-        evaluators = {backend: build_evaluator(routing, backend=backend) for backend in BACKENDS}
+        evaluator = build_evaluator(routing, backend="sparse")
         demands = [random_demand(routing, rng) for _ in range(6)] + [Demand.empty()]
         ref_batch = reference.congestions(demands)
         ref_loads = reference.edge_load_matrix(demands)
-        for backend, evaluator in evaluators.items():
-            assert np.allclose(evaluator.congestions(demands), ref_batch, atol=TOL, rtol=0)
-            assert np.allclose(evaluator.edge_load_matrix(demands), ref_loads, atol=TOL, rtol=0)
-            for demand in demands:
-                assert evaluator.congestion(demand) == pytest.approx(
-                    reference.congestion(demand), abs=TOL
+        assert np.allclose(evaluator.congestions(demands), ref_batch, atol=TOL, rtol=0)
+        assert np.allclose(evaluator.edge_load_matrix(demands), ref_loads, atol=TOL, rtol=0)
+        for demand in demands:
+            assert evaluator.congestion(demand) == pytest.approx(
+                reference.congestion(demand), abs=TOL
+            )
+            assert evaluator.dilation(demand) == reference.dilation(demand)
+            ref_edges = reference.edge_congestions(demand)
+            got_edges = evaluator.edge_congestions(demand)
+            keys = set(ref_edges) | set(got_edges)
+            for key in keys:
+                assert got_edges.get(key, 0.0) == pytest.approx(
+                    ref_edges.get(key, 0.0), abs=TOL
                 )
-                assert evaluator.dilation(demand) == reference.dilation(demand)
-                ref_edges = reference.edge_congestions(demand)
-                got_edges = evaluator.edge_congestions(demand)
-                keys = set(ref_edges) | set(got_edges)
-                for key in keys:
-                    assert got_edges.get(key, 0.0) == pytest.approx(
-                        ref_edges.get(key, 0.0), abs=TOL
-                    )
-                checked += 1
-    assert checked > 50
+            checked += 1
+    assert checked > 25
 
 
 def test_missing_pairs_raise_in_every_backend():
@@ -116,7 +113,7 @@ def test_missing_pairs_raise_in_every_backend():
         pair for pair in itertools.permutations(network.vertices, 2) if pair not in covered
     )
     demand = Demand({missing: 1.0})
-    for backend in ("dict",) + BACKENDS:
+    for backend in ("dict", "sparse"):
         with pytest.raises(RoutingError):
             build_evaluator(routing, backend=backend).congestion(demand)
         with pytest.raises(RoutingError):
@@ -163,20 +160,19 @@ def test_rebased_systems_match_dict_renormalization():
     process = KEdgeFailureProcess(k=2)
     for network in _topologies(rng):
         routing = random_routing(network, rng)
-        for backend in BACKENDS:
-            evaluator = build_evaluator(routing, backend=backend)
+        evaluator = build_evaluator(routing, backend="sparse")
+        for _ in range(3):
+            event = process.sample(network, rng)
+            rebased = evaluator.rebased(event)
             for _ in range(3):
-                event = process.sample(network, rng)
-                rebased = evaluator.rebased(event)
-                for _ in range(3):
-                    demand = random_demand(routing, rng)
-                    expected, coverage = _dict_renormalized_congestion(routing, demand, event)
-                    assert rebased.coverage(demand) == pytest.approx(coverage, abs=TOL)
-                    got = rebased.congestion(demand)
-                    if expected is None:
-                        assert got == float("inf")
-                    else:
-                        assert got == pytest.approx(expected, abs=TOL)
+                demand = random_demand(routing, rng)
+                expected, coverage = _dict_renormalized_congestion(routing, demand, event)
+                assert rebased.coverage(demand) == pytest.approx(coverage, abs=TOL)
+                got = rebased.congestion(demand)
+                if expected is None:
+                    assert got == float("inf")
+                else:
+                    assert got == pytest.approx(expected, abs=TOL)
 
 
 def test_rebased_capacity_degradation_matches():
@@ -188,10 +184,9 @@ def test_rebased_capacity_degradation_matches():
         capacity_scale=((edges[0], 0.5), (edges[3], 0.25)),
         label="degrade",
     )
-    for backend in BACKENDS:
-        rebased = build_evaluator(routing, backend=backend).rebased(event)
-        for _ in range(4):
-            demand = random_demand(routing, rng)
-            expected, coverage = _dict_renormalized_congestion(routing, demand, event)
-            assert coverage == 1.0
-            assert rebased.congestion(demand) == pytest.approx(expected, abs=TOL)
+    rebased = build_evaluator(routing, backend="sparse").rebased(event)
+    for _ in range(4):
+        demand = random_demand(routing, rng)
+        expected, coverage = _dict_renormalized_congestion(routing, demand, event)
+        assert coverage == 1.0
+        assert rebased.congestion(demand) == pytest.approx(expected, abs=TOL)

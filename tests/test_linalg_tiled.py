@@ -4,8 +4,8 @@ The contract: with ``tile_pairs=``/``memory_budget_mb=`` set, the
 compiled backend never materializes the full pair × edge operator —
 tiles are built on demand from the incidence triplets and streamed into
 the load accumulator — and the result agrees with the untiled reference
-within 1e-9 on both the scipy and numpy-only legs, through failures and
-rebases, while a fixed working-set budget actually bounds peak memory.
+within 1e-9, through failures and rebases, while a fixed working-set
+budget actually bounds peak memory.
 """
 
 import itertools
@@ -21,8 +21,7 @@ from repro.demands.demand import Demand
 from repro.exceptions import LinalgError
 from repro.graphs import topologies
 from repro.graphs.network import Network
-from repro.linalg import build_evaluator
-from repro.linalg._matrix import HAVE_SCIPY
+from repro.linalg import BACKENDS, build_evaluator
 from repro.linalg.compiled import CompiledRouting
 from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.synth import isp, isp_node_count
@@ -31,15 +30,8 @@ from repro.utils.timing import PeakMemory
 
 TOL = 1e-9
 
-LEGS = ("sparse", "dense") if HAVE_SCIPY else ("dense",)
-
-
-def _force_leg(monkeypatch, leg: str) -> None:
-    """Pin representation resolution to one dependency leg."""
-    from repro.linalg import _matrix
-
-    if leg == "dense":
-        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
+#: Every compiled backend (all but the dict oracle).
+COMPILED = [backend for backend in BACKENDS if backend != "dict"]
 
 
 def _multipath_routing(network, rng, max_paths=3) -> Routing:
@@ -113,18 +105,17 @@ def _square_routing():
 
 
 # --------------------------------------------------------------------- #
-# Equivalence: tiled vs untiled, both dependency legs
+# Equivalence: tiled vs untiled
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("leg", LEGS)
-def test_tiled_matches_untiled_within_tolerance(leg, monkeypatch):
-    _force_leg(monkeypatch, leg)
+@pytest.mark.parametrize("backend", COMPILED)
+def test_tiled_matches_untiled_within_tolerance(backend):
     network = topologies.torus_2d(4)
     rng = np.random.default_rng(3)
     routing = _multipath_routing(network, rng)
     demands = _demands(routing, rng)
 
-    untiled = build_evaluator(routing, backend="auto")
-    tiled = build_evaluator(routing, backend="auto", tile_pairs=3)
+    untiled = build_evaluator(routing, backend=backend)
+    tiled = build_evaluator(routing, backend=backend, tile_pairs=3)
     assert tiled.compiled.tile_plan().num_tiles > 1
     assert not tiled.compiled.operator_materialized
     assert untiled.compiled.operator_materialized
@@ -142,17 +133,16 @@ def test_tiled_matches_untiled_within_tolerance(leg, monkeypatch):
         )
 
 
-@pytest.mark.parametrize("leg", LEGS)
-def test_tiled_matches_untiled_after_rebase(leg, monkeypatch):
-    _force_leg(monkeypatch, leg)
+@pytest.mark.parametrize("backend", COMPILED)
+def test_tiled_matches_untiled_after_rebase(backend):
     network = topologies.torus_2d(4)
     rng = np.random.default_rng(5)
     routing = _multipath_routing(network, rng)
     demands = _demands(routing, rng)
     event = FailureEvent(failed_edges=(tuple(sorted(network.edges[0])),), label="cut")
 
-    untiled = build_evaluator(routing, backend="auto").rebased(event)
-    tiled = build_evaluator(routing, backend="auto", tile_pairs=3).rebased(event)
+    untiled = build_evaluator(routing, backend=backend).rebased(event)
+    tiled = build_evaluator(routing, backend=backend, tile_pairs=3).rebased(event)
     # Rebase must preserve laziness: still no materialized operator.
     assert not tiled.compiled.operator_materialized
     np.testing.assert_allclose(
@@ -243,13 +233,10 @@ def test_operator_tiles_concatenate_to_the_full_operator():
     routing = _square_routing()
     untiled = build_evaluator(routing, backend="auto").compiled
     tiled = build_evaluator(routing, backend="auto", tile_pairs=2).compiled
-    full = untiled.pair_edge_operator
-    to_dense = (lambda m: m.toarray()) if hasattr(full, "toarray") else np.asarray
     stitched = np.vstack(
-        [to_dense(tiled.operator_tile(start, stop))
-         for start, stop in tiled.tile_plan().tiles()]
+        [tiled.operator_tile(start, stop).toarray() for start, stop in tiled.tile_plan().tiles()]
     )
-    np.testing.assert_allclose(stitched, to_dense(full), atol=0, rtol=0)
+    np.testing.assert_allclose(stitched, untiled.pair_edge_operator.toarray(), atol=0, rtol=0)
 
 
 def test_export_round_trip_preserves_laziness():
@@ -269,11 +256,10 @@ def test_export_round_trip_preserves_laziness():
 # --------------------------------------------------------------------- #
 # The scale guarantee: a 2k-node evaluation stays under budget
 # --------------------------------------------------------------------- #
-def test_tiled_2k_node_evaluation_stays_under_budget(monkeypatch):
-    # The dense leg is the hard case: the untiled operator at this size
-    # is ~125 MB, far over the 48 MB working-set budget the tiled path
-    # must honor.
-    _force_leg(monkeypatch, "dense")
+def test_tiled_2k_node_evaluation_stays_under_budget():
+    # A lean compile over 4000 pairs of a 2002-node network: the operator
+    # is never materialized, and compile plus evaluation stay under the
+    # 48 MB working-set budget and agree with the untiled reference.
     budget_mb = 48.0
     pops = 182
     network = isp(pops, seed=42)
@@ -307,9 +293,10 @@ def test_tiled_2k_node_evaluation_stays_under_budget(monkeypatch):
             routing, backend="auto", memory_budget_mb=budget_mb
         )
         congestions = evaluator.congestions(demands)
-    assert evaluator.compiled.tile_plan(batch_rows=1).num_tiles > 1
     assert not evaluator.compiled.operator_materialized
     assert congestions.shape == (1,)
     assert float(congestions[0]) > 0.0
     peak_mb = mem.peak_kb / 1024.0
     assert peak_mb <= budget_mb, f"peak {peak_mb:.1f} MB exceeds {budget_mb} MB budget"
+    untiled = build_evaluator(routing, backend="auto").congestions(demands)
+    np.testing.assert_allclose(congestions, untiled, atol=TOL, rtol=0)

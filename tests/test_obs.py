@@ -256,13 +256,9 @@ def _sweep_trace(workers: int, executor: str):
     return records
 
 
-@pytest.mark.parametrize("representation", ["dense", "auto"])
-def test_inline_sweep_trace_is_deterministic(representation, monkeypatch):
-    from repro.linalg import _matrix
+def test_inline_sweep_trace_is_deterministic():
     from repro.scenarios import get_suite, run_suite
 
-    if representation == "dense":
-        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
     trees = []
     for _ in range(2):
         tracer = _recording_tracer()

@@ -409,22 +409,6 @@ def test_odme_suite_is_bit_identical_across_workers():
     assert serial.to_json() == parallel.to_json()
 
 
-def test_real_world_suite_is_bit_identical_on_the_numpy_only_leg(monkeypatch):
-    # The numpy-only leg: compiled evaluation falls back to the dense
-    # representation (HAVE_SCIPY monkeypatched off, as in test_linalg).
-    # Multiprocessing workers would re-import scipy, so this leg runs
-    # serially; the artifact must still be reproducible bit for bit and
-    # record the resolved backend.
-    from repro.linalg import _matrix
-
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
-    suite = real_world_probe()
-    first = run_suite(suite, workers=1)
-    second = run_suite(suite, workers=1)
-    assert first.to_json() == second.to_json()
-    assert first.backend == "dense"
-
-
 # --------------------------------------------------------------------- #
 # Artifacts and harness ingestion
 # --------------------------------------------------------------------- #

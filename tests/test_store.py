@@ -6,6 +6,7 @@ re-evaluated on resume); anything else is corruption and must raise the
 typed :class:`ArtifactError` instead of silently resuming wrong.
 """
 
+import hashlib
 import json
 import os
 
@@ -79,21 +80,37 @@ def test_suite_hash_mismatch_raises_typed_error(tmp_path):
     assert suite_hash(SUITE_PAYLOAD) != suite_hash({**SUITE_PAYLOAD, "seed": 8})
 
 
-@pytest.mark.parametrize("created_with_scipy", [True, False])
-def test_store_refuses_resume_under_the_other_representation(
-    tmp_path, monkeypatch, created_with_scipy
-):
-    from repro.linalg import _matrix
+def _canonical_hash(backend):
+    canonical = json.dumps(
+        {"suite": SUITE_PAYLOAD, "backend": backend}, sort_keys=True, default=str
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", created_with_scipy)
-    store = make_store(tmp_path / "store")
-    assert store.manifest["backend"] == ("sparse" if created_with_scipy else "dense")
-    store.close()
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", not created_with_scipy)
+
+def test_store_refuses_resume_of_a_dense_store(tmp_path):
+    # Stores written by the former dense numpy backend summed their cells
+    # in another float order: resuming one must be refused, not mixed in.
+    path = tmp_path / "store"
+    path.mkdir()
+    manifest = {
+        "artifact": "sweep-store",
+        "version": STORE_VERSION,
+        "suite_hash": _canonical_hash("dense"),
+        "backend": "dense",
+        "num_cells": 8,
+        "chunk_lines": 3,
+        "suite": SUITE_PAYLOAD,
+    }
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(ArtifactError, match="different sweep"):
-        make_store(tmp_path / "store")
-    monkeypatch.setattr(_matrix, "HAVE_SCIPY", created_with_scipy)
-    make_store(tmp_path / "store").close()
+        make_store(path)
+    # A store made here records the sparse backend under the same hash
+    # form, so existing sparse stores keep resuming.
+    store = make_store(tmp_path / "fresh")
+    assert store.manifest["backend"] == "sparse"
+    assert store.manifest["suite_hash"] == suite_hash(SUITE_PAYLOAD) == _canonical_hash("sparse")
+    store.close()
+    make_store(tmp_path / "fresh").close()
 
 
 def test_truncated_final_line_is_dropped_on_resume(tmp_path):

@@ -3,8 +3,7 @@
 The load-bearing suite is the incremental-vs-batch equivalence: for
 random streams, the windowed metrics produced from the delta path must
 match a from-scratch :class:`CompiledRouting` evaluation at every step
-within 1e-9 — on both the scipy (``sparse``) and pure-numpy (``dense``)
-legs.
+within 1e-9.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from repro.demands.traffic_matrix import diurnal_gravity_series
 from repro.engine import RoutingEngine
 from repro.exceptions import RoutingError, StreamError
 from repro.graphs import topologies
+from repro.linalg import BACKENDS, build_evaluator
 from repro.linalg.compiled import CompiledRouting
 from repro.stream import (
     AdversarialShiftStream,
@@ -39,7 +39,8 @@ from repro.stream.metrics import PERCENTILES
 
 TOL = 1e-9
 
-REPRESENTATIONS = ("sparse", "dense")
+#: Every compiled backend (all but the dict oracle).
+COMPILED = [backend for backend in BACKENDS if backend != "dict"]
 
 
 def _spf_routing(network):
@@ -127,11 +128,11 @@ class TestSources:
 # Incremental vs batch equivalence (the satellite contract)
 # --------------------------------------------------------------------- #
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_windowed_metrics_match_from_scratch(self, torus3, representation):
+    @pytest.mark.parametrize("backend", COMPILED)
+    def test_windowed_metrics_match_from_scratch(self, torus3, backend):
         """Delta-path windowed metrics == from-scratch compiled, each step."""
         routing = _spf_routing(torus3)
-        compiled = CompiledRouting.from_routing(routing, representation=representation)
+        compiled = build_evaluator(routing, backend).compiled
         for stream in _streams(torus3):
             incremental = IncrementalStreamEvaluator(compiled)
             inc_stats = RollingStreamStats(window=8, threshold=1.0)
@@ -155,18 +156,18 @@ class TestIncrementalEquivalence:
                 ):
                     assert inc_record[key] == pytest.approx(ref_record[key], abs=TOL), (
                         stream.name,
-                        representation,
+                        backend,
                         update.step,
                         key,
                     )
             for key, value in inc_stats.summary().items():
                 assert value == pytest.approx(ref_stats.summary()[key], abs=TOL)
 
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_full_diff_path_matches(self, torus3, representation):
+    @pytest.mark.parametrize("backend", COMPILED)
+    def test_full_diff_path_matches(self, torus3, backend):
         """delta=None (self-diffed snapshots) agrees with the delta path."""
         routing = _spf_routing(torus3)
-        compiled = CompiledRouting.from_routing(routing, representation=representation)
+        compiled = build_evaluator(routing, backend).compiled
         stream = RandomWalkStream(torus3, 20, seed=9, num_pairs=25, churn=0.2)
         with_delta = IncrementalStreamEvaluator(compiled)
         without_delta = IncrementalStreamEvaluator(compiled)

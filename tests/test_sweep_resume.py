@@ -7,9 +7,9 @@ The claims under test, in order of importance:
 2. A worker exception (injected via ``REPRO_SWEEP_FAIL_CELL``) aborts
    the sweep but keeps every already-completed cell; the resume is again
    bit-identical.
-3. Every executor (inline / shared / rebuild), worker count and
-   compiled representation (sparse / dense) assembles the same artifact bit for bit — on the
-   built-in catalog-backed suites too, not just synthetic grids.
+3. Every executor (inline / shared / rebuild) and worker count
+   assembles the same artifact bit for bit — on the built-in
+   catalog-backed suites too, not just synthetic grids.
 4. More workers than topologies actually get used (the cell-granular
    queue is not capped at the topology count).
 """
@@ -200,20 +200,14 @@ def test_executor_equivalence_on_probe_suite():
     assert owned_segments(os.getpid()) == []
 
 
-def test_backend_equivalence_across_executors(monkeypatch):
-    from repro.linalg import _matrix
-
+def test_backend_equivalence_across_executors():
+    # The parent compiles the CSR operators once and the shared-executor
+    # workers evaluate through exactly those.
     suite = probe_suite()
-    for representation in ("sparse", "dense"):
-        # The dense leg: the parent compiles dense operators and the
-        # shared-executor workers evaluate through exactly those.
-        monkeypatch.setattr(_matrix, "HAVE_SCIPY", representation == "sparse")
-        inline = run_suite(suite, workers=1)
-        shared = run_suite(suite, workers=2, executor="shared")
-        assert inline.backend == representation
-        assert shared.to_json() == inline.to_json(), (
-            f"{representation!r} diverged under the shared executor"
-        )
+    inline = run_suite(suite, workers=1)
+    shared = run_suite(suite, workers=2, executor="shared")
+    assert inline.backend == shared.backend == "sparse"
+    assert shared.to_json() == inline.to_json()
     assert owned_segments(os.getpid()) == []
 
 

@@ -18,7 +18,6 @@ from repro.__main__ import main
 from repro.engine import RoutingEngine
 from repro.exceptions import DemandError, TelemetryError
 from repro.graphs import topologies
-from repro.linalg import _matrix
 from repro import bench
 from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.linalg.compiled import CompiledRouting
@@ -93,20 +92,14 @@ def test_observation_validation_errors_are_typed():
 
 
 # --------------------------------------------------------------------- #
-# Exact recovery (the acceptance contract), both dependency legs
+# Exact recovery (the acceptance contract)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("source", RECOVERY_TOPOLOGIES)
-@pytest.mark.parametrize("scipy_leg", [True, False])
-def test_noise_free_odme_recovers_truth(source, scipy_leg, monkeypatch):
-    if scipy_leg and not _matrix.HAVE_SCIPY:
-        pytest.skip("scipy leg unavailable")
-    if not scipy_leg:
-        monkeypatch.setattr(_matrix, "HAVE_SCIPY", False)
+def test_noise_free_odme_recovers_truth(source):
     _, compiled, truth = _compiled_and_truth(source)
     observation = ObservationModel().observe(compiled, truth)
     estimate = estimate_demand(compiled, observation)
-    expected_method = "nnls-scipy" if scipy_leg else "nnls-numpy"
-    assert estimate.method == expected_method
+    assert estimate.method == "nnls-scipy"
     vector = compiled.demand_vector(truth, missing="drop")
     assert float(np.max(np.abs(estimate.vector - vector), initial=0.0)) <= 1e-6
     assert estimate.converged
