@@ -6,7 +6,7 @@ the role of capacities (Section 4).  ``Network`` wraps a
 equivalent to ``c`` parallel unit edges), and provides:
 
 * canonical vertex indexing (for LP column layouts), and edge capacities
-  as one read-only array in edge-id order,
+  and endpoint vertex indices as read-only arrays in edge-id order,
 * edge ids from one interned adjacency map ``{u: {v: edge_id}}`` for every
   hot lookup (:func:`edge_key` is kept only for the public edge keys),
 * directed-arc iteration,
@@ -115,6 +115,12 @@ class Network:
         self._capacities: List[float] = [float(simple[u][v]["capacity"]) for u, v in self._edges]
         self._capacity_array = np.array(self._capacities)
         self._capacity_array.flags.writeable = False
+        index = self._vertex_index
+        self._endpoints = np.fromiter(
+            ((index[u], index[v]) for u, v in self._edges),
+            dtype=np.dtype((np.int64, 2)), count=len(self._edges),
+        )
+        self._endpoints.flags.writeable = False
         self._adjacent: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in self._vertices}
         for index, (u, v) in enumerate(self._edges):
             self._adjacent[u][v] = self._adjacent[v][u] = index
@@ -149,6 +155,11 @@ class Network:
     def capacities(self) -> np.ndarray:
         """Edge capacities in :attr:`edges` (edge-id) order, as one read-only array."""
         return self._capacity_array
+
+    @property
+    def endpoints(self) -> np.ndarray:
+        """Each edge's two end vertex indices, an ``(m, 2)`` read-only array in edge-id order."""
+        return self._endpoints
 
     def vertex_index(self, vertex: Vertex) -> int:
         try:
@@ -369,7 +380,8 @@ class Network:
 
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
-        self._capacity_array.flags.writeable = False  # a pickle round trip drops the flag
+        # A pickle round trip drops the flag.
+        self._capacity_array.flags.writeable = self._endpoints.flags.writeable = False
 
     def __contains__(self, vertex: Vertex) -> bool:
         return self.has_vertex(vertex)

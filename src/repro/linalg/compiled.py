@@ -177,7 +177,11 @@ class CompiledRouting:
         is never materialized; instead, every evaluation streams over
         pair-row tiles (see :mod:`repro.linalg.tiled`), built on the fly
         from the incidence triplets.  Results agree with the untiled
-        path within float summation-order noise (≤ 1e-9).
+        path within float summation-order noise (≤ 1e-9).  The budget
+        bounds the tiles only: the compile's pair index and per-path
+        arrays, and each batch's demand matrix, scale with the pair
+        count whatever the budget (see
+        :func:`~repro.linalg.tiled.plan_pair_tiles`).
         """
         network: Network = routing.network
         with trace_span("linalg.compile") as span:

@@ -90,10 +90,18 @@ def plan_pair_tiles(
     when unknown) plus one batch column (``batch_rows`` floats).
 
     Only :data:`_BUDGET_SAFETY` of the budget is spent on that per-row
-    cost; the rest covers tile-to-tile overlap and temporaries.  The
-    (batch × edge) load accumulator is *not* charged — it does not
-    shrink with the tile width, so callers must budget above it
-    (``batch_rows * num_edges`` floats).
+    cost; the rest covers tile-to-tile overlap and temporaries.  A fixed
+    part does not shrink with the tile width and is *not* charged, so a
+    budget below it is exceeded; callers must budget above it:
+
+    * the (batch × edge) load accumulator, ``batch_rows * num_edges``
+      floats;
+    * the compile's pair-proportional structures (the pair index and
+      the per-path arrays of :meth:`CompiledRouting.from_routing
+      <repro.linalg.compiled.CompiledRouting.from_routing>`), which
+      scale with the routing's pair and path counts;
+    * the demand vectorization: the (batch × pair) demand matrix and
+      the lists it is built from scale with the demanded pairs.
 
     Raises :class:`LinalgError` on non-positive knobs.
     """

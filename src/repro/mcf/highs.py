@@ -6,7 +6,8 @@ The normalizer (:mod:`repro.mcf.lp`) and the Stage-4 path LP
 equal to the demand after.  Callers pass the matrix column-wise, row
 indices ascending within a column; it goes to the HiGHS binding scipy
 bundles (scipy >= 1.15) as ``linprog(method="highs")`` would pass it,
-with default options bar ``output_flag`` and a warm attempt's cap.
+with default options bar ``output_flag``, a warm attempt's cap and the
+persistent model's Devex pricing.
 
 :func:`solve` passes a fresh model and solves it cold, with presolve.
 A :class:`Model` keeps one model across warm re-solves whose right-hand
@@ -103,12 +104,19 @@ class Model:
     but row bounds only one at a time, so a new ``rhs`` moves the supply
     columns.  Every solve clears the solver's state first: the answer
     depends on the model, ``rhs`` and the start basis only, never on the
-    solves before.  Solves from several threads run one at a time.  The
-    model does not pickle; its basis codes do.
+    solves before.  The model prices the dual simplex with Devex, set
+    here so that a model rebuilt after unpickling prices the same way.
+    Solves from several threads run one at a time.  The model does not
+    pickle; its basis codes do.
     """
 
     def __init__(self, start, index, value, num_edges, num_rows, what) -> None:
         self._solver = _load(start, index, value, num_edges, np.zeros(num_rows), supply=True)
+        # Devex pricing: clearSolver() drops the dual steepest-edge weights, and recomputing
+        # them exactly for a non-slack start basis costs one BTRAN per row before the first
+        # pivot; Devex starts from unit weights.  Cold solves start from a slack basis,
+        # where those weights are free, and keep the default.
+        self._solver.setOptionValue("simplex_dual_edge_weight_strategy", 1)
         self._num_cols = len(start)
         self._supply = np.arange(len(start), len(start) + num_rows, dtype=np.int32)
         self._what = what

@@ -97,10 +97,8 @@ def min_congestion_lp(
     if not commodities:
         return MinCongestionResult(congestion=0.0, routing=None)
 
-    edges, m = network.edges, network.num_edges
-    index = network.vertex_index
-    tails = np.array([index(u) for u, _ in edges], dtype=np.int64)
-    heads = np.array([index(v) for _, v in edges], dtype=np.int64)
+    m = network.num_edges
+    tails, heads = network.endpoints.T
     capacity = network.capacities
     sources = dict.fromkeys(source for (source, _), _ in commodities)  # first-seen order
     source_row: Dict[Vertex, int] = {source: row for row, source in enumerate(sources)}

@@ -30,17 +30,26 @@ first of them: every pair row is bounded ``[0, 0]`` and gets a **supply
 column** with coefficient ``-1`` on it, whose fixed bounds carry the
 pair's amount.  The reference basis is solved without them and covers
 them nonbasic at their fixed value of 1.  On ``adapt-isp`` those are the
-very codes a cold solve of the persistent model reaches, found in ~16%
-less time.
+very codes a cold solve of the persistent model reaches under default
+pricing, found in 10-25% less time.
 
 * A demand on **every** installed pair moves the supply bounds in one
   vectorized call and is re-solved on the persistent model from the
   reference basis, which stays dual-feasible for every right-hand side:
-  a median 17 dual simplex iterations instead of ~700 cold on
+  a median 19-20 dual simplex iterations instead of ~700 cold on
   ``adapt-isp``, and no model to pass.
+* The persistent model prices the dual simplex with Devex, cold solves
+  with HiGHS's default dual steepest edge.  ``clearSolver`` drops the
+  steepest-edge weights, and computing them exactly for the non-slack
+  reference basis costs one BTRAN per row before the first pivot;
+  Devex starts from unit weights.  On ``adapt-isp`` a re-solve takes
+  ~19% less time for a median 1-2 more iterations.  From a cold slack
+  basis those weights are free, so cold solves keep the default.
 * Where the basis is far from the demand (torus and hypercube gravity
   demands), the attempt stops after :data:`WARM_ITERATIONS` and the
-  demand is solved cold on a fresh model.
+  demand is solved cold on a fresh model; so do 3-5% of ``adapt-isp``
+  demands.  The ``mcf.path_lp`` span counts such an attempt as
+  ``capped``.
 * A demand that leaves an installed pair out is solved cold: its zero
   right-hand side rows serve the uniform basis badly.
 * Each re-solve clears the solver's state (``clearSolver``) before it
@@ -77,8 +86,9 @@ from repro.obs import trace_span
 
 #: Dual simplex iterations a re-solve from the reference basis may take
 #: before the demand is solved cold instead.  Demands the basis serves
-#: well take 14-29 on ``adapt-isp``; an attempt stopped here costs
-#: 8-20% of a cold solve on torus:6/8 and hypercube:5.
+#: well take 10-49 on ``adapt-isp`` (median 19-20), and 3-5% of its
+#: demands stop here; an attempt stopped here costs 8-20% of a cold
+#: solve on torus:6/8 and hypercube:5.
 WARM_ITERATIONS = 50
 
 
@@ -230,15 +240,18 @@ class RateLP:
         ``rows`` (edges and demanded pairs), ``cols`` (the demanded
         pairs' paths and ``z``) and ``nnz``, never counting the
         persistent model's supply columns; the simplex ``iterations`` of
-        every attempt; and ``warm`` (1 when the persistent model's
-        re-solve from the reference basis gave the answer).
+        every attempt; ``warm`` (1 when the persistent model's re-solve
+        from the reference basis gave the answer); and ``capped`` (1 when
+        that re-solve stopped at :data:`WARM_ITERATIONS` and the demand
+        was answered cold).
         """
         demanded = amounts > 0
         columns, model, m = slice(None), (self._start, self._index, self._value), self.num_edges
-        solution, iterations = None, 0
+        solution, iterations, capped = None, 0, False
         if demanded.all() and self._reference is not None:
             solution = self._persistent().solve(amounts, self._reference, WARM_ITERATIONS)
-            iterations = 0 if solution is not None else WARM_ITERATIONS
+            capped = solution is None
+            iterations = WARM_ITERATIONS if capped else 0
         warm = solution is not None
         if not demanded.all():
             columns, model = self._demanded_columns(demanded)
@@ -253,6 +266,7 @@ class RateLP:
             "nnz": len(model[2]),
             "iterations": iterations + solution.iterations,
             "warm": int(warm),
+            "capped": int(capped),
         }
         return flows, float(solution.x[-1]), counters
 

@@ -256,11 +256,9 @@ def test_export_round_trip_preserves_laziness():
 # --------------------------------------------------------------------- #
 # The scale guarantee: a 2k-node evaluation stays under budget
 # --------------------------------------------------------------------- #
-def test_tiled_2k_node_evaluation_stays_under_budget():
-    # A lean compile over 4000 pairs of a 2002-node network: the operator
-    # is never materialized, and compile plus evaluation stay under the
-    # 48 MB working-set budget and agree with the untiled reference.
-    budget_mb = 48.0
+@pytest.fixture(scope="module")
+def isp_4000_pairs():
+    """A single-path routing of 4000 pairs on a 2002-node network, and its all-pairs demand."""
     pops = 182
     network = isp(pops, seed=42)
     assert network.num_vertices == isp_node_count(pops) >= 2000
@@ -285,9 +283,15 @@ def test_tiled_2k_node_evaluation_stays_under_budget():
         tree = nx.single_source_shortest_path(network.graph, source)
         for target in targets:
             mapping[(source, target)] = tree[target]
-    routing = Routing.single_path(network, mapping)
-    demands = [Demand({pair: 1.0 for pair in pairs})]
+    return Routing.single_path(network, mapping), [Demand({pair: 1.0 for pair in pairs})]
 
+
+def test_tiled_2k_node_evaluation_stays_under_budget(isp_4000_pairs):
+    # A lean compile over 4000 pairs of a 2002-node network: the operator
+    # is never materialized, and compile plus evaluation stay under the
+    # 48 MB working-set budget and agree with the untiled reference.
+    budget_mb = 48.0
+    routing, demands = isp_4000_pairs
     with PeakMemory() as mem:
         evaluator = build_evaluator(
             routing, backend="auto", memory_budget_mb=budget_mb
@@ -300,3 +304,18 @@ def test_tiled_2k_node_evaluation_stays_under_budget():
     assert peak_mb <= budget_mb, f"peak {peak_mb:.1f} MB exceeds {budget_mb} MB budget"
     untiled = build_evaluator(routing, backend="auto").congestions(demands)
     np.testing.assert_allclose(congestions, untiled, atol=TOL, rtol=0)
+
+
+def test_evaluation_peak_does_not_grow_as_the_budget_shrinks(isp_4000_pairs):
+    # The budget bounds the tiles; the load accumulator and the demand
+    # matrix are a fixed part (plan_pair_tiles), so the evaluation peak
+    # falls towards that part and never rises as the budget shrinks.
+    routing, demands = isp_4000_pairs
+    peaks = []
+    for budget_mb in (48.0, 1.0, 0.5, 0.1):
+        evaluator = build_evaluator(routing, backend="auto", memory_budget_mb=budget_mb)
+        with PeakMemory() as mem:
+            evaluator.congestions(demands)
+        peaks.append(mem.peak_kb)
+    assert all(later <= earlier * 1.05 for earlier, later in zip(peaks, peaks[1:])), peaks
+    assert peaks[-1] < peaks[0], peaks

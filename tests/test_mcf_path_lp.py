@@ -200,15 +200,15 @@ def test_deferred_route_result_pickles_with_its_routing(cube3):
 # --------------------------------------------------------------------- #
 # The persistent model: results depend on (system, demand) only
 # --------------------------------------------------------------------- #
-def _warm_solves(system, demands):
-    """Path-LP results for ``demands`` in order, and each solve's ``warm`` counter."""
+def _warm_solves(system, demands, counter="warm"):
+    """Path-LP results for ``demands`` in order, and each solve's ``counter``."""
     tracer = install_tracer(Tracer(sink=RecordingSink()))
     try:
         results = [min_congestion_on_paths(system, demand) for demand in demands]
     finally:
         uninstall_tracer()
     spans = [r for r in span_records(tracer.records) if r["name"] == "mcf.path_lp"]
-    return results, [span["counters"]["warm"] for span in spans]
+    return results, [span["counters"][counter] for span in spans]
 
 
 def _all_pairs_demand(pairs, rng):
@@ -221,8 +221,12 @@ def test_all_pairs_answer_does_not_depend_on_the_solves_before(torus3, monkeypat
     target = _all_pairs_demand(pairs, rng)
     others = [_all_pairs_demand(pairs, rng) for _ in range(3)]
     partial = Demand(dict(list(target.items())[::3]))
-    (fresh,), warm = _warm_solves(_seeded_system(torus3, pairs, 0), [target])
+    system = _seeded_system(torus3, pairs, 0)
+    (fresh,), warm = _warm_solves(system, [target])
     assert warm == [1]
+    # The re-solve pivots, so the persistent model's pricing rule is exercised.
+    _, (iterations,) = _warm_solves(system, [target], "iterations")
+    assert iterations >= 1
 
     system = _seeded_system(torus3, pairs, 0)
     results, warm = _warm_solves(system, others + [target, partial, target])
@@ -261,6 +265,9 @@ def test_unpickled_rate_lp_rebuilds_its_model_and_answers_identically(torus3):
     results, warm = _warm_solves(twin, demands)
     assert warm == [1, 1, 1]
     assert restored._model is not None
+    # Demands that pivot: flows agree bit for bit only if the rebuilt model prices alike.
+    _, iterations = _warm_solves(twin, demands, "iterations")
+    assert min(iterations) >= 1
     # A spawned worker unpickles the system, as the shared sweep executor ships it.
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         spawned = list(pool.map(min_congestion_on_paths, [system] * 3, demands))

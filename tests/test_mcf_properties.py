@@ -469,6 +469,7 @@ def test_warm_attempt_past_its_cap_gives_the_cold_answer(cube3, monkeypatch):
         uninstall_tracer()
     (span,) = [r for r in span_records(tracer.records) if r["name"] == "mcf.path_lp"]
     assert span["counters"]["warm"] == 0
+    assert span["counters"]["capped"] == 1
     assert capped == _outcome(min_congestion_on_paths(cold, demand))
 
 
@@ -497,6 +498,7 @@ def test_both_lps_report_their_size_and_iterations(cube3):
     assert normalizer["nnz"] > 0 and normalizer["iterations"] >= 0
     path_lps = [record for record in records if record["name"] == "mcf.path_lp"]
     assert [record["counters"]["warm"] for record in path_lps] == [0, 1, 1, 0]
+    assert [record["counters"]["capped"] for record in path_lps] == [0, 0, 0, 0]
     # Demands on every installed pair: every installed path is a column.
     for record in path_lps[:3]:
         counters = record["counters"]

@@ -199,14 +199,20 @@ def test_congestion_respects_capacities():
 def test_capacities_array_is_read_only_in_edge_order():
     import pickle
 
-    net = Network.from_edges([(0, 1), (1, 2), (2, 0)], capacities={(1, 2): 3.5, (2, 0): 0.5})
+    net = Network.from_edges([("a", 1), (1, 2), (2, "a")], capacities={(1, 2): 3.5, (2, "a"): 0.5})
     expected = [net.capacity_of(edge) for edge in net.edges]
+    ends = [[net.vertex_index(u), net.vertex_index(v)] for u, v in net.edges]
     for network in (net, pickle.loads(pickle.dumps(net))):
         assert network.capacities.tolist() == expected
         assert network.capacities.dtype == float
+        assert network.endpoints.tolist() == ends
+        assert network.endpoints.dtype == np.int64
         with pytest.raises(ValueError):
             network.capacities[0] = 9.0
+        with pytest.raises(ValueError):
+            network.endpoints[0, 0] = 2
     assert net.capacities is net.capacities  # built once
+    assert net.endpoints is net.endpoints
 
 
 def test_from_edges_merges_duplicates():
