@@ -2,8 +2,8 @@
 
 Each ``exp_*`` module exposes a ``run(config) -> ExperimentResult``
 function; ``tests/test_experiments.py`` checks the paper's headline
-shapes on their tables, and the example scripts print them.  The experiment ids match the
-per-experiment index in DESIGN.md and the records in EXPERIMENTS.md.
+shapes on their tables, and the example scripts print them.  The
+experiment ids match the records in EXPERIMENTS.md.
 """
 
 from repro.experiments.harness import ExperimentResult, ExperimentConfig, run_experiment

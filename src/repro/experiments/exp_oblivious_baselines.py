@@ -10,7 +10,8 @@ random permutation demands, the congestion ratio of:
 * Valiant's routing (hypercubes only),
 * single shortest path and uniform k-shortest-paths,
 
-establishing the quality of the substitution documented in DESIGN.md.
+establishing the quality of the substitution documented in
+docs/ARCHITECTURE.md, "Substitutions".
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The SMORE traffic-engineering evaluation ([KYY+18]) used proprietary ISP
 topologies; we substitute synthetic topologies with comparable structure:
 Waxman random geometric graphs (the standard ISP-like generator),
 connected Erdos–Renyi graphs, and random geometric networks.  See
-DESIGN.md, "Substitutions".
+docs/ARCHITECTURE.md, "Substitutions".
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from scipy import sparse
 
 from repro.exceptions import GraphError, LinalgError, RoutingError
 from repro.graphs.network import Network, Vertex
-from repro.linalg._matrix import build_matrix, to_dense
 from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.obs import trace_span
 
@@ -49,6 +48,19 @@ _PROB_TOL = 0.0
 _REBASE_CACHE_SIZE = 8
 
 
+def _build_matrix(rows, cols, data, shape: tuple) -> sparse.csr_matrix:
+    """A ``shape`` CSR matrix with ``data`` at ``(rows, cols)`` (duplicates summed).
+
+    Every operator is built here, so all of them sum in the same float order.
+    """
+    matrix = sparse.csr_matrix(
+        (np.asarray(data, dtype=float), (np.asarray(rows), np.asarray(cols))),
+        shape=shape,
+    )
+    matrix.sum_duplicates()
+    return matrix
+
+
 def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape):
     """``M = D @ A`` built straight from incidence triplets.
 
@@ -58,7 +70,7 @@ def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape):
     """
     weights = path_prob[inc_rows]
     keep = weights > 0
-    return build_matrix(
+    return _build_matrix(
         path_pair[inc_rows[keep]], inc_cols[keep], weights[keep], shape
     )
 
@@ -389,7 +401,7 @@ class CompiledRouting:
         """
         matrix = self._incidence_holder.get("incidence")
         if matrix is None:
-            matrix = build_matrix(
+            matrix = _build_matrix(
                 self._inc_rows,
                 self._inc_cols,
                 np.ones(len(self._inc_rows)),
@@ -407,7 +419,7 @@ class CompiledRouting:
         """
         if getattr(self, "_distribution_cache", None) is None:
             live = self._path_prob > 0
-            self._distribution_cache = build_matrix(
+            self._distribution_cache = _build_matrix(
                 self._path_pair[live],
                 np.flatnonzero(live),
                 self._path_prob[live],
@@ -519,7 +531,7 @@ class CompiledRouting:
             cols_sel = self._inc_cols[mask]
         weights = self._path_prob[rows_sel]
         keep = weights > 0
-        return build_matrix(
+        return _build_matrix(
             self._path_pair[rows_sel[keep]] - start,
             cols_sel[keep],
             weights[keep],
@@ -527,7 +539,7 @@ class CompiledRouting:
         )
 
     def _streamed_loads(self, batch, plan: TilePlan) -> np.ndarray:
-        """``to_dense(batch @ M)`` as a streamed sum over pair tiles.
+        """``(batch @ M).toarray()`` as a streamed sum over pair tiles.
 
         Holds one operator tile plus the (batch × edge) accumulator at a
         time; each tile is released before the next is built, so peak
@@ -546,7 +558,7 @@ class CompiledRouting:
             span.add("demands", num_rows)
             for start, stop in plan.tiles():
                 tile = self.operator_tile(start, stop)
-                loads += to_dense(columns[:, start:stop] @ tile)
+                loads += (columns[:, start:stop] @ tile).toarray()
                 del tile
         return loads
 
@@ -613,7 +625,7 @@ class CompiledRouting:
                 rows.append(row)
                 cols.append(index)
                 data.append(float(amount))
-        return build_matrix(rows, cols, data, (len(demands), self.num_pairs))
+        return _build_matrix(rows, cols, data, (len(demands), self.num_pairs))
 
     def _has_uncovered(self, vector: np.ndarray) -> bool:
         if self._covered.all():
@@ -686,7 +698,7 @@ class CompiledRouting:
             memory_budget_mb=memory_budget_mb,
         )
         if plan.is_single_tile and self._pair_edge is not None:
-            return to_dense(batch @ self._pair_edge)
+            return (batch @ self._pair_edge).toarray()
         return self._streamed_loads(batch, plan)
 
     def congestions(self, demands: Sequence, missing: str = "error") -> np.ndarray:
@@ -717,7 +729,7 @@ class CompiledRouting:
             memory_budget_mb=memory_budget_mb,
         )
         if plan.is_single_tile and self._pair_edge is not None:
-            loads = to_dense(batch @ self._pair_edge)
+            loads = (batch @ self._pair_edge).toarray()
         else:
             loads = self._streamed_loads(batch, plan)
         if not loads.size:

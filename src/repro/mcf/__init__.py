@@ -16,18 +16,12 @@ fractional routings of the demand.  This package provides:
 * :mod:`~repro.mcf.highs` — the one HiGHS driver both LPs go through
   (scipy >= 1.15's bundled binding); ``scipy.optimize.linprog`` survives
   only as the tests' oracle and in perfbench's reference work,
-* :func:`~repro.mcf.mwu.approximate_min_congestion` — a Garg–Könemann /
-  Fleischer multiplicative-weights approximation, an LP-free
-  cross-check that nothing in the pipeline calls; its congestion is a
-  feasible upper bound, never below the optimum, but not within
-  ``(1 + epsilon)`` of it (measured gaps up to 1.59 at ``epsilon = 0.25``),
 * :func:`~repro.mcf.integral.exact_integral_optimum` — brute-force
   integral optimum for tiny instances (used by lower-bound tests).
 """
 
 from repro.mcf.lp import min_congestion_lp, MinCongestionResult
 from repro.mcf.path_lp import min_congestion_on_paths, PathLPResult
-from repro.mcf.mwu import approximate_min_congestion
 from repro.mcf.integral import exact_integral_optimum
 
 __all__ = [
@@ -35,6 +29,5 @@ __all__ = [
     "MinCongestionResult",
     "min_congestion_on_paths",
     "PathLPResult",
-    "approximate_min_congestion",
     "exact_integral_optimum",
 ]

@@ -23,7 +23,7 @@ interface:
 The measured hop-stretch and congestion-approximation of the construction
 are reported by experiment E7; only those two measured quantities enter
 the Section 7 pipeline, so the substitution preserves the behaviour the
-theory relies on (see DESIGN.md, "Substitutions").
+theory relies on (see docs/ARCHITECTURE.md, "Substitutions").
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from scipy.optimize import nnls
 
 from repro.demands.demand import Demand
 from repro.exceptions import TelemetryError
-from repro.linalg._matrix import to_dense
 from repro.telemetry.observation import LinkLoadObservation
 
 #: Estimator method names accepted by :func:`estimate_demand`.
@@ -135,7 +134,7 @@ def _estimate_nnls(
     prior: Optional[np.ndarray],
     regularization: float,
 ) -> np.ndarray:
-    operator = to_dense(compiled.pair_edge_operator)
+    operator = compiled.pair_edge_operator.toarray()
     columns = observation.observed_indices
     if observation.granularity == "ingress":
         vector = np.zeros(compiled.num_pairs)
@@ -178,7 +177,7 @@ def _estimate_entropy(
         # Every routed demand unit contributes one load unit per hop, so
         # total load ≈ volume · mean hops; partial coverage scales the
         # observed load sum down by the reporting fraction.
-        operator = to_dense(compiled.pair_edge_operator)
+        operator = compiled.pair_edge_operator.toarray()
         hops_per_pair = np.asarray(operator.sum(axis=1), dtype=float).ravel()
         mean_hops = float(hops_per_pair.mean()) if hops_per_pair.size else 1.0
         observed_sum = float(
@@ -258,7 +257,7 @@ def estimate_demand(
         converged = True
         name = "nnls-scipy"
 
-    operator = to_dense(compiled.pair_edge_operator)
+    operator = compiled.pair_edge_operator.toarray()
     columns = observation.observed_indices
     reproduced = np.asarray(vector @ operator, dtype=float).ravel()[columns]
     target = observation.aggregate_loads()[columns]

@@ -1,11 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.experiments import REGISTRY
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_list_prints_every_experiment(capsys):
@@ -13,6 +20,66 @@ def test_list_prints_every_experiment(capsys):
     out = capsys.readouterr().out
     for name in REGISTRY:
         assert name in out
+
+
+def test_list_and_bare_experiments_run_in_registry_order(capsys):
+    expected = [f"E{number}" for number in range(1, 13)]
+    assert [name.split("_")[0] for name in REGISTRY] == expected
+    assert main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(REGISTRY)
+    assert main(["experiments", "--scale", "smoke", "--json"]) == 0
+    payloads = json.loads(capsys.readouterr().out)
+    assert [payload["experiment_id"] for payload in payloads] == list(REGISTRY)
+
+
+def _leaf_parsers(parser, path=()):
+    """Yield ``(command words, parser)`` for every leaf of the parser tree."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_command_has_a_handler():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 22
+    for words, parser in leaves.items():
+        assert callable(parser.get_default("handler")), " ".join(words)
+
+
+def _run_repro(*args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_closed_pipe_ends_quietly():
+    # The reader is gone before the first write, so every write breaks.
+    process = _run_repro("-m", "repro", "list",
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) != 0
+    assert stderr == b""
+
+
+def test_list_imports_no_subsystem_package():
+    probe = ("import io, contextlib, sys\n"
+             "from repro.__main__ import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    main(['list'])\n"
+             "print(' '.join(sorted(sys.modules)))")
+    process = _run_repro("-c", probe, stdout=subprocess.PIPE, text=True)
+    loaded = process.communicate(timeout=60)[0].split()
+    assert process.returncode == 0
+    for package in ("net", "telemetry", "forwarding", "synth"):
+        assert not [name for name in loaded if name.startswith(f"repro.{package}")], package
 
 
 def test_experiments_smoke_run(capsys):
@@ -90,7 +157,7 @@ def test_te_non_integer_topology_size():
 def test_topology_shorthand_builds_the_direct_network():
     # ``name:arg`` goes through the kind registry and must build exactly
     # what the generator or catalog call builds with the same seed.
-    from repro.__main__ import _build_te_network
+    from repro.cli import _build_te_network
     from repro.graphs import topologies
     from repro.graphs.generators import waxman_isp
     from repro.net import load_network

@@ -23,7 +23,6 @@ from repro.engine import SemiObliviousRouter
 from repro.graphs import topologies
 from repro.graphs.lower_bound import gadget_size_k, lower_bound_gadget
 from repro.mcf.lp import min_congestion_lp
-from repro.mcf.mwu import approximate_min_congestion
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.valiant import ValiantHypercubeRouting
 
@@ -99,14 +98,6 @@ def test_completion_time_pipeline_on_ring_of_cliques():
     assert baseline > 0
     assert achieved.dilation <= network.diameter() * 3
     assert ratio < 5.0
-
-
-def test_lp_and_mwu_agree_within_approximation():
-    network = topologies.random_regular_expander(12, degree=4, rng=4)
-    demand = random_permutation_demand(network, rng=5)
-    lp = min_congestion_lp(network, demand).congestion
-    mwu = approximate_min_congestion(network, demand, epsilon=0.15).congestion
-    assert lp - 1e-9 <= mwu <= 2.5 * lp + 1e-9
 
 
 def test_semi_oblivious_beats_oblivious_source_on_its_own_demand():

@@ -11,10 +11,6 @@ a routing that beats the optimum.  On one installed system, the rates
 the path LP adapts congest no more than any fixed split over the same
 paths.
 
-The multiplicative-weights approximation is checked against the same
-LP: its routing carries the whole demand and its congestion never reads
-below the optimum.
-
 The path LP solves a demand cold over its own pairs' paths; after
 ``warm_start`` it first re-solves a demand on every installed pair on
 the system's persistent model, from the reference basis.  The cold
@@ -46,7 +42,6 @@ from repro.engine.router import RouteResult
 from repro.exceptions import SolverError
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
-from repro.mcf.mwu import approximate_min_congestion
 from repro.mcf import highs, path_lp
 from repro.mcf.path_lp import min_congestion_on_paths
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
@@ -285,22 +280,6 @@ def test_peeled_routing_is_valid_and_optimal(instance):
             assert len(set(path)) == len(path)
             assert network.validate_path(path, source=source, target=target) == path
     assert _close(result.routing.congestion(demand), result.congestion)
-
-
-@settings(max_examples=40, deadline=None)
-@given(instances(), st.sampled_from([0.1, 0.25, 0.5]))
-def test_mwu_routes_the_demand_at_an_upper_bound_on_the_optimum(instance, epsilon):
-    network, demand = instance
-    result = approximate_min_congestion(network, demand, epsilon=epsilon)
-    assert min_congestion_lp(network, demand).congestion * (1 - 1e-9) <= result.congestion
-    routed = {}
-    for pair, path, amount in result.weighted_paths:
-        assert network.validate_path(path, source=pair[0], target=pair[1]) == path
-        routed[pair] = routed.get(pair, 0.0) + amount
-    for pair, amount in demand.items():
-        assert routed[pair] == pytest.approx(amount, rel=1e-6)
-    weighted = [(path, amount) for _, path, amount in result.weighted_paths]
-    assert _close(network.congestion(weighted), result.congestion)
 
 
 @settings(max_examples=25, deadline=None)

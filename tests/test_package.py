@@ -52,7 +52,6 @@ def test_public_api_exports_exist():
         "repro.mcf",
         "repro.mcf.lp",
         "repro.mcf.path_lp",
-        "repro.mcf.mwu",
         "repro.mcf.integral",
         "repro.te",
         "repro.te.metrics",

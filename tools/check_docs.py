@@ -23,12 +23,17 @@ EXPERIMENTS.md, docs/ARCHITECTURE.md).  Two checks per file:
    (GitHub anchor slugging: lowercase, punctuation stripped, spaces to
    hyphens, ``-N`` suffixes for duplicates).
 
+Every run also checks that each ``*.md`` path named in a docstring
+under ``src/`` (module, class or function) exists relative to the
+repository root, so code cannot cite a document that is gone.
+
 Exit status 0 when everything passes; 1 with a per-failure report
 otherwise.  No third-party dependencies.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 import traceback
@@ -149,6 +154,28 @@ def check_links(path: Path, text: str, failures: List[str]) -> int:
     return checked
 
 
+DOC_PATH_RE = re.compile(r"[\w./-]+\.md\b")
+
+
+def check_docstring_paths(src: Path, failures: List[str]) -> int:
+    """Every ``*.md`` path a ``src`` docstring names must exist under the repo root."""
+    checked = 0
+    for module in sorted(src.rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            docstring = ast.get_docstring(node, clean=False)
+            for name in DOC_PATH_RE.findall(docstring or ""):
+                checked += 1
+                if not (REPO_ROOT / name).exists():
+                    label = module.relative_to(REPO_ROOT)
+                    failures.append(f"{label}: docstring names missing document {name}")
+    return checked
+
+
 def main(argv: List[str]) -> int:
     names = argv or DEFAULT_FILES
     failures: List[str] = []
@@ -161,6 +188,8 @@ def main(argv: List[str]) -> int:
         executed = check_snippets(path, text, failures)
         links = check_links(path, text, failures)
         print(f"{name}: {executed} snippet(s) executed, {links} intra-repo link(s) checked")
+    named = check_docstring_paths(REPO_ROOT / "src", failures)
+    print(f"src/: {named} document path(s) named in docstrings checked")
     if failures:
         print(f"\n{len(failures)} documentation failure(s):", file=sys.stderr)
         for failure in failures:
