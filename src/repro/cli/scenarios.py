@@ -14,8 +14,7 @@
 ``run`` executes every grid cell (candidate paths installed once per
 topology, deterministic per-cell seeds) and prints the harness table
 rendering — or, with ``--json``, the artifact itself, which is
-bit-identical for any ``--workers`` value, executor, or kill-and-resume
-history.
+bit-identical for any ``--workers`` value or kill-and-resume history.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ def _cmd_run(args) -> int:
             result = run_suite(
                 suite,
                 workers=args.workers,
-                executor=args.executor,
                 artifact_dir=args.artifact_dir,
                 resume=args.resume,
             )
@@ -90,8 +88,6 @@ def _cmd_run(args) -> int:
 
 
 def register(subparsers) -> None:
-    from repro.scenarios.runner import EXECUTOR_CHOICES
-
     scenario_parser = subparsers.add_parser(
         "scenarios", help="failure x demand x topology sweeps through the engine"
     )
@@ -105,7 +101,9 @@ def register(subparsers) -> None:
     run_parser = scenario_sub.add_parser("run", help="execute a suite and print its report")
     run_parser.add_argument("--suite", default="smoke", help="suite name (default smoke)")
     run_parser.add_argument("--workers", type=int, default=1,
-                            help="worker processes for the sweep cells (default 1)")
+                            help="worker processes for the sweep cells (default 1: "
+                                 "inline; more: one spawn pool sharing the "
+                                 "parent-installed engines)")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the suite's master seed")
     run_parser.add_argument("--snapshots", type=int, default=None,
@@ -114,14 +112,6 @@ def register(subparsers) -> None:
                             help="print the JSON artifact instead of tables")
     run_parser.add_argument("--output", default=None,
                             help="also write the JSON artifact to this path")
-    # No argparse choices= here on purpose: the runner validates the
-    # executor itself and reports the registered list, so extension
-    # executors registered at runtime keep working.
-    run_parser.add_argument("--executor", default="auto",
-                            help="execution strategy, one of "
-                                 f"{', '.join(EXECUTOR_CHOICES)} "
-                                 "(auto: inline for --workers 1, "
-                                 "shared-memory cell queue otherwise)")
     run_parser.add_argument("--artifact-dir", default=None,
                             help="stream per-cell results into a resumable store "
                                  "at this directory")

@@ -60,16 +60,6 @@ class Routing:
     def network(self) -> Network:
         return self._network
 
-    def __getstate__(self):
-        # Evaluator caches hold compiled operators (potentially large
-        # scipy matrices); they are rebuildable from the
-        # distributions, so pickles ship lean and receivers either
-        # recompile lazily or re-seed via :meth:`attach_evaluator`
-        # (shared-memory sweep workers do the latter).
-        state = self.__dict__.copy()
-        state["_evaluators"] = {}
-        return state
-
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
@@ -191,9 +181,9 @@ class Routing:
         (reference loops with a per-demand memo, and the test oracle),
         because compiling first costs about two dict passes.
         ``"sparse"`` names the compiled form explicitly.  Evaluators are
-        cached per form and invalidated when a distribution changes;
-        ``"auto"`` reuses the compiled form already cached, including one
-        seeded by :meth:`attach_evaluator`.  See :mod:`repro.linalg`.
+        cached per form (a pickled routing carries them along) and
+        invalidated when a distribution changes; ``"auto"`` and
+        ``"sparse"`` share one cached compile.  See :mod:`repro.linalg`.
         """
         if backend == "auto":
             # "auto" and "sparse" are the same compiled form; cache it
@@ -206,20 +196,6 @@ class Routing:
             evaluator = build_evaluator(self, backend)
             self._evaluators[backend] = evaluator
         return evaluator
-
-    def attach_evaluator(self, backend: str, evaluator: object) -> None:
-        """Seed the evaluator cache for ``backend`` with a prebuilt instance.
-
-        The shared-memory sweep executor compiles operators once in the
-        parent and rebuilds evaluators in workers from zero-copy array
-        views; attaching them here makes :meth:`evaluator` (and every
-        metric built on it) hit the prebuilt form instead of recompiling.
-        ``backend`` must already be resolved (``"sparse"``/``"dict"``),
-        matching the cache keys :meth:`evaluator` uses.  The
-        attachment is invalidated by mutation exactly like a cached
-        compile.
-        """
-        self._evaluators[backend] = evaluator
 
     def edge_congestions(self, demand: Demand) -> Dict[Tuple[Vertex, Vertex], float]:
         """Per-edge congestion ``cong(R, d, e)`` (load / capacity)."""

@@ -227,8 +227,9 @@ class FixedRatioRouter(BaseRouter):
     No online adaptation: the congestion of a demand is read off the
     fixed path distributions.  Covers the plain-oblivious and
     single-shortest-path TE baselines.  The routing is installed once
-    and evaluated for every demand, so it is read through its compiled
-    operator (``routing.evaluator("auto")``, cached on the routing).
+    and evaluated for every demand, so :meth:`install` also compiles it
+    (``routing.evaluator("auto")``, cached on the routing and pickled
+    with it) and every route reads the compiled operator.
     """
 
     def __init__(
@@ -253,6 +254,7 @@ class FixedRatioRouter(BaseRouter):
 
     def _install(self, pairs: List[Pair]) -> None:
         self._routing = self._builder.routing(pairs=pairs)
+        self._routing.evaluator("auto")
 
     def _route(self, demand: Demand) -> RouteResult:
         try:

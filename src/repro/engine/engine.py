@@ -446,51 +446,12 @@ class RoutingEngine:
         return cls(_load_network(source), schemes, rng=rng, cut_cache=cut_cache)
 
     # ------------------------------------------------------------------ #
-    # Installed-state transport (shared-memory sweep workers)
-    # ------------------------------------------------------------------ #
-    def export_compiled(self) -> Dict[str, Any]:
-        """Compile every fixed-ratio scheme once; ``label -> CompiledRouting``.
-
-        The parent side of the shared-memory sweep handshake: the
-        returned compiled routings expose :meth:`~repro.linalg.compiled.
-        CompiledRouting.export_arrays`, whose arrays travel to workers
-        through ``multiprocessing.shared_memory`` while the (lean —
-        :meth:`~repro.core.routing.Routing.__getstate__` strips evaluator
-        caches) pickled engine travels through pool initargs.  Schemes
-        without a fixed materialized routing (LP rate adaptation, the
-        optimal MCF) have nothing to compile and are skipped.
-        """
-        from repro.engine.adapters import FixedRatioRouter
-
-        self._ensure_installed()
-        compiled: Dict[str, Any] = {}
-        for label, router in self._routers.items():
-            if isinstance(router, FixedRatioRouter):
-                compiled[label] = router.routing.evaluator("auto").compiled
-        return compiled
-
-    def attach_compiled(self, label: str, compiled: Any) -> None:
-        """Seed scheme ``label`` with a compiled routing rebuilt elsewhere.
-
-        The worker side of the handshake: ``compiled`` is typically
-        :meth:`~repro.linalg.compiled.CompiledRouting.from_arrays` over
-        zero-copy shared-memory views.  The scheme's routing caches a
-        :class:`~repro.linalg.evaluator.SparseEvaluator`, so routing demands through the scheme
-        hits the attached operators instead of recompiling.
-        """
-        from repro.linalg.evaluator import SparseEvaluator
-
-        routing = self[label].routing
-        routing.attach_evaluator("sparse", SparseEvaluator(compiled, source_routing=routing))
-
-    # ------------------------------------------------------------------ #
     # Scenario sweeps
     # ------------------------------------------------------------------ #
     @staticmethod
     def run_suite(
         suite,
         workers: int = 1,
-        executor: str = "auto",
         artifact_dir=None,
         resume=None,
     ):
@@ -502,10 +463,11 @@ class RoutingEngine:
         MCF memoized per snapshot), fanned out over ``workers``
         processes.  Returns a :class:`~repro.scenarios.report.SuiteResult`
         whose JSON artifact is bit-identical for any worker count.
-        Fixed-ratio schemes evaluate through their compiled operators
-        (failure cells rebase them).  ``executor`` picks the
-        fan-out strategy (``"shared"`` compiles once and publishes
-        operators via shared memory), ``artifact_dir`` streams per-cell
+        Fixed-ratio schemes evaluate through the operators they compiled
+        at install (failure cells rebase them).  With ``workers > 1``
+        each topology's engine is installed once in the parent and
+        pickled whole, compiled operators included, to a spawn pool
+        that evaluates the cells.  ``artifact_dir`` streams per-cell
         results into a resumable on-disk store, and ``resume`` points at
         such a store to skip already-completed cells — see
         :func:`repro.scenarios.runner.run_suite`.
@@ -515,7 +477,6 @@ class RoutingEngine:
         return _run_suite(
             suite,
             workers=workers,
-            executor=executor,
             artifact_dir=artifact_dir,
             resume=resume,
         )

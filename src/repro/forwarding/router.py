@@ -6,7 +6,7 @@ onto the quantized buckets, and reports the *realized* congestion.  The
 wrapper follows the adapter contracts of :mod:`repro.engine.adapters`:
 all randomness (the flow-placement seed) is consumed during
 ``install()``, so repeated ``route()`` calls are deterministic and
-bit-identical across executors and worker counts.
+bit-identical across worker counts.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Imported lazily by :mod:`repro.scenarios.spec` (see
 the *scheme* line-up — every ``realized(...)`` wrapper in ``schemes``
 adds one point on the fractional-to-ECMP axis, with the unwrapped base
 scheme as the fractional reference — so no new spec dataclass is needed
-and every existing executor, artifact store and resume path applies
-unchanged.
+and the inline and pool sweeps, the artifact store and the resume path
+apply unchanged.
 
 The suite sweeps the full 8-topology ingestion catalog with one fitted
 gravity snapshot per topology and no failures (ECMP realization under

@@ -28,7 +28,7 @@ original object.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -167,8 +167,7 @@ class CompiledRouting:
         self._tile_pairs = tile_pairs
         self._memory_budget_mb = memory_budget_mb
         # Rebased instances share this holder: the incidence matrix is
-        # identical across rebases, so it is built at most once (the
-        # sortedness flag of the index arrays is shared the same way).
+        # identical across rebases, so it is built at most once.
         self._incidence_holder = {} if incidence_holder is None else incidence_holder
         self._rebase_cache: "OrderedDict[object, CompiledRouting]" = OrderedDict()
 
@@ -276,89 +275,6 @@ class CompiledRouting:
         )
 
     # ------------------------------------------------------------------ #
-    # Array export / attach (shared-memory transport)
-    # ------------------------------------------------------------------ #
-    def export_arrays(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-        """Split the compiled form into small metadata plus raw arrays.
-
-        Returns ``(metadata, arrays)``: ``metadata`` is a small picklable
-        dict (pairs, operator shape, tiling knobs) and ``arrays`` maps
-        canonical names to the underlying numpy arrays — index arrays,
-        capacities, coverage mask, and the pair × edge operator's CSR
-        ``data``/``indices``/``indptr`` triple.  Publishing the
-        arrays through ``multiprocessing.shared_memory`` and rebuilding
-        with :meth:`from_arrays` reconstructs an equivalent compiled
-        routing without copying or recompiling; the scenario sweep
-        executor (:mod:`repro.scenarios.shm`) is the intended consumer.
-        """
-        arrays: Dict[str, np.ndarray] = {
-            "capacities": self._capacities,
-            "path_pair": self._path_pair,
-            "path_prob": self._path_prob,
-            "path_hops": self._path_hops,
-            "inc_rows": self._inc_rows,
-            "inc_cols": self._inc_cols,
-            "pair_max_hops": self._pair_max_hops,
-            "covered": self._covered,
-        }
-        # Tiled compiles never materialized the operator; the index
-        # arrays above are then the complete evaluation state.
-        if self._pair_edge is not None:
-            operator = self._pair_edge
-            arrays["operator_data"] = np.asarray(operator.data)
-            arrays["operator_indices"] = np.asarray(operator.indices)
-            arrays["operator_indptr"] = np.asarray(operator.indptr)
-        metadata: Dict[str, object] = {
-            "pairs": self._pairs,
-            "operator_shape": (self.num_pairs, self.num_edges),
-            "operator_materialized": self._pair_edge is not None,
-            "tile_pairs": self._tile_pairs,
-            "memory_budget_mb": self._memory_budget_mb,
-        }
-        return metadata, arrays
-
-    @classmethod
-    def from_arrays(
-        cls,
-        network: Network,
-        metadata: Mapping[str, object],
-        arrays: Mapping[str, np.ndarray],
-    ) -> "CompiledRouting":
-        """Rebuild a compiled routing from :meth:`export_arrays` output.
-
-        ``arrays`` may be views over a shared-memory buffer (typically
-        read-only); nothing is copied — evaluation and :meth:`rebased`
-        only ever read the attached arrays and allocate fresh outputs.
-        ``network`` must be structurally identical to the network the
-        arrays were compiled from (same edge indexing); the scenario
-        workers guarantee this by rebuilding topologies from the same
-        seeded specs.
-        """
-        shape = tuple(metadata["operator_shape"])  # type: ignore[arg-type]
-        pair_edge = None
-        if metadata.get("operator_materialized", True):
-            pair_edge = sparse.csr_matrix(
-                (arrays["operator_data"], arrays["operator_indices"], arrays["operator_indptr"]),
-                shape=shape,
-                copy=False,
-            )
-        return cls(
-            network=network,
-            pairs=tuple(metadata["pairs"]),  # type: ignore[arg-type]
-            capacities=np.asarray(arrays["capacities"]),
-            path_pair=np.asarray(arrays["path_pair"]),
-            path_prob=np.asarray(arrays["path_prob"]),
-            path_hops=np.asarray(arrays["path_hops"]),
-            inc_rows=np.asarray(arrays["inc_rows"]),
-            inc_cols=np.asarray(arrays["inc_cols"]),
-            pair_edge=pair_edge,
-            pair_max_hops=np.asarray(arrays["pair_max_hops"]),
-            covered=np.asarray(arrays["covered"]),
-            tile_pairs=metadata.get("tile_pairs"),
-            memory_budget_mb=metadata.get("memory_budget_mb"),
-        )
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
@@ -462,20 +378,12 @@ class CompiledRouting:
         """True when the full pair × edge operator is held in memory."""
         return self._pair_edge is not None
 
-    def tile_plan(
-        self,
-        batch_rows: int = 1,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> TilePlan:
+    def tile_plan(self, batch_rows: int = 1) -> TilePlan:
         """The pair-tiling plan for a ``batch_rows``-demand evaluation.
 
-        Per-call knobs override the instance knobs; with neither set the
-        plan is one tile (the untiled fast path).
+        Follows the instance knobs; with neither set the plan is one
+        tile (the untiled fast path).
         """
-        tile_pairs = tile_pairs if tile_pairs is not None else self._tile_pairs
-        if memory_budget_mb is None:
-            memory_budget_mb = self._memory_budget_mb
         nnz_per_pair = (
             len(self._inc_rows) / self.num_pairs if self.num_pairs else None
         )
@@ -483,27 +391,10 @@ class CompiledRouting:
             self.num_pairs,
             self.num_edges,
             batch_rows=batch_rows,
-            tile_pairs=tile_pairs,
-            memory_budget_mb=memory_budget_mb,
+            tile_pairs=self._tile_pairs,
+            memory_budget_mb=self._memory_budget_mb,
             nnz_per_pair=nnz_per_pair,
         )
-
-    def _indices_sorted(self) -> bool:
-        """True when ``path_pair`` and ``inc_rows`` are nondecreasing.
-
-        :meth:`_compile` guarantees this by construction (pairs are
-        visited in row order, incidence entries in path order), which
-        lets :meth:`operator_tile` slice the triplets with two binary
-        searches; arrays attached via :meth:`from_arrays` are checked
-        once and fall back to mask selection if foreign.
-        """
-        flag = self._incidence_holder.get("indices_sorted")
-        if flag is None:
-            flag = bool(np.all(np.diff(self._path_pair) >= 0)) and bool(
-                np.all(np.diff(self._inc_rows) >= 0)
-            )
-            self._incidence_holder["indices_sorted"] = flag
-        return flag
 
     def operator_tile(self, start: int, stop: int):
         """Rows ``[start, stop)`` of the pair × edge operator.
@@ -511,7 +402,10 @@ class CompiledRouting:
         Built from the incidence triplets without touching the full
         operator — a ``(stop - start) × num_edges`` CSR matrix.  When
         the full operator happens to be materialized, this is a plain
-        row slice.
+        row slice.  :meth:`_compile` sorts ``path_pair`` and
+        ``inc_rows`` by construction (pairs are visited in row order,
+        incidence entries in path order) and :meth:`rebased` shares
+        them, so two binary searches select the tile's triplets.
         """
         if not (0 <= start <= stop <= self.num_pairs):
             raise LinalgError(
@@ -519,16 +413,10 @@ class CompiledRouting:
             )
         if self._pair_edge is not None:
             return self._pair_edge[start:stop]
-        if self._indices_sorted():
-            path_lo, path_hi = np.searchsorted(self._path_pair, (start, stop), side="left")
-            inc_lo, inc_hi = np.searchsorted(self._inc_rows, (path_lo, path_hi), side="left")
-            rows_sel = self._inc_rows[inc_lo:inc_hi]
-            cols_sel = self._inc_cols[inc_lo:inc_hi]
-        else:
-            entry_pair = self._path_pair[self._inc_rows]
-            mask = (entry_pair >= start) & (entry_pair < stop)
-            rows_sel = self._inc_rows[mask]
-            cols_sel = self._inc_cols[mask]
+        path_lo, path_hi = np.searchsorted(self._path_pair, (start, stop), side="left")
+        inc_lo, inc_hi = np.searchsorted(self._inc_rows, (path_lo, path_hi), side="left")
+        rows_sel = self._inc_rows[inc_lo:inc_hi]
+        cols_sel = self._inc_cols[inc_lo:inc_hi]
         weights = self._path_prob[rows_sel]
         keep = weights > 0
         return _build_matrix(
@@ -538,8 +426,21 @@ class CompiledRouting:
             (stop - start, self.num_edges),
         )
 
+    def _loads(self, batch) -> np.ndarray:
+        """Dense (batch × edge) loads of a (batch × pair) demand batch.
+
+        One matmul when the operator is materialized and the plan is a
+        single tile; otherwise :meth:`_streamed_loads`.  ``batch`` may
+        be a CSR matrix or a dense array.
+        """
+        plan = self.tile_plan(batch_rows=batch.shape[0])
+        if plan.is_single_tile and self._pair_edge is not None:
+            loads = batch @ self._pair_edge
+            return loads.toarray() if sparse.issparse(loads) else loads
+        return self._streamed_loads(batch, plan)
+
     def _streamed_loads(self, batch, plan: TilePlan) -> np.ndarray:
-        """``(batch @ M).toarray()`` as a streamed sum over pair tiles.
+        """``batch @ M`` as a dense array, streamed as a sum over pair tiles.
 
         Holds one operator tile plus the (batch × edge) accumulator at a
         time; each tile is released before the next is built, so peak
@@ -551,7 +452,7 @@ class CompiledRouting:
             return loads
         # CSR column slicing is O(nnz) per tile; one CSC conversion up
         # front makes every column slice cheap.
-        columns = batch.tocsc()
+        columns = sparse.csc_matrix(batch)
         with trace_span(
             "linalg.tiled_evaluate", tiles=plan.num_tiles, tile_pairs=plan.tile_pairs
         ) as span:
@@ -560,18 +461,6 @@ class CompiledRouting:
                 tile = self.operator_tile(start, stop)
                 loads += (columns[:, start:stop] @ tile).toarray()
                 del tile
-        return loads
-
-    def _vector_loads(self, vector: np.ndarray) -> np.ndarray:
-        """Per-edge loads of one dense demand vector (tiled when lean)."""
-        plan = self.tile_plan(batch_rows=1)
-        if plan.is_single_tile and self._pair_edge is not None:
-            return np.asarray(vector @ self._pair_edge, dtype=float).ravel()
-        loads = np.zeros(self.num_edges, dtype=float)
-        for start, stop in plan.tiles():
-            tile = self.operator_tile(start, stop)
-            loads += np.asarray(vector[start:stop] @ tile, dtype=float).ravel()
-            del tile
         return loads
 
     def is_covered(self, source: Vertex, target: Vertex) -> bool:
@@ -648,14 +537,14 @@ class CompiledRouting:
     def edge_load_vector(self, demand, missing: str = "error") -> np.ndarray:
         """Raw per-edge loads (network edge-index order) for one demand."""
         vector = self.demand_vector(demand, missing=missing)
-        return self._vector_loads(vector)
+        return self._loads(vector[np.newaxis, :])[0]
 
     def congestion(self, demand, missing: str = "error") -> float:
         """``cong(R, d)``; infinite when a demanded pair lost every path."""
         vector = self.demand_vector(demand, missing=missing)
         if self._has_uncovered(vector):
             return float("inf")
-        loads = self._vector_loads(vector)
+        loads = self._loads(vector[np.newaxis, :])[0]
         if not loads.size:
             return 0.0
         return float(np.max(loads / self._capacities, initial=0.0))
@@ -683,55 +572,24 @@ class CompiledRouting:
     # ------------------------------------------------------------------ #
     # Evaluation: demand batches
     # ------------------------------------------------------------------ #
-    def edge_load_matrix(
-        self,
-        demands: Sequence,
-        missing: str = "error",
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> np.ndarray:
+    def edge_load_matrix(self, demands: Sequence, missing: str = "error") -> np.ndarray:
         """(batch × edge) dense edge-load array: one (possibly tiled) matmul."""
-        batch = self.demand_matrix(demands, missing=missing)
-        plan = self.tile_plan(
-            batch_rows=batch.shape[0],
-            tile_pairs=tile_pairs,
-            memory_budget_mb=memory_budget_mb,
-        )
-        if plan.is_single_tile and self._pair_edge is not None:
-            return (batch @ self._pair_edge).toarray()
-        return self._streamed_loads(batch, plan)
+        return self._loads(self.demand_matrix(demands, missing=missing))
 
     def congestions(self, demands: Sequence, missing: str = "error") -> np.ndarray:
         """Per-demand max congestion over one batched evaluation."""
         return self.congestions_from_matrix(self.demand_matrix(demands, missing=missing))
 
-    def congestions_from_matrix(
-        self,
-        batch,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> np.ndarray:
+    def congestions_from_matrix(self, batch) -> np.ndarray:
         """Per-demand max congestion for an already-vectorized batch.
 
         ``batch`` is a (batch × pair) matrix over *this* pair indexing —
         typically built once via :meth:`demand_matrix` and reused across
         the rebased operators of many failure events (the pair index is
         shared, so no re-vectorization is needed per event).
-
-        ``tile_pairs`` / ``memory_budget_mb`` override the instance
-        tiling knobs for this call; the default follows the instance
-        configuration (untiled when no knobs were set at compile time).
         """
         num_demands = batch.shape[0]
-        plan = self.tile_plan(
-            batch_rows=num_demands,
-            tile_pairs=tile_pairs,
-            memory_budget_mb=memory_budget_mb,
-        )
-        if plan.is_single_tile and self._pair_edge is not None:
-            loads = (batch @ self._pair_edge).toarray()
-        else:
-            loads = self._streamed_loads(batch, plan)
+        loads = self._loads(batch)
         if not loads.size:
             return np.zeros(num_demands, dtype=float)
         results = np.max(loads / self._capacities[np.newaxis, :], axis=1, initial=0.0)

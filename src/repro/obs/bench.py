@@ -194,14 +194,14 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
     import time as _time
 
     suite = get_suite("smoke").with_overrides(num_snapshots=1)
-    run_suite(suite, workers=1, executor="inline")  # warm caches/imports
+    run_suite(suite, workers=1)  # warm caches/imports
     with Stopwatch(clock=_time.process_time) as sweep_plain_watch:
-        run_suite(suite, workers=1, executor="inline")
+        run_suite(suite, workers=1)
     sweep_sink = RecordingSink()
     install_tracer(Tracer(sink=sweep_sink, role="bench"))
     try:
         with Stopwatch(clock=_time.process_time) as sweep_traced_watch:
-            run_suite(suite, workers=1, executor="inline")
+            run_suite(suite, workers=1)
     finally:
         uninstall_tracer()
     sweep_plain = sweep_plain_watch.elapsed

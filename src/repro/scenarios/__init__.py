@@ -16,7 +16,7 @@ emits a JSON artifact consumable by the experiment harness::
 """
 
 from repro.scenarios.report import ARTIFACT_VERSION, SuiteResult
-from repro.scenarios.runner import EXECUTOR_CHOICES, run_suite
+from repro.scenarios.runner import run_suite
 from repro.scenarios.store import ArtifactStore, suite_hash
 from repro.scenarios.spec import (
     DemandSpec,
@@ -38,7 +38,6 @@ from repro.scenarios.spec import (
 __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactStore",
-    "EXECUTOR_CHOICES",
     "SuiteResult",
     "run_suite",
     "suite_hash",

@@ -1,43 +1,36 @@
-"""The ``sweep`` bench target: shared-memory executor vs rebuild baseline.
+"""The ``sweep`` bench target: the spawn pool against the inline sweep.
 
 The bench runs one install-heavy scenario suite twice through
-:func:`repro.scenarios.runner.run_suite` with identical worker counts:
+:func:`repro.scenarios.runner.run_suite`:
 
-* ``rebuild`` — the honest baseline the shared executor replaces: a
-  cell-granular work queue whose workers rebuild and re-install every
-  topology's engine on first touch, so ``W`` workers pay up to ``W``
-  oblivious-routing constructions per topology;
-* ``shared`` — the production path: the parent installs each engine
-  once, ships it lean through pool initargs, and publishes the compiled
-  fixed-ratio operators through ``multiprocessing.shared_memory``
-  (zero-copy read-only views in the workers).
+* ``inline`` — ``workers=1``: one process installs every topology's
+  engine and evaluates every cell in canonical order;
+* ``pool`` — ``workers=W``: the parent installs each engine once (the
+  fixed-ratio schemes compile their operators at install) and hands the
+  engines, compiled operators included, to a ``W``-process spawn pool
+  through its initargs; the workers drain a cell-granular queue.
 
 The suite is deliberately construction-dominated: hop-constrained
 oblivious routing (the paper's central object) with a deep tree
 ensemble makes installation expensive, while single-snapshot
 ``permutation`` demands keep the per-cell LP evaluations cheap — the
 regime real catalog sweeps live in once topologies stop being toys.
-Every failure axis has at least as many cells per topology as workers,
-so the rebuild baseline genuinely touches each topology from (almost)
-every worker.
+Both legs pay every install once, in one process, so
+``speedup_pool_over_inline`` measures what fanning the cells out buys
+after installation, net of spawning the pool and pickling the engines.
 
-Two correctness gates ride along in the payload: ``artifacts_identical``
-records that both executors serialized bit-identical suite artifacts,
-and ``leaked_segments`` counts ``repro_shm_*`` segments still alive
-after both runs in this process tree (must be zero — the parent
-unlinks on exit).  :func:`gate` holds both.
+``artifacts_identical`` records that both legs serialized bit-identical
+suite artifacts; :func:`gate` holds it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List
 
 from repro.bench import legs, speedup, violations
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.scenarios.runner import _STREAM_TOPOLOGY, _derived_rng, run_suite
-from repro.scenarios.shm import cleanup_stale_segments, owned_segments
 from repro.scenarios.spec import (
     DemandSpec,
     FailureSpec,
@@ -45,11 +38,10 @@ from repro.scenarios.spec import (
     TopologySpec,
 )
 
-DESCRIPTION = "sweep executors: shared-memory operators vs rebuild-per-worker engines"
+DESCRIPTION = "sweep: spawn pool over parent-installed engines vs the inline sweep"
 
 #: Per-scale suite shape: topology axis, hop-constrained ensemble depth,
-#: failure axis length, and pool size.  Failure cells per topology stay
-#: >= workers so every rebuild worker pays installs for every topology.
+#: failure axis length, and pool size.
 _SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
     "smoke": {
         "topologies": (("torus", 4), ("hypercube", 3)),
@@ -86,7 +78,7 @@ def _suite(scale: str, seed: int) -> ScenarioSuite:
     return ScenarioSuite(
         name=f"bench-sweep-{scale}",
         description=(
-            "install-dominated executor benchmark: hop-constrained oblivious "
+            "install-dominated sweep benchmark: hop-constrained oblivious "
             f"routing ({config['num_trees']} trees) across "
             f"{len(config['topologies'])} topologies"
         ),
@@ -104,7 +96,7 @@ def _suite(scale: str, seed: int) -> ScenarioSuite:
 
 
 def run(scale: str, seed: int) -> Dict[str, Any]:
-    """Time the shared-memory executor against the rebuild-per-worker baseline."""
+    """Time the inline sweep against the spawn pool on the same suite."""
     config = _SWEEP_SCALES[scale]
     suite = _suite(scale, seed)
     workers = int(config["workers"])
@@ -114,17 +106,14 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         for index, spec in enumerate(suite.topologies)
     ]
 
-    cleanup_stale_segments()
-    with Stopwatch() as rebuild_watch:
-        rebuild_result = run_suite(suite, workers=workers, executor="rebuild")
-    with Stopwatch() as shared_watch:
-        shared_result = run_suite(suite, workers=workers, executor="shared")
-    # Only this process tree's segments: a concurrent sweep's are not leaks.
-    leaked = owned_segments(os.getpid())
+    with Stopwatch() as inline_watch:
+        inline_result = run_suite(suite, workers=1)
+    with Stopwatch() as pool_watch:
+        pool_result = run_suite(suite, workers=workers)
 
     num_cells = suite.num_cells()
-    rebuild_seconds = rebuild_watch.elapsed
-    shared_seconds = shared_watch.elapsed
+    inline_seconds = inline_watch.elapsed
+    pool_seconds = pool_watch.elapsed
     return {
         "network": {
             "name": "+".join(network.name for network in networks),
@@ -137,23 +126,22 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             "num_snapshots": suite.num_snapshots,
             "workers": workers,
             "schemes": list(suite.schemes),
-            "backend": shared_result.backend,
+            "backend": pool_result.backend,
         },
         "backends": {
-            "rebuild": {
-                "backend": "rebuild-per-worker",
-                **timing_entry(rebuild_seconds, count=num_cells, rate_key="cells_per_sec"),
+            "inline": {
+                "backend": "inline",
+                **timing_entry(inline_seconds, count=num_cells, rate_key="cells_per_sec"),
             },
-            "shared": {
-                "backend": "shared-memory",
-                **timing_entry(shared_seconds, count=num_cells, rate_key="cells_per_sec"),
+            "pool": {
+                "backend": f"spawn-pool-{workers}",
+                **timing_entry(pool_seconds, count=num_cells, rate_key="cells_per_sec"),
             },
         },
-        "speedup_shared_over_rebuild": (
-            rebuild_seconds / shared_seconds if shared_seconds > 0 else None
+        "speedup_pool_over_inline": (
+            inline_seconds / pool_seconds if pool_seconds > 0 else None
         ),
-        "artifacts_identical": rebuild_result.to_json() == shared_result.to_json(),
-        "leaked_segments": len(leaked),
+        "artifacts_identical": inline_result.to_json() == pool_result.to_json(),
     }
 
 
@@ -161,8 +149,8 @@ def headline(payload: Dict[str, Any]) -> str:
     workload = payload["workload"]
     return (
         f"{workload['num_cells']} cells x {workload['workers']} workers; {legs(payload)}; "
-        f"speedup {speedup(payload['speedup_shared_over_rebuild'])}; "
-        f"identical={payload['artifacts_identical']}, leaked={payload['leaked_segments']}"
+        f"speedup {speedup(payload['speedup_pool_over_inline'])}; "
+        f"identical={payload['artifacts_identical']}"
     )
 
 
@@ -170,5 +158,4 @@ def gate(payloads: List[Dict[str, Any]]) -> List[str]:
     return violations(
         payloads,
         ("artifacts_identical", lambda payload: payload["artifacts_identical"] is True),
-        ("leaked_segments == 0", lambda payload: payload["leaked_segments"] == 0),
     )

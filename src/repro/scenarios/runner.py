@@ -3,31 +3,21 @@
 The runner realizes the SMORE-style sweep loop on top of the
 :class:`~repro.engine.engine.RoutingEngine` facade.  Because every
 random draw is keyed off ``(suite.seed, stream, index)`` via
-:class:`numpy.random.SeedSequence`, every execution mode produces
+:class:`numpy.random.SeedSequence`, every worker count produces
 **bit-identical** artifacts (rows are reassembled in canonical cell
 order, never in worker completion order).
 
-Executors
+Execution
 ---------
 
-``inline``
-    Everything in-process: one engine per topology, built lazily,
-    cells evaluated in canonical order.  The ``workers=1`` default.
-
-``shared`` (default for ``workers > 1``)
-    The production path.  The parent builds and installs one engine per
-    topology **once**, compiles the fixed-ratio operators and publishes
-    their arrays through ``multiprocessing.shared_memory``
-    (:mod:`repro.scenarios.shm`); workers receive the lean pickled
-    engines via pool initargs, attach zero-copy read-only operator
-    views, and drain a **cell-granular** work queue (``imap_unordered``,
-    chunk size 1) so stragglers never serialize behind big topologies
-    and more workers than topologies are fully used.
-
-``rebuild``
-    Same cell-granular queue, but every worker rebuilds engines from
-    the spec on first touch — what ``shared`` replaces; kept as the
-    honest baseline for ``repro bench sweep``.
+``workers == 1`` runs every cell in-process: one engine per topology,
+built lazily, cells evaluated in canonical order.  ``workers > 1``
+installs one engine per topology **once** in the parent — fixed-ratio
+schemes compile their operators at install — and hands the engines,
+compiled operators included, to a spawn pool through its initargs.
+The workers drain a **cell-granular** work queue (``imap_unordered``,
+chunk size 1), so stragglers never serialize behind big topologies and
+more workers than topologies are fully used.
 
 Resumable artifact store
 ------------------------
@@ -252,15 +242,14 @@ def _evaluate_cell_body(
 
 
 # --------------------------------------------------------------------- #
-# Engine construction (shared by every executor)
+# Engine construction
 # --------------------------------------------------------------------- #
 def _build_topology_engine(suite: ScenarioSuite, topology_index: int) -> RoutingEngine:
-    """One installed engine for a topology — identical in every executor.
+    """One installed engine for a topology.
 
     Topology construction and scheme installation consume exactly the
     ``(_STREAM_TOPOLOGY, index)`` / ``(_STREAM_ENGINE, index)`` streams,
-    so a parent-built engine and a worker-rebuilt engine are
-    interchangeable bit for bit.
+    so the engine is the same whichever cells it serves.
     """
     topology_spec = suite.topologies[topology_index]
     with trace_span(
@@ -287,7 +276,7 @@ def _apply_test_hooks(cell_index: int) -> None:
     ``REPRO_SWEEP_DELAY_MS`` sleeps before evaluating each cell (so a
     kill test reliably lands mid-sweep); ``REPRO_SWEEP_FAIL_CELL``
     raises inside exactly that cell's evaluation.  Both are inert when
-    unset and apply uniformly across executors.
+    unset and apply inline and in pool workers alike.
     """
     delay = os.environ.get("REPRO_SWEEP_DELAY_MS")
     if delay:
@@ -299,91 +288,47 @@ def _apply_test_hooks(cell_index: int) -> None:
         )
 
 
+def _run_cell(
+    suite: ScenarioSuite, engines: Dict[int, RoutingEngine], cell_index: int
+) -> Dict[str, Any]:
+    """Evaluate one cell against its topology's installed engine."""
+    _apply_test_hooks(cell_index)
+    cell = suite.cell(cell_index)
+    engine = engines[cell.topology_index]
+    return _evaluate_cell(suite, cell, engine.network, engine)
+
+
 # --------------------------------------------------------------------- #
-# Cell-granular workers (shared + rebuild executors)
+# Pool workers
 # --------------------------------------------------------------------- #
-#: Per-process executor state, populated by the pool initializers.
+#: Per-process worker state, populated by the pool initializer.
 _WORKER: Dict[str, Any] = {}
 
 
-def _init_worker_tracer(trace_dir: Optional[str]) -> None:
-    """Install a per-worker tracer streaming to a pid-named part file.
+def _init_worker(suite_payload, engines, trace_dir=None) -> None:
+    """Pool initializer: adopt the parent-installed engines.
 
-    Only active when the parent sweep itself is being traced: each
-    worker writes ``worker-<pid>.jsonl`` next to the artifact store (or
-    in a temp directory), flushed per record so a killed worker loses
-    at most its open spans.  The parent merges the parts after the pool
-    drains (:func:`repro.obs.merge_trace_parts`).
+    ``engines`` arrives through initargs pickling, compiled operators
+    included, so workers never reinstall or recompile.  When the parent
+    sweep is traced, each worker also installs a tracer streaming to
+    ``worker-<pid>.jsonl`` in ``trace_dir`` (flushed per record, so a
+    killed worker loses at most its open spans); the parent merges the
+    parts after the pool drains (:func:`repro.obs.merge_trace_parts`).
     """
-    if not trace_dir:
-        return
-    path = os.path.join(trace_dir, f"worker-{os.getpid()}.jsonl")
-    install_tracer(Tracer(sink=JsonlSink(path), role="worker"))
+    if trace_dir:
+        path = os.path.join(trace_dir, f"worker-{os.getpid()}.jsonl")
+        install_tracer(Tracer(sink=JsonlSink(path), role="worker"))
+    _WORKER.update(suite=ScenarioSuite.from_dict(suite_payload), engines=engines)
 
 
-def _init_shared_worker(suite_payload, engines, descriptors, trace_dir=None) -> None:
-    """Pool initializer: adopt parent-built engines, attach shm operators.
-
-    ``engines`` arrives through initargs pickling — lean, because
-    :meth:`Routing.__getstate__` strips evaluator caches — and
-    ``descriptors`` maps ``topology_index -> {label: (meta,
-    descriptor)}`` for the compiled operators published in shared
-    memory.  Attaching rebuilds each :class:`CompiledRouting` as
-    zero-copy read-only views and seeds the routing's evaluator cache,
-    so workers never recompile.
-    """
-    from repro.linalg.compiled import CompiledRouting
-    from repro.scenarios.shm import attach_arrays
-
-    _init_worker_tracer(trace_dir)
-    suite = ScenarioSuite.from_dict(suite_payload)
-    for topology_index, per_label in descriptors.items():
-        engine = engines[topology_index]
-        for label, (meta, descriptor) in per_label.items():
-            compiled = CompiledRouting.from_arrays(
-                engine.network, meta, attach_arrays(descriptor)
-            )
-            engine.attach_compiled(label, compiled)
-    _WORKER.update(suite=suite, engines=engines)
-
-
-def _shared_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
-    """Evaluate one cell against the adopted per-topology engine."""
-    suite: ScenarioSuite = _WORKER["suite"]
-    _apply_test_hooks(cell_index)
-    cell = suite.cell(cell_index)
-    engine: RoutingEngine = _WORKER["engines"][cell.topology_index]
-    payload = _evaluate_cell(suite, cell, engine.network, engine)
-    return cell_index, payload, os.getpid()
-
-
-def _init_rebuild_worker(suite_payload, trace_dir=None) -> None:
-    """Pool initializer for the rebuild baseline: spec only, no shared state."""
-    _init_worker_tracer(trace_dir)
-    _WORKER.update(suite=ScenarioSuite.from_dict(suite_payload), engines={})
-
-
-def _rebuild_cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
-    """Evaluate one cell, rebuilding the topology's engine on first touch."""
-    suite: ScenarioSuite = _WORKER["suite"]
-    _apply_test_hooks(cell_index)
-    cell = suite.cell(cell_index)
-    engines: Dict[int, RoutingEngine] = _WORKER["engines"]
-    engine = engines.get(cell.topology_index)
-    if engine is None:
-        engine = _build_topology_engine(suite, cell.topology_index)
-        engines[cell.topology_index] = engine
-    payload = _evaluate_cell(suite, cell, engine.network, engine)
+def _cell_task(cell_index: int) -> Tuple[int, Dict[str, Any], int]:
+    payload = _run_cell(_WORKER["suite"], _WORKER["engines"], cell_index)
     return cell_index, payload, os.getpid()
 
 
 # --------------------------------------------------------------------- #
 # The sweep entry point
 # --------------------------------------------------------------------- #
-#: Accepted ``executor=`` values; ``auto`` maps to inline/shared.
-EXECUTOR_CHOICES = ("auto", "inline", "shared", "rebuild")
-
-
 def _record_completion(store, payloads, index, payload, pid) -> None:
     if store is not None:
         store.record_cell(index, payload, pid=pid)
@@ -399,32 +344,26 @@ def _run_pending_cells(
     suite: ScenarioSuite,
     pending: List[int],
     workers: int,
-    executor: str,
     store,
     payloads: Dict[int, Dict[str, Any]],
 ) -> None:
-    """Evaluate ``pending`` cells through the selected executor."""
-    from repro.scenarios.shm import publish_arrays, release_parent_segments
-
-    if executor == "inline":
+    """Evaluate ``pending`` cells inline (``workers == 1``) or on the pool."""
+    if workers == 1:
         engines: Dict[int, RoutingEngine] = {}
         for index in pending:
-            _apply_test_hooks(index)
-            cell = suite.cell(index)
-            engine = engines.get(cell.topology_index)
-            if engine is None:
-                engine = _build_topology_engine(suite, cell.topology_index)
-                engines[cell.topology_index] = engine
-            payload = _evaluate_cell(suite, cell, engine.network, engine)
+            topology_index = suite.cell(index).topology_index
+            if topology_index not in engines:
+                engines[topology_index] = _build_topology_engine(suite, topology_index)
+            payload = _run_cell(suite, engines, index)
             _record_completion(store, payloads, index, payload, os.getpid())
         return
 
-    # Cell-granular pool executors.  Pool size is capped only by the
-    # amount of pending work — NOT by the number of topologies and not
-    # by os.cpu_count() (oversubscription is the caller's call).
-    pool_size = max(1, min(workers, len(pending)))
-    context = multiprocessing.get_context("spawn")
-    segments: List[Any] = []
+    # Pool size is capped only by the amount of pending work — NOT by
+    # the number of topologies and not by os.cpu_count()
+    # (oversubscription is the caller's call).
+    pool_size = min(workers, len(pending))
+    topology_indices = sorted({suite.cell(i).topology_index for i in pending})
+    engines = {index: _build_topology_engine(suite, index) for index in topology_indices}
 
     # When the parent is traced, workers stream their spans into
     # pid-named part files (next to the artifact store when one exists)
@@ -442,34 +381,14 @@ def _run_pending_cells(
 
             trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
     try:
-        if executor == "shared":
-            topology_indices = sorted({suite.cell(i).topology_index for i in pending})
-            engines = {
-                index: _build_topology_engine(suite, index) for index in topology_indices
-            }
-            descriptors: Dict[int, Dict[str, Any]] = {}
-            for topology_index, engine in engines.items():
-                per_label: Dict[str, Any] = {}
-                for label, compiled in engine.export_compiled().items():
-                    meta, arrays = compiled.export_arrays()
-                    segment, descriptor = publish_arrays(arrays)
-                    segments.append(segment)
-                    per_label[label] = (meta, descriptor)
-                descriptors[topology_index] = per_label
-            initializer = _init_shared_worker
-            initargs = (suite.to_dict(), engines, descriptors, trace_dir)
-            task = _shared_cell_task
-        else:  # rebuild
-            initializer = _init_rebuild_worker
-            initargs = (suite.to_dict(), trace_dir)
-            task = _rebuild_cell_task
-        with context.Pool(
-            processes=pool_size, initializer=initializer, initargs=initargs
+        with multiprocessing.get_context("spawn").Pool(
+            processes=pool_size,
+            initializer=_init_worker,
+            initargs=(suite.to_dict(), engines, trace_dir),
         ) as pool:
-            for index, payload, pid in pool.imap_unordered(task, pending, chunksize=1):
+            for index, payload, pid in pool.imap_unordered(_cell_task, pending, chunksize=1):
                 _record_completion(store, payloads, index, payload, pid)
     finally:
-        release_parent_segments(segments)
         if tracer is not None and trace_dir is not None:
             merge_trace_parts(tracer, trace_dir, remove=True)
 
@@ -477,24 +396,20 @@ def _run_pending_cells(
 def run_suite(
     suite: ScenarioSuite,
     workers: int = 1,
-    executor: str = "auto",
     artifact_dir: Optional[str] = None,
     resume: Optional[str] = None,
 ) -> SuiteResult:
     """Execute every cell of ``suite``; deterministic for any ``workers``.
 
     The returned :class:`SuiteResult` is identical — bit for bit —
-    across worker counts, executors, kills, and resumes.
+    across worker counts, kills, and resumes.  ``workers == 1`` runs
+    inline; ``workers > 1`` installs each topology's engine once in the
+    parent and fans the cells out over a spawn pool of that many
+    processes (see the module docs).
 
     Fixed-ratio schemes evaluate through their compiled operators
     (``routing.evaluator("auto")``: scipy CSR); the artifact's
     ``backend`` field records ``"sparse"``.
-
-    ``executor`` picks the execution strategy (see the module docs):
-    ``"auto"`` (inline for ``workers=1``, shared otherwise),
-    ``"inline"``, ``"shared"`` (compile once in the parent, publish
-    operators via shared memory, cell-granular queue) or ``"rebuild"``
-    (cell-granular, per-worker engine rebuilds — the bench baseline).
 
     ``artifact_dir`` streams completed cells into a resumable
     :class:`~repro.scenarios.store.ArtifactStore` at that path;
@@ -505,10 +420,6 @@ def run_suite(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if executor not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"unknown executor {executor!r}; available: {list(EXECUTOR_CHOICES)}"
-        )
     if resume is not None and artifact_dir is not None:
         if os.path.abspath(resume) != os.path.abspath(artifact_dir):
             raise ValueError(
@@ -516,14 +427,6 @@ def run_suite(
                 "path (or the same path twice)"
             )
     store_path = resume if resume is not None else artifact_dir
-    if executor == "auto":
-        executor = "inline" if workers == 1 else "shared"
-
-    from repro.scenarios.shm import cleanup_stale_segments
-
-    # Debris from a SIGKILLed predecessor (its segments outlive it);
-    # never touches segments of live sweeps.
-    cleanup_stale_segments()
 
     store = None
     payloads: Dict[int, Dict[str, Any]] = {}
@@ -537,11 +440,9 @@ def run_suite(
             payloads.update(store.completed_payloads())
         pending = [i for i in range(suite.num_cells()) if i not in payloads]
         if pending:
-            with trace_span(
-                "sweep.run", suite=suite.name, executor=executor
-            ) as run_span:
+            with trace_span("sweep.run", suite=suite.name, workers=workers) as run_span:
                 run_span.add("cells", len(pending))
-                _run_pending_cells(suite, pending, workers, executor, store, payloads)
+                _run_pending_cells(suite, pending, workers, store, payloads)
     finally:
         if store is not None:
             store.close()
@@ -549,4 +450,4 @@ def run_suite(
     return SuiteResult(suite=suite, cells=cells, backend="sparse")
 
 
-__all__ = ["run_suite", "EXECUTOR_CHOICES"]
+__all__ = ["run_suite"]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -11,24 +9,6 @@ from repro.demands.generators import random_permutation_demand
 from repro.graphs import topologies
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.valiant import ValiantHypercubeRouting
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    """Fail the session if a sweep leaked shared-memory segments.
-
-    Dead-owner debris (e.g. from the SIGKILL harness in
-    ``test_sweep_resume``) is swept first — only segments whose owning
-    process is still alive count as leaks, and only those owned by this
-    session's process or its descendants: another session's sweeps on
-    the same machine are not this one's leaks.
-    """
-    yield
-    from repro.scenarios.shm import cleanup_stale_segments, owned_segments
-
-    cleanup_stale_segments()
-    leaked = owned_segments(os.getpid())
-    assert not leaked, f"sweep executor leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture

@@ -71,7 +71,6 @@ BROKEN = [
     ("net", "full", _set("max_abs_difference", 1e-3), "max_abs_difference <= 1e-9"),
     ("odme", "full", _set("max_abs_difference", 1e-3), "max_abs_difference <= 1e-9"),
     ("sweep", "smoke", _set("artifacts_identical", False), "artifacts_identical"),
-    ("sweep", "smoke", _set("leaked_segments", 1), "leaked_segments == 0"),
     ("obs", "smoke", _set("overhead_disabled_pct", -26.0), "|overhead_disabled_pct| < 25"),
     ("obs", "smoke", _set("overhead_enabled_pct", 26.0), "|overhead_enabled_pct| < 25"),
     ("obs", "smoke", _set("sweep", "num_spans", 0), "sweep.num_spans > 0"),

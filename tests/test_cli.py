@@ -274,17 +274,6 @@ def test_stream_run_unknown_stream_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_scenarios_run_unknown_executor_exits_2(capsys):
-    # The runner validates the executor (no argparse choices=), so
-    # unknown names — including the removed 'shard' — exit 2 with the
-    # registered list on one stderr line.
-    for executor in ("warp", "shard"):
-        assert main(["scenarios", "run", "--suite", "smoke", "--executor", executor]) == 2
-        err = capsys.readouterr().err
-        assert "unknown executor" in err and "inline" in err
-        assert len(err.strip().splitlines()) == 1
-
-
 def test_forwarding_quantize_table(capsys):
     assert main([
         "forwarding", "quantize", "--topology", "hypercube:3", "--buckets", "4",

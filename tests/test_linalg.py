@@ -18,7 +18,6 @@ from repro.graphs.network import Network
 from repro.linalg import (
     CompiledRouting,
     DictEvaluator,
-    SparseEvaluator,
     available_backends,
     build_evaluator,
 )
@@ -189,16 +188,16 @@ def test_routing_evaluator_cached_and_invalidated(square):
 
 
 def test_auto_reuses_any_cached_compiled_form(square):
-    # "auto" means the compiled operator already here: an attached one
-    # (a shared-memory sweep worker's case) serves "auto" and "sparse".
+    # "auto" and "sparse" are one compiled form, cached once, in either order.
     _, routing = square
-    attached = SparseEvaluator(CompiledRouting.from_routing(routing))
-    routing.attach_evaluator("sparse", attached)
-    assert routing.evaluator("auto") is attached
-    assert routing.evaluator("sparse") is attached
-    routing.set_distribution(0, 2, {(0, 1, 2): 1.0})  # invalidates the attachment
-    assert routing.evaluator("auto") is not attached
-    assert routing.evaluator("auto").backend == "sparse"
+    compiled = routing.evaluator("auto")
+    assert compiled.backend == "sparse"
+    assert routing.evaluator("sparse") is compiled
+    assert routing.evaluator("auto") is compiled
+    routing.set_distribution(0, 2, {(0, 1, 2): 1.0})  # invalidates the cached compile
+    recompiled = routing.evaluator("sparse")
+    assert recompiled is not compiled
+    assert routing.evaluator("auto") is recompiled
 
 
 def test_standalone_evaluators_detect_routing_mutation(square):
@@ -341,10 +340,10 @@ def _compiled_arrays_digest() -> str:
                 ShortestPathRouting(network).routing(),
             )
             for routing in routings:
-                _, arrays = CompiledRouting.from_routing(routing).export_arrays()
+                compiled = CompiledRouting.from_routing(routing)
                 for name in ("path_pair", "path_prob", "inc_rows", "inc_cols", "capacities"):
                     digest.update(name.encode())
-                    digest.update(arrays[name].tobytes())
+                    digest.update(getattr(compiled, f"_{name}").tobytes())
     return digest.hexdigest()
 
 

@@ -22,7 +22,6 @@ from repro.exceptions import LinalgError
 from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.linalg import BACKENDS, build_evaluator
-from repro.linalg.compiled import CompiledRouting
 from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.synth import isp, isp_node_count
 from repro.te.failures import FailureEvent
@@ -237,20 +236,6 @@ def test_operator_tiles_concatenate_to_the_full_operator():
         [tiled.operator_tile(start, stop).toarray() for start, stop in tiled.tile_plan().tiles()]
     )
     np.testing.assert_allclose(stitched, untiled.pair_edge_operator.toarray(), atol=0, rtol=0)
-
-
-def test_export_round_trip_preserves_laziness():
-    routing = _square_routing()
-    tiled = build_evaluator(routing, backend="auto", tile_pairs=2).compiled
-    metadata, arrays = tiled.export_arrays()
-    assert metadata["operator_materialized"] is False
-    rebuilt = CompiledRouting.from_arrays(routing.network, metadata, arrays)
-    assert not rebuilt.operator_materialized
-    assert rebuilt.tile_pairs == 2
-    demand = _demands(routing, np.random.default_rng(0), count=1)[0]
-    assert rebuilt.congestion(demand) == pytest.approx(
-        tiled.congestion(demand), abs=TOL
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -268,7 +268,7 @@ def test_unpickled_rate_lp_rebuilds_its_model_and_answers_identically(torus3):
     # Demands that pivot: flows agree bit for bit only if the rebuilt model prices alike.
     _, iterations = _warm_solves(twin, demands, "iterations")
     assert min(iterations) >= 1
-    # A spawned worker unpickles the system, as the shared sweep executor ships it.
+    # A spawned worker unpickles the system, as the sweep pool ships it.
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         spawned = list(pool.map(min_congestion_on_paths, [system] * 3, demands))
     for result, original in zip(results + spawned, expected * 2):

@@ -341,7 +341,7 @@ def test_path_lp_results_do_not_depend_on_solve_order(instance):
 def test_pickled_system_routes_the_next_demand_identically(instance):
     system, demands = instance
     min_congestion_on_paths(system, demands[0])
-    restored = pickle.loads(pickle.dumps(system))  # as the shared sweep executor ships it
+    restored = pickle.loads(pickle.dumps(system))  # as the sweep pool ships it
     tracer = install_tracer(Tracer(sink=RecordingSink()))
     try:
         for demand in demands[1:]:

@@ -4,7 +4,7 @@ Covers the tracer core (no-op path, nesting, counters, memory spans),
 the sinks (JSONL round trip, crash-truncation tolerance, part-file
 merging), the analyzers (summary self-time, Chrome export), and the
 layer's central contract: seeded runs produce bit-identical span trees
-— including across the multiprocess sweep executor.
+— including across the sweep's spawn pool.
 """
 
 from __future__ import annotations
@@ -245,12 +245,35 @@ def test_engine_trace_is_deterministic(backend):
     assert first == _engine_trace(backend)
 
 
-def _sweep_trace(workers: int, executor: str):
+def test_pickled_installed_engine_routes_without_recompiling():
+    """A pool worker's engine arrives compiled: routing it emits no ``linalg.compile``."""
+    import pickle
+
+    from repro.demands.traffic_matrix import diurnal_gravity_series
+    from repro.engine import RoutingEngine
+    from repro.graphs import topologies
+
+    network = topologies.hypercube(3)
+    engine = RoutingEngine(network, ["oblivious(racke)", "spf"], rng=0)
+    engine.install()
+    demand = diurnal_gravity_series(network, num_snapshots=1, rng=1)[0]
+    expected = engine["spf"].route(demand).congestion
+    shipped = pickle.loads(pickle.dumps(engine))
+
+    tracer = _recording_tracer()
+    congestions = [shipped[label].route(demand).congestion for label in ("oblivious", "spf")]
+    names = {record["name"] for record in span_records(tracer.records)}
+    uninstall_tracer()
+    assert "linalg.compile" not in names
+    assert congestions[1] == expected
+
+
+def _sweep_trace(workers: int):
     from repro.scenarios import get_suite, run_suite
 
     suite = get_suite("smoke")
     tracer = _recording_tracer()
-    run_suite(suite, workers=workers, executor=executor)
+    run_suite(suite, workers=workers)
     records = list(tracer.records)
     uninstall_tracer()
     return records
@@ -262,17 +285,17 @@ def test_inline_sweep_trace_is_deterministic():
     trees = []
     for _ in range(2):
         tracer = _recording_tracer()
-        run_suite(get_suite("smoke"), workers=1, executor="inline")
+        run_suite(get_suite("smoke"), workers=1)
         trees.append(normalized_tree(tracer.records))
         uninstall_tracer()
     assert trees[0] == trees[1]
 
 
-def test_shared_executor_merges_one_span_per_cell():
-    """4 workers, shared executor: one coherent merged trace."""
+def test_pool_sweep_merges_one_span_per_cell():
+    """4 pool workers: one coherent merged trace."""
     if multiprocessing.cpu_count() < 1:  # pragma: no cover
         pytest.skip("no cpus")
-    records = _sweep_trace(workers=4, executor="shared")
+    records = _sweep_trace(workers=4)
     spans = span_records(records)
     processes = [r for r in records if r.get("kind") == "process"]
     parent_pid = next(r["pid"] for r in processes if r["role"] == "main")
@@ -292,7 +315,7 @@ def test_shared_executor_merges_one_span_per_cell():
     assert worker_pids <= {p["pid"] for p in processes}
 
     # and the merged multiprocess trace is structurally deterministic
-    again = _sweep_trace(workers=4, executor="shared")
+    again = _sweep_trace(workers=4)
     assert normalized_tree(records) == normalized_tree(again)
 
 

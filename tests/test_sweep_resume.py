@@ -1,4 +1,4 @@
-"""Crash/kill hardening and executor-equivalence tests for the sweep runner.
+"""Crash/kill hardening and worker-count equivalence tests for the sweep runner.
 
 The claims under test, in order of importance:
 
@@ -7,9 +7,9 @@ The claims under test, in order of importance:
 2. A worker exception (injected via ``REPRO_SWEEP_FAIL_CELL``) aborts
    the sweep but keeps every already-completed cell; the resume is again
    bit-identical.
-3. Every executor (inline / shared / rebuild) and worker count
-   assembles the same artifact bit for bit — on the built-in
-   catalog-backed suites too, not just synthetic grids.
+3. Every worker count (1 inline, more on the spawn pool) assembles
+   the same artifact bit for bit — on the built-in catalog-backed
+   suites too, not just synthetic grids.
 4. More workers than topologies actually get used (the cell-granular
    queue is not capped at the topology count).
 """
@@ -31,12 +31,6 @@ from repro.scenarios import (
     TopologySpec,
     get_suite,
     run_suite,
-)
-from repro.scenarios.shm import (
-    SEGMENT_PREFIX,
-    cleanup_stale_segments,
-    live_segments,
-    owned_segments,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,10 +91,7 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
     baseline = tmp_path / "baseline.json"
     resumed = tmp_path / "resumed.json"
     store_dir = tmp_path / "store"
-    suite_args = [
-        "scenarios", "run", "--suite", "smoke", "--workers", "2",
-        "--executor", "shared",
-    ]
+    suite_args = ["scenarios", "run", "--suite", "smoke", "--workers", "2"]
 
     completed = run_cli([*suite_args, "--output", str(baseline)])
     assert completed.returncode == 0, completed.stderr
@@ -138,12 +129,6 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
     assert resumed.read_bytes() == baseline.read_bytes()
     # The resume evaluated only the missing cells on top of the survivors.
     assert store_record_count(store_dir) == 12
-    # Any segments the killed parent leaked were owned by a dead pid and
-    # swept by the resume; nothing may stay behind afterwards.  Another
-    # session's sweeps may hold segments meanwhile, so count only ours.
-    victim_prefix = f"{SEGMENT_PREFIX}{victim.pid}_"
-    assert [name for name in live_segments() if name.startswith(victim_prefix)] == []
-    assert owned_segments(os.getpid()) == []
 
 
 def test_resume_against_different_suite_is_rejected(tmp_path):
@@ -160,17 +145,15 @@ def test_resume_against_different_suite_is_rejected(tmp_path):
 # --------------------------------------------------------------------- #
 # 2. Injected worker exception, then resume
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("executor,workers", [("inline", 1), ("shared", 2)])
-def test_injected_cell_failure_keeps_completed_cells(tmp_path, monkeypatch, executor, workers):
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline-1", "pool-2"])
+def test_injected_cell_failure_keeps_completed_cells(tmp_path, monkeypatch, workers):
     suite = probe_suite()
-    store_dir = tmp_path / f"store-{executor}"
+    store_dir = tmp_path / "store"
     uninterrupted = run_suite(suite, workers=1)
 
     monkeypatch.setenv("REPRO_SWEEP_FAIL_CELL", "4")
     with pytest.raises(RuntimeError, match="injected failure in cell 4"):
-        run_suite(
-            suite, workers=workers, executor=executor, artifact_dir=str(store_dir)
-        )
+        run_suite(suite, workers=workers, artifact_dir=str(store_dir))
     monkeypatch.delenv("REPRO_SWEEP_FAIL_CELL")
 
     survivors = ArtifactStore.open_existing(str(store_dir))
@@ -179,7 +162,7 @@ def test_injected_cell_failure_keeps_completed_cells(tmp_path, monkeypatch, exec
     assert 4 not in completed_before
     survivors.close()
 
-    resumed = run_suite(suite, workers=workers, executor=executor, resume=str(store_dir))
+    resumed = run_suite(suite, workers=workers, resume=str(store_dir))
     assert resumed.to_json() == uninterrupted.to_json()
     after = ArtifactStore.open_existing(str(store_dir))
     assert after.is_complete()
@@ -190,40 +173,36 @@ def test_injected_cell_failure_keeps_completed_cells(tmp_path, monkeypatch, exec
 
 
 # --------------------------------------------------------------------- #
-# 3. Executor / worker-count / backend equivalence
+# 3. Worker-count / backend equivalence
 # --------------------------------------------------------------------- #
 def test_executor_equivalence_on_probe_suite():
     suite = probe_suite()
     reference = run_suite(suite, workers=1).to_json()
-    assert run_suite(suite, workers=4, executor="shared").to_json() == reference
-    assert run_suite(suite, workers=2, executor="rebuild").to_json() == reference
-    assert owned_segments(os.getpid()) == []
+    assert run_suite(suite, workers=4).to_json() == reference
+    assert run_suite(suite, workers=2).to_json() == reference
 
 
 def test_backend_equivalence_across_executors():
-    # The parent compiles the CSR operators once and the shared-executor
-    # workers evaluate through exactly those.
+    # The parent compiles the CSR operators at install and the pool
+    # workers evaluate through exactly those, unpickled with the engines.
     suite = probe_suite()
     inline = run_suite(suite, workers=1)
-    shared = run_suite(suite, workers=2, executor="shared")
-    assert inline.backend == shared.backend == "sparse"
-    assert shared.to_json() == inline.to_json()
-    assert owned_segments(os.getpid()) == []
+    pooled = run_suite(suite, workers=2)
+    assert inline.backend == pooled.backend == "sparse"
+    assert pooled.to_json() == inline.to_json()
 
 
 def test_real_world_suite_bit_identical_across_executors(tmp_path):
     suite = get_suite("real-world").with_overrides(num_snapshots=1)
     reference = run_suite(suite, workers=1).to_json()
-    shared = run_suite(
-        suite, workers=4, executor="shared", artifact_dir=str(tmp_path / "store")
-    )
-    assert shared.to_json() == reference
+    pooled = run_suite(suite, workers=4, artifact_dir=str(tmp_path / "store"))
+    assert pooled.to_json() == reference
 
 
 def test_odme_suite_bit_identical_across_executors():
     suite = get_suite("odme").with_overrides(num_snapshots=1)
     reference = run_suite(suite, workers=1).to_json()
-    assert run_suite(suite, workers=3, executor="shared").to_json() == reference
+    assert run_suite(suite, workers=3).to_json() == reference
 
 
 def test_streamed_store_and_memory_path_agree(tmp_path):
@@ -255,7 +234,7 @@ def test_more_workers_than_topologies_are_used(tmp_path, monkeypatch):
     )
     assert len(suite.topologies) == 1 and suite.num_cells() == 9
     monkeypatch.setenv("REPRO_SWEEP_DELAY_MS", "400")
-    run_suite(suite, workers=4, executor="shared", artifact_dir=str(tmp_path / "store"))
+    run_suite(suite, workers=4, artifact_dir=str(tmp_path / "store"))
     monkeypatch.delenv("REPRO_SWEEP_DELAY_MS")
     store = ArtifactStore.open_existing(str(tmp_path / "store"))
     pids = {pid for pid in store.completed_pids().values() if pid is not None}
@@ -265,49 +244,3 @@ def test_more_workers_than_topologies_are_used(tmp_path, monkeypatch):
         "the pool is being capped at the topology count again"
     )
 
-
-def test_stale_segment_cleanup_never_touches_live_owners():
-    # Current process is alive, so a segment named after it must survive
-    # a cleanup sweep; a dead-pid segment must not.
-    from multiprocessing import resource_tracker, shared_memory
-
-    live = shared_memory.SharedMemory(
-        create=True, size=64, name=f"{SEGMENT_PREFIX}{os.getpid()}_probe"
-    )
-    try:
-        dead_name = f"{SEGMENT_PREFIX}999999999_probe"
-        dead = shared_memory.SharedMemory(create=True, size=64, name=dead_name)
-        dead.close()
-        removed = cleanup_stale_segments()
-        assert dead_name in removed
-        assert live.name.lstrip("/") in live_segments()
-        # The cleanup unlinked the file out from under this process's
-        # resource tracker; drop the registration so exit stays quiet.
-        resource_tracker.unregister(dead._name, "shared_memory")
-    finally:
-        live.close()
-        live.unlink()
-    assert live.name.lstrip("/") not in live_segments()
-
-
-def test_owned_segments_count_only_this_process_tree():
-    # A live process outside this tree (pid 1) owns none of this session's
-    # segments; this process and a live child do.
-    from multiprocessing import shared_memory
-
-    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-    segments = [
-        shared_memory.SharedMemory(create=True, size=64, name=f"{SEGMENT_PREFIX}{pid}_owner_probe")
-        for pid in (1, os.getpid(), child.pid)
-    ]
-    try:
-        owned = owned_segments(os.getpid())
-        assert f"{SEGMENT_PREFIX}1_owner_probe" not in owned
-        assert f"{SEGMENT_PREFIX}{os.getpid()}_owner_probe" in owned
-        assert f"{SEGMENT_PREFIX}{child.pid}_owner_probe" in owned
-    finally:
-        child.kill()
-        child.wait(timeout=30)
-        for segment in segments:
-            segment.close()
-            segment.unlink()
