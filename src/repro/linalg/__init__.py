@@ -1,10 +1,10 @@
 """repro.linalg — compiled sparse linear-algebra evaluation backend.
 
 Turns a :class:`~repro.core.routing.Routing` into immutable index arrays
-plus a CSR path × edge incidence matrix and a pair × path distribution
-matrix, so that edge loads for a whole demand matrix become one sparse
-matmul and congestion / dilation / utilization metrics become vectorized
-reductions.  Exposed to the rest of the package as pluggable evaluator
+plus one CSR pair × edge operator ``M`` (the pair × path distribution
+times the path × edge incidence), so that edge loads for a whole demand
+matrix become one sparse matmul ``batch @ M`` and congestion / dilation
+/ utilization metrics become vectorized reductions.  Exposed to the rest of the package as pluggable evaluator
 backends (``dict`` reference loops vs compiled ``sparse``)::
 
     from repro.linalg import build_evaluator
@@ -21,8 +21,7 @@ ECMP realization) compiles through ``routing.evaluator("auto")`` —
 scipy CSR.  A routing evaluated once (``Routing.congestion``, the
 single-demand ``te.metrics``) keeps the ``dict`` memo, which is also the
 test oracle.  Only
-``Routing.evaluator(backend)`` and :func:`build_evaluator` (whose
-``tile_pairs``/``memory_budget_mb`` serve the scale bench) name a
+``Routing.evaluator(backend)`` and :func:`build_evaluator` name a
 backend.  The ``linalg`` target of the :mod:`repro.bench` harness
 (:mod:`repro.linalg.bench`, imported on demand, never here) measures the
 ``dict`` oracle against the compiled backend.

@@ -15,27 +15,29 @@ executable:
   edge loads in one multiply: ``loads = d @ M``; a whole batch of
   demands becomes one (batch × pair) @ (pair × edge) product.
 
+Only ``M`` is built, as one CSR matrix straight from the COO triplets of
+``A``; neither factor is materialized.
+
 Congestion, dilation, utilization percentiles and throughput then reduce
 to vectorized reductions over the resulting edge-load array.
 
 The compiled form is immutable.  Link failures do not require
 recompilation: :meth:`CompiledRouting.rebased` masks the paths crossing
 failed edges, renormalizes each pair's surviving probabilities, and
-rescales the capacity vector — the incidence matrix is shared with the
-original object.
+rescales the capacity vector — the incidence triplets are shared with
+the original object.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.exceptions import GraphError, LinalgError, RoutingError
 from repro.graphs.network import Network, Vertex
-from repro.linalg.tiled import TilePlan, plan_pair_tiles
 from repro.obs import trace_span
 
 Pair = Tuple[Vertex, Vertex]
@@ -143,9 +145,6 @@ class CompiledRouting:
         pair_edge,
         pair_max_hops: np.ndarray,
         covered: np.ndarray,
-        incidence_holder: Optional[Dict[str, object]] = None,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
     ) -> None:
         self._network = network
         self._pairs = pairs
@@ -154,66 +153,30 @@ class CompiledRouting:
         self._path_pair = path_pair
         self._path_prob = path_prob
         self._path_hops = path_hops
-        # Incidence in COO form (path index, edge index) — the only
-        # per-hop state; the explicit matrices are built lazily from it.
+        # Incidence in COO form (path index, edge index) — the per-hop
+        # state every rebase renormalizes ``pair_edge`` from.
         self._inc_rows = inc_rows
         self._inc_cols = inc_cols
         self._pair_edge = pair_edge
         self._pair_max_hops = pair_max_hops
         self._covered = covered
-        # Pair-dimension tiling knobs (None/None = untiled).  Validated
-        # eagerly so a bad knob fails at construction, not mid-batch.
-        plan_pair_tiles(0, 0, tile_pairs=tile_pairs, memory_budget_mb=memory_budget_mb)
-        self._tile_pairs = tile_pairs
-        self._memory_budget_mb = memory_budget_mb
-        # Rebased instances share this holder: the incidence matrix is
-        # identical across rebases, so it is built at most once.
-        self._incidence_holder = {} if incidence_holder is None else incidence_holder
         self._rebase_cache: "OrderedDict[object, CompiledRouting]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_routing(
-        cls,
-        routing,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> "CompiledRouting":
-        """Compile ``routing`` (index arrays built once, in canonical order).
-
-        ``tile_pairs`` / ``memory_budget_mb`` switch the instance into
-        memory-bounded *tiled* evaluation: the full pair × edge operator
-        is never materialized; instead, every evaluation streams over
-        pair-row tiles (see :mod:`repro.linalg.tiled`), built on the fly
-        from the incidence triplets.  Results agree with the untiled
-        path within float summation-order noise (≤ 1e-9).  The budget
-        bounds the tiles only: the compile's pair index and per-path
-        arrays, and each batch's demand matrix, scale with the pair
-        count whatever the budget (see
-        :func:`~repro.linalg.tiled.plan_pair_tiles`).
-        """
+    def from_routing(cls, routing) -> "CompiledRouting":
+        """Compile ``routing`` (index arrays built once, in canonical order)."""
         network: Network = routing.network
         with trace_span("linalg.compile") as span:
-            return cls._compile(
-                routing, network, span,
-                tile_pairs=tile_pairs, memory_budget_mb=memory_budget_mb,
-            )
+            return cls._compile(routing, network, span)
 
     @classmethod
-    def _compile(
-        cls,
-        routing,
-        network,
-        span,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> "CompiledRouting":
+    def _compile(cls, routing, network, span) -> "CompiledRouting":
         pairs: Tuple[Pair, ...] = tuple(sorted(routing.pairs(), key=repr))
         num_pairs = len(pairs)
         num_edges = network.num_edges
-        tiling = tile_pairs is not None or memory_budget_mb is not None
 
         # Streaming accumulation: per-path scalars flush into bounded
         # numpy chunks instead of growing one giant boxed-object list
@@ -245,19 +208,14 @@ class CompiledRouting:
         span.add("pairs", num_pairs)
         span.add("paths", len(path_pair_arr))
         span.add("nnz", len(inc_rows_arr))
-        span.set("tiled", tiling)
 
         # Build M = D @ A directly from the incidence triplets: entry
         # (pair_of_path, edge) accumulates the path's probability.  This
-        # never materializes D (num_pairs × num_paths) or A.  With
-        # tiling knobs set, even M stays implicit: evaluation rebuilds
-        # one pair-row tile at a time from the triplets.
-        pair_edge = None
-        if not tiling:
-            pair_edge = _pair_edge_matrix(
-                path_pair_arr, path_prob_arr, inc_rows_arr, inc_cols_arr,
-                (num_pairs, num_edges),
-            )
+        # never materializes D (num_pairs × num_paths) or A.
+        pair_edge = _pair_edge_matrix(
+            path_pair_arr, path_prob_arr, inc_rows_arr, inc_cols_arr,
+            (num_pairs, num_edges),
+        )
         return cls(
             network=network,
             pairs=pairs,
@@ -270,8 +228,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=np.ones(num_pairs, dtype=bool),
-            tile_pairs=tile_pairs,
-            memory_budget_mb=memory_budget_mb,
         )
 
     # ------------------------------------------------------------------ #
@@ -308,160 +264,17 @@ class CompiledRouting:
         return self._capacities.copy()
 
     @property
-    def incidence(self):
-        """The path × edge incidence matrix (lazy; shared across rebases).
-
-        Built on first access from the COO triplets — evaluation never
-        needs it, so instances only pay for it when introspected.  Do
-        not mutate.
-        """
-        matrix = self._incidence_holder.get("incidence")
-        if matrix is None:
-            matrix = _build_matrix(
-                self._inc_rows,
-                self._inc_cols,
-                np.ones(len(self._inc_rows)),
-                (self.num_paths, self.num_edges),
-            )
-            self._incidence_holder["incidence"] = matrix
-        return matrix
-
-    @property
-    def distribution(self):
-        """The pair × path probability matrix (lazy; per instance).
-
-        Like :attr:`incidence`, an introspection aid: evaluation uses
-        the fused :attr:`pair_edge_operator` instead.  Do not mutate.
-        """
-        if getattr(self, "_distribution_cache", None) is None:
-            live = self._path_prob > 0
-            self._distribution_cache = _build_matrix(
-                self._path_pair[live],
-                np.flatnonzero(live),
-                self._path_prob[live],
-                (self.num_pairs, self.num_paths),
-            )
-        return self._distribution_cache
-
-    @property
     def pair_edge_operator(self):
-        """``distribution @ incidence``: unit-demand edge loads per pair.
-
-        On tiled instances the operator is *not* kept around — this
-        property materializes (and caches) the full matrix on demand as
-        an introspection escape hatch, defeating the memory bound for
-        this instance.  Evaluation never calls it; use
-        :meth:`operator_tile` for bounded access.
-        """
-        if self._pair_edge is None:
-            self._pair_edge = _pair_edge_matrix(
-                self._path_pair, self._path_prob, self._inc_rows, self._inc_cols,
-                (self.num_pairs, self.num_edges),
-            )
+        """``M = D @ A``: unit-demand edge loads per pair (CSR; do not mutate)."""
         return self._pair_edge
 
-    # ------------------------------------------------------------------ #
-    # Pair-dimension tiling
-    # ------------------------------------------------------------------ #
-    @property
-    def tile_pairs(self) -> Optional[int]:
-        """Configured fixed tile width (None = derive from budget/untiled)."""
-        return self._tile_pairs
-
-    @property
-    def memory_budget_mb(self) -> Optional[float]:
-        """Configured per-evaluation working-set budget in MB (None = unbounded)."""
-        return self._memory_budget_mb
-
-    @property
-    def operator_materialized(self) -> bool:
-        """True when the full pair × edge operator is held in memory."""
-        return self._pair_edge is not None
-
-    def tile_plan(self, batch_rows: int = 1) -> TilePlan:
-        """The pair-tiling plan for a ``batch_rows``-demand evaluation.
-
-        Follows the instance knobs; with neither set the plan is one
-        tile (the untiled fast path).
-        """
-        nnz_per_pair = (
-            len(self._inc_rows) / self.num_pairs if self.num_pairs else None
-        )
-        return plan_pair_tiles(
-            self.num_pairs,
-            self.num_edges,
-            batch_rows=batch_rows,
-            tile_pairs=self._tile_pairs,
-            memory_budget_mb=self._memory_budget_mb,
-            nnz_per_pair=nnz_per_pair,
-        )
-
-    def operator_tile(self, start: int, stop: int):
-        """Rows ``[start, stop)`` of the pair × edge operator.
-
-        Built from the incidence triplets without touching the full
-        operator — a ``(stop - start) × num_edges`` CSR matrix.  When
-        the full operator happens to be materialized, this is a plain
-        row slice.  :meth:`_compile` sorts ``path_pair`` and
-        ``inc_rows`` by construction (pairs are visited in row order,
-        incidence entries in path order) and :meth:`rebased` shares
-        them, so two binary searches select the tile's triplets.
-        """
-        if not (0 <= start <= stop <= self.num_pairs):
-            raise LinalgError(
-                f"operator tile [{start}, {stop}) out of range for {self.num_pairs} pairs"
-            )
-        if self._pair_edge is not None:
-            return self._pair_edge[start:stop]
-        path_lo, path_hi = np.searchsorted(self._path_pair, (start, stop), side="left")
-        inc_lo, inc_hi = np.searchsorted(self._inc_rows, (path_lo, path_hi), side="left")
-        rows_sel = self._inc_rows[inc_lo:inc_hi]
-        cols_sel = self._inc_cols[inc_lo:inc_hi]
-        weights = self._path_prob[rows_sel]
-        keep = weights > 0
-        return _build_matrix(
-            self._path_pair[rows_sel[keep]] - start,
-            cols_sel[keep],
-            weights[keep],
-            (stop - start, self.num_edges),
-        )
-
     def _loads(self, batch) -> np.ndarray:
-        """Dense (batch × edge) loads of a (batch × pair) demand batch.
+        """Dense (batch × edge) loads of a (batch × pair) demand batch: ``batch @ M``.
 
-        One matmul when the operator is materialized and the plan is a
-        single tile; otherwise :meth:`_streamed_loads`.  ``batch`` may
-        be a CSR matrix or a dense array.
+        ``batch`` may be a CSR matrix or a dense array.
         """
-        plan = self.tile_plan(batch_rows=batch.shape[0])
-        if plan.is_single_tile and self._pair_edge is not None:
-            loads = batch @ self._pair_edge
-            return loads.toarray() if sparse.issparse(loads) else loads
-        return self._streamed_loads(batch, plan)
-
-    def _streamed_loads(self, batch, plan: TilePlan) -> np.ndarray:
-        """``batch @ M`` as a dense array, streamed as a sum over pair tiles.
-
-        Holds one operator tile plus the (batch × edge) accumulator at a
-        time; each tile is released before the next is built, so peak
-        memory follows the plan's budget instead of the pair count.
-        """
-        num_rows = batch.shape[0]
-        loads = np.zeros((num_rows, self.num_edges), dtype=float)
-        if num_rows == 0 or plan.num_tiles == 0:
-            return loads
-        # CSR column slicing is O(nnz) per tile; one CSC conversion up
-        # front makes every column slice cheap.
-        columns = sparse.csc_matrix(batch)
-        with trace_span(
-            "linalg.tiled_evaluate", tiles=plan.num_tiles, tile_pairs=plan.tile_pairs
-        ) as span:
-            span.add("demands", num_rows)
-            for start, stop in plan.tiles():
-                tile = self.operator_tile(start, stop)
-                loads += (columns[:, start:stop] @ tile).toarray()
-                del tile
-        return loads
+        loads = batch @ self._pair_edge
+        return loads.toarray() if sparse.issparse(loads) else loads
 
     def is_covered(self, source: Vertex, target: Vertex) -> bool:
         """True when the pair still has at least one (surviving) path."""
@@ -573,7 +386,7 @@ class CompiledRouting:
     # Evaluation: demand batches
     # ------------------------------------------------------------------ #
     def edge_load_matrix(self, demands: Sequence, missing: str = "error") -> np.ndarray:
-        """(batch × edge) dense edge-load array: one (possibly tiled) matmul."""
+        """(batch × edge) dense edge-load array: one matmul."""
         return self._loads(self.demand_matrix(demands, missing=missing))
 
     def congestions(self, demands: Sequence, missing: str = "error") -> np.ndarray:
@@ -611,7 +424,7 @@ class CompiledRouting:
         Paths crossing a removed edge are masked (their probability mass
         redistributed over the pair's survivors, exactly the fixed-ratio
         renormalization of the scenario runner); ``capacity_scale``
-        entries rescale the capacity vector.  The incidence matrix and
+        entries rescale the capacity vector.  The incidence triplets and
         index arrays are shared — nothing is recompiled.  Results are
         memoized per event.
         """
@@ -664,14 +477,10 @@ class CompiledRouting:
         )
 
         live = new_prob > 0
-        # Tiled instances stay lean through a rebase: the renormalized
-        # probabilities are all the tile construction needs.
-        pair_edge = None
-        if self._tile_pairs is None and self._memory_budget_mb is None:
-            pair_edge = _pair_edge_matrix(
-                self._path_pair, new_prob, self._inc_rows, self._inc_cols,
-                (self.num_pairs, self.num_edges),
-            )
+        pair_edge = _pair_edge_matrix(
+            self._path_pair, new_prob, self._inc_rows, self._inc_cols,
+            (self.num_pairs, self.num_edges),
+        )
 
         pair_max_hops = np.zeros(self.num_pairs, dtype=np.int64)
         if np.any(live):
@@ -705,21 +514,12 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=covered,
-            incidence_holder=self._incidence_holder,
-            tile_pairs=self._tile_pairs,
-            memory_budget_mb=self._memory_budget_mb,
         )
 
     def __repr__(self) -> str:
-        tiling = ""
-        if self._tile_pairs is not None or self._memory_budget_mb is not None:
-            tiling = (
-                f", tile_pairs={self._tile_pairs}, "
-                f"memory_budget_mb={self._memory_budget_mb}"
-            )
         return (
             f"CompiledRouting(pairs={self.num_pairs}, paths={self.num_paths}, "
-            f"edges={self.num_edges}{tiling})"
+            f"edges={self.num_edges})"
         )
 
 

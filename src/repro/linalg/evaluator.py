@@ -13,7 +13,8 @@ contract:
 
 ``sparse``
     The compiled backend of :mod:`repro.linalg.compiled`: one scipy CSR
-    matmul per demand batch.
+    matmul ``batch @ M`` per demand batch against the pair × edge
+    operator ``M`` built at compile time.
 
 The backends are numerically equivalent within 1e-9 (enforced by the
 randomized suite in ``tests/test_linalg_equivalence.py``); they are not
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -202,27 +203,9 @@ class SparseEvaluator:
         self._source_version = getattr(source_routing, "_version", 0)
 
     @classmethod
-    def from_routing(
-        cls,
-        routing,
-        tile_pairs: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> "SparseEvaluator":
-        """Compile and wrap ``routing``.
-
-        ``tile_pairs`` / ``memory_budget_mb`` enable memory-bounded
-        tiled evaluation (see :meth:`CompiledRouting.from_routing`): the
-        pair × edge operator stays implicit and every batch streams over
-        fixed-budget pair tiles.  The knobs survive :meth:`rebased`.
-        """
-        return cls(
-            CompiledRouting.from_routing(
-                routing,
-                tile_pairs=tile_pairs,
-                memory_budget_mb=memory_budget_mb,
-            ),
-            source_routing=routing,
-        )
+    def from_routing(cls, routing) -> "SparseEvaluator":
+        """Compile and wrap ``routing``."""
+        return cls(CompiledRouting.from_routing(routing), source_routing=routing)
 
     @property
     def compiled(self) -> CompiledRouting:
@@ -296,37 +279,16 @@ class SparseEvaluator:
         return f"SparseEvaluator(backend={self.backend!r}, compiled={self._compiled!r})"
 
 
-def build_evaluator(
-    routing,
-    backend: str = "auto",
-    tile_pairs: Optional[int] = None,
-    memory_budget_mb: Optional[float] = None,
-) -> Evaluator:
+def build_evaluator(routing, backend: str = "auto") -> Evaluator:
     """Construct an evaluation backend for ``routing``.
 
     ``backend`` is one of ``"dict"`` (reference loops), ``"sparse"``
     (scipy CSR), or ``"auto"`` (the compiled default, ``"sparse"``).
-
-    ``tile_pairs`` / ``memory_budget_mb`` bound the peak memory of
-    batched evaluation on the compiled backends by streaming over
-    pair-dimension tiles (:mod:`repro.linalg.tiled`); they are a
-    compiled-backend contract — the dict reference holds no matrices,
-    so combining them with ``backend="dict"`` raises
-    :class:`LinalgError` instead of silently ignoring the bound.
     """
     if backend == "dict":
-        if tile_pairs is not None or memory_budget_mb is not None:
-            raise LinalgError(
-                "tiling knobs (tile_pairs/memory_budget_mb) require a compiled "
-                "backend; the dict reference evaluator holds no operator to tile"
-            )
         return DictEvaluator(routing)
     if backend in BACKEND_CHOICES:
-        return SparseEvaluator.from_routing(
-            routing,
-            tile_pairs=tile_pairs,
-            memory_budget_mb=memory_budget_mb,
-        )
+        return SparseEvaluator.from_routing(routing)
     raise LinalgError(
         f"unknown evaluation backend {backend!r}; available: {available_backends()}"
     )

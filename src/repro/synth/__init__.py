@@ -1,7 +1,7 @@
 """Scale-frontier synthetic topologies (the ``repro.synth`` layer).
 
 Seeded ISP-like generators at the 1k–10k-node scale — the substrates
-for memory-bounded tiled evaluation (:mod:`repro.linalg.tiled`):
+the compiled evaluation of :mod:`repro.linalg` is measured on:
 
 * :func:`~repro.synth.generators.isp` — three-tier PoP/backbone/access
   hierarchy with heavy-tailed Pareto capacities;

@@ -3,27 +3,24 @@
 For a ladder of synthetic ISP networks (:func:`repro.synth.generators.isp`)
 this target measures the full end-to-end pipeline on the compiled
 ``sparse`` backend — generate → install routes → compile → batched
-evaluate — and records, per ladder point, wall time and tracemalloc peak
-memory for the memory-bounded *tiled* evaluation path next to the
-untiled reference.
+evaluate — and records, per ladder point, wall time and the tracemalloc
+peak of compile plus evaluate.  Every point is also evaluated by the
+``dict`` oracle, which the compiled congestions must match.
 
 The artifact extends the common ``repro-bench/v1`` schema with:
 
-* ``curves`` — per-backend lists of ladder points (``nodes``, ``edges``,
-  ``pairs``, ``generate_seconds``, ``install_seconds``,
+* ``curves`` — one ``sparse`` list of ladder points (``nodes``,
+  ``edges``, ``pairs``, ``generate_seconds``, ``install_seconds``,
   ``compile_seconds``, ``evaluate_seconds``, ``mem_peak_mb``,
-  ``within_budget``, ``untiled_seconds``, ``untiled_mem_peak_mb``,
-  ``max_abs_difference``), one ``sparse`` curve per run (the committed
-  full-scale artifact also holds a ``dense`` curve of the removed numpy
-  backend, partly without the untiled keys, which :func:`gate` accepts);
-* ``memory_budget_mb`` — the tiling budget every tiled evaluation ran
-  under (``within_budget`` gates its peak against it);
-* the usual baseline-first ``backends`` block (untiled vs tiled at the
-  largest point where both ran) with ``mem_peak_kb`` fields.
+  ``within_budget``, ``dict_seconds``, ``max_abs_difference``);
+* ``memory_budget_mb`` — the fixed peak ceiling every point is held to
+  (``within_budget`` compares the point's peak against it);
+* the usual baseline-first ``backends`` block (``dict`` oracle vs
+  ``sparse`` at the largest point) with the compiled leg's
+  ``mem_peak_kb``.
 
-:func:`gate` holds every artifact to tiled-vs-untiled agreement
-≤ 1e-9 with every point under budget, and a full-scale one to a
-≥ 1k-node point per backend.
+:func:`gate` holds every artifact to oracle agreement ≤ 1e-9 with every
+point under the ceiling, and a full-scale one to a ≥ 1k-node point.
 """
 
 from __future__ import annotations
@@ -35,16 +32,16 @@ import numpy as np
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.graphs.network import Network
-from repro.bench import AGREEMENT, violations
-from repro.linalg.evaluator import build_evaluator
+from repro.bench import AGREEMENT, legs, violations
+from repro.linalg.evaluator import DictEvaluator, build_evaluator
 from repro.synth.generators import isp
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import PeakMemory, Stopwatch, timing_entry
 
-DESCRIPTION = "scale frontier: nodes-vs-seconds/peak-MB curves, tiled vs untiled"
+DESCRIPTION = "scale frontier: nodes-vs-seconds/peak-MB curves, compiled vs dict oracle"
 
-#: Every tiled evaluation in this bench runs under this working-set
-#: budget; ``within_budget`` compares the measured peak against it.
+#: The peak-memory ceiling of every ladder point's compile + evaluate;
+#: ``within_budget`` compares the measured peak against it.
 MEMORY_BUDGET_MB = 64.0
 
 #: Per-scale ladder: PoP counts (11 vertices per PoP with the default
@@ -105,7 +102,7 @@ def _demand_batch(
 
 
 def run(scale: str, seed: int) -> Dict[str, Any]:
-    """Scale-frontier curve: tiled vs untiled compiled evaluation."""
+    """Scale-frontier curve of the compiled evaluation, checked against the dict oracle."""
     config = _SCALE_CONFIG[scale]
     num_demands = int(config["num_demands"])
 
@@ -131,24 +128,18 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             routing = _spf_routing(network, pairs)
         demands = _demand_batch(pairs, num_demands, rng)
 
-        # Peak memory spans compile + evaluate: the untiled leg's
-        # dominant allocation is the operator materialized at compile
-        # time, which an evaluate-only window would miss.
-        with PeakMemory() as tiled_mem:
+        # Peak memory spans compile + evaluate: the dominant allocation
+        # is the operator built at compile time, which an evaluate-only
+        # window would miss.
+        with PeakMemory() as mem:
             with Stopwatch() as compile_watch:
-                tiled = build_evaluator(
-                    routing, backend="sparse", memory_budget_mb=MEMORY_BUDGET_MB
-                )
-            with Stopwatch() as tiled_watch:
-                tiled_congestions = tiled.congestions(demands)
-        mem_peak_mb = tiled_mem.peak_kb / 1024.0
-        with PeakMemory() as untiled_mem:
-            untiled = build_evaluator(routing, backend="sparse")
-            with Stopwatch() as untiled_watch:
-                untiled_congestions = untiled.congestions(demands)
-        difference = float(
-            np.max(np.abs(tiled_congestions - untiled_congestions), initial=0.0)
-        )
+                evaluator = build_evaluator(routing, backend="sparse")
+            with Stopwatch() as evaluate_watch:
+                congestions = evaluator.congestions(demands)
+        mem_peak_mb = mem.peak_kb / 1024.0
+        with Stopwatch() as dict_watch:
+            oracle = DictEvaluator(routing, cache_size=1).congestions(demands)
+        difference = float(np.max(np.abs(congestions - oracle), initial=0.0))
         max_abs_difference = max(max_abs_difference, difference)
         curve.append(
             {
@@ -158,27 +149,23 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 "generate_seconds": generate_watch.elapsed,
                 "install_seconds": install_watch.elapsed,
                 "compile_seconds": compile_watch.elapsed,
-                "evaluate_seconds": tiled_watch.elapsed,
+                "evaluate_seconds": evaluate_watch.elapsed,
                 "mem_peak_mb": mem_peak_mb,
                 "within_budget": bool(mem_peak_mb <= MEMORY_BUDGET_MB),
-                "untiled_seconds": untiled_watch.elapsed,
-                "untiled_mem_peak_mb": untiled_mem.peak_kb / 1024.0,
+                "dict_seconds": dict_watch.elapsed,
                 "max_abs_difference": difference,
             }
         )
         # The baseline-first backends block reports the largest point.
         summary = {
-            "untiled": timing_entry(
-                untiled_watch.elapsed,
-                count=num_demands,
-                rate_key="demands_per_sec",
-                mem_peak_kb=untiled_mem.peak_kb,
+            "dict": timing_entry(
+                dict_watch.elapsed, count=num_demands, rate_key="demands_per_sec"
             ),
-            "tiled": timing_entry(
-                tiled_watch.elapsed,
+            "sparse": timing_entry(
+                evaluate_watch.elapsed,
                 count=num_demands,
                 rate_key="demands_per_sec",
-                mem_peak_kb=tiled_mem.peak_kb,
+                mem_peak_kb=mem.peak_kb,
                 compile_seconds=compile_watch.elapsed,
             ),
         }
@@ -200,8 +187,8 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         "within_budget": bool(all(point["within_budget"] for point in curve)),
         "curves": {"sparse": curve},
         "backends": {
-            "untiled": {"backend": "untiled", **summary["untiled"]},
-            "tiled": {"backend": "tiled", **summary["tiled"]},
+            "dict": {"backend": "dict", **summary["dict"]},
+            "sparse": {"backend": "sparse", **summary["sparse"]},
         },
         "max_abs_difference": max_abs_difference,
     }
@@ -216,18 +203,14 @@ def headline(payload: Dict[str, Any]) -> str:
     peak = max(point["mem_peak_mb"] for point in _points(payload))
     return (
         f"{counts[0]}-{counts[-1]} nodes x {payload['workload']['num_demands']} demands; "
-        f"tiled peak {peak:.1f} / {payload['memory_budget_mb']:.0f} MB; "
+        f"{legs(payload)}; peak {peak:.1f} / {payload['memory_budget_mb']:.0f} MB; "
         f"max diff {payload['max_abs_difference']:.1e}"
     )
 
 
 def gate(payloads: List[Dict[str, Any]]) -> List[str]:
     def points_agree(payload):
-        return all(
-            point["max_abs_difference"] <= 1e-9
-            for point in _points(payload)
-            if "max_abs_difference" in point  # where the untiled reference ran
-        )
+        return all(point["max_abs_difference"] <= 1e-9 for point in _points(payload))
 
     def reaches_1k_nodes(payload):
         return all(
@@ -244,7 +227,7 @@ def gate(payloads: List[Dict[str, Any]]) -> List[str]:
         ("every curve point's max_abs_difference <= 1e-9", points_agree),
     ) + violations(
         # The subsystem's acceptance bar: a >= 1k-node network evaluated
-        # end-to-end under the memory budget on every backend.
+        # end-to-end under the memory ceiling on every backend.
         [payload for payload in payloads if payload["scale"] == "full"],
         ("a >= 1000-node point per backend", reaches_1k_nodes),
     )

@@ -7,6 +7,7 @@ broken on purpose once to show the gate names it.
 
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,7 @@ BROKEN = [
     ("ecmp", "smoke", _shift_first_gap, "not within 1e-6 of the full-scale gap"),
     ("scale", "smoke", _set("max_abs_difference", 1e-3), "max_abs_difference <= 1e-9"),
     ("scale", "smoke", _set("within_budget", False), "within_budget"),
-    ("scale", "smoke", _set("curves", "dense", []), "every backend has curve points"),
+    ("scale", "smoke", _set("curves", "sparse", []), "every backend has curve points"),
     ("scale", "smoke", _first_point("within_budget", False), "every curve point within budget"),
     (
         "scale",
@@ -145,3 +146,18 @@ def test_failing_target_does_not_stop_the_later_ones(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "bench 'ecmp' failed: target broke on purpose" in err
     assert "1 bench target(s) failed: ['ecmp']" in err
+
+
+def test_readme_bench_table_is_the_rendered_baselines():
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    failures = []
+    check_docs.check_bench_table(readme, failures)
+    assert failures == []
+    check_docs.check_bench_table(readme.replace("| `scale` |", "| `scale` | stale", 1), failures)
+    assert len(failures) == 1 and "differs from tools/render_bench_table.py" in failures[0]
+    assert "+| `scale` | isp-182x11" in failures[0]

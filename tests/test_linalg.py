@@ -24,6 +24,7 @@ from repro.linalg import (
 from repro.linalg.compiled import CompiledRouting
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
+from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
 from repro.synth import isp
 from repro.te.failures import FailureEvent
 from repro.te.metrics import (
@@ -94,9 +95,14 @@ def test_rebase_renormalizes_and_shares_arrays(square):
     network, routing = square
     compiled = CompiledRouting.from_routing(routing)
     event = FailureEvent(failed_edges=((0, 1),), label="cut")
-    rebased = compiled.rebased(event)
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        rebased = compiled.rebased(event)
+    finally:
+        uninstall_tracer()
+    names = [record["name"] for record in span_records(tracer.records)]
+    assert "linalg.rebase" in names and "linalg.compile" not in names  # no recompilation
     assert rebased is compiled.rebased(event)  # memoized per event
-    assert rebased.incidence is compiled.incidence  # no recompilation
 
     demand = Demand({(0, 2): 4.0})
     # All mass moves to the surviving path 0-3-2.

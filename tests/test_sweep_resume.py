@@ -14,6 +14,7 @@ The claims under test, in order of importance:
    queue is not capped at the topology count).
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -75,6 +76,14 @@ def run_cli(args, env=None, timeout=300):
     )
 
 
+def process_group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def store_record_count(store_dir: Path) -> int:
     return sum(
         1
@@ -97,7 +106,9 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
     assert completed.returncode == 0, completed.stderr
 
     # Launch the same sweep against a store, slowed enough that the kill
-    # lands mid-flight, in its own process group so workers die too.
+    # lands mid-flight, in its own session so its process group holds
+    # exactly the sweep, its pool workers and multiprocessing's resource
+    # tracker.
     victim = subprocess.Popen(
         [sys.executable, "-m", "repro", *suite_args,
          "--artifact-dir", str(store_dir), "--output", str(tmp_path / "never.json")],
@@ -107,18 +118,28 @@ def test_sigkilled_sweep_resumes_bit_identical(tmp_path):
         stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
+    pgid = victim.pid
     try:
         deadline = time.monotonic() + 120
         while store_record_count(store_dir) < 1:
             assert victim.poll() is None, "sweep finished before it could be killed"
             assert time.monotonic() < deadline, "no store records before timeout"
             time.sleep(0.05)
-        os.killpg(victim.pid, signal.SIGKILL)
+        # SIGKILL only the sweep itself.  Its workers and the resource
+        # tracker see it die and exit on their own; the tracker unlinks
+        # the pool's named semaphores on the way out, which it cannot do
+        # when the whole group is killed at once.
+        victim.kill()
         victim.wait(timeout=30)
+        deadline = time.monotonic() + 60
+        while process_group_alive(pgid):
+            assert time.monotonic() < deadline, "the killed sweep's processes outlived it"
+            time.sleep(0.05)
     finally:
-        if victim.poll() is None:
-            os.killpg(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=30)
+        if process_group_alive(pgid):  # an assertion failed above
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+        victim.wait(timeout=30)
 
     partial = store_record_count(store_dir)
     assert 1 <= partial < 12, f"kill landed outside the sweep ({partial} records)"

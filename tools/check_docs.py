@@ -25,15 +25,21 @@ EXPERIMENTS.md, docs/ARCHITECTURE.md).  Two checks per file:
 
 Every run also checks that each ``*.md`` path named in a docstring
 under ``src/`` (module, class or function) exists relative to the
-repository root, so code cannot cite a document that is gone.
+repository root, so code cannot cite a document that is gone.  When
+README.md is checked, its bench table must be exactly what
+``tools/render_bench_table.py`` renders from the committed
+``BENCH_*.json`` baselines, so a regenerated baseline cannot leave a
+stale row behind.
 
 Exit status 0 when everything passes; 1 with a per-failure report
-otherwise.  No third-party dependencies.
+otherwise.  The checker itself has no third-party dependencies; the
+snippets and the bench table need ``repro`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
 import ast
+import difflib
 import re
 import sys
 import traceback
@@ -176,6 +182,36 @@ def check_docstring_paths(src: Path, failures: List[str]) -> int:
     return checked
 
 
+BENCH_TABLE_HEADER = "| bench | topology | result |"
+
+
+def check_bench_table(text: str, failures: List[str]) -> None:
+    """README's bench table must equal the render of the committed baselines."""
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        import render_bench_table
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))
+    paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+    expected = render_bench_table.render(render_bench_table.load_artifacts(paths)).splitlines()
+    lines = text.splitlines()
+    if BENCH_TABLE_HEADER not in lines:
+        failures.append(f"README.md: no bench table (a {BENCH_TABLE_HEADER!r} line)")
+        return
+    start = lines.index(BENCH_TABLE_HEADER)
+    stop = start
+    while stop < len(lines) and lines[stop].startswith("|"):
+        stop += 1
+    if lines[start:stop] != expected:
+        diff = "\n".join(
+            difflib.unified_diff(lines[start:stop], expected, "README.md", "rendered", lineterm="")
+        )
+        failures.append(
+            "README.md: bench table differs from tools/render_bench_table.py output "
+            f"over the committed BENCH_*.json; re-render it\n{diff}"
+        )
+
+
 def main(argv: List[str]) -> int:
     names = argv or DEFAULT_FILES
     failures: List[str] = []
@@ -188,6 +224,8 @@ def main(argv: List[str]) -> int:
         executed = check_snippets(path, text, failures)
         links = check_links(path, text, failures)
         print(f"{name}: {executed} snippet(s) executed, {links} intra-repo link(s) checked")
+        if path == REPO_ROOT / "README.md":
+            check_bench_table(text, failures)
     named = check_docstring_paths(REPO_ROOT / "src", failures)
     print(f"src/: {named} document path(s) named in docstrings checked")
     if failures:
