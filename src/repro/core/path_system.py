@@ -11,11 +11,18 @@ paper: plain α-sparsity and (α + cut_G)-sparsity.  Its
 :meth:`~PathSystem.incidence` is the path × edge-id form the Stage-4
 path LP is built from, and :meth:`~PathSystem.rate_lp` caches that LP
 between demands.
+
+:class:`PathIncidence` is the one place where paths become edge ids:
+the path LP reads a system's incidence, a compiled routing
+(:mod:`repro.linalg.compiled`) builds one over its support paths, and
+both decide which paths survive a link failure with
+:meth:`PathIncidence.surviving`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
 )
@@ -31,12 +38,12 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class PathIncidence:
-    """Every stored path as a row of edge ids, in CSR form.
+    """Every path as a row of edge ids, in CSR form.
 
     Path ``j`` traverses the edges ``edge_ids[indptr[j]:indptr[j + 1]]``
-    (indices into ``network.edges``, ascending); ``paths[j]`` is its
+    (indices into ``network.edges``, in hop order); ``paths[j]`` is its
     vertex tuple.  A pair's paths are the contiguous rows
-    ``range(*slices[pair])``, in the order they were added.
+    ``range(*slices[pair])``, in the order they were given.
     ``capacities`` holds the edge capacities in ``network.edges`` order.
     """
 
@@ -47,23 +54,34 @@ class PathIncidence:
     capacities: np.ndarray
 
     @classmethod
-    def build(cls, system: "PathSystem") -> "PathIncidence":
-        network = system.network
+    def build(
+        cls, network: Network, buckets: Iterable[Tuple[Pair, Iterable[Path]]]
+    ) -> "PathIncidence":
+        """The incidence of the ``(pair, paths)`` items ``buckets``, pairs in item order."""
         paths: List[Path] = []
         slices: Dict[Pair, Tuple[int, int]] = {}
-        rows: List[List[int]] = []
-        for pair, bucket in system.items():
-            slices[pair] = (len(paths), len(paths) + len(bucket))
-            for path in bucket:
-                paths.append(path)
-                rows.append(sorted(network.path_edge_ids(path)))
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
-        edge_ids = np.array([edge for row in rows for edge in row], dtype=np.int64)
+        for pair, bucket in buckets:
+            start = len(paths)
+            paths.extend(bucket)
+            slices[pair] = (start, len(paths))
+        indptr = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((len(path) - 1 for path in paths), np.int64, len(paths)), out=indptr[1:]
+        )
+        edge_ids = np.fromiter(
+            chain.from_iterable(map(network.path_edge_ids, paths)), np.int64, int(indptr[-1])
+        )
         return cls(
             paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
             capacities=network.capacities,
         )
+
+    def surviving(self, failed_ids: Iterable[int]) -> np.ndarray:
+        """Per path, True when it crosses none of the edge ids ``failed_ids``."""
+        broken = np.flatnonzero(np.isin(self.edge_ids, np.fromiter(failed_ids, np.int64)))
+        alive = np.ones(len(self.paths), dtype=bool)
+        alive[np.searchsorted(self.indptr, broken, side="right") - 1] = False
+        return alive
 
 
 class PathSystem:
@@ -166,7 +184,7 @@ class PathSystem:
     def incidence(self) -> PathIncidence:
         """The path × edge-id incidence of every stored path (cached until ``add_path``)."""
         if self._incidence is None:
-            self._incidence = PathIncidence.build(self)
+            self._incidence = PathIncidence.build(self._network, self.items())
         return self._incidence
 
     def rate_lp(self, build: Callable[[PathIncidence], T]) -> T:

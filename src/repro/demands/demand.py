@@ -17,7 +17,7 @@ together with the algebra needed by the reductions of Section 5.4
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import DemandError
 from repro.graphs.network import Network, Vertex
@@ -243,67 +243,6 @@ class Demand:
                 for (source, target) in self._values
             }
         )
-
-    # ------------------------------------------------------------------ #
-    # Dense export (the linalg evaluation backend's input format)
-    # ------------------------------------------------------------------ #
-    def as_vector(self, pair_index: Mapping[Pair, int], size: Optional[int] = None, missing: str = "error"):
-        """Dense demand vector over an external pair indexing.
-
-        ``pair_index`` maps ordered pairs to row positions (e.g. a
-        :class:`~repro.linalg.CompiledRouting`'s ``pair_index``);
-        ``size`` defaults to ``len(pair_index)``.  Pairs with positive
-        demand absent from the index raise :class:`DemandError` unless
-        ``missing="drop"``.  (The evaluator-side twin,
-        ``CompiledRouting.demand_vector``, raises ``RoutingError`` for
-        the same condition — it speaks the routing contract, this one
-        the demand contract.)
-        """
-        import numpy as np
-
-        length = len(pair_index) if size is None else int(size)
-        vector = np.zeros(length, dtype=float)
-        for pair, amount in self._values.items():
-            index = pair_index.get(pair)
-            if index is None:
-                if missing == "drop":
-                    continue
-                raise DemandError(f"pair {pair!r} is not in the supplied pair index")
-            vector[index] += amount
-        return vector
-
-    @staticmethod
-    def stack(
-        demands: Sequence["Demand"],
-        pair_index: Mapping[Pair, int],
-        size: Optional[int] = None,
-        missing: str = "error",
-    ):
-        """Dense (batch × pair) demand matrix for a sequence of demands.
-
-        The row order follows ``demands``; columns follow
-        ``pair_index``.  This is the dense export consumed by the
-        batched evaluators; the compiled backend builds the same matrix
-        sparsely via ``CompiledRouting.demand_matrix``.
-
-        An empty batch raises :class:`DemandError` — a (0 × pair)
-        array would only defer the failure to whichever numpy reduction
-        consumes it, with a far less useful message.
-        """
-        import numpy as np
-
-        demands = list(demands)
-        if not demands:
-            raise DemandError(
-                "cannot stack an empty demand batch; pass at least one demand"
-            )
-        length = len(pair_index) if size is None else int(size)
-        if length < 0:
-            raise DemandError(f"demand matrix width must be nonnegative, got {length}")
-        matrix = np.zeros((len(demands), length), dtype=float)
-        for row, demand in enumerate(demands):
-            matrix[row, :] = demand.as_vector(pair_index, size=length, missing=missing)
-        return matrix
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.demands.demand import Demand
 from repro.demands.generators import gravity_demand
@@ -49,22 +49,6 @@ class TrafficMatrixSeries:
         if not self.snapshots:
             raise DemandError("empty traffic matrix series")
         return max(self.snapshots, key=lambda snapshot: snapshot.size())
-
-    def as_matrix(self, pair_index, size=None, missing: str = "error"):
-        """Dense (snapshot × pair) demand matrix over an external indexing.
-
-        One row per snapshot, columns following ``pair_index`` — the
-        batch input of the compiled evaluation backend
-        (:mod:`repro.linalg`): edge loads for the whole series are then
-        a single matmul against the compiled pair × edge operator.
-
-        An empty series raises :class:`~repro.exceptions.DemandError`
-        (same contract as :meth:`peak`) rather than surfacing a bare
-        numpy failure from a zero-row reduction downstream.
-        """
-        if not self.snapshots:
-            raise DemandError("empty traffic matrix series has no matrix form")
-        return Demand.stack(self.snapshots, pair_index, size=size, missing=missing)
 
 
 def diurnal_gravity_series(

@@ -8,7 +8,9 @@ executable:
 * every covered pair gets a row index, every support path a path index,
   every network edge a column index;
 * the **path × edge incidence matrix** ``A`` has ``A[p, e] = 1`` when
-  path ``p`` crosses edge ``e``;
+  path ``p`` crosses edge ``e``; it is the
+  :class:`~repro.core.path_system.PathIncidence` of the support paths,
+  the same form the Stage-4 path LP reads;
 * the **pair × path distribution matrix** ``D`` has ``D[q, p]`` equal to
   the probability of path ``p`` in the pair-``q`` distribution;
 * their product ``M = D @ A`` (pair × edge) maps a demand *vector* to
@@ -23,9 +25,10 @@ to vectorized reductions over the resulting edge-load array.
 
 The compiled form is immutable.  Link failures do not require
 recompilation: :meth:`CompiledRouting.rebased` masks the paths crossing
-failed edges, renormalizes each pair's surviving probabilities, and
-rescales the capacity vector — the incidence triplets are shared with
-the original object.
+failed edges (:meth:`PathIncidence.surviving
+<repro.core.path_system.PathIncidence.surviving>`), renormalizes each
+pair's surviving probabilities, and rescales the capacity vector — the
+incidence is shared with the original object.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.core.path_system import PathIncidence
 from repro.exceptions import GraphError, LinalgError, RoutingError
 from repro.graphs.network import Network, Vertex
 from repro.obs import trace_span
@@ -77,53 +81,6 @@ def _pair_edge_matrix(path_pair, path_prob, inc_rows, inc_cols, shape):
     )
 
 
-class _ChunkedIndices:
-    """Append-only scalar accumulator flushing into numpy chunks.
-
-    The compile loop appends one entry per path plus one per hop; plain
-    Python lists hold boxed objects (~56 bytes per int), which at 1k+
-    node pair counts dwarfs the 8-byte array entries they become.
-    Flushing every ``chunk`` appends keeps the Python-object working set
-    bounded while the final concatenate yields exactly the array a
-    single giant list would have.
-    """
-
-    __slots__ = ("_dtype", "_chunk", "_chunks", "_buffer", "count")
-
-    def __init__(self, dtype, chunk: int = 1 << 16) -> None:
-        self._dtype = dtype
-        self._chunk = chunk
-        self._chunks: List[np.ndarray] = []
-        self._buffer: List = []
-        self.count = 0
-
-    def append(self, value) -> None:
-        self._buffer.append(value)
-        self.count += 1
-        if len(self._buffer) >= self._chunk:
-            self._flush()
-
-    def extend(self, values) -> None:
-        before = len(self._buffer)
-        self._buffer.extend(values)
-        self.count += len(self._buffer) - before
-        if len(self._buffer) >= self._chunk:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._buffer:
-            self._chunks.append(np.asarray(self._buffer, dtype=self._dtype))
-            self._buffer = []
-
-    def finalize(self) -> np.ndarray:
-        self._flush()
-        if not self._chunks:
-            return np.asarray([], dtype=self._dtype)
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        return np.concatenate(self._chunks)
-
-
 class CompiledRouting:
     """Immutable array form of a routing: index arrays + sparse operators.
 
@@ -137,11 +94,10 @@ class CompiledRouting:
         network: Network,
         pairs: Tuple[Pair, ...],
         capacities: np.ndarray,
+        incidence: PathIncidence,
         path_pair: np.ndarray,
         path_prob: np.ndarray,
-        path_hops: np.ndarray,
         inc_rows: np.ndarray,
-        inc_cols: np.ndarray,
         pair_edge,
         pair_max_hops: np.ndarray,
         covered: np.ndarray,
@@ -150,13 +106,14 @@ class CompiledRouting:
         self._pairs = pairs
         self._pair_index: Dict[Pair, int] = {pair: i for i, pair in enumerate(pairs)}
         self._capacities = capacities
+        # The support paths' incidence, which every rebase renormalizes
+        # ``pair_edge`` from; in COO form, entry ``k`` is (path
+        # ``inc_rows[k]``, edge ``inc_cols[k]``).
+        self._incidence = incidence
         self._path_pair = path_pair
         self._path_prob = path_prob
-        self._path_hops = path_hops
-        # Incidence in COO form (path index, edge index) — the per-hop
-        # state every rebase renormalizes ``pair_edge`` from.
         self._inc_rows = inc_rows
-        self._inc_cols = inc_cols
+        self._inc_cols = incidence.edge_ids
         self._pair_edge = pair_edge
         self._pair_max_hops = pair_max_hops
         self._covered = covered
@@ -176,55 +133,42 @@ class CompiledRouting:
     def _compile(cls, routing, network, span) -> "CompiledRouting":
         pairs: Tuple[Pair, ...] = tuple(sorted(routing.pairs(), key=repr))
         num_pairs = len(pairs)
-        num_edges = network.num_edges
+        probabilities: List[float] = []
 
-        # Streaming accumulation: per-path scalars flush into bounded
-        # numpy chunks instead of growing one giant boxed-object list
-        # (the first thing that falls over at 1k+ nodes; see ROADMAP
-        # for the remaining construction hot loops upstream of here).
-        path_pair = _ChunkedIndices(np.int64)
-        path_prob = _ChunkedIndices(float)
-        path_hops = _ChunkedIndices(np.int64)
-        inc_rows = _ChunkedIndices(np.int64)
-        inc_cols = _ChunkedIndices(np.int64)
+        def live_paths():
+            for pair in pairs:
+                live = {path: p for path, p in routing.distribution(*pair).items() if p > 0}
+                probabilities.extend(live.values())
+                yield pair, live
+
+        incidence = PathIncidence.build(network, live_paths())
+        path_prob = np.array(probabilities, dtype=float)
+        path_pair = np.repeat(
+            np.arange(num_pairs), [stop - start for start, stop in incidence.slices.values()]
+        )
+        path_hops = np.diff(incidence.indptr)
+        inc_rows = np.repeat(np.arange(len(path_pair)), path_hops)
         pair_max_hops = np.zeros(num_pairs, dtype=np.int64)
-        for pair_idx, (source, target) in enumerate(pairs):
-            for path, probability in routing.distribution(source, target).items():
-                if probability <= 0:
-                    continue
-                path_idx = path_pair.count
-                path_pair.append(pair_idx)
-                path_prob.append(float(probability))
-                hops = len(path) - 1
-                path_hops.append(hops)
-                pair_max_hops[pair_idx] = max(pair_max_hops[pair_idx], hops)
-                columns = network.path_edge_ids(path)
-                inc_rows.extend([path_idx] * len(columns))
-                inc_cols.extend(columns)
-        path_pair_arr = path_pair.finalize()
-        path_prob_arr = path_prob.finalize()
-        inc_rows_arr = inc_rows.finalize()
-        inc_cols_arr = inc_cols.finalize()
+        np.maximum.at(pair_max_hops, path_pair, path_hops)
         span.add("pairs", num_pairs)
-        span.add("paths", len(path_pair_arr))
-        span.add("nnz", len(inc_rows_arr))
+        span.add("paths", len(path_pair))
+        span.add("nnz", len(inc_rows))
 
         # Build M = D @ A directly from the incidence triplets: entry
         # (pair_of_path, edge) accumulates the path's probability.  This
         # never materializes D (num_pairs × num_paths) or A.
         pair_edge = _pair_edge_matrix(
-            path_pair_arr, path_prob_arr, inc_rows_arr, inc_cols_arr,
-            (num_pairs, num_edges),
+            path_pair, path_prob, inc_rows, incidence.edge_ids,
+            (num_pairs, network.num_edges),
         )
         return cls(
             network=network,
             pairs=pairs,
             capacities=network.capacities,
-            path_pair=path_pair_arr,
-            path_prob=path_prob_arr,
-            path_hops=path_hops.finalize(),
-            inc_rows=inc_rows_arr,
-            inc_cols=inc_cols_arr,
+            incidence=incidence,
+            path_pair=path_pair,
+            path_prob=path_prob,
+            inc_rows=inc_rows,
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=np.ones(num_pairs, dtype=bool),
@@ -289,10 +233,8 @@ class CompiledRouting:
 
         ``missing`` controls pairs with positive demand that the routing
         does not cover at all: ``"error"`` raises :class:`RoutingError`
-        (matching the dict evaluator), ``"drop"`` ignores them.  The
-        generic counterpart over an arbitrary pair index is
-        :meth:`Demand.as_vector`, which raises ``DemandError`` instead —
-        this method keeps the *evaluator* error contract.
+        (matching the dict evaluator), ``"drop"`` ignores them.  With
+        :meth:`demand_matrix` this is the one demand vectorizer.
         """
         vector = np.zeros(self.num_pairs, dtype=float)
         for (source, target), amount in demand.items():
@@ -443,31 +385,19 @@ class CompiledRouting:
         return rebased
 
     def _rebase(self, event) -> "CompiledRouting":
-        failed_indices: List[int] = []
         failed_set = set()
         for u, v in event.failed_edges:
             try:
-                index = self._network.edge_index(u, v)
+                failed_set.add(self._network.edge_index(u, v))
             except GraphError as error:
                 raise LinalgError(
                     f"failure event removes edge {(u, v)!r} unknown to the compiled network"
                 ) from error
-            failed_indices.append(index)
-            failed_set.add(index)
-
-        alive = np.ones(self.num_paths, dtype=bool)
-        if failed_indices and self.num_paths:
-            broken = np.isin(self._inc_cols, np.asarray(failed_indices))
-            alive[self._inc_rows[broken]] = False
+        alive = self._incidence.surviving(failed_set)
 
         # Surviving probability mass per pair, then per-path renormalization.
-        if self.num_paths:
-            surviving_total = np.zeros(self.num_pairs, dtype=float)
-            np.add.at(
-                surviving_total, self._path_pair[alive], self._path_prob[alive]
-            )
-        else:
-            surviving_total = np.zeros(self.num_pairs, dtype=float)
+        surviving_total = np.zeros(self.num_pairs, dtype=float)
+        np.add.at(surviving_total, self._path_pair[alive], self._path_prob[alive])
         covered = surviving_total > _PROB_TOL
         denominator = np.where(covered, surviving_total, 1.0)
         new_prob = np.where(
@@ -484,7 +414,8 @@ class CompiledRouting:
 
         pair_max_hops = np.zeros(self.num_pairs, dtype=np.int64)
         if np.any(live):
-            np.maximum.at(pair_max_hops, self._path_pair[live], self._path_hops[live])
+            hops = np.diff(self._incidence.indptr)
+            np.maximum.at(pair_max_hops, self._path_pair[live], hops[live])
 
         capacities = self._capacities.copy()
         for (u, v), scale in event.capacity_scale:
@@ -506,11 +437,10 @@ class CompiledRouting:
             network=self._network,
             pairs=self._pairs,
             capacities=capacities,
+            incidence=self._incidence,
             path_pair=self._path_pair,
             path_prob=new_prob,
-            path_hops=self._path_hops,
             inc_rows=self._inc_rows,
-            inc_cols=self._inc_cols,
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=covered,

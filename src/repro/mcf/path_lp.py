@@ -175,13 +175,16 @@ class RateLP:
         capacity = incidence.capacities
         m, num_paths = len(capacity), len(incidence.paths)
         hops = np.diff(incidence.indptr)
+        # The incidence lists each path's edges in hop order; a column lists them ascending.
+        offsets = np.repeat(np.arange(num_paths) * m, hops)
+        edge_rows = np.sort(incidence.edge_ids + offsets) - offsets
         pair_starts = np.array([start for start, _ in incidence.slices.values()], dtype=np.int64)
         paths_per_pair = np.diff(np.append(pair_starts, num_paths))
         # Path column j holds its edge rows, then its pair row; z holds every edge row.
         start = (incidence.indptr + np.arange(num_paths + 1)).astype(np.int32)
         pair_rows = m + np.repeat(np.arange(len(pair_starts)), paths_per_pair)
         index = np.concatenate([
-            np.insert(incidence.edge_ids, incidence.indptr[1:], pair_rows), np.arange(m),
+            np.insert(edge_rows, incidence.indptr[1:], pair_rows), np.arange(m),
         ]).astype(np.int32)
         value = np.concatenate([np.ones(len(index) - m), -capacity])
 

@@ -405,11 +405,9 @@ def readapt_surviving(
     pairs = demand.pairs()
     network = system.network
     failed = {network.edge_index(u, v) for u, v in event.failed_edges}
-    covered = sum(
-        1
-        for pair in pairs
-        if any(failed.isdisjoint(network.path_edge_ids(path)) for path in system.paths(*pair))
-    )
+    incidence = system.incidence()
+    alive, slices = incidence.surviving(failed), incidence.slices
+    covered = sum(1 for pair in pairs if pair in slices and alive[slice(*slices[pair])].any())
     coverage = covered / len(pairs) if pairs else 1.0
     if degraded is None or covered < len(pairs):
         return coverage, None

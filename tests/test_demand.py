@@ -186,15 +186,3 @@ def test_property_addition_commutes_and_sums_sizes(left, right):
     a, b = Demand(left), Demand(right)
     assert a + b == b + a
     assert (a + b).size() == pytest.approx(a.size() + b.size(), rel=1e-9, abs=1e-9)
-
-
-def test_stack_empty_batch_raises_typed_error():
-    with pytest.raises(DemandError):
-        Demand.stack([], {(0, 1): 0})
-
-
-def test_stack_accepts_generators():
-    index = {(0, 1): 0, (1, 0): 1}
-    matrix = Demand.stack((Demand({(0, 1): 2.0}) for _ in range(3)), index)
-    assert matrix.shape == (3, 2)
-    assert matrix[:, 0].tolist() == [2.0, 2.0, 2.0]

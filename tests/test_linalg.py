@@ -10,8 +10,7 @@ from repro import bench
 from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
-from repro.demands.traffic_matrix import TrafficMatrixSeries
-from repro.exceptions import DemandError, LinalgError, RoutingError
+from repro.exceptions import LinalgError, RoutingError
 from repro.graphs import network as network_module
 from repro.graphs import topologies
 from repro.graphs.network import Network
@@ -226,19 +225,21 @@ def test_demand_vector_exports(square):
     compiled = CompiledRouting.from_routing(routing)
     index = compiled.pair_index
     demand = Demand({(0, 2): 2.0})
-    vector = demand.as_vector(index)
+    vector = compiled.demand_vector(demand)
     assert vector.shape == (2,)
     assert vector[index[(0, 2)]] == pytest.approx(2.0)
-    with pytest.raises(DemandError):
-        Demand({(1, 0): 1.0}).as_vector(index)
-    assert Demand({(1, 0): 1.0}).as_vector(index, missing="drop").sum() == 0.0
+    with pytest.raises(RoutingError):
+        compiled.demand_vector(Demand({(1, 0): 1.0}))
+    assert compiled.demand_vector(Demand({(1, 0): 1.0}), missing="drop").sum() == 0.0
 
-    series = TrafficMatrixSeries(snapshots=[demand, Demand.empty()])
-    matrix = series.as_matrix(index)
+    matrix = compiled.demand_matrix([demand, Demand.empty()]).toarray()
     assert matrix.shape == (2, 2)
     assert np.allclose(matrix[0], vector)
     assert np.allclose(matrix[1], 0.0)
-    stacked = Demand.stack([demand, demand], index)
+    uncovered = Demand({(0, 2): 2.0, (1, 0): 1.0})
+    with pytest.raises(RoutingError):
+        compiled.demand_matrix([demand, uncovered])
+    stacked = compiled.demand_matrix([demand, uncovered], missing="drop").toarray()
     assert np.allclose(stacked[0], stacked[1])
 
 

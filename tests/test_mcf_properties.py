@@ -296,6 +296,33 @@ def test_path_lp_over_all_simple_paths_equals_arc_lp(instance):
 
 @settings(max_examples=40, deadline=None)
 @given(installed_systems())
+def test_rate_lp_matrix_equals_a_loop_built_reference(instance):
+    system, _ = instance
+    network = system.network
+    incidence = system.incidence()
+    for j, path in enumerate(incidence.paths):  # edge ids in hop order
+        row = incidence.edge_ids[incidence.indptr[j]:incidence.indptr[j + 1]]
+        assert row.tolist() == network.path_edge_ids(path)
+    # One column per path: its edge rows ascending, then its pair row; then z.
+    m = network.num_edges
+    start, index, value = [], [], []
+    for i, (_, paths) in enumerate(system.items()):
+        for path in paths:
+            start.append(len(index))
+            rows = sorted(network.path_edge_ids(path)) + [m + i]
+            index += rows
+            value += [1.0] * len(rows)
+    start.append(len(index))
+    index += range(m)
+    value += (-network.capacities).tolist()
+    lp = system.rate_lp(path_lp.RateLP)
+    assert lp._start.tobytes() == np.array(start, dtype=np.int32).tobytes()
+    assert lp._index.tobytes() == np.array(index, dtype=np.int32).tobytes()
+    assert lp._value.tobytes() == np.array(value, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(installed_systems())
 def test_warm_started_path_lp_equals_cold_oracle(instance):
     system, demands = instance
     for demand in demands:

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core.path_system import PathSystem
+from repro.core.routing import Routing
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
-from repro.exceptions import GraphError, SolverError
+from repro.exceptions import GraphError, LinalgError, SolverError
+from repro.graphs import topologies
 from repro.graphs.network import Network
+from repro.linalg.compiled import CompiledRouting
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.te.failures import (
     FailureEvent,
@@ -137,3 +140,42 @@ def test_failed_edge_with_numpy_labels_breaks_the_paths_crossing_it(failed):
     event = FailureEvent(failed_edges=(failed,))
     degraded = apply_failure(network, event)
     assert readapt_surviving(system, Demand({(0, 10): 1.0}), event, degraded) == (0.0, None)
+
+
+def _mixed_label_network():
+    """A 7-vertex graph whose labels mix ints, strings and tuples; ``"v6"`` hangs on a bridge."""
+    labels = [0, "v1", (2, "t"), 3, "v4", (5, "t"), "v6"]
+    graph = nx.cycle_graph(6)
+    graph.add_edges_from([(0, 3), (1, 4), (5, 6)])
+    return Network(nx.relabel_nodes(graph, dict(enumerate(labels))))
+
+
+@pytest.mark.parametrize("network", [topologies.torus_2d(3), _mixed_label_network()],
+                         ids=["torus3", "mixed-labels"])
+def test_surviving_coverage_equals_a_per_path_oracle(network):
+    system = alpha_sample(RaeckeTreeRouting(network, rng=0), 2, rng=0)
+    pairs = system.pairs()
+    demand = Demand({pair: 1.0 for pair in pairs})
+    routing = Routing(network, {
+        pair: {path: 1.0 / len(paths) for path in paths} for pair, paths in system.items()
+    })
+    compiled = CompiledRouting.from_routing(routing)
+    coverages = []
+    for u, v in network.edges:
+        event = cut(u, v)
+        failed = {network.edge_index(u, v)}
+        oracle = [
+            any(failed.isdisjoint(network.path_edge_ids(path)) for path in system.paths(*pair))
+            for pair in pairs
+        ]
+        coverage = readapt_surviving(system, demand, event, None)[0]
+        assert coverage == sum(oracle) / len(pairs)
+        rebased = compiled.rebased(event)
+        assert [rebased.is_covered(*pair) for pair in pairs] == oracle
+        coverages.append(coverage)
+    assert min(coverages) < 1.0  # some event breaks every path of a pair
+    unknown = cut(network.vertices[0], "nowhere")
+    with pytest.raises(GraphError):
+        readapt_surviving(system, demand, unknown, None)
+    with pytest.raises(LinalgError):
+        compiled.rebased(unknown)

@@ -59,8 +59,3 @@ def test_indexing(cube3):
     series = diurnal_gravity_series(cube3, num_snapshots=3, rng=0)
     assert series[0].size() > 0
     assert series[2] is series.snapshots[2]
-
-
-def test_empty_series_as_matrix_raises():
-    with pytest.raises(DemandError):
-        TrafficMatrixSeries(snapshots=[]).as_matrix({(0, 1): 0})
