@@ -12,11 +12,12 @@ paper: plain α-sparsity and (α + cut_G)-sparsity.  Its
 path LP is built from, and :meth:`~PathSystem.rate_lp` caches that LP
 between demands.
 
-:class:`PathIncidence` is the one place where paths become edge ids:
-the path LP reads a system's incidence, a compiled routing
-(:mod:`repro.linalg.compiled`) builds one over its support paths, and
-both decide which paths survive a link failure with
-:meth:`PathIncidence.surviving`.
+:class:`PathIncidence` is the one form of paths as edge ids: the path
+LP reads a system's incidence, a routing materialized by an oblivious
+builder carries the one its audit built (:mod:`repro.oblivious.base`),
+a compiled routing (:mod:`repro.linalg.compiled`) reorders that one or
+builds its own over the support paths, and both decide which paths
+survive a link failure with :meth:`PathIncidence.surviving`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,23 @@ from repro.graphs.network import Network, Path, Vertex
 
 Pair = Tuple[Vertex, Vertex]
 T = TypeVar("T")
+
+
+def row_slots(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For rows of ``counts[i]`` slots, flattened in order: each slot's row and its offset in it."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def take_rows(
+    indptr: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (in that order) of the CSR ``(indptr, values)``: row pointers and values."""
+    counts = np.diff(indptr)[rows]
+    taken = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=taken[1:])
+    row, offset = row_slots(counts)
+    return taken, values[indptr[rows][row] + offset]
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,27 @@ class PathIncidence:
             paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
             capacities=network.capacities,
         )
+
+    def take(self, rows: np.ndarray, slices: Dict[Pair, Tuple[int, int]]) -> "PathIncidence":
+        """The incidence of paths ``rows`` (in that order), whose pairs own ``slices`` of them."""
+        indptr, edge_ids = take_rows(self.indptr, self.edge_ids, rows)
+        paths = self.paths
+        return PathIncidence(
+            paths=tuple([paths[index] for index in rows.tolist()]),
+            slices=slices,
+            indptr=indptr,
+            edge_ids=edge_ids,
+            capacities=self.capacities,
+        )
+
+    def reordered(self, pairs: Sequence[Pair]) -> "PathIncidence":
+        """The rows of ``pairs``, pairs in that order: one gather, no path walked again."""
+        bounds = np.array([self.slices[pair] for pair in pairs], dtype=np.int64).reshape(-1, 2)
+        counts = bounds[:, 1] - bounds[:, 0]
+        row, offset = row_slots(counts)
+        stops = np.cumsum(counts).tolist()
+        slices = dict(zip(pairs, zip([0] + stops[:-1], stops)))
+        return self.take(bounds[row, 0] + offset, slices)
 
     def surviving(self, failed_ids: Iterable[int]) -> np.ndarray:
         """Per path, True when it crosses none of the edge ids ``failed_ids``."""
@@ -252,4 +291,4 @@ class PathSystem:
         )
 
 
-__all__ = ["PathSystem", "PathIncidence", "Pair"]
+__all__ = ["PathSystem", "PathIncidence", "Pair", "row_slots", "take_rows"]

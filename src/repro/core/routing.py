@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.path_system import PathSystem
+import numpy as np
+
+from repro.core.path_system import PathIncidence, PathSystem
 from repro.demands.demand import Demand
 from repro.exceptions import RoutingError
 from repro.graphs.network import Network, Path, Vertex, path_edges
 
 Pair = Tuple[Vertex, Vertex]
 
-_PROBABILITY_TOL = 1e-6
+#: How far a pair's probabilities may sum from 1 before they are renormalized.
+PROBABILITY_TOL = 1e-6
 
 
 class Routing:
@@ -49,6 +52,9 @@ class Routing:
         self._network = network
         self._distributions: Dict[Pair, Dict[Path, float]] = {}
         self._evaluators: Dict[str, object] = {}
+        #: The support paths' incidence, when the routing was materialized
+        #: with one; dropped by every mutation.
+        self._incidence: Optional[PathIncidence] = None
         #: Bumped on every mutation; evaluators snapshot it to detect
         #: staleness (standalone instances outlive the cache clear below).
         self._version = 0
@@ -84,7 +90,7 @@ class Routing:
         if not cleaned:
             raise RoutingError(f"distribution for pair {(source, target)!r} is empty")
         total = sum(cleaned.values())
-        if abs(total - 1.0) > _PROBABILITY_TOL:
+        if not abs(total - 1.0) <= PROBABILITY_TOL:  # a NaN total fails too
             raise RoutingError(
                 f"probabilities for pair {(source, target)!r} sum to {total}, expected 1"
             )
@@ -92,19 +98,25 @@ class Routing:
             path: probability / total for path, probability in cleaned.items()
         }
         self._version += 1
+        self._incidence = None
         self._evaluators.clear()  # compiled/memoized state is now stale
 
     @classmethod
     def _from_validated(
-        cls, network: Network, weights: Mapping[Pair, Mapping[Path, float]]
+        cls,
+        network: Network,
+        weights: Mapping[Pair, Mapping[Path, float]],
+        incidence: Optional[PathIncidence] = None,
     ) -> "Routing":
         """A routing from positive path weights whose paths are already canonical and valid.
 
         For callers whose paths went through
-        :meth:`PathSystem.add_path <repro.core.path_system.PathSystem.add_path>`:
+        :meth:`PathSystem.add_path <repro.core.path_system.PathSystem.add_path>`
+        or the builders' audit (:func:`repro.oblivious.base.audit_paths`):
         each pair's weights are normalized exactly as
         :meth:`set_distribution` normalizes a distribution, without
-        re-validating the paths or checking the sum.
+        re-validating the paths or checking the sum.  ``incidence``, when
+        given, holds every pair's paths in ``weights`` order.
         """
         routing = cls(network)
         for pair, distribution in weights.items():
@@ -112,6 +124,7 @@ class Routing:
             routing._distributions[pair] = {
                 path: weight / total for path, weight in distribution.items()
             }
+        routing._incidence = incidence
         return routing
 
     @classmethod
@@ -151,6 +164,24 @@ class Routing:
         for (source, target), distribution in self._distributions.items():
             system.add_paths(source, target, distribution.keys())
         return system
+
+    def live_incidence(self, pairs: Sequence[Pair]) -> Tuple[PathIncidence, np.ndarray]:
+        """Incidence and probabilities of ``pairs``' live paths (probability > 0), in pair order.
+
+        A routing materialized with an incidence only reorders its rows;
+        otherwise every path is walked once more.
+        """
+        distributions = [self._distributions[pair] for pair in pairs]
+        if self._incidence is not None:
+            probabilities = np.array(
+                [p for distribution in distributions for p in distribution.values()], dtype=float
+            )
+            if (probabilities > 0).all():
+                return self._incidence.reordered(pairs), probabilities
+        live = [{path: p for path, p in d.items() if p > 0} for d in distributions]
+        incidence = PathIncidence.build(self._network, zip(pairs, live))
+        probabilities = np.array([p for d in live for p in d.values()], dtype=float)
+        return incidence, probabilities
 
     def support_sparsity(self) -> int:
         """Maximum support size over pairs (the α of an α-sparse oblivious routing)."""

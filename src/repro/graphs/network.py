@@ -10,9 +10,12 @@ equivalent to ``c`` parallel unit edges), and provides:
 * edge ids from one interned adjacency map ``{u: {v: edge_id}}`` for every
   hot lookup (:func:`edge_key` is kept only for the public edge keys),
 * directed-arc iteration,
-* path validation (simple, adjacent, correct endpoints),
+* path validation (simple, adjacent, correct endpoints), per path on
+  vertex labels or in bulk on vertex indices (:meth:`Network.vertex_indices`,
+  :meth:`Network.arc_edge_ids`),
 * congestion accounting for weighted path collections,
-* cached shortest paths and connectivity checks.
+* shortest paths (one networkx search per call; nothing is cached) and
+  the connectivity check at construction.
 
 Paths are represented everywhere as tuples of vertices
 ``(v0, v1, ..., vk)`` with ``v0`` the source and ``vk`` the destination.
@@ -21,6 +24,7 @@ Paths are represented everywhere as tuples of vertices
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -121,6 +125,16 @@ class Network:
             dtype=np.dtype((np.int64, 2)), count=len(self._edges),
         )
         self._endpoints.flags.writeable = False
+        # Both arcs of every edge as sorted keys ``tail * n + head``, with their edge ids.
+        n = len(self._vertices)
+        keys = np.concatenate([
+            self._endpoints[:, 0] * n + self._endpoints[:, 1],
+            self._endpoints[:, 1] * n + self._endpoints[:, 0],
+        ])
+        order = np.argsort(keys)
+        self._arc_keys = keys[order]
+        self._arc_edges = np.tile(np.arange(len(self._edges), dtype=np.int64), 2)[order]
+        self._arc_keys.flags.writeable = self._arc_edges.flags.writeable = False
         self._adjacent: Dict[Vertex, Dict[Vertex, int]] = {v: {} for v in self._vertices}
         for index, (u, v) in enumerate(self._edges):
             self._adjacent[u][v] = self._adjacent[v][u] = index
@@ -182,6 +196,28 @@ class Network:
         except (KeyError, TypeError):
             # Walk again through edge_index for the typed error naming the bad step.
             return [self.edge_index(u, v) for u, v in zip(path, path[1:])]
+
+    def vertex_indices(self, vertices: Iterable[Vertex]) -> np.ndarray:
+        """Each of ``vertices``' index as an int64 array, ``-1`` for a label not in the network."""
+        return np.fromiter(map(self._vertex_index.get, vertices, repeat(-1)), np.int64)
+
+    def arc_edge_ids(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Edge ids of the arcs ``tails[i] -> heads[i]`` (vertex indices); ``-1`` if not adjacent.
+
+        One ``searchsorted`` of the arcs' keys ``tail * n + head`` into the
+        sorted keys of both arcs of every edge.
+        """
+        keys = np.asarray(tails, dtype=np.int64) * self.num_vertices + heads
+        if not len(self._arc_keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        slots = np.minimum(np.searchsorted(self._arc_keys, keys), len(self._arc_keys) - 1)
+        return np.where(self._arc_keys[slots] == keys, self._arc_edges[slots], -1)
+
+    def arcs_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both arcs of every edge, CSR by tail: ``(indptr, heads, edge_ids)``, heads ascending."""
+        n = self.num_vertices
+        indptr = np.searchsorted(self._arc_keys, np.arange(n + 1) * n)
+        return indptr, self._arc_keys % n, self._arc_edges
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._vertex_index
@@ -381,7 +417,8 @@ class Network:
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         # A pickle round trip drops the flag.
-        self._capacity_array.flags.writeable = self._endpoints.flags.writeable = False
+        for array in (self._capacity_array, self._endpoints, self._arc_keys, self._arc_edges):
+            array.flags.writeable = False
 
     def __contains__(self, vertex: Vertex) -> bool:
         return self.has_vertex(vertex)

@@ -10,7 +10,10 @@ executable:
 * the **path × edge incidence matrix** ``A`` has ``A[p, e] = 1`` when
   path ``p`` crosses edge ``e``; it is the
   :class:`~repro.core.path_system.PathIncidence` of the support paths,
-  the same form the Stage-4 path LP reads;
+  the same form the Stage-4 path LP reads.  A routing an oblivious
+  builder materialized carries one from its audit, whose rows are only
+  permuted into the compiled pair order
+  (:meth:`Routing.live_incidence <repro.core.routing.Routing.live_incidence>`);
 * the **pair × path distribution matrix** ``D`` has ``D[q, p]`` equal to
   the probability of path ``p`` in the pair-``q`` distribution;
 * their product ``M = D @ A`` (pair × edge) maps a demand *vector* to
@@ -133,16 +136,7 @@ class CompiledRouting:
     def _compile(cls, routing, network, span) -> "CompiledRouting":
         pairs: Tuple[Pair, ...] = tuple(sorted(routing.pairs(), key=repr))
         num_pairs = len(pairs)
-        probabilities: List[float] = []
-
-        def live_paths():
-            for pair in pairs:
-                live = {path: p for path, p in routing.distribution(*pair).items() if p > 0}
-                probabilities.extend(live.values())
-                yield pair, live
-
-        incidence = PathIncidence.build(network, live_paths())
-        path_prob = np.array(probabilities, dtype=float)
+        incidence, path_prob = routing.live_incidence(pairs)
         path_pair = np.repeat(
             np.arange(num_pairs), [stop - start for start, stop in incidence.slices.values()]
         )

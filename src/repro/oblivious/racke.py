@@ -28,29 +28,50 @@ Theorem 5.3 needs from its sampling source.
 
 Representation
 --------------
-Each tree is kept as the parent map (and per-vertex depth) of the
-shortest-path tree it comes from, rooted at its Dijkstra root.  A tree
-has exactly one simple ``s``–``t`` path, so a path is read off the map
-by walking both endpoints up to their lowest common ancestor, O(depth)
-steps; no per-pair graph search runs.  The relative loads use the same
-map: subtree sizes accumulate in order of decreasing depth.
+Each tree is kept as two int arrays over vertex indices: every vertex's
+parent (the root is its own parent) and its depth.  The shortest-path
+tree comes from one ``scipy.sparse.csgraph.dijkstra`` call from the root
+on a CSR graph built once per builder, whose arc weights each tree
+overwrites.  The relative loads take subtree sizes from the parent
+array, accumulated level by level from the deepest.
+
+A tree has exactly one simple ``s``–``t`` path, so no per-pair graph
+search runs: :meth:`RaeckeTreeRouting.tree_path` walks both endpoints up
+to their lowest common ancestor, and :meth:`RaeckeTreeRouting.routing`
+reads the paths of every pair at once from an ancestor table
+(``anc[k]`` maps each vertex to its ``k``-th ancestor) in numpy.
+
+Ties
+----
+With ``perturbation > 0`` the edge lengths carry continuous noise, so
+equal-distance ties have probability zero and each tree is the one
+networkx's Dijkstra builds from the same lengths.  With
+``perturbation=0`` ties are common (uniform capacities); a tie keeps the
+predecessor csgraph's heap settles first, which can differ from
+networkx's order.  The tree is still a spanning shortest-path tree, and
+the same seed gives the same trees.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from repro.exceptions import RoutingError
+from repro.core.path_system import row_slots
+from repro.exceptions import GraphError, RoutingError
 from repro.graphs.network import Network, Path, Vertex
-from repro.oblivious.base import ObliviousRoutingBuilder
+from repro.oblivious.base import IndexPaths, ObliviousRoutingBuilder, Pair
 from repro.utils.rng import RngLike, ensure_rng
 
-#: A routing tree: each vertex's parent (``None`` at the root) and depth.
-ParentMap = Dict[Vertex, Optional[Vertex]]
-DepthMap = Dict[Vertex, int]
+#: A routing tree over vertex indices: each vertex's parent (the root's is
+#: itself) and depth.
+Tree = Tuple[np.ndarray, np.ndarray]
 
 
 class RaeckeTreeRouting(ObliviousRoutingBuilder):
@@ -66,7 +87,11 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         Multiplicative-weights learning rate.
     perturbation:
         Relative random perturbation applied to edge lengths when
-        building each tree (diversifies the tree collection).
+        building each tree (diversifies the tree collection).  At ``0``
+        equal-distance ties keep the predecessor csgraph's Dijkstra
+        settles first, not networkx's: each tree is still a spanning
+        shortest-path tree and deterministic for a seed, but may differ
+        from the tree networkx would pick.
     rng:
         Randomness source (seed, Generator, or None).
     """
@@ -90,7 +115,10 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         self._epsilon = epsilon
         self._perturbation = perturbation
         self._rng = ensure_rng(rng)
-        self._trees: List[Tuple[ParentMap, DepthMap]] = []
+        self._labels = network.vertices
+        self._trees: List[Tree] = []
+        # The same trees as lists, for the per-pair walk of ``tree_path``.
+        self._walks: List[Tuple[List[int], List[int]]] = []
         self._tree_weights: List[float] = []
         self._build_trees()
 
@@ -99,12 +127,15 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
     # ------------------------------------------------------------------ #
     @property
     def trees(self) -> List[nx.Graph]:
-        """The routing trees (spanning trees of the network), built from the parent maps."""
+        """The routing trees (spanning trees of the network), built from the parent arrays."""
+        labels = self._labels
         graphs = []
         for parent, _ in self._trees:
             tree = nx.Graph()
             tree.add_nodes_from(self.network.graph.nodes())
-            tree.add_edges_from((v, u) for v, u in parent.items() if u is not None)
+            tree.add_edges_from(
+                (labels[v], labels[u]) for v, u in enumerate(parent.tolist()) if u != v
+            )
             graphs.append(tree)
         return graphs
 
@@ -114,63 +145,38 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         return list(self._tree_weights)
 
     def _build_trees(self) -> None:
-        edges = self.network.edges
-        lengths: List[float] = [1.0 / self.network.capacity_of(edge) for edge in edges]
-        # One Dijkstra graph; each tree rewrites its edge weights in place, so
-        # adjacency order and tie-breaks are those of a graph built per tree.
-        weighted = nx.Graph()
-        weighted.add_edges_from(edges)
-        slots = [weighted[u][v] for u, v in edges]
+        network = self.network
+        n = network.num_vertices
+        capacities = network.capacities
+        lengths = 1.0 / capacities
+        # One Dijkstra graph over both arcs of every edge; each tree
+        # overwrites its arc weights.
+        indptr, heads, arc_edges = network.arcs_csr()
+        graph = sparse.csr_matrix((np.ones(len(heads)), heads, indptr), shape=(n, n))
         for _ in range(self._num_trees):
-            parent, depth = self._congestion_aware_tree(weighted, slots, lengths)
+            noise = 1.0 + self._perturbation * self._rng.random(len(lengths))
+            graph.data[:] = (lengths * noise)[arc_edges]
+            parent, depth = _shortest_path_tree(graph, int(self._rng.integers(0, n)))
             self._trees.append((parent, depth))
-            loads = self._relative_loads(parent, depth)
-            max_load = max(loads.values(), default=1.0)
+            self._walks.append((parent.tolist(), depth.tolist()))
+            # Relative loads: removing the tree edge above ``child`` splits
+            # the vertices into ``below`` and ``n - below``; the uniform
+            # all-pairs demand sends ``below * (n - below)`` units over it.
+            # Non-tree edges receive no load.
+            child = np.flatnonzero(parent != np.arange(n))
+            edges = network.arc_edge_ids(child, parent[child])
+            below = _subtree_sizes(parent, depth)[child]
+            loads = below * (n - below) / capacities[edges]
+            max_load = loads.max() if len(loads) else 1.0
             if max_load <= 0:
                 max_load = 1.0
-            for edge_id, load in loads.items():
-                lengths[edge_id] *= math.exp(self._epsilon * load / max_load)
+            # math.exp, not np.exp: numpy does not promise the same last bit.
+            lengths[edges] *= [math.exp(x) for x in (self._epsilon * loads / max_load).tolist()]
         # Uniform mixture: each tree contributes equally.  (Weighting trees
         # by inverse max relative load gave no measurable improvement in
         # calibration runs and complicates reproducibility, so we keep the
         # uniform mixture and let the MWU length updates do the balancing.)
         self._tree_weights = [1.0 / len(self._trees)] * len(self._trees)
-
-    def _congestion_aware_tree(
-        self, weighted: nx.Graph, slots: List[Dict[str, float]], lengths: List[float]
-    ) -> Tuple[ParentMap, DepthMap]:
-        """A shortest-path tree from a random root (``slots[i]``: edge ``i``'s weight dict)."""
-        for slot, base in zip(slots, lengths):
-            noise = 1.0 + self._perturbation * float(self._rng.random())
-            slot["weight"] = base * noise
-        root_index = int(self._rng.integers(0, self.network.num_vertices))
-        root = self.network.vertices[root_index]
-        _, paths = nx.single_source_dijkstra(weighted, root, weight="weight")
-        if len(paths) != self.network.num_vertices:
-            raise RoutingError("failed to build a spanning routing tree")
-        parent: ParentMap = {v: (path[-2] if len(path) > 1 else None) for v, path in paths.items()}
-        depth: DepthMap = {v: len(path) - 1 for v, path in paths.items()}
-        return parent, depth
-
-    def _relative_loads(self, parent: ParentMap, depth: DepthMap) -> Dict[int, float]:
-        """Relative load each network edge (by id) receives when the uniform demand rides the tree.
-
-        Removing a tree edge splits the vertices into two sides of sizes
-        ``a`` and ``n - a``; the uniform all-pairs demand sends ``a * (n -
-        a)`` units over that edge.  Non-tree edges receive no load.
-        """
-        n = self.network.num_vertices
-        loads: Dict[int, float] = {}
-        subtree_size = {vertex: 1 for vertex in parent}
-        for vertex in sorted(parent, key=depth.__getitem__, reverse=True):
-            above = parent[vertex]
-            if above is None:
-                continue
-            below = subtree_size[vertex]
-            subtree_size[above] += below
-            edge_id = self.network.edge_index(vertex, above)
-            loads[edge_id] = below * (n - below) / self.network.capacity(vertex, above)
-        return loads
 
     # ------------------------------------------------------------------ #
     # Distribution per pair
@@ -181,18 +187,24 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
         Walks the deeper endpoint up to the other's depth, then both
         together until they meet at their lowest common ancestor.
         """
-        parent, depth = self._trees[index]
-        up = [source]
-        down = [target]
-        while depth[up[-1]] > depth[down[-1]]:
-            up.append(parent[up[-1]])
-        while depth[down[-1]] > depth[up[-1]]:
-            down.append(parent[down[-1]])
-        while up[-1] != down[-1]:
-            up.append(parent[up[-1]])
-            down.append(parent[down[-1]])
+        parent, depth = self._walks[index]
+        u = self.network.vertex_index(source)
+        v = self.network.vertex_index(target)
+        up, down = [u], [v]
+        while depth[u] > depth[v]:
+            u = parent[u]
+            up.append(u)
+        while depth[v] > depth[u]:
+            v = parent[v]
+            down.append(v)
+        while u != v:
+            u, v = parent[u], parent[v]
+            up.append(u)
+            down.append(v)
         down.pop()
-        return tuple(up + down[::-1])
+        up.extend(reversed(down))
+        labels = self._labels
+        return tuple([labels[vertex] for vertex in up])
 
     def distribution_for(self, source: Vertex, target: Vertex) -> Dict[Path, float]:
         distribution: Dict[Path, float] = {}
@@ -201,11 +213,98 @@ class RaeckeTreeRouting(ObliviousRoutingBuilder):
             distribution[path] = distribution.get(path, 0.0) + weight
         return distribution
 
+    def _index_paths(self, pairs: Sequence[Pair]) -> IndexPaths:
+        """Every tree's path of every pair, pair by pair in tree order, from the ancestor tables."""
+        ends = self.network.vertex_indices(chain.from_iterable(pairs)).reshape(-1, 2)
+        if (ends < 0).any():
+            raise GraphError("both endpoints of every pair must be network vertices")
+        walks = [_tree_paths(*tree, ends[:, 0], ends[:, 1]) for tree in self._trees]
+        # Row ``q * trees + k`` is pair ``q``'s path in tree ``k``.
+        counts = np.column_stack([count for count, _ in walks]).ravel()
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        vertices = np.empty(indptr[-1], dtype=np.int64)
+        for index, (count, flat) in enumerate(walks):
+            row, offset = row_slots(count)
+            vertices[indptr[index:-1:len(walks)][row] + offset] = flat
+        return IndexPaths(
+            path_ptr=np.arange(len(pairs) + 1, dtype=np.int64) * len(walks),
+            indptr=indptr,
+            vertices=vertices,
+            probs=np.tile(self._tree_weights, len(pairs)),
+        )
+
     def sample_path(self, source: Vertex, target: Vertex, rng: RngLike = None) -> Path:
         """Draw one path: pick a tree by weight, return its unique (s, t)-path."""
         generator = ensure_rng(rng) if rng is not None else self._rng
         index = int(generator.choice(len(self._trees), p=self._tree_weights))
         return self.tree_path(index, source, target)
+
+
+def _shortest_path_tree(graph: sparse.csr_matrix, root: int) -> Tree:
+    """The Dijkstra tree of ``graph`` from ``root``: parent (the root's is itself) and depth."""
+    _, parent = csgraph.dijkstra(graph, indices=root, return_predecessors=True)
+    parent = parent.astype(np.int64)
+    parent[root] = root
+    if (parent < 0).any():
+        raise RoutingError("failed to build a spanning routing tree")
+    # Pointer jumping: ``depth[v]`` counts the steps from ``v`` to ``jump[v]``.
+    depth = (parent != np.arange(len(parent))).astype(np.int64)
+    jump = parent
+    while (jump != root).any():
+        depth += depth[jump]
+        jump = jump[jump]
+    return parent, depth
+
+
+def _subtree_sizes(parent: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Vertices in each vertex's subtree, accumulated level by level from the deepest."""
+    size = np.ones(len(parent), dtype=np.int64)
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+    for level in range(depth.max(), 0, -1):
+        nodes = order[bounds[level]:bounds[level + 1]]
+        np.add.at(size, parent[nodes], size[nodes])
+    return size
+
+
+def _tree_paths(
+    parent: np.ndarray, depth: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The tree path of every ``sources[i]``–``targets[i]``: vertex counts, and vertices flat.
+
+    ``anc[k][v]`` is the ``k``-th ancestor of ``v`` (the root is its own
+    parent).  Both endpoints are lifted to their common depth; a binary
+    search then finds how many more steps reach the lowest common
+    ancestor, and the path is the source's ancestors up to it followed by
+    the target's, reversed.
+    """
+    anc = np.empty((depth.max() + 1, len(parent)), dtype=np.int64)
+    anc[0] = np.arange(len(parent))
+    for k in range(1, len(anc)):
+        anc[k] = parent[anc[k - 1]]
+    common = np.minimum(depth[sources], depth[targets])
+    up = depth[sources] - common
+    down = depth[targets] - common
+    lifted_source = anc[up, sources]
+    lifted_target = anc[down, targets]
+    # Smallest k with a shared k-th ancestor; k = common (the root) always works.
+    low, high = np.zeros_like(common), common
+    while (low < high).any():
+        mid = (low + high) // 2
+        shared = anc[mid, lifted_source] == anc[mid, lifted_target]
+        high = np.where(shared, mid, high)
+        low = np.where(shared, low, mid + 1)
+    up += low
+    down += low
+    counts = up + down + 1
+    starts = np.cumsum(counts) - counts
+    flat = np.empty(int(counts.sum()), dtype=np.int64)
+    row, step = row_slots(up + 1)
+    flat[starts[row] + step] = anc[step, sources[row]]
+    row, step = row_slots(down)
+    flat[starts[row] + counts[row] - 1 - step] = anc[step, targets[row]]
+    return counts, flat
 
 
 __all__ = ["RaeckeTreeRouting"]

@@ -17,24 +17,41 @@ of the bench targets and the ODME demand axis.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict
+from typing import Dict, List, Optional
 
 import networkx as nx
 
 from repro.core.routing import Routing
-from repro.exceptions import RoutingError
+from repro.exceptions import GraphError, RoutingError
 from repro.graphs.network import Network, Path, Vertex
 from repro.oblivious.base import ObliviousRoutingBuilder
 
 
 class ShortestPathRouting(ObliviousRoutingBuilder):
-    """Deterministic single shortest-path routing (ties broken by networkx order)."""
+    """Deterministic single shortest-path routing.
+
+    Each pair's path is the one ``nx.bidirectional_shortest_path`` returns
+    (ties broken by networkx order): :func:`bidirectional_bfs` is an exact
+    port of its search over vertex indices, with every vertex's
+    neighbours in ``network.graph.adj`` order.
+    """
 
     name = "shortest-path"
 
+    def __init__(self, network: Network) -> None:
+        super().__init__(network)
+        self._labels = network.vertices
+        adjacency = network.graph.adj
+        self._neighbours = [
+            network.vertex_indices(adjacency[vertex]).tolist() for vertex in network.vertices
+        ]
+
     def distribution_for(self, source: Vertex, target: Vertex) -> Dict[Path, float]:
-        path = self.network.shortest_path(source, target)
-        return {path: 1.0}
+        network = self.network
+        path = bidirectional_bfs(
+            self._neighbours, network.vertex_index(source), network.vertex_index(target)
+        )
+        return {tuple(map(self._labels.__getitem__, path)): 1.0}
 
 
 class KShortestPathRouting(ObliviousRoutingBuilder):
@@ -87,6 +104,64 @@ class KShortestPathRouting(ObliviousRoutingBuilder):
         return {path: probability for path in paths}
 
 
+def bidirectional_bfs(neighbours: List[List[int]], source: int, target: int) -> List[int]:
+    """A fewest-hop ``source``–``target`` path over vertex indices.
+
+    An exact port of networkx's ``bidirectional_shortest_path``: it is the
+    path networkx returns when ``neighbours[v]`` lists ``v``'s neighbours
+    in the graph's adjacency order.
+    """
+    pred, succ, w = _pred_succ(neighbours, source, target)
+    path = []
+    while w is not None:
+        path.append(w)
+        w = pred[w]
+    path.reverse()
+    w = succ[path[-1]]
+    while w is not None:
+        path.append(w)
+        w = succ[w]
+    return path
+
+
+def _pred_succ(neighbours: List[List[int]], source: int, target: int):
+    """Port of networkx's ``_bidirectional_pred_succ`` (undirected).
+
+    The two frontiers grow a level at a time, the smaller first (forward
+    on a tie), until a vertex both have reached: returns the predecessor
+    map towards ``source``, the successor map towards ``target`` and that
+    vertex.
+    """
+    if target == source:
+        return {target: None}, {source: None}, source
+    pred: Dict[int, Optional[int]] = {source: None}
+    succ: Dict[int, Optional[int]] = {target: None}
+    forward_fringe = [source]
+    reverse_fringe = [target]
+    while forward_fringe and reverse_fringe:
+        if len(forward_fringe) <= len(reverse_fringe):
+            this_level = forward_fringe
+            forward_fringe = []
+            for v in this_level:
+                for w in neighbours[v]:
+                    if w not in pred:
+                        forward_fringe.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return pred, succ, w
+        else:
+            this_level = reverse_fringe
+            reverse_fringe = []
+            for v in this_level:
+                for w in neighbours[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse_fringe.append(w)
+                    if w in pred:
+                        return pred, succ, w
+    raise GraphError(f"no path between vertex indices {source} and {target}")
+
+
 def shortest_path_tree_routing(network: Network) -> Routing:
     """Single shortest path per ordered pair, read off one BFS tree per source.
 
@@ -105,4 +180,9 @@ def shortest_path_tree_routing(network: Network) -> Routing:
     return Routing.single_path(network, mapping)
 
 
-__all__ = ["ShortestPathRouting", "KShortestPathRouting", "shortest_path_tree_routing"]
+__all__ = [
+    "ShortestPathRouting",
+    "KShortestPathRouting",
+    "bidirectional_bfs",
+    "shortest_path_tree_routing",
+]

@@ -1,5 +1,6 @@
 """Unit tests for the compiled linear-algebra evaluation backend."""
 
+import copy
 import hashlib
 import json
 
@@ -356,6 +357,29 @@ def _compiled_arrays_digest() -> str:
 
 def test_compiled_arrays_are_pinned():
     assert _compiled_arrays_digest() == COMPILED_ARRAYS_SHA256
+
+
+@pytest.mark.parametrize("source", ["racke", "spf"])
+def test_compile_from_the_materialized_incidence_is_bit_identical(source):
+    network = isp(pops=6, seed=1)
+    pairs = list(network.vertex_pairs(ordered=True))
+    np.random.default_rng(5).shuffle(pairs)
+    builder = (
+        RaeckeTreeRouting(network, rng=2) if source == "racke" else ShortestPathRouting(network)
+    )
+    routing = builder.routing(pairs)
+    walked = copy.copy(routing)
+    walked._incidence, walked._evaluators = None, {}
+    reordered = CompiledRouting.from_routing(routing)
+    rebuilt = CompiledRouting.from_routing(walked)
+    for name in ("path_pair", "path_prob", "inc_rows", "inc_cols"):
+        assert getattr(reordered, f"_{name}").tobytes() == getattr(rebuilt, f"_{name}").tobytes()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(reordered.pair_edge_operator, name).tobytes() == getattr(
+            rebuilt.pair_edge_operator, name
+        ).tobytes()
+    assert reordered._incidence.paths == rebuilt._incidence.paths
+    assert reordered._incidence.slices == rebuilt._incidence.slices
 
 
 def test_edge_ids_never_go_through_edge_key(monkeypatch):

@@ -1,6 +1,7 @@
 """Unit tests for the Räcke-style MWU-over-trees oblivious routing."""
 
 import hashlib
+import math
 
 import networkx as nx
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.demands.generators import random_permutation_demand
+from repro.core.routing import Routing
 from repro.exceptions import RoutingError
 from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.mcf.lp import min_congestion_lp
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.synth import isp
+
+from strategies import labelled_networks
 
 
 def test_trees_are_spanning(small_expander):
@@ -117,28 +121,6 @@ def test_tree_paths_run_no_graph_search(monkeypatch):
         network.validate_path(builder.sample_path(source, target), source=source, target=target)
 
 
-# Vertex labels of each type, from an integer index.
-_LABELS = {
-    "int": lambda i: i,
-    "str": lambda i: f"v{i}",
-    "tuple": lambda i: (i // 3, i % 3),
-}
-
-
-@st.composite
-def labelled_networks(draw) -> Network:
-    """A connected 2-9 node graph with int, str or tuple labels and random capacities."""
-    label = _LABELS[draw(st.sampled_from(sorted(_LABELS)))]
-    n = draw(st.integers(2, 9))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a random spanning tree
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
-    graph = nx.Graph()
-    for u, v in sorted(edges):
-        graph.add_edge(label(u), label(v), capacity=draw(st.floats(0.25, 4.0, allow_nan=False)))
-    return Network(graph)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     network=labelled_networks(),
@@ -159,3 +141,99 @@ def test_tree_paths_are_the_unique_tree_paths(network, num_trees, seed):
             expected = tuple(nx.shortest_path(tree, source, target))
             assert builder.tree_path(index, source, target) == expected
         assert sum(builder.distribution_for(source, target).values()) == pytest.approx(1.0)
+
+
+def _parent_maps(builder):
+    """Each tree's ``{vertex: parent}`` (``None`` at the root), by vertex label."""
+    vertices = builder.network.vertices
+    return [
+        {vertices[v]: (vertices[u] if u != v else None) for v, u in enumerate(parent.tolist())}
+        for parent, _ in builder._trees
+    ]
+
+
+def _mwu_step(network, parent, lengths, epsilon):
+    """The lengths after one tree: the MWU update from the tree's relative loads."""
+    n = network.num_vertices
+    depth = {}
+    for vertex in parent:
+        steps, above = 0, vertex
+        while parent[above] is not None:
+            steps, above = steps + 1, parent[above]
+        depth[vertex] = steps
+    size = {vertex: 1 for vertex in parent}
+    loads = {}
+    for vertex in sorted(parent, key=depth.__getitem__, reverse=True):
+        above = parent[vertex]
+        if above is not None:
+            size[above] += size[vertex]
+            edge = network.edge_index(vertex, above)
+            loads[edge] = size[vertex] * (n - size[vertex]) / network.capacity(vertex, above)
+    top = max(loads.values(), default=1.0)
+    lengths = list(lengths)
+    for edge, load in loads.items():
+        lengths[edge] *= math.exp(epsilon * load / top)
+    return lengths
+
+
+def _networkx_parent_maps(network, num_trees, epsilon, perturbation, seed):
+    """The trees of the same MWU construction with networkx's Dijkstra (the reference)."""
+    rng = np.random.default_rng(seed)
+    lengths = [1.0 / network.capacity_of(edge) for edge in network.edges]
+    maps = []
+    for _ in range(num_trees):
+        weighted = nx.Graph()
+        for (u, v), base in zip(network.edges, lengths):
+            weighted.add_edge(u, v, weight=base * (1.0 + perturbation * float(rng.random())))
+        root = network.vertices[int(rng.integers(0, network.num_vertices))]
+        _, paths = nx.single_source_dijkstra(weighted, root, weight="weight")
+        maps.append({v: (path[-2] if len(path) > 1 else None) for v, path in paths.items()})
+        lengths = _mwu_step(network, maps[-1], lengths, epsilon)
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    network=labelled_networks(),
+    num_trees=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_csgraph_trees_equal_networkx_dijkstra_trees(network, num_trees, seed):
+    builder = RaeckeTreeRouting(network, num_trees=num_trees, rng=seed)
+    expected = _networkx_parent_maps(network, num_trees, 0.5, 0.3, seed)
+    assert _parent_maps(builder) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(network=labelled_networks(), seed=st.integers(0, 2**16))
+def test_batched_tree_paths_equal_the_per_pair_walk(network, seed):
+    builder = RaeckeTreeRouting(network, num_trees=4, rng=seed)
+    pairs = list(network.vertex_pairs(ordered=True))
+    reference = Routing(network, {pair: builder.distribution_for(*pair) for pair in pairs})
+    routing = RaeckeTreeRouting(network, num_trees=4, rng=seed).routing(pairs)
+    for pair in pairs:
+        assert list(routing.distribution(*pair).items()) == list(
+            reference.distribution(*pair).items()
+        )
+
+
+@pytest.mark.parametrize("network", [topologies.torus_2d(4), topologies.hypercube(3)], ids=str)
+def test_unperturbed_trees_are_deterministic_shortest_path_trees(network):
+    builder = RaeckeTreeRouting(network, perturbation=0, rng=4)
+    maps = _parent_maps(builder)
+    assert maps == _parent_maps(RaeckeTreeRouting(network, perturbation=0, rng=4))
+    lengths = [1.0 / network.capacity_of(edge) for edge in network.edges]
+    for parent in maps:
+        (root,) = [vertex for vertex, above in parent.items() if above is None]
+        tree = nx.Graph((v, u) for v, u in parent.items() if u is not None)
+        assert tree.number_of_nodes() == network.num_vertices and nx.is_tree(tree)
+        weighted = nx.Graph()
+        weighted.add_weighted_edges_from(
+            (u, v, length) for (u, v), length in zip(network.edges, lengths)
+        )
+        distance = nx.single_source_dijkstra_path_length(weighted, root)
+        for vertex, above in parent.items():
+            if above is not None:
+                step = lengths[network.edge_index(vertex, above)]
+                assert distance[vertex] == pytest.approx(distance[above] + step, rel=1e-12)
+        lengths = _mwu_step(network, parent, lengths, 0.5)

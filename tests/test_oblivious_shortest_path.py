@@ -1,10 +1,16 @@
 """Unit tests for shortest-path and k-shortest-path oblivious routings."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import RoutingError
+from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.oblivious.shortest_path import KShortestPathRouting, ShortestPathRouting
+from repro.synth import isp
+
+from strategies import labelled_networks
 
 
 def test_shortest_path_routing_is_deterministic_single_path(cube3):
@@ -14,6 +20,28 @@ def test_shortest_path_routing_is_deterministic_single_path(cube3):
     path, probability = next(iter(distribution.items()))
     assert probability == 1.0
     assert len(path) - 1 == 3
+
+
+def _assert_ported_bfs_returns_the_networkx_paths(network):
+    builder = ShortestPathRouting(network)
+    for source, target in network.vertex_pairs(ordered=True):
+        expected = tuple(nx.bidirectional_shortest_path(network.graph, source, target))
+        assert builder.distribution_for(source, target) == {expected: 1.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(network=labelled_networks())
+def test_ported_bfs_returns_the_networkx_path(network):
+    _assert_ported_bfs_returns_the_networkx_paths(network)
+
+
+@pytest.mark.parametrize(
+    "network",
+    [isp(pops=8, seed=3), topologies.torus_2d(5), topologies.hypercube(4)],
+    ids=["isp8", "torus5", "cube4"],
+)
+def test_ported_bfs_returns_the_networkx_path_on_tied_topologies(network):
+    _assert_ported_bfs_returns_the_networkx_paths(network)
 
 
 def test_ksp_uniform_over_k_paths(cube3):
