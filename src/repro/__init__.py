@@ -60,7 +60,7 @@ from repro.engine import (
 )
 from repro.graphs import Network
 from repro.graphs import topologies
-from repro.linalg import CompiledRouting, available_backends, build_evaluator
+from repro.linalg import CompiledRouting
 from repro.mcf import min_congestion_lp, min_congestion_on_paths
 from repro.oblivious import (
     ElectricalFlowRouting,
@@ -124,10 +124,8 @@ __all__ = [
     "ShortestPathRouting",
     "KShortestPathRouting",
     "HopConstrainedRouting",
-    # Compiled evaluation backends
+    # Compiled evaluation
     "CompiledRouting",
-    "available_backends",
-    "build_evaluator",
     # Scenario sweeps
     "ScenarioSuite",
     "TopologySpec",

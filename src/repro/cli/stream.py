@@ -1,7 +1,7 @@
 """``repro stream``: streaming traffic replay.
 
 Play a time-varying demand stream through one scheme under online
-rerouting policies, evaluated incrementally on the compiled backend::
+rerouting policies, evaluated incrementally on the compiled routing::
 
     python -m repro stream list
     python -m repro stream describe random-walk

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.path_system import PathIncidence, PathSystem
 from repro.demands.demand import Demand
-from repro.exceptions import RoutingError
+from repro.exceptions import LinalgError, RoutingError
 from repro.graphs.network import Network, Path, Vertex, path_edges
 
 Pair = Tuple[Vertex, Vertex]
@@ -203,29 +203,33 @@ class Routing:
                 weighted.append((path, amount * probability))
         return weighted
 
-    def evaluator(self, backend: str):
-        """The cached evaluator for this routing.
+    def evaluator(self, form: str):
+        """The cached evaluator of this routing: ``"auto"`` or ``"dict"``.
 
-        One rule picks ``backend`` by how the routing is used: a routing
+        One rule picks the form by how the routing is used: a routing
         installed once and evaluated for many demands compiles through
-        ``"auto"`` (scipy CSR); a routing evaluated once keeps ``"dict"``
-        (reference loops with a per-demand memo, and the test oracle),
-        because compiling first costs about two dict passes.
-        ``"sparse"`` names the compiled form explicitly.  Evaluators are
-        cached per form (a pickled routing carries them along) and
-        invalidated when a distribution changes; ``"auto"`` and
-        ``"sparse"`` share one cached compile.  See :mod:`repro.linalg`.
+        ``"auto"`` (the :class:`~repro.linalg.compiled.CompiledRouting`
+        itself, one scipy CSR operator); a routing evaluated once keeps
+        ``"dict"`` (reference loops with a per-demand memo, and the test
+        oracle), because compiling first costs about two dict passes.
+        Evaluators are cached per form (a pickled routing carries them
+        along) and dropped when a distribution changes.  Any other name
+        raises :class:`~repro.exceptions.LinalgError`.  See
+        :mod:`repro.linalg`.
         """
-        if backend == "auto":
-            # "auto" and "sparse" are the same compiled form; cache it
-            # under one name to compile only once.
-            backend = "sparse"
-        evaluator = self._evaluators.get(backend)
+        evaluator = self._evaluators.get(form)
         if evaluator is None:
-            from repro.linalg.evaluator import build_evaluator
+            from repro.linalg import CompiledRouting, DictEvaluator
 
-            evaluator = build_evaluator(self, backend)
-            self._evaluators[backend] = evaluator
+            if form == "auto":
+                evaluator = CompiledRouting.from_routing(self)
+            elif form == "dict":
+                evaluator = DictEvaluator(self)
+            else:
+                raise LinalgError(
+                    f"unknown evaluator {form!r}; available: ['auto', 'dict']"
+                )
+            self._evaluators[form] = evaluator
         return evaluator
 
     def edge_congestions(self, demand: Demand) -> Dict[Tuple[Vertex, Vertex], float]:

@@ -49,10 +49,10 @@ class SolverError(ReproError):
 
 
 class LinalgError(ReproError):
-    """Raised when the compiled linear-algebra evaluation backend is misused.
+    """Raised when the compiled linear-algebra evaluation is misused.
 
-    Examples include unknown backend or bench-target names and using a
-    compiled evaluator whose routing has mutated since compilation.
+    Examples include unknown evaluator or bench-target names and using a
+    compiled routing whose routing has mutated since compilation.
     """
 
 
@@ -118,8 +118,8 @@ class ForwardingError(ReproError):
 class ArtifactError(ReproError):
     """Raised when an on-disk sweep artifact store is inconsistent.
 
-    Examples include opening a store whose manifest hash does not match
-    the suite/backend being resumed, duplicate per-cell completion
+    Examples include opening a store whose schema version or manifest
+    hash does not match the suite being resumed, duplicate per-cell completion
     records, and corrupt chunk data that is *not* explainable as a
     crash-truncated final line.  (A truncated final line in the last
     chunk is **not** an error: that is the expected signature of a

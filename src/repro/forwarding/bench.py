@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.bench import legs, violations
 from repro.engine.registry import build_router
-from repro.linalg.evaluator import build_evaluator
+from repro.linalg.compiled import CompiledRouting
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
 from repro.utils.timing import Stopwatch, timing_entry
@@ -84,7 +84,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         )[0]
 
         with Stopwatch() as fractional_watch:
-            fractional_evaluator = build_evaluator(routing, backend="sparse")
+            fractional_evaluator = CompiledRouting.from_routing(routing)
             fractional = float(fractional_evaluator.congestion(demand))
         fractional_total += fractional_watch.elapsed
 
@@ -96,7 +96,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             quantize_total += quantize_watch.elapsed
             with Stopwatch() as realized_watch:
                 quantized = float(
-                    build_evaluator(table.routing(), backend="sparse").congestion(demand)
+                    CompiledRouting.from_routing(table.routing()).congestion(demand)
                 )
             realized_total += realized_watch.elapsed
             gaps[str(buckets)] = quantized / fractional
@@ -114,7 +114,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         with Stopwatch() as flow_watch:
             empirical = realize_flows(table_k8, flows, seed=flow_seed)
             flow_congestion = float(
-                build_evaluator(empirical, backend="sparse").congestion(demand)
+                CompiledRouting.from_routing(empirical).congestion(demand)
             )
         realized_total += flow_watch.elapsed
 

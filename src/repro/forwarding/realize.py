@@ -99,7 +99,6 @@ class RealizationResult:
 
     buckets: int
     flows: Optional[int]
-    backend: str
     fractional_congestion: float
     quantized_congestion: float
     flow_congestion: Optional[float]
@@ -126,7 +125,6 @@ class RealizationResult:
         return {
             "buckets": self.buckets,
             "flows": self.flows,
-            "backend": self.backend,
             "fractional_congestion": self.fractional_congestion,
             "quantized_congestion": self.quantized_congestion,
             "flow_congestion": self.flow_congestion,
@@ -151,8 +149,8 @@ def evaluate_realization(
 
     Returns the forwarding table and a :class:`RealizationResult` whose
     congestions are all evaluated through the compiled operator
-    (``routing.evaluator("auto")``); ``result.backend`` records
-    ``"sparse"``.  A pre-built ``table`` for the same routing skips the
+    (``routing.evaluator("auto")``).  A pre-built ``table`` for the same
+    routing skips the
     quantization step (the ``realized(...)`` scheme caches tables across
     snapshots this way).
     """
@@ -162,7 +160,6 @@ def evaluate_realization(
         "forwarding.realize",
         buckets=table.buckets,
         flows=0 if flows is None else int(flows),
-        backend="sparse",
     ) as span:
         fractional = routing.evaluator("auto").congestion(demand)
         quantized = table.routing().evaluator("auto").congestion(demand)
@@ -173,7 +170,6 @@ def evaluate_realization(
         result = RealizationResult(
             buckets=table.buckets,
             flows=None if flows is None else int(flows),
-            backend="sparse",
             fractional_congestion=fractional,
             quantized_congestion=quantized,
             flow_congestion=flow_congestion,

@@ -19,7 +19,7 @@ import numpy as np
 from repro.bench import AGREEMENT, legs, speedup, violations
 from repro.demands.generators import random_permutation_demand
 from repro.graphs.topologies import torus_2d
-from repro.linalg.evaluator import DictEvaluator, build_evaluator
+from repro.linalg import CompiledRouting, DictEvaluator
 from repro.oblivious.shortest_path import shortest_path_tree_routing
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Stopwatch, timing_entry
@@ -54,7 +54,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
     dict_seconds = dict_watch.elapsed
 
     with Stopwatch() as compile_watch:
-        sparse_evaluator = build_evaluator(routing, backend="sparse")
+        sparse_evaluator = CompiledRouting.from_routing(routing)
     compile_seconds = compile_watch.elapsed
     with Stopwatch() as sparse_watch:
         sparse_congestions = sparse_evaluator.congestions(demands)
@@ -65,8 +65,8 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         "network": {"name": network.name, "n": network.num_vertices, "m": network.num_edges},
         "workload": {
             "num_demands": len(demands),
-            "num_pairs": sparse_evaluator.compiled.num_pairs,
-            "num_paths": sparse_evaluator.compiled.num_paths,
+            "num_pairs": sparse_evaluator.num_pairs,
+            "num_paths": sparse_evaluator.num_paths,
         },
         "backends": {
             "dict": {
@@ -74,7 +74,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 **timing_entry(dict_seconds, count=len(demands), rate_key="demands_per_sec"),
             },
             "sparse": {
-                "backend": sparse_evaluator.backend,
+                "backend": "sparse",
                 **timing_entry(
                     sparse_seconds,
                     count=len(demands),

@@ -26,7 +26,13 @@ Only ``M`` is built, as one CSR matrix straight from the COO triplets of
 Congestion, dilation, utilization percentiles and throughput then reduce
 to vectorized reductions over the resulting edge-load array.
 
-The compiled form is immutable.  Link failures do not require
+The compiled form is immutable and is the evaluator itself:
+``routing.evaluator("auto")`` returns the routing's cached
+:class:`CompiledRouting`.  A compile remembers the routing and its
+version, and refuses to evaluate (:class:`LinalgError`) once that routing
+mutates — a stale compile must be rebuilt, never silently served.
+
+Link failures do not require
 recompilation: :meth:`CompiledRouting.rebased` masks the paths crossing
 failed edges (:meth:`PathIncidence.surviving
 <repro.core.path_system.PathIncidence.surviving>`), renormalizes each
@@ -89,7 +95,9 @@ class CompiledRouting:
 
     Instances are built through :meth:`from_routing` (fresh compile) or
     :meth:`rebased` (failure re-anchoring); the constructor is internal
-    plumbing shared by both.
+    plumbing shared by both.  ``source`` is the compiled routing: its
+    version is recorded here, and every evaluation entry point raises
+    :class:`LinalgError` once it moves.
     """
 
     def __init__(
@@ -104,7 +112,10 @@ class CompiledRouting:
         pair_edge,
         pair_max_hops: np.ndarray,
         covered: np.ndarray,
+        source,
     ) -> None:
+        self._source = source
+        self._source_version = source._version
         self._network = network
         self._pairs = pairs
         self._pair_index: Dict[Pair, int] = {pair: i for i, pair in enumerate(pairs)}
@@ -166,6 +177,7 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=np.ones(num_pairs, dtype=bool),
+            source=routing,
         )
 
     # ------------------------------------------------------------------ #
@@ -219,6 +231,13 @@ class CompiledRouting:
         index = self._pair_index.get((source, target))
         return index is not None and bool(self._covered[index])
 
+    def _check_fresh(self) -> None:
+        if self._source._version != self._source_version:
+            raise LinalgError(
+                "the routing mutated after compilation; recompile it "
+                "(routing.evaluator(\"auto\") re-compiles automatically)"
+            )
+
     # ------------------------------------------------------------------ #
     # Demand vectorization
     # ------------------------------------------------------------------ #
@@ -230,6 +249,7 @@ class CompiledRouting:
         (matching the dict evaluator), ``"drop"`` ignores them.  With
         :meth:`demand_matrix` this is the one demand vectorizer.
         """
+        self._check_fresh()
         vector = np.zeros(self.num_pairs, dtype=float)
         for (source, target), amount in demand.items():
             if amount <= 0:
@@ -248,6 +268,7 @@ class CompiledRouting:
         Stored as CSR, ready for the single ``@ pair_edge_operator``
         product.
         """
+        self._check_fresh()
         rows: List[int] = []
         cols: List[int] = []
         data: List[float] = []
@@ -265,20 +286,17 @@ class CompiledRouting:
                 data.append(float(amount))
         return _build_matrix(rows, cols, data, (len(demands), self.num_pairs))
 
-    def _has_uncovered(self, vector: np.ndarray) -> bool:
-        if self._covered.all():
-            return False
-        return bool(np.any(vector[~self._covered] > 0))
-
     def uncovered_demand(self, vector: np.ndarray) -> bool:
         """True when ``vector`` puts positive demand on an uncovered pair.
 
-        The public twin of the internal coverage check, for callers that
-        maintain their own demand vectors over this compiled pair index
-        (the streaming layer's incremental evaluator): such a demand has
-        infinite congestion by convention.
+        ``vector`` is over this compiled pair index (:meth:`demand_vector`,
+        or one a caller maintains itself, like the streaming layer's
+        incremental evaluator): such a demand has infinite congestion by
+        convention.
         """
-        return self._has_uncovered(vector)
+        if self._covered.all():
+            return False
+        return bool(np.any(vector[~self._covered] > 0))
 
     # ------------------------------------------------------------------ #
     # Evaluation: one demand
@@ -291,7 +309,7 @@ class CompiledRouting:
     def congestion(self, demand, missing: str = "error") -> float:
         """``cong(R, d)``; infinite when a demanded pair lost every path."""
         vector = self.demand_vector(demand, missing=missing)
-        if self._has_uncovered(vector):
+        if self.uncovered_demand(vector):
             return float("inf")
         loads = self._loads(vector[np.newaxis, :])[0]
         if not loads.size:
@@ -308,6 +326,7 @@ class CompiledRouting:
 
     def coverage(self, demand) -> float:
         """Fraction of demanded pairs that still have at least one path."""
+        self._check_fresh()
         pairs = demand.pairs()
         if not pairs:
             return 1.0
@@ -327,7 +346,9 @@ class CompiledRouting:
 
     def congestions(self, demands: Sequence, missing: str = "error") -> np.ndarray:
         """Per-demand max congestion over one batched evaluation."""
-        return self.congestions_from_matrix(self.demand_matrix(demands, missing=missing))
+        with trace_span("linalg.batched_evaluate") as span:
+            span.add("demands", len(demands))
+            return self.congestions_from_matrix(self.demand_matrix(demands, missing=missing))
 
     def congestions_from_matrix(self, batch) -> np.ndarray:
         """Per-demand max congestion for an already-vectorized batch.
@@ -362,8 +383,10 @@ class CompiledRouting:
         renormalization of the scenario runner); ``capacity_scale``
         entries rescale the capacity vector.  The incidence triplets and
         index arrays are shared — nothing is recompiled.  Results are
-        memoized per event.
+        memoized per event.  A rebased copy checks the same routing's
+        version as its parent.
         """
+        self._check_fresh()
         if event.is_null():
             return self
         cached = self._rebase_cache.get(event)
@@ -413,12 +436,6 @@ class CompiledRouting:
 
         capacities = self._capacities.copy()
         for (u, v), scale in event.capacity_scale:
-            if not (0.0 < scale <= 1.0):
-                # Same contract as apply_failure: reject instead of
-                # silently producing zero capacities (0/0 -> NaN).
-                raise GraphError(
-                    f"capacity scale for edge {(u, v)!r} must be in (0, 1], got {scale}"
-                )
             try:
                 index = self._network.edge_index(u, v)
             except GraphError:
@@ -438,6 +455,7 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=covered,
+            source=self._source,
         )
 
     def __repr__(self) -> str:

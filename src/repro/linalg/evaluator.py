@@ -1,85 +1,42 @@
-"""Pluggable evaluation backends for routings.
+"""The ``dict`` evaluator: the reference loops every compiled number is checked against.
 
 Every quality measure downstream of :class:`~repro.core.routing.Routing`
-— congestion, per-edge utilizations, dilation, throughput — funnels
-through an *evaluator*.  Two interchangeable backends implement the same
-contract:
+— congestion, per-edge utilizations, dilation, throughput — has two
+implementations, picked by ``routing.evaluator(form)``:
 
-``dict``
-    The reference implementation: the original per-demand Python loops
-    over ``Dict[Path, float]`` distributions, now with a small
-    per-(routing, demand) memo so one (routing, demand) pair is
-    evaluated exactly once no matter how many metrics ask for it.
+``"auto"``
+    The compiled form, :class:`~repro.linalg.compiled.CompiledRouting`:
+    one scipy CSR matmul ``batch @ M`` per demand batch against the
+    pair × edge operator ``M`` built at compile time.
 
-``sparse``
-    The compiled backend of :mod:`repro.linalg.compiled`: one scipy CSR
-    matmul ``batch @ M`` per demand batch against the pair × edge
-    operator ``M`` built at compile time.
+``"dict"``
+    :class:`DictEvaluator`, defined here: the original per-demand Python
+    loops over ``Dict[Path, float]`` distributions, with a small
+    per-(routing, demand) memo so one (routing, demand) pair is evaluated
+    exactly once no matter how many metrics ask for it.  It is the test
+    oracle, and the form of a routing evaluated only once.
 
-The backends are numerically equivalent within 1e-9 (enforced by the
-randomized suite in ``tests/test_linalg_equivalence.py``); they are not
-bit-identical because float summation order differs.
-
-Contract
---------
-
-* ``edge_loads(demand)`` / ``edge_congestions(demand)`` — per-edge raw
-  loads / capacity-normalized utilizations as dicts keyed by canonical
-  edge (only edges with nonzero load appear);
-* ``congestion(demand)`` / ``dilation(demand)`` — the scalar measures;
-* ``edge_load_matrix(demands)`` / ``congestions(demands)`` — batched
-  variants returning numpy arrays (batch × edge, and batch-length);
-* a demanded pair the routing does not cover raises
-  :class:`~repro.exceptions.RoutingError` in every backend; zero-amount
-  entries are ignored.
+The two agree within 1e-9 on edge loads, ``congestion``, ``congestions``
+and ``dilation`` (enforced by the randomized suite in
+``tests/test_linalg_equivalence.py``); they are not bit-identical
+because float summation order differs.  A demanded pair the routing does
+not cover raises :class:`~repro.exceptions.RoutingError` in both;
+zero-amount entries are ignored.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.exceptions import LinalgError
 from repro.graphs.network import Edge, path_edges
-from repro.linalg.compiled import CompiledRouting
 from repro.obs import trace_span
 
-#: Backend names accepted by :func:`build_evaluator`.
-BACKENDS = ("dict", "sparse")
-
-#: The full set of backend selectors (``Routing.evaluator``,
-#: :func:`build_evaluator`): the concrete backends plus ``"auto"``.
-BACKEND_CHOICES = BACKENDS + ("auto",)
-
-#: How many distinct demands the dict backend memoizes per routing.
+#: How many distinct demands the dict evaluator memoizes per routing.
 _DICT_CACHE_SIZE = 16
-
-
-def available_backends() -> List[str]:
-    """Evaluation backends accepted by :func:`build_evaluator`."""
-    return list(BACKENDS)
-
-
-@runtime_checkable
-class Evaluator(Protocol):
-    """Structural interface of an evaluation backend."""
-
-    backend: str
-
-    def edge_loads(self, demand) -> Dict[Edge, float]: ...
-
-    def edge_congestions(self, demand) -> Dict[Edge, float]: ...
-
-    def congestion(self, demand) -> float: ...
-
-    def dilation(self, demand) -> int: ...
-
-    def edge_load_matrix(self, demands: Sequence) -> np.ndarray: ...
-
-    def congestions(self, demands: Sequence) -> np.ndarray: ...
 
 
 @dataclass
@@ -92,15 +49,13 @@ class _Evaluation:
 
 
 class DictEvaluator:
-    """Reference backend: the original dict loops plus a shared memo.
+    """The reference evaluator: the original dict loops plus a shared memo.
 
     The memo is keyed by the (hashable, immutable) demand and bounded,
     so `congestion`, `edge_congestions`, `dilation` and the TE metrics
     evaluate a given (routing, demand) pair once instead of rebuilding
     the edge-load dict per call.
     """
-
-    backend = "dict"
 
     def __init__(self, routing, cache_size: int = _DICT_CACHE_SIZE) -> None:
         self._routing = routing
@@ -173,7 +128,7 @@ class DictEvaluator:
         return matrix
 
     def congestions(self, demands: Sequence) -> np.ndarray:
-        with trace_span("linalg.batched_evaluate", backend=self.backend) as span:
+        with trace_span("linalg.batched_evaluate") as span:
             span.add("demands", len(demands))
             return np.array(
                 [self._evaluate(demand).congestion for demand in demands], dtype=float
@@ -186,120 +141,4 @@ class DictEvaluator:
         return f"DictEvaluator(routing={self._routing!r}, cached={len(self._cache)})"
 
 
-class SparseEvaluator:
-    """Compiled backend: evaluation as (batched) sparse linear algebra.
-
-    The compiled form is a snapshot: when built via :meth:`from_routing`
-    the evaluator remembers the routing's version and raises
-    :class:`LinalgError` if the routing mutates afterwards — a stale
-    compile must be rebuilt, never silently served.
-    """
-
-    backend = "sparse"
-
-    def __init__(self, compiled: CompiledRouting, source_routing=None) -> None:
-        self._compiled = compiled
-        self._source_routing = source_routing
-        self._source_version = getattr(source_routing, "_version", 0)
-
-    @classmethod
-    def from_routing(cls, routing) -> "SparseEvaluator":
-        """Compile and wrap ``routing``."""
-        return cls(CompiledRouting.from_routing(routing), source_routing=routing)
-
-    @property
-    def compiled(self) -> CompiledRouting:
-        return self._compiled
-
-    def _check_fresh(self) -> None:
-        if self._source_routing is None:
-            return
-        if getattr(self._source_routing, "_version", 0) != self._source_version:
-            raise LinalgError(
-                "the routing mutated after compilation; rebuild the evaluator "
-                "(routing.evaluator(...) re-compiles automatically)"
-            )
-
-    def edge_loads(self, demand) -> Dict[Edge, float]:
-        self._check_fresh()
-        loads = self._compiled.edge_load_vector(demand)
-        edges = self._compiled.network.edges
-        return {edges[i]: float(loads[i]) for i in np.flatnonzero(loads)}
-
-    def edge_congestions(self, demand) -> Dict[Edge, float]:
-        self._check_fresh()
-        loads = self._compiled.edge_load_vector(demand)
-        capacities = self._compiled.capacities
-        edges = self._compiled.network.edges
-        return {edges[i]: float(loads[i] / capacities[i]) for i in np.flatnonzero(loads)}
-
-    def congestion(self, demand) -> float:
-        self._check_fresh()
-        return self._compiled.congestion(demand)
-
-    def dilation(self, demand) -> int:
-        self._check_fresh()
-        return self._compiled.dilation(demand)
-
-    def edge_load_matrix(self, demands: Sequence) -> np.ndarray:
-        self._check_fresh()
-        return self._compiled.edge_load_matrix(demands)
-
-    def congestions(self, demands: Sequence) -> np.ndarray:
-        self._check_fresh()
-        with trace_span("linalg.batched_evaluate", backend=self.backend) as span:
-            span.add("demands", len(demands))
-            return self._compiled.congestions(demands)
-
-    def demand_matrix(self, demands: Sequence):
-        """(batch × pair) matrix reusable across this evaluator's rebases."""
-        self._check_fresh()
-        return self._compiled.demand_matrix(demands)
-
-    def congestions_from_matrix(self, batch) -> np.ndarray:
-        self._check_fresh()
-        return self._compiled.congestions_from_matrix(batch)
-
-    def coverage(self, demand) -> float:
-        self._check_fresh()
-        return self._compiled.coverage(demand)
-
-    def rebased(self, event) -> "SparseEvaluator":
-        """The evaluator for the post-failure renormalized routing (memoized)."""
-        self._check_fresh()
-        rebased = self._compiled.rebased(event)
-        if rebased is self._compiled:
-            return self
-        return SparseEvaluator(
-            rebased,
-            source_routing=self._source_routing,
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseEvaluator(backend={self.backend!r}, compiled={self._compiled!r})"
-
-
-def build_evaluator(routing, backend: str = "auto") -> Evaluator:
-    """Construct an evaluation backend for ``routing``.
-
-    ``backend`` is one of ``"dict"`` (reference loops), ``"sparse"``
-    (scipy CSR), or ``"auto"`` (the compiled default, ``"sparse"``).
-    """
-    if backend == "dict":
-        return DictEvaluator(routing)
-    if backend in BACKEND_CHOICES:
-        return SparseEvaluator.from_routing(routing)
-    raise LinalgError(
-        f"unknown evaluation backend {backend!r}; available: {available_backends()}"
-    )
-
-
-__all__ = [
-    "BACKENDS",
-    "BACKEND_CHOICES",
-    "Evaluator",
-    "DictEvaluator",
-    "SparseEvaluator",
-    "available_backends",
-    "build_evaluator",
-]
+__all__ = ["DictEvaluator"]

@@ -21,7 +21,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.bench import AGREEMENT, legs, speedup, violations
-from repro.linalg.evaluator import DictEvaluator, build_evaluator
+from repro.linalg import CompiledRouting, DictEvaluator
 from repro.net.catalog import catalog_entries, load_catalog_topology
 from repro.net.fitting import fitted_gravity_series
 from repro.oblivious.shortest_path import shortest_path_tree_routing
@@ -63,7 +63,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         with Stopwatch() as dict_watch:
             dict_congestions = dict_evaluator.congestions(demands)
         with Stopwatch() as compile_watch:
-            sparse_evaluator = build_evaluator(routing, backend="sparse")
+            sparse_evaluator = CompiledRouting.from_routing(routing)
         with Stopwatch() as sparse_watch:
             sparse_congestions = sparse_evaluator.congestions(demands)
 

@@ -9,14 +9,15 @@ Two legs:
 
 ``batched``
     The tightest instrumented loop in the repository — batched demand
-    evaluation through the compiled backend.  Three timings over the
+    evaluation through the compiled routing.  Three timings over the
     identical workload, interleaved round-robin; the gated overhead
     figures are medians of per-round paired ratios (see
     :func:`_paired_overhead_pct`):
 
-    * ``baseline`` — ``compiled.congestions(demands)``, the raw inner
-      call below the instrumented wrapper (no ``trace_span`` at all);
-    * ``disabled`` — ``evaluator.congestions(demands)`` with **no
+    * ``baseline`` — ``compiled.congestions_from_matrix(
+      compiled.demand_matrix(demands))``, the work below the
+      instrumented call (no ``trace_span`` at all);
+    * ``disabled`` — ``compiled.congestions(demands)`` with **no
       tracer installed**: the production default, one no-op
       ``trace_span`` check per batch;
     * ``enabled`` — the same call with a recording tracer installed:
@@ -41,7 +42,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.bench import legs, violations
 from repro.linalg.bench import _workload
-from repro.linalg.evaluator import build_evaluator
+from repro.linalg.compiled import CompiledRouting
 from repro.utils.timing import Stopwatch, timing_entry
 
 from repro.obs.sinks import RecordingSink
@@ -153,20 +154,20 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
     network, routing, demands = _workload(scale, seed)
     rounds, inner = _OBS_REPS[scale]
 
-    evaluator = build_evaluator(routing, backend="sparse")
-    compiled = evaluator.compiled
+    compiled = CompiledRouting.from_routing(routing)
     tracer = Tracer(sink=RecordingSink(), role="bench")
 
     def run_baseline():
-        compiled.congestions(demands)
+        # The same work as the other legs, minus their one span.
+        compiled.congestions_from_matrix(compiled.demand_matrix(demands))
 
     def run_disabled():
-        evaluator.congestions(demands)
+        compiled.congestions(demands)
 
     def run_enabled():
         install_tracer(tracer)
         try:
-            evaluator.congestions(demands)
+            compiled.congestions(demands)
         finally:
             uninstall_tracer()
 

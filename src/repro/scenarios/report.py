@@ -37,16 +37,12 @@ ARTIFACT_VERSION = 1
 class SuiteResult:
     """Outcome of one scenario-suite run: manifest plus per-cell rows.
 
-    ``backend`` records the compiled backend that produced the rows
-    (``sparse``; artifacts of the former dense numpy backend say
-    ``dense`` and agree within 1e-9 but differ in float summation
-    order), so an artifact is attributable even when two runs of the
-    same manifest are byte-different.
+    :meth:`from_dict` reads only the suite and the cells, so an older
+    artifact that carries more top-level keys still loads.
     """
 
     suite: ScenarioSuite
     cells: List[Dict[str, Any]] = field(default_factory=list)
-    backend: str = "dict"
 
     # ------------------------------------------------------------------ #
     # Serialization (the JSON artifact)
@@ -55,7 +51,6 @@ class SuiteResult:
         return {
             "artifact": "scenario-suite",
             "version": ARTIFACT_VERSION,
-            "backend": self.backend,
             "suite": self.suite.to_dict(),
             "cells": [dict(cell) for cell in self.cells],
         }
@@ -69,7 +64,6 @@ class SuiteResult:
         return cls(
             suite=ScenarioSuite.from_dict(payload.get("suite", {})),
             cells=[dict(cell) for cell in payload.get("cells", ())],
-            backend=str(payload.get("backend", "dict")),
         )
 
     # ------------------------------------------------------------------ #

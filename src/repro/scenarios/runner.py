@@ -25,8 +25,8 @@ Resumable artifact store
 With ``artifact_dir=`` (or ``resume=``) every completed cell is
 streamed — by the parent, the store's single writer — into an
 append-only chunked :class:`~repro.scenarios.store.ArtifactStore`.  A
-killed sweep resumes by re-opening the store (validated against the
-content hash of the suite and the compiled backend),
+killed sweep resumes by re-opening the store (validated against its
+schema version and the content hash of the suite),
 dropping at most one crash-truncated trailing record, and evaluating
 only the missing cells; finalization re-serializes from store records,
 so the resumed artifact is byte-identical to an uninterrupted run's.
@@ -408,8 +408,7 @@ def run_suite(
     processes (see the module docs).
 
     Fixed-ratio schemes evaluate through their compiled operators
-    (``routing.evaluator("auto")``: scipy CSR); the artifact's
-    ``backend`` field records ``"sparse"``.
+    (``routing.evaluator("auto")``: scipy CSR).
 
     ``artifact_dir`` streams completed cells into a resumable
     :class:`~repro.scenarios.store.ArtifactStore` at that path;
@@ -447,7 +446,7 @@ def run_suite(
         if store is not None:
             store.close()
     cells = [payloads[index] for index in range(suite.num_cells())]
-    return SuiteResult(suite=suite, cells=cells, backend="sparse")
+    return SuiteResult(suite=suite, cells=cells)
 
 
 __all__ = ["run_suite"]

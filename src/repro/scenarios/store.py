@@ -7,13 +7,13 @@ instead of rerunning:
 ``manifest.json``
     Written atomically (temp file + ``os.replace``) when the store is
     created.  Records the store schema version, the suite manifest, the
-    compiled backend (``sparse``), the cell count, and — the resume key —
-    a SHA-256 content hash of the suite and that backend.  Opening a
-    store whose hash does not match the suite resuming it raises a typed
+    cell count, and — the resume key — a SHA-256 content hash of the
+    suite.  Opening a store whose version or hash does not match the
+    suite resuming it raises a typed
     :class:`~repro.exceptions.ArtifactError` instead of silently mixing
-    artifacts from different sweeps.  A store written by the former
-    dense numpy backend hashes differently (its cells were summed in
-    another float order) and is refused the same way.
+    artifacts from different sweeps.  A version-1 store (whose manifest
+    and hash also named the evaluation form) is refused by the version
+    check.
 
 ``cells-00000.jsonl``, ``cells-00001.jsonl``, …
     Chunked completion records, one JSON object per line:
@@ -43,8 +43,9 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.exceptions import ArtifactError
 from repro.utils.serialization import dumps as _json_dumps
 
-#: Store schema version, bumped on any incompatible layout change.
-STORE_VERSION = 1
+#: Store schema version, bumped on any incompatible layout change
+#: (2: the evaluation form left the manifest and its hash).
+STORE_VERSION = 2
 
 #: Manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -55,24 +56,15 @@ DEFAULT_CHUNK_LINES = 512
 _CHUNK_PREFIX = "cells-"
 _CHUNK_SUFFIX = ".jsonl"
 
-#: The compiled backend every sweep evaluates with, recorded in (and
-#: hashed into) the manifest.
-_BACKEND = "sparse"
-
 
 def suite_hash(suite_payload: Mapping[str, Any]) -> str:
     """SHA-256 content hash keying a store to one suite in this environment.
 
-    Computed over the sorted-key canonical JSON of the suite manifest
-    plus the compiled backend the sweep evaluates with, so any change to
-    the grid, the schemes, seeds or snapshot counts — or a store written
-    under another backend — produces a different store identity.
+    Computed over the sorted-key canonical JSON of the suite manifest,
+    so any change to the grid, the schemes, seeds or snapshot counts
+    produces a different store identity.
     """
-    canonical = json.dumps(
-        {"suite": suite_payload, "backend": _BACKEND},
-        sort_keys=True,
-        default=str,
-    )
+    canonical = json.dumps({"suite": suite_payload}, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -117,9 +109,9 @@ class ArtifactStore:
         """Open the store at ``path``, creating it when absent.
 
         An existing store must carry the exact :func:`suite_hash` of
-        ``suite_payload`` — resuming a different sweep into it, or the
-        same sweep stored under another compiled backend, raises
-        :class:`ArtifactError`.
+        ``suite_payload`` and this build's :data:`STORE_VERSION` —
+        resuming a different sweep into it, or a store of another schema
+        version, raises :class:`ArtifactError`.
         """
         manifest_path = os.path.join(path, MANIFEST_NAME)
         expected = suite_hash(suite_payload)
@@ -144,7 +136,7 @@ class ArtifactStore:
             if found != expected:
                 raise ArtifactError(
                     f"store {path} belongs to a different sweep: its suite hash is "
-                    f"{found}, the resuming suite/backend hashes to {expected}"
+                    f"{found}, the resuming suite hashes to {expected}"
                 )
             return cls(path, manifest)
         os.makedirs(path, exist_ok=True)
@@ -152,7 +144,6 @@ class ArtifactStore:
             "artifact": "sweep-store",
             "version": STORE_VERSION,
             "suite_hash": expected,
-            "backend": _BACKEND,
             "num_cells": int(num_cells),
             "chunk_lines": int(chunk_lines),
             "suite": json.loads(_json_dumps(dict(suite_payload), indent=None)),

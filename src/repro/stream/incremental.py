@@ -13,8 +13,8 @@ by maintaining the current demand vector and edge-load vector and
 applying only the **delta**: a step that changes ``k`` pairs touches
 ``k`` rows of ``M`` instead of all of them: the per-row update indexes
 straight into the CSR operator's raw ``indptr``/``indices``/``data``
-arrays.  Dense deltas (more than
-``full_recompute_fraction`` of the pairs changed at once) fall back to
+arrays.  Dense deltas (at least ``_FULL_RECOMPUTE_FRACTION`` of the
+pairs changed at once) fall back to
 one full ``vector @ M`` product — never slower than batch evaluation,
 and a full recompute also resets any accumulated floating-point drift.
 
@@ -33,6 +33,12 @@ from repro.demands.demand import Demand, Pair
 from repro.exceptions import RoutingError
 from repro.linalg.compiled import CompiledRouting
 
+#: When one delta changes at least this fraction of the compiled pairs,
+#: the loads are recomputed as one full ``vector @ M`` product instead of
+#: row-wise updates: faster for dense deltas, and exact (it discards the
+#: floating-point drift the row updates accumulate).
+_FULL_RECOMPUTE_FRACTION = 1 / 16
+
 
 class IncrementalStreamEvaluator:
     """Stateful delta evaluation of a demand stream on one compiled routing.
@@ -42,18 +48,9 @@ class IncrementalStreamEvaluator:
     compiled:
         The compiled routing to evaluate against.  The instance is a
         pure consumer: it never mutates the compiled arrays.
-    full_recompute_fraction:
-        When a single delta changes at least this fraction of the
-        compiled pairs, the loads are recomputed as one full
-        ``vector @ M`` product instead of row-wise updates (faster for
-        dense deltas, and exact — it discards accumulated drift).
     """
 
-    def __init__(
-        self,
-        compiled: CompiledRouting,
-        full_recompute_fraction: float = 1 / 16,
-    ) -> None:
+    def __init__(self, compiled: CompiledRouting) -> None:
         self._compiled = compiled
         self._capacities = compiled.capacities
         self._vector = np.zeros(compiled.num_pairs, dtype=float)
@@ -64,7 +61,7 @@ class IncrementalStreamEvaluator:
         self._num_full_recomputes = 0
         self._operator = compiled.pair_edge_operator
         self._full_threshold = max(
-            1, int(full_recompute_fraction * max(1, compiled.num_pairs))
+            1, int(_FULL_RECOMPUTE_FRACTION * max(1, compiled.num_pairs))
         )
 
     # ------------------------------------------------------------------ #

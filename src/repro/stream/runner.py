@@ -46,7 +46,6 @@ class StreamRunResult:
     stream: str
     scheme: str
     policy: str
-    backend: str
     num_steps: int
     summary: Dict[str, Any] = field(default_factory=dict)
     records: List[Dict[str, Any]] = field(default_factory=list)
@@ -56,7 +55,6 @@ class StreamRunResult:
             "stream": self.stream,
             "scheme": self.scheme,
             "policy": self.policy,
-            "backend": self.backend,
             "num_steps": self.num_steps,
             "summary": dict(self.summary),
         }
@@ -76,7 +74,6 @@ class StreamComparison:
     network_name: str
     stream: str
     scheme: str
-    backend: str
     num_steps: int
     results: Dict[str, StreamRunResult] = field(default_factory=dict)
 
@@ -94,7 +91,6 @@ class StreamComparison:
             "network": self.network_name,
             "stream": self.stream,
             "scheme": self.scheme,
-            "backend": self.backend,
             "num_steps": self.num_steps,
             "policies": {
                 name: result.to_dict(include_steps=include_steps)
@@ -114,7 +110,7 @@ class StreamComparison:
         )
         lines = [
             f"{self.network_name}: {self.stream} x {self.scheme}, "
-            f"{self.num_steps} steps [{self.backend}]",
+            f"{self.num_steps} steps",
             header,
             "-" * len(header),
         ]
@@ -212,8 +208,7 @@ def run_stream(
         artifacts bit-identical to previous releases.
 
     Every installed routing is evaluated incrementally through its
-    compiled operator (``routing.evaluator("auto")``); the result's
-    ``backend`` records ``"sparse"``.
+    compiled operator (``routing.evaluator("auto")``).
     """
     updates = _materialize(stream)
 
@@ -258,7 +253,7 @@ def run_stream(
                 interval = NO_OP_SPAN
                 with trace_span("stream.resolve", step=update.step):
                     routing = policy.resolve(update.step, demand)
-                    evaluator = IncrementalStreamEvaluator(routing.evaluator("auto").compiled)
+                    evaluator = IncrementalStreamEvaluator(routing.evaluator("auto"))
                 evaluator.set_demand(demand, delta=None)
                 resolved = True
             else:
@@ -273,7 +268,7 @@ def run_stream(
                     interval = NO_OP_SPAN
                     with trace_span("stream.resolve", step=update.step, forced=True):
                         routing = policy.resolve(update.step, demand)
-                        evaluator = IncrementalStreamEvaluator(routing.evaluator("auto").compiled)
+                        evaluator = IncrementalStreamEvaluator(routing.evaluator("auto"))
                     evaluator.set_demand(demand, delta=None)
                     resolved = True
                     forced = True
@@ -332,7 +327,6 @@ def run_stream(
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
         policy=policy.name,
-        backend="sparse",
         num_steps=len(updates),
         summary=summary,
         records=records,
@@ -372,7 +366,6 @@ def run_stream_comparison(
         network_name=network.name,
         stream=_stream_label(stream, len(updates)),
         scheme=getattr(router, "name", str(router)),
-        backend="sparse",
         num_steps=len(updates),
     )
     for policy in built:

@@ -33,7 +33,7 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.graphs.network import Network
 from repro.bench import AGREEMENT, legs, violations
-from repro.linalg.evaluator import DictEvaluator, build_evaluator
+from repro.linalg import CompiledRouting, DictEvaluator
 from repro.synth.generators import isp
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import PeakMemory, Stopwatch, timing_entry
@@ -133,7 +133,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
         # window would miss.
         with PeakMemory() as mem:
             with Stopwatch() as compile_watch:
-                evaluator = build_evaluator(routing, backend="sparse")
+                evaluator = CompiledRouting.from_routing(routing)
             with Stopwatch() as evaluate_watch:
                 congestions = evaluator.congestions(demands)
         mem_peak_mb = mem.peak_kb / 1024.0

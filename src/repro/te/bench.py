@@ -18,7 +18,7 @@ from repro.bench import AGREEMENT, legs, speedup, violations
 from repro.core.routing import Routing
 from repro.graphs.network import Network
 from repro.linalg.bench import _workload
-from repro.linalg.evaluator import build_evaluator
+from repro.linalg.compiled import CompiledRouting
 from repro.te.failures import KEdgeFailureProcess, apply_failure
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Stopwatch, timing_entry
@@ -71,7 +71,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 dict_results.append(_renormalized_congestion(routing, demand, degraded))
     dict_seconds = dict_watch.elapsed
 
-    sparse_evaluator = build_evaluator(routing, backend="sparse")
+    sparse_evaluator = CompiledRouting.from_routing(routing)
     sparse_results: List[float] = []
     with Stopwatch() as sparse_watch:
         # The pair index is shared across rebases: vectorize the batch once.
@@ -102,8 +102,8 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
             "num_demands": len(demands),
             "num_events": len(events),
             "num_evaluations": evaluations,
-            "num_pairs": sparse_evaluator.compiled.num_pairs,
-            "num_paths": sparse_evaluator.compiled.num_paths,
+            "num_pairs": sparse_evaluator.num_pairs,
+            "num_paths": sparse_evaluator.num_paths,
         },
         "backends": {
             "dict": {
@@ -111,7 +111,7 @@ def run(scale: str, seed: int) -> Dict[str, Any]:
                 **timing_entry(dict_seconds, count=evaluations, rate_key="demands_per_sec"),
             },
             "sparse": {
-                "backend": sparse_evaluator.backend,
+                "backend": "sparse",
                 **timing_entry(sparse_seconds, count=evaluations, rate_key="demands_per_sec"),
             },
         },

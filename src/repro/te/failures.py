@@ -14,7 +14,8 @@ Contracts
 **Failure events.**  A :class:`FailureEvent` is a set of removed edges
 plus a per-edge capacity-scale map (partial degradation).  Events are
 value objects: JSON round-trippable via ``to_dict``/``from_dict`` and
-independent of the network object they were sampled on.
+independent of the network object they were sampled on.  A scale outside
+``(0, 1]`` is rejected when the event is built.
 
 **Failure processes.**  A :class:`FailureProcess` turns randomness into
 events: ``process.sample(network, rng)`` consumes the passed generator
@@ -118,12 +119,21 @@ class FailureEvent:
     ``failed_edges`` are removed outright; ``capacity_scale`` maps
     surviving edges to a multiplicative capacity factor in ``(0, 1]``.
     The empty event (no removals, no scaling) represents a healthy
-    network and is treated specially by :func:`apply_failure`.
+    network and is treated specially by :func:`apply_failure`.  A scale
+    outside ``(0, 1]`` raises :class:`GraphError` here, so no consumer
+    ever sees one (a zero capacity would turn utilizations into NaN).
     """
 
     failed_edges: Tuple[Edge, ...] = ()
     capacity_scale: Tuple[Tuple[Edge, float], ...] = ()
     label: str = "none"
+
+    def __post_init__(self) -> None:
+        for edge, scale in self.capacity_scale:
+            if not (0.0 < scale <= 1.0):
+                raise GraphError(
+                    f"capacity scale for edge {edge!r} must be in (0, 1], got {scale}"
+                )
 
     def is_null(self) -> bool:
         return not self.failed_edges and not self.capacity_scale
@@ -182,8 +192,6 @@ def apply_failure(network: Network, event: FailureEvent) -> Optional[Network]:
     if not nx.is_connected(graph):
         return None
     for (u, v), scale in event.capacity_scale:
-        if not (0.0 < scale <= 1.0):
-            raise GraphError(f"capacity scale for edge {(u, v)!r} must be in (0, 1], got {scale}")
         if graph.has_edge(u, v):
             graph[u][v]["capacity"] *= scale
     return Network(graph, name=f"{network.name}-{event.label}")

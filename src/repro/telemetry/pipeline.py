@@ -146,7 +146,7 @@ def run_odme_loop(
             continue
         with trace_span("odme.snapshot", snapshot=index):
             routing_true = _routing_of(router.route(truth), scheme)
-            compiled = routing_true.evaluator("auto").compiled
+            compiled = routing_true.evaluator("auto")
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), index]))
             observation = model.observe(compiled, truth, rng=rng)
             with trace_span("odme.estimate", method=method) as estimate_span:
@@ -170,7 +170,7 @@ def run_odme_loop(
 
             congestion_true = compiled.congestion(truth, missing="drop")
             routing_estimated = _routing_of(router.route(estimate.demand), scheme)
-            compiled_estimated = routing_estimated.evaluator("auto").compiled
+            compiled_estimated = routing_estimated.evaluator("auto")
             # The controller installs the estimate-driven routing; the real
             # traffic is still the truth — score it there.  Truth pairs the
             # re-routed state no longer covers are dropped (they would show

@@ -110,7 +110,7 @@ def timing_entry(
 ) -> Dict[str, object]:
     """Build one ``backends``-style timing record for a bench artifact.
 
-    Every bench target stores per-backend measurements as a dict with a
+    Every bench target stores per-leg measurements as a dict with a
     ``seconds`` field plus an optional throughput field derived from an
     item count (``demands_per_sec``, ``steps_per_sec``, ...).  This
     helper is the single place that derivation lives so the artifact

@@ -36,13 +36,9 @@ from repro.forwarding import (
     quantize_routing,
     realize_flows,
 )
-from repro.linalg import BACKENDS
 from repro.net import load_catalog_topology
 from repro.scenarios import get_suite, run_suite
 from repro.stream import build_stream
-
-#: Every compiled backend (all but the dict oracle).
-COMPILED = [backend for backend in BACKENDS if backend != "dict"]
 
 def _routing(network, spec="oblivious(ksp, k=3)", seed=0):
     router = build_router(spec, network, rng=seed)
@@ -191,19 +187,16 @@ class TestQuantizer:
 # Flow realization and convergence
 # --------------------------------------------------------------------- #
 class TestRealization:
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_quantized_congestion_converges_as_buckets_grow(self, cube3, backend):
+    def test_quantized_congestion_converges_as_buckets_grow(self, cube3):
         routing, demand = _routing(cube3)
         gaps = []
         for buckets in (2, 16, 256):
             _, result = evaluate_realization(routing, demand, buckets=buckets)
-            assert result.backend == backend
             gaps.append(abs(result.gap - 1.0))
         assert gaps[0] >= gaps[2]
         assert gaps[2] < 5e-2
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_flow_loads_converge_to_fractional_as_flows_grow(self, cube3, backend):
+    def test_flow_loads_converge_to_fractional_as_flows_grow(self, cube3):
         routing, demand = _routing(cube3)
         table = quantize_routing(routing, buckets=8)
         deviations = []
@@ -211,7 +204,6 @@ class TestRealization:
             _, result = evaluate_realization(
                 routing, demand, buckets=8, flows=flows, seed=7, table=table,
             )
-            assert result.backend == backend
             deviations.append(abs(result.flow_congestion - result.quantized_congestion))
         assert deviations[1] <= deviations[0]
         assert deviations[1] < 0.05 * result.quantized_congestion

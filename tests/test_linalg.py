@@ -1,4 +1,4 @@
-"""Unit tests for the compiled linear-algebra evaluation backend."""
+"""Unit tests for the compiled linear-algebra evaluation."""
 
 import copy
 import hashlib
@@ -15,13 +15,7 @@ from repro.exceptions import LinalgError, RoutingError
 from repro.graphs import network as network_module
 from repro.graphs import topologies
 from repro.graphs.network import Network
-from repro.linalg import (
-    CompiledRouting,
-    DictEvaluator,
-    available_backends,
-    build_evaluator,
-)
-from repro.linalg.compiled import CompiledRouting
+from repro.linalg import CompiledRouting, DictEvaluator
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
@@ -152,23 +146,25 @@ def test_rebase_rejects_invalid_capacity_scale(square):
             )
 
 
-def test_suite_artifact_records_resolved_backend():
-    from repro.scenarios import get_suite, run_suite
+def test_suite_result_reads_an_artifact_with_a_backend_key():
+    from repro.scenarios import SuiteResult, get_suite
 
-    assert run_suite(get_suite("smoke")).to_dict()["backend"] == "sparse"
+    result = SuiteResult(suite=get_suite("smoke"), cells=[{"cell": 0}])
+    payload = result.to_dict()
+    assert "backend" not in payload
+    # Artifacts written before the key was dropped still load.
+    older = SuiteResult.from_dict({**payload, "backend": "sparse"})
+    assert older.to_json() == result.to_json()
 
 
 def test_unknown_backend_and_representation(square):
     _, routing = square
-    with pytest.raises(LinalgError):
-        build_evaluator(routing, backend="turbo")
-    # The dense numpy representation is gone: naming it is an unknown
-    # backend like any other, and the error lists the ones there are.
-    with pytest.raises(LinalgError, match=r"'dense'.*\['dict', 'sparse'\]"):
-        build_evaluator(routing, "dense")
-    with pytest.raises(LinalgError):
-        routing.evaluator("dense")
-    assert available_backends() == ["dict", "sparse"]
+    # The evaluator forms are "auto" (compiled) and "dict" (oracle); the
+    # former "sparse" selector and the dense representation are unknown
+    # names like any other, and the error lists the two there are.
+    for name in ("turbo", "dense", "sparse"):
+        with pytest.raises(LinalgError, match=rf"{name!r}.*\['auto', 'dict'\]"):
+            routing.evaluator(name)
 
 
 def test_dict_evaluator_memoizes_and_copies(square):
@@ -186,22 +182,21 @@ def test_routing_evaluator_cached_and_invalidated(square):
     network, routing = square
     evaluator = routing.evaluator("dict")
     assert routing.evaluator("dict") is evaluator
-    sparse = routing.evaluator("sparse")
-    assert routing.evaluator("sparse") is sparse
+    compiled = routing.evaluator("auto")
+    assert routing.evaluator("auto") is compiled
     routing.set_distribution(0, 2, {(0, 1, 2): 1.0})
     assert routing.evaluator("dict") is not evaluator  # stale state dropped
     assert routing.congestion(Demand({(0, 2): 1.0})) == pytest.approx(1.0)
 
 
 def test_auto_reuses_any_cached_compiled_form(square):
-    # "auto" and "sparse" are one compiled form, cached once, in either order.
+    # "auto" is the routing's one cached CompiledRouting, compiled once.
     _, routing = square
     compiled = routing.evaluator("auto")
-    assert compiled.backend == "sparse"
-    assert routing.evaluator("sparse") is compiled
+    assert isinstance(compiled, CompiledRouting)
     assert routing.evaluator("auto") is compiled
     routing.set_distribution(0, 2, {(0, 1, 2): 1.0})  # invalidates the cached compile
-    recompiled = routing.evaluator("sparse")
+    recompiled = routing.evaluator("auto")
     assert recompiled is not compiled
     assert routing.evaluator("auto") is recompiled
 
@@ -209,16 +204,29 @@ def test_auto_reuses_any_cached_compiled_form(square):
 def test_standalone_evaluators_detect_routing_mutation(square):
     _, routing = square
     demand = Demand({(0, 2): 4.0})
-    dict_evaluator = build_evaluator(routing, "dict")
-    sparse_evaluator = build_evaluator(routing, "sparse")
+    dict_evaluator = DictEvaluator(routing)
+    compiled = CompiledRouting.from_routing(routing)
+    event = FailureEvent(failed_edges=((1, 2),), label="cut")
+    rebased = compiled.rebased(event)
     assert dict_evaluator.congestion(demand) == pytest.approx(3.0)
-    assert sparse_evaluator.congestion(demand) == pytest.approx(3.0)
+    assert compiled.congestion(demand) == pytest.approx(3.0)
     routing.set_distribution(0, 2, {(0, 1, 2): 1.0})
-    # The dict memo refreshes itself; the compiled snapshot refuses.
+    # The dict memo refreshes itself; the compiled snapshot refuses at
+    # every evaluation entry point, and so do its rebased copies.
     assert dict_evaluator.congestion(demand) == pytest.approx(4.0)
-    with pytest.raises(LinalgError):
-        sparse_evaluator.congestion(demand)
-    assert routing.evaluator("sparse").congestion(demand) == pytest.approx(4.0)
+    for call in (
+        lambda: compiled.congestion(demand),
+        lambda: compiled.congestions([demand]),
+        lambda: compiled.demand_vector(demand),
+        lambda: compiled.demand_matrix([demand]),
+        lambda: compiled.coverage(demand),
+        lambda: compiled.rebased(event),
+        lambda: rebased.congestion(demand),
+        lambda: rebased.coverage(demand),
+    ):
+        with pytest.raises(LinalgError, match="mutated after compilation"):
+            call()
+    assert routing.evaluator("auto").congestion(demand) == pytest.approx(4.0)
 
 
 def test_demand_vector_exports(square):
@@ -248,13 +256,13 @@ def test_metrics_accept_precomputed_and_backends(square):
     _, routing = square
     demand = Demand({(0, 2): 4.0})
     utilization = max_link_utilization(routing, demand)
-    assert routing.evaluator("sparse").congestion(demand) == pytest.approx(utilization)
+    assert routing.evaluator("auto").congestion(demand) == pytest.approx(utilization)
 
     congestions = routing.edge_congestions(demand)
     via_dict = utilization_percentiles(routing, demand)
     via_precomputed = utilization_percentiles(routing, edge_congestions=congestions)
     assert via_dict == via_precomputed
-    array = routing.evaluator("sparse").compiled.edge_load_vector(demand) / np.asarray(
+    array = routing.evaluator("auto").edge_load_vector(demand) / np.asarray(
         [routing.network.capacity_of(edge) for edge in routing.network.edges]
     )
     via_array = utilization_percentiles(routing, edge_congestions=array)
@@ -277,13 +285,13 @@ def test_metrics_accept_precomputed_and_backends(square):
 
 
 def test_backend_choices_single_source(square):
-    from repro.linalg import BACKEND_CHOICES, BACKENDS
-
+    # Routing.evaluator is the one selection point: both forms answer
+    # alike, and a standalone compile is the same form as "auto".
     _, routing = square
-    assert set(BACKEND_CHOICES) == set(BACKENDS) | {"auto"}
-    # Routing.evaluator and build_evaluator are the only selection points.
-    for backend in BACKEND_CHOICES:
-        assert routing.evaluator(backend).congestion(Demand({(0, 2): 4.0})) == pytest.approx(3.0)
+    demand = Demand({(0, 2): 4.0})
+    for form in ("auto", "dict"):
+        assert routing.evaluator(form).congestion(demand) == pytest.approx(3.0)
+    assert CompiledRouting.from_routing(routing).congestion(demand) == pytest.approx(3.0)
     with pytest.raises(LinalgError):
         routing.evaluator("turbo")
 

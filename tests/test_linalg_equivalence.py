@@ -2,7 +2,7 @@
 
 For random topologies, random multi-path routings and random demands —
 including zero amounts, pairs missing from the routing, and post-failure
-rebased systems — the compiled backend must agree with the dict oracle on
+rebased systems — the compiled form must agree with the dict oracle on
 edge loads, congestion and dilation within 1e-9 (bit-identity is not required: float summation
 order differs between the loop and matmul implementations).  A property test repeats the check
 on vertex labels of mixed types, and a 2002-node network holds compile plus evaluation under a
@@ -23,7 +23,7 @@ from repro.exceptions import RoutingError
 from repro.graphs import topologies
 from repro.graphs.generators import erdos_renyi_connected
 from repro.graphs.network import Network
-from repro.linalg import build_evaluator
+from repro.linalg import CompiledRouting, DictEvaluator
 from repro.synth import isp, isp_node_count
 from repro.te.failures import FailureEvent, KEdgeFailureProcess
 from repro.utils.timing import PeakMemory
@@ -69,7 +69,7 @@ def random_demand(routing: Routing, rng, include_zero=True) -> Demand:
         if draw < 0.4:
             continue
         if include_zero and draw < 0.5:
-            values[pair] = 0.0  # dropped by the constructor in every backend
+            values[pair] = 0.0  # dropped by the constructor in both forms
         else:
             values[pair] = float(rng.random() * 5)
     return Demand(values)
@@ -87,8 +87,8 @@ def test_backends_match_dict_on_random_instances():
     checked = 0
     for trial, network in enumerate(_topologies(rng)):
         routing = random_routing(network, rng)
-        reference = build_evaluator(routing, backend="dict")
-        evaluator = build_evaluator(routing, backend="sparse")
+        reference = DictEvaluator(routing)
+        evaluator = CompiledRouting.from_routing(routing)
         demands = [random_demand(routing, rng) for _ in range(6)] + [Demand.empty()]
         ref_batch = reference.congestions(demands)
         ref_loads = reference.edge_load_matrix(demands)
@@ -99,13 +99,10 @@ def test_backends_match_dict_on_random_instances():
                 reference.congestion(demand), abs=TOL
             )
             assert evaluator.dilation(demand) == reference.dilation(demand)
-            ref_edges = reference.edge_congestions(demand)
-            got_edges = evaluator.edge_congestions(demand)
-            keys = set(ref_edges) | set(got_edges)
-            for key in keys:
-                assert got_edges.get(key, 0.0) == pytest.approx(
-                    ref_edges.get(key, 0.0), abs=TOL
-                )
+            ref_vector = np.zeros(network.num_edges)
+            for edge, load in reference.edge_loads(demand).items():
+                ref_vector[network.edge_index(*edge)] = load
+            assert np.allclose(evaluator.edge_load_vector(demand), ref_vector, atol=TOL, rtol=0)
             checked += 1
     assert checked > 25
 
@@ -119,11 +116,11 @@ def test_missing_pairs_raise_in_every_backend():
         pair for pair in itertools.permutations(network.vertices, 2) if pair not in covered
     )
     demand = Demand({missing: 1.0})
-    for backend in ("dict", "sparse"):
+    for form in ("dict", "auto"):
         with pytest.raises(RoutingError):
-            build_evaluator(routing, backend=backend).congestion(demand)
+            routing.evaluator(form).congestion(demand)
         with pytest.raises(RoutingError):
-            build_evaluator(routing, backend=backend).congestions([demand])
+            routing.evaluator(form).congestions([demand])
 
 
 def _dict_renormalized_congestion(routing: Routing, demand: Demand, event: FailureEvent):
@@ -166,7 +163,7 @@ def test_rebased_systems_match_dict_renormalization():
     process = KEdgeFailureProcess(k=2)
     for network in _topologies(rng):
         routing = random_routing(network, rng)
-        evaluator = build_evaluator(routing, backend="sparse")
+        evaluator = CompiledRouting.from_routing(routing)
         for _ in range(3):
             event = process.sample(network, rng)
             rebased = evaluator.rebased(event)
@@ -190,7 +187,7 @@ def test_rebased_capacity_degradation_matches():
         capacity_scale=((edges[0], 0.5), (edges[3], 0.25)),
         label="degrade",
     )
-    rebased = build_evaluator(routing, backend="sparse").rebased(event)
+    rebased = CompiledRouting.from_routing(routing).rebased(event)
     for _ in range(4):
         demand = random_demand(routing, rng)
         expected, coverage = _dict_renormalized_congestion(routing, demand, event)
@@ -247,8 +244,8 @@ def test_compiled_matches_the_dict_oracle_on_mixed_labels(n, data):
         for _ in range(data.draw(st.integers(1, 3)))
     ]
 
-    compiled = build_evaluator(routing, backend="auto")
-    oracle = build_evaluator(routing, backend="dict")
+    compiled = CompiledRouting.from_routing(routing)
+    oracle = DictEvaluator(routing)
     np.testing.assert_allclose(
         compiled.edge_load_matrix(demands), oracle.edge_load_matrix(demands), atol=TOL, rtol=0
     )
@@ -294,10 +291,10 @@ def test_2k_node_compile_and_evaluation_stay_under_48_mb():
     ceiling_mb = 48.0
     routing, demands = _isp_4000_pairs()
     with PeakMemory() as mem:
-        congestions = build_evaluator(routing, backend="auto").congestions(demands)
+        congestions = CompiledRouting.from_routing(routing).congestions(demands)
     assert congestions.shape == (1,)
     assert float(congestions[0]) > 0.0
     peak_mb = mem.peak_kb / 1024.0
     assert peak_mb <= ceiling_mb, f"peak {peak_mb:.1f} MB exceeds {ceiling_mb} MB"
-    oracle = build_evaluator(routing, backend="dict").congestions(demands)
+    oracle = DictEvaluator(routing).congestions(demands)
     np.testing.assert_allclose(congestions, oracle, atol=TOL, rtol=0)

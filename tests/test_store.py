@@ -80,35 +80,38 @@ def test_suite_hash_mismatch_raises_typed_error(tmp_path):
     assert suite_hash(SUITE_PAYLOAD) != suite_hash({**SUITE_PAYLOAD, "seed": 8})
 
 
-def _canonical_hash(backend):
+def _version_1_manifest(backend):
+    """A store manifest in the version-1 layout, whose hash also named the backend."""
     canonical = json.dumps(
         {"suite": SUITE_PAYLOAD, "backend": backend}, sort_keys=True, default=str
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def test_store_refuses_resume_of_a_dense_store(tmp_path):
-    # Stores written by the former dense numpy backend summed their cells
-    # in another float order: resuming one must be refused, not mixed in.
-    path = tmp_path / "store"
-    path.mkdir()
-    manifest = {
+    return {
         "artifact": "sweep-store",
-        "version": STORE_VERSION,
-        "suite_hash": _canonical_hash("dense"),
-        "backend": "dense",
+        "version": 1,
+        "suite_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "backend": backend,
         "num_cells": 8,
         "chunk_lines": 3,
         "suite": SUITE_PAYLOAD,
     }
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with pytest.raises(ArtifactError, match="different sweep"):
+
+
+def test_store_refuses_resume_of_a_dense_store(tmp_path):
+    # Stores written by the former dense numpy backend summed their cells
+    # in another float order, and predate the version-2 layout: resuming
+    # one is refused by the version check, not mixed in.
+    path = tmp_path / "store"
+    path.mkdir()
+    (path / MANIFEST_NAME).write_text(json.dumps(_version_1_manifest("dense")))
+    with pytest.raises(ArtifactError, match="schema version 1"):
         make_store(path)
-    # A store made here records the sparse backend under the same hash
-    # form, so existing sparse stores keep resuming.
+    # A store made here names no evaluation form; its hash covers the
+    # suite alone, so it keeps resuming.
     store = make_store(tmp_path / "fresh")
-    assert store.manifest["backend"] == "sparse"
-    assert store.manifest["suite_hash"] == suite_hash(SUITE_PAYLOAD) == _canonical_hash("sparse")
+    assert "backend" not in store.manifest
+    canonical = json.dumps({"suite": SUITE_PAYLOAD}, sort_keys=True, default=str)
+    assert store.manifest["suite_hash"] == suite_hash(SUITE_PAYLOAD)
+    assert suite_hash(SUITE_PAYLOAD) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     store.close()
     make_store(tmp_path / "fresh").close()
 

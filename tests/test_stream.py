@@ -18,7 +18,6 @@ from repro.demands.traffic_matrix import diurnal_gravity_series
 from repro.engine import RoutingEngine
 from repro.exceptions import RoutingError, StreamError
 from repro.graphs import topologies
-from repro.linalg import BACKENDS, build_evaluator
 from repro.linalg.compiled import CompiledRouting
 from repro.stream import (
     AdversarialShiftStream,
@@ -38,9 +37,6 @@ from repro.stream import (
 from repro.stream.metrics import PERCENTILES
 
 TOL = 1e-9
-
-#: Every compiled backend (all but the dict oracle).
-COMPILED = [backend for backend in BACKENDS if backend != "dict"]
 
 
 def _spf_routing(network):
@@ -128,11 +124,10 @@ class TestSources:
 # Incremental vs batch equivalence (the satellite contract)
 # --------------------------------------------------------------------- #
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_windowed_metrics_match_from_scratch(self, torus3, backend):
+    def test_windowed_metrics_match_from_scratch(self, torus3):
         """Delta-path windowed metrics == from-scratch compiled, each step."""
         routing = _spf_routing(torus3)
-        compiled = build_evaluator(routing, backend).compiled
+        compiled = CompiledRouting.from_routing(routing)
         for stream in _streams(torus3):
             incremental = IncrementalStreamEvaluator(compiled)
             inc_stats = RollingStreamStats(window=8, threshold=1.0)
@@ -156,18 +151,16 @@ class TestIncrementalEquivalence:
                 ):
                     assert inc_record[key] == pytest.approx(ref_record[key], abs=TOL), (
                         stream.name,
-                        backend,
                         update.step,
                         key,
                     )
             for key, value in inc_stats.summary().items():
                 assert value == pytest.approx(ref_stats.summary()[key], abs=TOL)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_full_diff_path_matches(self, torus3, backend):
+    def test_full_diff_path_matches(self, torus3):
         """delta=None (self-diffed snapshots) agrees with the delta path."""
         routing = _spf_routing(torus3)
-        compiled = build_evaluator(routing, backend).compiled
+        compiled = CompiledRouting.from_routing(routing)
         stream = RandomWalkStream(torus3, 20, seed=9, num_pairs=25, churn=0.2)
         with_delta = IncrementalStreamEvaluator(compiled)
         without_delta = IncrementalStreamEvaluator(compiled)

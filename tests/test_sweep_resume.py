@@ -15,7 +15,10 @@ The claims under test, in order of importance:
 """
 
 import contextlib
+import hashlib
+import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,6 +27,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import RoutingEngine
+from repro.exceptions import ArtifactError
+from repro.graphs import topologies
+from repro.linalg import CompiledRouting
 from repro.scenarios import (
     ArtifactStore,
     DemandSpec,
@@ -163,6 +170,31 @@ def test_resume_against_different_suite_is_rejected(tmp_path):
     assert "different sweep" in completed.stderr
 
 
+def test_resume_of_a_version_1_store_is_refused(tmp_path):
+    # A store written before the evaluation form left the manifest: the
+    # version-1 layout recorded "backend": "sparse" and hashed it with
+    # the suite.  Resuming into it is refused by the version check.
+    suite = probe_suite()
+    canonical = json.dumps(
+        {"suite": suite.to_dict(), "backend": "sparse"}, sort_keys=True, default=str
+    )
+    manifest = {
+        "artifact": "sweep-store",
+        "version": 1,
+        "suite_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "backend": "sparse",
+        "num_cells": suite.num_cells(),
+        "chunk_lines": 512,
+        "suite": json.loads(json.dumps(suite.to_dict(), default=str)),
+    }
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    (store_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match="schema version 1; this build reads version 2"):
+        run_suite(suite, workers=1, resume=str(store_dir))
+    assert sorted(path.name for path in store_dir.iterdir()) == ["manifest.json"]
+
+
 # --------------------------------------------------------------------- #
 # 2. Injected worker exception, then resume
 # --------------------------------------------------------------------- #
@@ -205,12 +237,19 @@ def test_executor_equivalence_on_probe_suite():
 
 def test_backend_equivalence_across_executors():
     # The parent compiles the CSR operators at install and the pool
-    # workers evaluate through exactly those, unpickled with the engines.
+    # workers evaluate through exactly those, unpickled with the engines:
+    # the compile travels inside its routing and stays bound to it.
     suite = probe_suite()
     inline = run_suite(suite, workers=1)
     pooled = run_suite(suite, workers=2)
-    assert inline.backend == pooled.backend == "sparse"
     assert pooled.to_json() == inline.to_json()
+    engine = RoutingEngine(topologies.hypercube(3), ["spf"], rng=0)
+    engine.install()
+    routing = pickle.loads(pickle.dumps(engine["spf"].routing))
+    compiled = routing._evaluators["auto"]
+    assert isinstance(compiled, CompiledRouting)
+    assert compiled._source is routing
+    assert routing.evaluator("auto") is compiled
 
 
 def test_real_world_suite_bit_identical_across_executors(tmp_path):

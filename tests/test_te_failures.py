@@ -66,6 +66,18 @@ def test_failed_network(cube3, path4):
     assert apply_failure(path4, cut(1, 2)) is None
 
 
+def test_invalid_capacity_scale_is_rejected_even_when_the_event_disconnects():
+    # On a path graph the cut disconnects, and apply_failure answers None
+    # before it reads the scales: the event itself must reject the scale.
+    network = topologies.path_graph(3)
+    bad = {"failed_edges": [[0, 1]], "capacity_scale": [[[1, 2], 5.0]], "label": "bad"}
+    with pytest.raises(GraphError, match=r"must be in \(0, 1\]"):
+        FailureEvent(failed_edges=((0, 1),), capacity_scale=(((1, 2), 5.0),))
+    with pytest.raises(GraphError, match=r"must be in \(0, 1\]"):
+        FailureEvent.from_dict(bad)
+    assert apply_failure(network, FailureEvent(failed_edges=((0, 1),))) is None
+
+
 def test_unknown_failed_edge_raises_graph_error(cube3):
     with pytest.raises(GraphError):
         evaluate_failure_event(two_path_system(cube3), Demand({(0, 3): 1.0}), cut(0, 7))

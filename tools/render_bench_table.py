@@ -7,7 +7,7 @@ Usage::
 
 With no arguments, reads every ``BENCH_*.json`` at the repository root.
 Prints a GitHub-flavored markdown table, one row per artifact with the
-target's own headline; paste the output into the "Evaluation backends"
+target's own headline; paste the output into the "Benchmarks"
 section of README.md after regenerating baselines with
 ``python -m repro bench --scale full``.
 """
