@@ -9,13 +9,17 @@ import pytest
 
 from repro import bench
 from repro.core.path_system import PathSystem
+from repro.core.rounding import randomized_rounding
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
+from repro.demands.generators import random_pairs_demand
 from repro.exceptions import LinalgError, RoutingError
+from repro.forwarding.quantize import quantize_routing
 from repro.graphs import network as network_module
 from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.linalg import CompiledRouting, DictEvaluator
+from repro.mcf.lp import min_congestion_lp
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
@@ -365,6 +369,47 @@ def _compiled_arrays_digest() -> str:
 
 def test_compiled_arrays_are_pinned():
     assert _compiled_arrays_digest() == COMPILED_ARRAYS_SHA256
+
+
+# sha256 of the compiled arrays and ``pair_edge_operator`` of routings built
+# through ``Routing(...)`` from distribution dicts (see ``_dict_built_routings``)
+# on ``torus_2d(3)``, ``torus_2d(4)`` and ``isp(pops=6)``, seeds 0-2.
+DICT_BUILT_ARRAYS_SHA256 = "17f081e61d48356026c7a622e2f8ce2f0418f414b755d4c4713b3122b4a0ebaf"
+
+
+def _dict_built_routings(network, seed):
+    """One routing of each producer that hands ``Routing`` a dict."""
+    demand = random_pairs_demand(network, 12, value=1.5, rng=seed)
+    other = random_pairs_demand(network, 12, value=2.0, rng=seed + 10)
+    optimal = min_congestion_lp(network, demand, return_routing=True).routing
+    yield optimal
+    yield randomized_rounding(optimal, demand.rounded_up(), rng=seed, require_bound=False).routing
+    racke = RaeckeTreeRouting(network, rng=seed).routing(demand.pairs() + other.pairs())
+    mixed = Routing.demand_weighted_mix([optimal, racke], [demand, other])
+    yield mixed
+    yield mixed.restricted_to_system(
+        PathSystem(network, {pair: mixed.support(*pair)[::2] for pair in mixed.pairs()})
+    )
+    yield quantize_routing(mixed, buckets=4).routing()
+
+
+def _dict_built_arrays_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for network in (topologies.torus_2d(3), topologies.torus_2d(4), isp(pops=6, seed=seed)):
+            for routing in _dict_built_routings(network, seed):
+                compiled = CompiledRouting.from_routing(routing)
+                for name in ("path_pair", "path_prob", "inc_rows", "inc_cols", "capacities"):
+                    digest.update(name.encode())
+                    digest.update(getattr(compiled, f"_{name}").tobytes())
+                for name in ("data", "indices", "indptr"):
+                    digest.update(name.encode())
+                    digest.update(getattr(compiled.pair_edge_operator, name).tobytes())
+    return digest.hexdigest()
+
+
+def test_dict_built_compiles_are_pinned():
+    assert _dict_built_arrays_digest() == DICT_BUILT_ARRAYS_SHA256
 
 
 @pytest.mark.parametrize("source", ["racke", "spf"])
