@@ -1,4 +1,4 @@
-"""Path systems (Definition 2.1).
+"""Path systems (Definition 2.1) and the one path audit.
 
 A path system ``P = {P(s, t)}`` assigns to every ordered vertex pair a
 finite set of simple (s, t)-paths.  Semi-oblivious routing *is* a path
@@ -13,11 +13,15 @@ path LP is built from, and :meth:`~PathSystem.rate_lp` caches that LP
 between demands.
 
 :class:`PathIncidence` is the one form of paths as edge ids: the path
-LP reads a system's incidence, a routing materialized by an oblivious
-builder carries the one its audit built (:mod:`repro.oblivious.base`),
-a compiled routing (:mod:`repro.linalg.compiled`) reorders that one or
-builds its own over the support paths, and both decide which paths
-survive a link failure with :meth:`PathIncidence.surviving`.
+LP reads a system's incidence, every routing carries the one its
+construction built, a compiled routing (:mod:`repro.linalg.compiled`)
+reorders that one, and both decide which paths survive a link failure
+with :meth:`PathIncidence.surviving`.
+
+Every routing's paths pass one vectorized check, :func:`audit_paths`,
+over vertex indices (:class:`IndexPaths`); :func:`merge_paths` then
+turns the audited rows into each pair's ``{vertex tuple: probability}``
+and the routing's incidence, from the audit's edge ids.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from repro.graphs.network import Network, Path, Vertex
 
 Pair = Tuple[Vertex, Vertex]
 T = TypeVar("T")
+
+#: How far a pair's probabilities may sum from 1 before they are renormalized.
+PROBABILITY_TOL = 1e-6
 
 
 def row_slots(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -121,6 +128,167 @@ class PathIncidence:
         alive = np.ones(len(self.paths), dtype=bool)
         alive[np.searchsorted(self.indptr, broken, side="right") - 1] = False
         return alive
+
+
+@dataclass(frozen=True)
+class IndexPaths:
+    """The paths of many pairs over vertex indices, in CSR form.
+
+    Pair ``q``'s paths are the rows ``path_ptr[q]:path_ptr[q + 1]``; row
+    ``j`` visits ``vertices[indptr[j]:indptr[j + 1]]`` (``-1`` marks a
+    label outside the network) with probability ``probs[j]``.  A path
+    may appear twice for a pair: the copies merge, probabilities summed.
+    """
+
+    path_ptr: np.ndarray
+    indptr: np.ndarray
+    vertices: np.ndarray
+    probs: np.ndarray
+
+
+def _offsets(counts: Iterable[int]) -> np.ndarray:
+    """Row pointers (a leading 0, then the running totals) of rows with ``counts`` entries."""
+    return np.concatenate([[0], np.cumsum(np.fromiter(counts, np.int64))]).astype(np.int64)
+
+
+def index_paths(
+    network: Network, distributions: Sequence[Mapping[Sequence[Vertex], float]]
+) -> IndexPaths:
+    """The ``{path: probability}`` of each pair in ``distributions``, in order, as index paths."""
+    paths = [path for distribution in distributions for path in distribution]
+    return IndexPaths(
+        path_ptr=_offsets(map(len, distributions)),
+        indptr=_offsets(map(len, paths)),
+        vertices=network.vertex_indices(chain.from_iterable(paths)),
+        probs=np.fromiter(
+            (float(p) for distribution in distributions for p in distribution.values()),
+            float, len(paths),
+        ),
+    )
+
+
+def audit_paths(
+    network: Network, pairs: Sequence[Pair], found: IndexPaths
+) -> Tuple[IndexPaths, np.ndarray]:
+    """Check every path of every pair at once; the one validation of a routing's paths.
+
+    A pair from a vertex to itself, or a negative probability (below
+    ``-1e-12``), raises :class:`RoutingError`; rows of probability zero
+    are dropped unchecked.  A kept path must be nonempty, visit only
+    network vertices, be simple (no repeat in one sort of
+    ``row * n + vertex``), step only along edges (one lookup of its arcs'
+    keys) and run from its pair's source to its target, else
+    :class:`PathError`.  Every pair needs a kept path and probabilities
+    summing to 1 within :data:`PROBABILITY_TOL`, else :class:`RoutingError`.
+
+    Returns the kept rows and the edge ids they traverse, in hop order.
+    """
+
+    def label(row: int) -> Tuple:
+        vertices = network.vertices
+        ids = found.vertices[found.indptr[row]:found.indptr[row + 1]].tolist()
+        return tuple(vertices[v] if v >= 0 else "?" for v in ids)
+
+    if any(source == target for source, target in pairs):
+        raise RoutingError("routings do not cover pairs with identical endpoints")
+    negative = np.flatnonzero(found.probs < -1e-12)
+    if len(negative):
+        row = int(negative[0])
+        raise RoutingError(f"negative probability {found.probs[row]} for path {label(row)!r}")
+    keep = ~(found.probs <= 0)  # NaN is kept: the sum check rejects it
+    if not keep.all():
+        rows = np.flatnonzero(keep)
+        indptr, vertices = take_rows(found.indptr, found.vertices, rows)
+        found = IndexPaths(
+            path_ptr=np.searchsorted(rows, found.path_ptr),
+            indptr=indptr,
+            vertices=vertices,
+            probs=found.probs[rows],
+        )
+    indptr, vertices = found.indptr, found.vertices
+    counts = np.diff(indptr)
+    pair_of = np.repeat(np.arange(len(pairs)), np.diff(found.path_ptr))
+    if (counts == 0).any():
+        raise PathError("a path must contain at least one vertex")
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    unknown = np.flatnonzero(vertices < 0)
+    if len(unknown):
+        raise PathError(f"path {label(row_of[unknown[0]])!r} has a vertex not in the network")
+    n = network.num_vertices
+    keys = np.sort(row_of * n + vertices)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        raise PathError(f"path {label(keys[repeated[0]] // n)!r} is not simple")
+    inner = np.ones(len(vertices), dtype=bool)
+    inner[indptr[1:] - 1] = False
+    steps = np.flatnonzero(inner)
+    edge_ids = network.arc_edge_ids(vertices[steps], vertices[steps + 1])
+    broken = np.flatnonzero(edge_ids < 0)
+    if len(broken):
+        at = steps[broken[0]]
+        raise PathError(
+            f"path step {(network.vertices[vertices[at]], network.vertices[vertices[at + 1]])!r} "
+            f"of path {label(row_of[at])!r} is not an edge of the network"
+        )
+    ends = network.vertex_indices(chain.from_iterable(pairs)).reshape(-1, 2)
+    wrong = np.flatnonzero(
+        (vertices[indptr[:-1]] != ends[pair_of, 0]) | (vertices[indptr[1:] - 1] != ends[pair_of, 1])
+    )
+    if len(wrong):
+        row = int(wrong[0])
+        raise PathError(f"path {label(row)!r} does not run {pairs[pair_of[row]]!r}")
+    empty = np.flatnonzero(np.diff(found.path_ptr) == 0)
+    if len(empty):
+        raise RoutingError(f"distribution for pair {pairs[empty[0]]!r} is empty")
+    totals = np.bincount(pair_of, weights=found.probs, minlength=len(pairs))
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= PROBABILITY_TOL))
+    if len(off):
+        raise RoutingError(
+            f"probabilities for pair {pairs[off[0]]!r} sum to {totals[off[0]]}, expected 1"
+        )
+    return found, edge_ids
+
+
+def merge_paths(
+    network: Network, pairs: Sequence[Pair], found: IndexPaths, edge_ids: np.ndarray
+) -> Tuple[Dict[Pair, Dict[Path, float]], PathIncidence]:
+    """Each pair's ``{vertex tuple: probability}`` (repeats summed in order), and the incidence.
+
+    ``found`` and ``edge_ids`` are what :func:`audit_paths` returned.
+    """
+    labels = np.fromiter(network.vertices, dtype=object, count=network.num_vertices)
+    flat = labels[found.vertices].tolist()
+    bounds = found.indptr.tolist()
+    tuples = [tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    probs = found.probs.tolist()
+    path_ptr = found.path_ptr.tolist()
+    weights: Dict[Pair, Dict[Path, float]] = {}
+    slices: Dict[Pair, Tuple[int, int]] = {}
+    first: List[int] = []
+    for index, pair in enumerate(pairs):
+        start = len(first)
+        bucket: Dict[Path, float] = {}
+        for row in range(path_ptr[index], path_ptr[index + 1]):
+            path = tuples[row]
+            if path in bucket:
+                bucket[path] += probs[row]
+            else:
+                bucket[path] = probs[row]
+                first.append(row)
+        weights[pair] = bucket
+        slices[pair] = (start, len(first))
+    # A path of k vertices has k - 1 edges: the edge row pointers are the
+    # vertex row pointers minus the row index.
+    incidence = PathIncidence(
+        paths=tuple(tuples),
+        slices=slices,
+        indptr=found.indptr - np.arange(len(found.indptr)),
+        edge_ids=edge_ids,
+        capacities=network.capacities,
+    )
+    if len(first) < len(tuples):
+        incidence = incidence.take(np.array(first, dtype=np.int64), slices)
+    return weights, incidence
 
 
 class PathSystem:
@@ -291,4 +459,15 @@ class PathSystem:
         )
 
 
-__all__ = ["PathSystem", "PathIncidence", "Pair", "row_slots", "take_rows"]
+__all__ = [
+    "PathSystem",
+    "PathIncidence",
+    "IndexPaths",
+    "Pair",
+    "PROBABILITY_TOL",
+    "audit_paths",
+    "index_paths",
+    "merge_paths",
+    "row_slots",
+    "take_rows",
+]

@@ -11,37 +11,47 @@ quality measures follow:
 * ``dil(R, d)`` — maximum hop length of a used path,
 * supports, integrality on a demand, and convex combination of routings
   (the demand-sum Lemma 5.15).
+
+As in the paper, a routing is fixed before any demand is seen: it is
+built once and never changes.  Every constructor goes through the one
+path audit (:func:`repro.core.path_system.audit_paths`), so every
+routing carries the :class:`~repro.core.path_system.PathIncidence` of its
+paths, and what is derived from it (the compile, the dict memo) is never
+stale.  The algebra below builds new routings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.path_system import PathIncidence, PathSystem
+from repro.core.path_system import (
+    PathIncidence, PathSystem, audit_paths, index_paths, merge_paths,
+)
 from repro.demands.demand import Demand
 from repro.exceptions import LinalgError, RoutingError
-from repro.graphs.network import Network, Path, Vertex, path_edges
+from repro.graphs.network import Network, Path, Vertex
 
 Pair = Tuple[Vertex, Vertex]
-
-#: How far a pair's probabilities may sum from 1 before they are renormalized.
-PROBABILITY_TOL = 1e-6
 
 
 class Routing:
     """A collection of path distributions, one per covered vertex pair.
+
+    A routing is fixed once built: nothing changes its distributions, so
+    its incidence and its cached evaluators never go stale.
 
     Parameters
     ----------
     network:
         The underlying network.
     distributions:
-        Mapping ``(s, t) -> {path: probability}``.  Each distribution is
-        validated (paths simple and valid, probabilities nonnegative and
-        summing to 1 up to a small tolerance, after which they are
-        renormalized exactly).
+        Mapping ``(s, t) -> {path: probability}``.  Every path of every
+        pair passes the one audit (:func:`~repro.core.path_system.audit_paths`:
+        paths simple and valid, probabilities nonnegative and summing to 1
+        up to a small tolerance); zero-probability paths are dropped, and
+        each distribution is then renormalized exactly.
     """
 
     def __init__(
@@ -49,18 +59,11 @@ class Routing:
         network: Network,
         distributions: Optional[Mapping[Pair, Mapping[Sequence[Vertex], float]]] = None,
     ) -> None:
-        self._network = network
-        self._distributions: Dict[Pair, Dict[Path, float]] = {}
-        self._evaluators: Dict[str, object] = {}
-        #: The support paths' incidence, when the routing was materialized
-        #: with one; dropped by every mutation.
-        self._incidence: Optional[PathIncidence] = None
-        #: Bumped on every mutation; evaluators snapshot it to detect
-        #: staleness (standalone instances outlive the cache clear below).
-        self._version = 0
-        if distributions:
-            for (source, target), distribution in distributions.items():
-                self.set_distribution(source, target, distribution)
+        pairs = list(distributions or {})
+        found, edge_ids = audit_paths(
+            network, pairs, index_paths(network, [distributions[pair] for pair in pairs])
+        )
+        self._adopt(network, *merge_paths(network, pairs, found, edge_ids))
 
     @property
     def network(self) -> Network:
@@ -69,63 +72,43 @@ class Routing:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def set_distribution(
-        self,
-        source: Vertex,
-        target: Vertex,
-        distribution: Mapping[Sequence[Vertex], float],
-    ) -> None:
-        """Set ``R(source, target)`` to ``distribution`` (validated, normalized)."""
-        if source == target:
-            raise RoutingError("routings do not cover pairs with identical endpoints")
-        cleaned: Dict[Path, float] = {}
-        for path, probability in distribution.items():
-            probability = float(probability)
-            if probability < -1e-12:
-                raise RoutingError(f"negative probability {probability} for path {path!r}")
-            if probability <= 0:
-                continue
-            canonical = self._network.validate_path(path, source=source, target=target)
-            cleaned[canonical] = cleaned.get(canonical, 0.0) + probability
-        if not cleaned:
-            raise RoutingError(f"distribution for pair {(source, target)!r} is empty")
-        total = sum(cleaned.values())
-        if not abs(total - 1.0) <= PROBABILITY_TOL:  # a NaN total fails too
-            raise RoutingError(
-                f"probabilities for pair {(source, target)!r} sum to {total}, expected 1"
-            )
-        self._distributions[(source, target)] = {
-            path: probability / total for path, probability in cleaned.items()
-        }
-        self._version += 1
-        self._incidence = None
-        self._evaluators.clear()  # compiled/memoized state is now stale
-
     @classmethod
     def _from_validated(
         cls,
         network: Network,
         weights: Mapping[Pair, Mapping[Path, float]],
-        incidence: Optional[PathIncidence] = None,
+        incidence: PathIncidence,
     ) -> "Routing":
         """A routing from positive path weights whose paths are already canonical and valid.
 
-        For callers whose paths went through
-        :meth:`PathSystem.add_path <repro.core.path_system.PathSystem.add_path>`
-        or the builders' audit (:func:`repro.oblivious.base.audit_paths`):
-        each pair's weights are normalized exactly as
-        :meth:`set_distribution` normalizes a distribution, without
-        re-validating the paths or checking the sum.  ``incidence``, when
-        given, holds every pair's paths in ``weights`` order.
+        For callers whose paths passed the audit already (the builders,
+        through :func:`repro.core.path_system.audit_paths`) or are rows of
+        an audited incidence (the path LP's routing): each pair's weights
+        are normalized exactly as the constructor normalizes a
+        distribution, without checking the sum.  ``incidence`` holds every
+        pair's paths in ``weights`` order.
         """
-        routing = cls(network)
+        routing = cls.__new__(cls)
+        routing._adopt(network, weights, incidence)
+        return routing
+
+    def _adopt(
+        self,
+        network: Network,
+        weights: Mapping[Pair, Mapping[Path, float]],
+        incidence: PathIncidence,
+    ) -> None:
+        """Hold ``weights``, each pair's normalized exactly, and their ``incidence``."""
+        self._network = network
+        self._distributions: Dict[Pair, Dict[Path, float]] = {}
         for pair, distribution in weights.items():
             total = sum(distribution.values())
-            routing._distributions[pair] = {
+            self._distributions[pair] = {
                 path: weight / total for path, weight in distribution.items()
             }
-        routing._incidence = incidence
-        return routing
+        #: Every pair's paths as edge ids, in ``_distributions`` order.
+        self._incidence = incidence
+        self._evaluators: Dict[str, object] = {}
 
     @classmethod
     def single_path(cls, network: Network, paths: Mapping[Pair, Sequence[Vertex]]) -> "Routing":
@@ -166,22 +149,11 @@ class Routing:
         return system
 
     def live_incidence(self, pairs: Sequence[Pair]) -> Tuple[PathIncidence, np.ndarray]:
-        """Incidence and probabilities of ``pairs``' live paths (probability > 0), in pair order.
-
-        A routing materialized with an incidence only reorders its rows;
-        otherwise every path is walked once more.
-        """
-        distributions = [self._distributions[pair] for pair in pairs]
-        if self._incidence is not None:
-            probabilities = np.array(
-                [p for distribution in distributions for p in distribution.values()], dtype=float
-            )
-            if (probabilities > 0).all():
-                return self._incidence.reordered(pairs), probabilities
-        live = [{path: p for path, p in d.items() if p > 0} for d in distributions]
-        incidence = PathIncidence.build(self._network, zip(pairs, live))
-        probabilities = np.array([p for d in live for p in d.values()], dtype=float)
-        return incidence, probabilities
+        """Incidence and probabilities of ``pairs``' paths, in pair order: one reorder, no walk."""
+        probabilities = np.array(
+            [p for pair in pairs for p in self._distributions[pair].values()], dtype=float
+        )
+        return self._incidence.reordered(pairs), probabilities
 
     def support_sparsity(self) -> int:
         """Maximum support size over pairs (the α of an α-sparse oblivious routing)."""
@@ -213,8 +185,8 @@ class Routing:
         ``"dict"`` (reference loops with a per-demand memo, and the test
         oracle), because compiling first costs about two dict passes.
         Evaluators are cached per form (a pickled routing carries them
-        along) and dropped when a distribution changes.  Any other name
-        raises :class:`~repro.exceptions.LinalgError`.  See
+        along); a routing never changes, so they never go stale.  Any
+        other name raises :class:`~repro.exceptions.LinalgError`.  See
         :mod:`repro.linalg`.
         """
         evaluator = self._evaluators.get(form)

@@ -51,8 +51,8 @@ class SolverError(ReproError):
 class LinalgError(ReproError):
     """Raised when the compiled linear-algebra evaluation is misused.
 
-    Examples include unknown evaluator or bench-target names and using a
-    compiled routing whose routing has mutated since compilation.
+    Examples include unknown evaluator or bench-target names and a
+    failure event that removes an edge the compiled network lacks.
     """
 
 

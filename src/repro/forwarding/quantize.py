@@ -42,9 +42,10 @@ from repro.exceptions import ForwardingError
 from repro.graphs.network import Network, Path, Vertex
 from repro.obs import trace_span
 
-#: Tolerance on per-pair path-weight sums (satellite contract: stricter
-#: than Routing's construction tolerance because stored weights are
-#: renormalized exactly; anything outside 1e-9 means external mutation).
+#: Tolerance on per-pair path-weight sums: stricter than Routing's
+#: construction tolerance, because a routing's stored weights are
+#: renormalized exactly; a sum outside 1e-9 means the distribution did not
+#: come from a Routing.
 _WEIGHT_SUM_TOL = 1e-9
 
 #: Next-hop DAGs encoding more walks than this decompose to path form.

@@ -69,8 +69,8 @@ class RealizedRouter(BaseRouter):
         self.on_cycle = on_cycle
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._flow_seed: int = 0
-        #: (routing, version, buckets) -> table cache so fixed-ratio
-        #: inners quantize once.  The routing object itself is retained:
+        #: (routing, buckets) -> table cache so fixed-ratio inners
+        #: quantize once.  The routing object itself is retained:
         #: identity (``is``) is only a safe cache key while the object is
         #: alive, and adaptive inners build a fresh Routing per route().
         self._cache: Optional[tuple] = None
@@ -87,19 +87,14 @@ class RealizedRouter(BaseRouter):
             self._flow_seed = int(self._rng.integers(0, 2**63))
 
     def _quantized(self, routing) -> ForwardingTable:
-        version = getattr(routing, "_version", None)
         if self._cache is not None:
-            cached_routing, cached_version, cached_buckets, cached_table = self._cache
-            if (
-                cached_routing is routing
-                and cached_version == version
-                and cached_buckets == self.buckets
-            ):
+            cached_routing, cached_buckets, cached_table = self._cache
+            if cached_routing is routing and cached_buckets == self.buckets:
                 return cached_table
         table = quantize_routing(
             routing, buckets=self.buckets, on_cycle=self.on_cycle
         )
-        self._cache = (routing, version, self.buckets, table)
+        self._cache = (routing, self.buckets, table)
         return table
 
     def _route(self, demand: Demand) -> RouteResult:

@@ -10,9 +10,9 @@ executable:
 * the **path × edge incidence matrix** ``A`` has ``A[p, e] = 1`` when
   path ``p`` crosses edge ``e``; it is the
   :class:`~repro.core.path_system.PathIncidence` of the support paths,
-  the same form the Stage-4 path LP reads.  A routing an oblivious
-  builder materialized carries one from its audit, whose rows are only
-  permuted into the compiled pair order
+  the same form the Stage-4 path LP reads.  Every routing carries one
+  from its construction, whose rows are only permuted into the compiled
+  pair order
   (:meth:`Routing.live_incidence <repro.core.routing.Routing.live_incidence>`);
 * the **pair × path distribution matrix** ``D`` has ``D[q, p]`` equal to
   the probability of path ``p`` in the pair-``q`` distribution;
@@ -28,9 +28,8 @@ to vectorized reductions over the resulting edge-load array.
 
 The compiled form is immutable and is the evaluator itself:
 ``routing.evaluator("auto")`` returns the routing's cached
-:class:`CompiledRouting`.  A compile remembers the routing and its
-version, and refuses to evaluate (:class:`LinalgError`) once that routing
-mutates — a stale compile must be rebuilt, never silently served.
+:class:`CompiledRouting`.  A routing never changes after construction,
+so a compile of it is never stale.
 
 Link failures do not require
 recompilation: :meth:`CompiledRouting.rebased` masks the paths crossing
@@ -54,9 +53,6 @@ from repro.graphs.network import Network, Vertex
 from repro.obs import trace_span
 
 Pair = Tuple[Vertex, Vertex]
-
-#: Probabilities below this are treated as dead paths after renormalization.
-_PROB_TOL = 0.0
 
 #: How many rebased operators one compiled routing memoizes (LRU); each
 #: rebase holds its own pair × edge matrix.
@@ -95,9 +91,7 @@ class CompiledRouting:
 
     Instances are built through :meth:`from_routing` (fresh compile) or
     :meth:`rebased` (failure re-anchoring); the constructor is internal
-    plumbing shared by both.  ``source`` is the compiled routing: its
-    version is recorded here, and every evaluation entry point raises
-    :class:`LinalgError` once it moves.
+    plumbing shared by both.
     """
 
     def __init__(
@@ -112,10 +106,7 @@ class CompiledRouting:
         pair_edge,
         pair_max_hops: np.ndarray,
         covered: np.ndarray,
-        source,
     ) -> None:
-        self._source = source
-        self._source_version = source._version
         self._network = network
         self._pairs = pairs
         self._pair_index: Dict[Pair, int] = {pair: i for i, pair in enumerate(pairs)}
@@ -177,7 +168,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=np.ones(num_pairs, dtype=bool),
-            source=routing,
         )
 
     # ------------------------------------------------------------------ #
@@ -231,13 +221,6 @@ class CompiledRouting:
         index = self._pair_index.get((source, target))
         return index is not None and bool(self._covered[index])
 
-    def _check_fresh(self) -> None:
-        if self._source._version != self._source_version:
-            raise LinalgError(
-                "the routing mutated after compilation; recompile it "
-                "(routing.evaluator(\"auto\") re-compiles automatically)"
-            )
-
     # ------------------------------------------------------------------ #
     # Demand vectorization
     # ------------------------------------------------------------------ #
@@ -249,7 +232,6 @@ class CompiledRouting:
         (matching the dict evaluator), ``"drop"`` ignores them.  With
         :meth:`demand_matrix` this is the one demand vectorizer.
         """
-        self._check_fresh()
         vector = np.zeros(self.num_pairs, dtype=float)
         for (source, target), amount in demand.items():
             if amount <= 0:
@@ -268,7 +250,6 @@ class CompiledRouting:
         Stored as CSR, ready for the single ``@ pair_edge_operator``
         product.
         """
-        self._check_fresh()
         rows: List[int] = []
         cols: List[int] = []
         data: List[float] = []
@@ -326,7 +307,6 @@ class CompiledRouting:
 
     def coverage(self, demand) -> float:
         """Fraction of demanded pairs that still have at least one path."""
-        self._check_fresh()
         pairs = demand.pairs()
         if not pairs:
             return 1.0
@@ -383,10 +363,8 @@ class CompiledRouting:
         renormalization of the scenario runner); ``capacity_scale``
         entries rescale the capacity vector.  The incidence triplets and
         index arrays are shared — nothing is recompiled.  Results are
-        memoized per event.  A rebased copy checks the same routing's
-        version as its parent.
+        memoized per event.
         """
-        self._check_fresh()
         if event.is_null():
             return self
         cached = self._rebase_cache.get(event)
@@ -415,7 +393,7 @@ class CompiledRouting:
         # Surviving probability mass per pair, then per-path renormalization.
         surviving_total = np.zeros(self.num_pairs, dtype=float)
         np.add.at(surviving_total, self._path_pair[alive], self._path_prob[alive])
-        covered = surviving_total > _PROB_TOL
+        covered = surviving_total > 0
         denominator = np.where(covered, surviving_total, 1.0)
         new_prob = np.where(
             alive & covered[self._path_pair],
@@ -455,7 +433,6 @@ class CompiledRouting:
             pair_edge=pair_edge,
             pair_max_hops=pair_max_hops,
             covered=covered,
-            source=self._source,
         )
 
     def __repr__(self) -> str:

@@ -61,19 +61,12 @@ class DictEvaluator:
         self._routing = routing
         self._cache: "OrderedDict" = OrderedDict()
         self._cache_size = cache_size
-        self._routing_version = getattr(routing, "_version", 0)
 
     @property
     def routing(self):
         return self._routing
 
     def _evaluate(self, demand) -> _Evaluation:
-        version = getattr(self._routing, "_version", 0)
-        if version != self._routing_version:
-            # The routing mutated under us (standalone evaluators outlive
-            # Routing's own cache clear): drop the stale memo.
-            self._cache.clear()
-            self._routing_version = version
         cached = self._cache.get(demand)
         if cached is not None:
             self._cache.move_to_end(demand)

@@ -129,16 +129,16 @@ class PathLPResult:
         if self.lp is None:
             return None
         flat, pairs, incidence = self.flows.tolist(), self.lp.pairs, self.lp.incidence
-        weights = {}
+        weights, slices, rows = {}, {}, []
         for index in self.order.tolist():
             pair = pairs[index]
             start, stop = incidence.slices[pair]
-            weights[pair] = {
-                path: w
-                for path, w in zip(incidence.paths[start:stop], flat[start:stop])
-                if w > 0
-            }
-        return Routing._from_validated(self.network, weights)
+            first = len(rows)
+            rows.extend(row for row in range(start, stop) if flat[row] > 0)
+            weights[pair] = {incidence.paths[row]: flat[row] for row in rows[first:]}
+            slices[pair] = (first, len(rows))
+        taken = incidence.take(np.array(rows, dtype=np.int64), slices)
+        return Routing._from_validated(self.network, weights, taken)
 
     @cached_property
     def edge_congestions(self) -> Dict[Tuple[Vertex, Vertex], float]:

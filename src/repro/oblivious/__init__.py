@@ -15,7 +15,7 @@ R).  This package provides:
   stand-in used by the Section 7 completion-time results.
 """
 
-from repro.oblivious.base import ObliviousRoutingBuilder, build_routing_for_pairs
+from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.oblivious.shortest_path import ShortestPathRouting, KShortestPathRouting
 from repro.oblivious.valiant import ValiantHypercubeRouting
 from repro.oblivious.valiant_general import ValiantGeneralRouting
@@ -25,7 +25,6 @@ from repro.oblivious.hop_constrained import HopConstrainedRouting
 
 __all__ = [
     "ObliviousRoutingBuilder",
-    "build_routing_for_pairs",
     "ShortestPathRouting",
     "KShortestPathRouting",
     "ValiantHypercubeRouting",

@@ -63,10 +63,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from repro.core.path_system import row_slots
+from repro.core.path_system import IndexPaths, row_slots
 from repro.exceptions import GraphError, RoutingError
 from repro.graphs.network import Network, Path, Vertex
-from repro.oblivious.base import IndexPaths, ObliviousRoutingBuilder, Pair
+from repro.oblivious.base import ObliviousRoutingBuilder, Pair
 from repro.utils.rng import RngLike, ensure_rng
 
 #: A routing tree over vertex indices: each vertex's parent (the root's is

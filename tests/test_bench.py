@@ -161,3 +161,29 @@ def test_readme_bench_table_is_the_rendered_baselines():
     check_docs.check_bench_table(readme.replace("| `scale` |", "| `scale` | stale", 1), failures)
     assert len(failures) == 1 and "differs from tools/render_bench_table.py" in failures[0]
     assert "+| `scale` | isp-182x11" in failures[0]
+
+
+def test_check_docs_fails_on_a_docstring_reference_that_does_not_import(tmp_path):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))
+    (tmp_path / "module.py").write_text(
+        '"""See :class:`~repro.core.routing.Routing` and :mod:`repro.linalg`.\n\n'
+        'Also :func:`repro.core.path_system.audit_paths`, the constant\n'
+        ':data:`repro.core.path_system.PROBABILITY_TOL` and\n'
+        ':meth:`the old one <repro.core.routing.Routing.set_distribution>`.\n"""\n'
+        "\n\ndef helper():\n"
+        '    """Calls :func:`repro.core.no_such_module.thing`."""\n',
+        encoding="utf-8",
+    )
+    failures = []
+    assert check_docs.check_docstring_references(tmp_path, failures) == 6
+    assert [failure.split(": ", 1)[1] for failure in failures] == [
+        "docstring refers to repro.core.routing.Routing.set_distribution, which does not import",
+        "docstring refers to repro.core.no_such_module.thing, which does not import",
+    ]
+    failures = []
+    assert check_docs.check_docstring_references(REPO_ROOT / "src", failures) > 100
+    assert failures == []

@@ -361,8 +361,8 @@ class TestIntegration:
         # Regression: the quantize cache was keyed on id(routing) without
         # retaining the routing, and adaptive inners build a fresh
         # Routing per route() — after the old object was freed, CPython
-        # could reuse its address (and _version collides at the pair
-        # count), silently serving the previous demand's table.  The
+        # could reuse its address, silently serving the previous
+        # demand's table.  The
         # cache must hold a strong reference and hit on live identity.
         wrapped = build_router("realized(ksp(k=3), buckets=8)", cube3, rng=0)
         wrapped.install()

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.path_system import PathSystem
+from repro.core.path_system import PathIncidence, PathSystem
 from repro.core.routing import Routing
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
@@ -117,7 +117,8 @@ def _eager_reference(system, demand, flows):
         edge: load / network.capacity_of(edge)
         for edge, load in zip(network.edges, loads) if load
     }
-    return Routing._from_validated(network, weights), edge_congestions
+    paths = PathIncidence.build(network, [(pair, list(bucket)) for pair, bucket in weights.items()])
+    return Routing._from_validated(network, weights, paths), edge_congestions
 
 
 def _seeded_system(network, pairs, seed):

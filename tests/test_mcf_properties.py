@@ -390,11 +390,13 @@ def test_trusted_routing_equals_the_validated_one(instance, data):
     for pair, paths in system.items():
         raw = [data.draw(weight) for _ in paths]
         distributions[pair] = {path: w / sum(raw) for path, w in zip(paths, raw)}
-    trusted = Routing._from_validated(system.network, distributions)
+    trusted = Routing._from_validated(system.network, distributions, system.incidence())
     validated = Routing(system.network, distributions)
     assert [(pair, trusted.distribution(*pair)) for pair in trusted] == [
         (pair, validated.distribution(*pair)) for pair in validated
     ]
+    assert trusted._incidence.paths == validated._incidence.paths
+    assert trusted._incidence.edge_ids.tolist() == validated._incidence.edge_ids.tolist()
 
 
 @settings(max_examples=30, deadline=None)

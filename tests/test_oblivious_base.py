@@ -6,13 +6,14 @@ from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import PathError, ReproError, RoutingError
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
-from repro.oblivious.base import ObliviousRoutingBuilder, build_routing_for_pairs
+from repro.oblivious.base import ObliviousRoutingBuilder
 from repro.oblivious.electrical import ElectricalFlowRouting
 from repro.oblivious.hop_constrained import HopConstrainedRouting
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import KShortestPathRouting, ShortestPathRouting
 from repro.oblivious.valiant import ValiantHypercubeRouting
 from repro.oblivious.valiant_general import ValiantGeneralRouting
+from strategies import oracle_distributions
 
 
 class _CountingBuilder(ObliviousRoutingBuilder):
@@ -72,7 +73,7 @@ def test_routing_for_demand_covers_support(cube3):
 
 def test_build_routing_for_pairs(cube3):
     builder = ShortestPathRouting(cube3)
-    routing = build_routing_for_pairs(builder, [(0, 1), (2, 3)])
+    routing = builder.routing(pairs=[(0, 1), (2, 3)])
     assert set(routing.pairs()) == {(0, 1), (2, 3)}
 
 
@@ -82,7 +83,8 @@ def test_repr_mentions_network(cube3):
 
 
 #: One broken distribution per case for the pair (0, 3) of the 3-cube
-#: (0-1-3 and 0-2-3 are its shortest paths), with the error ``Routing`` raises.
+#: (0-1-3 and 0-2-3 are its shortest paths), with the error the per-path
+#: oracle raises.
 _BROKEN = {
     "non-adjacent step": ({(0, 3): 1.0}, PathError),
     "repeated vertex": ({(0, 1, 5, 1, 3): 1.0}, PathError),
@@ -110,22 +112,27 @@ class _BrokenBuilder(ObliviousRoutingBuilder):
 @pytest.mark.parametrize("case", sorted(_BROKEN))
 def test_broken_distributions_raise_what_routing_raises(cube3, case):
     distribution, error = _BROKEN[case]
-    with pytest.raises(ReproError) as reference:
+    with pytest.raises(error):
+        oracle_distributions(cube3, {(0, 3): distribution})
+    with pytest.raises(ReproError) as direct:
         Routing(cube3, {(0, 3): distribution})
     with pytest.raises(ReproError) as materialized:
         _BrokenBuilder(cube3, distribution).routing(pairs=[(0, 1), (0, 3), (5, 6)])
-    assert type(reference.value) is type(materialized.value) is error
+    assert type(direct.value) is type(materialized.value) is error
 
 
 def test_zero_probability_paths_are_dropped_unchecked(cube3):
     distribution = {(0, 1, 3): 1.0, (0, 99, 3): 0.0}
-    reference = Routing(cube3, {(0, 3): distribution})
+    expected = oracle_distributions(cube3, {(0, 3): distribution})[(0, 3)]
+    direct = Routing(cube3, {(0, 3): distribution})
     routing = _BrokenBuilder(cube3, distribution).routing(pairs=[(0, 3)])
-    assert routing.distribution(0, 3) == reference.distribution(0, 3) == {(0, 1, 3): 1.0}
+    assert routing.distribution(0, 3) == direct.distribution(0, 3) == expected == {(0, 1, 3): 1.0}
 
 
 def test_nan_probability_is_rejected(cube3):
     distribution = {(0, 1, 3): float("nan")}
+    with pytest.raises(RoutingError):
+        oracle_distributions(cube3, {(0, 3): distribution})
     with pytest.raises(RoutingError):
         Routing(cube3, {(0, 3): distribution})
     with pytest.raises(RoutingError):
@@ -148,12 +155,14 @@ def test_materialized_routing_equals_the_validated_one(cube3, name):
     builder = _BUILDERS[name](cube3)
     pairs = list(cube3.vertex_pairs(ordered=True))[::-3]
     routing = builder.routing(pairs + pairs[:4])
-    reference = Routing(cube3, {pair: builder.pair_distribution(*pair) for pair in pairs})
-    assert routing.pairs() == reference.pairs() == pairs
+    reference = oracle_distributions(
+        cube3, {pair: builder.pair_distribution(*pair) for pair in pairs}
+    )
+    assert routing.pairs() == list(reference) == pairs
     incidence = routing._incidence
     for pair in pairs:
         items = list(routing.distribution(*pair).items())
-        assert items == list(reference.distribution(*pair).items())
+        assert items == list(reference[pair].items())
         start, stop = incidence.slices[pair]
         assert incidence.paths[start:stop] == tuple(path for path, _ in items)
         for row in range(start, stop):
@@ -172,10 +181,3 @@ def test_materialize_span_counts_pairs_paths_and_entries(cube3):
     assert span["counters"] == {
         "pairs": 56, "paths": len(incidence.paths), "nnz": len(incidence.edge_ids),
     }
-
-
-def test_mutation_drops_the_materialized_incidence(cube3):
-    routing = ShortestPathRouting(cube3).routing()
-    assert routing._incidence is not None
-    routing.set_distribution(0, 3, {(0, 2, 3): 1.0})
-    assert routing._incidence is None

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path_system import PathSystem
+from repro.core.path_system import PathIncidence, PathSystem
 from repro.core.routing import Routing, path_usage_counts
 from repro.demands.demand import Demand
-from repro.exceptions import RoutingError
+from repro.exceptions import ReproError, RoutingError
 from repro.graphs import topologies
+from strategies import oracle_distributions, routing_inputs
 
 
 def make_simple_routing(cube3):
@@ -134,3 +135,28 @@ def test_property_congestion_linear_in_demand(split, amount):
     demand = Demand({(0, 3): amount})
     # With a single pair, congestion = amount * max(split, 1-split).
     assert routing.congestion(demand) == pytest.approx(amount * max(split, 1.0 - split))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=routing_inputs())
+def test_routing_audit_agrees_with_the_per_path_oracle(case):
+    network, distributions, fault = case
+    try:
+        expected = oracle_distributions(network, distributions)
+    except ReproError as error:
+        assert fault is not None
+        with pytest.raises(ReproError) as raised:
+            Routing(network, distributions)
+        assert type(raised.value) is type(error)
+        return
+    assert fault is None
+    routing = Routing(network, distributions)
+    assert list(routing) == list(expected)
+    for pair, distribution in expected.items():
+        assert list(routing.distribution(*pair).items()) == list(distribution.items())
+    reference = PathIncidence.build(network, [(pair, list(d)) for pair, d in expected.items()])
+    incidence = routing._incidence
+    assert incidence.paths == reference.paths
+    assert incidence.slices == reference.slices
+    assert incidence.indptr.tolist() == reference.indptr.tolist()
+    assert incidence.edge_ids.tolist() == reference.edge_ids.tolist()

@@ -238,7 +238,7 @@ def test_executor_equivalence_on_probe_suite():
 def test_backend_equivalence_across_executors():
     # The parent compiles the CSR operators at install and the pool
     # workers evaluate through exactly those, unpickled with the engines:
-    # the compile travels inside its routing and stays bound to it.
+    # the compile travels inside its routing's evaluator cache.
     suite = probe_suite()
     inline = run_suite(suite, workers=1)
     pooled = run_suite(suite, workers=2)
@@ -248,7 +248,8 @@ def test_backend_equivalence_across_executors():
     routing = pickle.loads(pickle.dumps(engine["spf"].routing))
     compiled = routing._evaluators["auto"]
     assert isinstance(compiled, CompiledRouting)
-    assert compiled._source is routing
+    assert compiled.network is routing.network
+    assert compiled.pairs == tuple(sorted(routing.pairs(), key=repr))
     assert routing.evaluator("auto") is compiled
 
 

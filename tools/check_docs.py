@@ -25,7 +25,10 @@ EXPERIMENTS.md, docs/ARCHITECTURE.md).  Two checks per file:
 
 Every run also checks that each ``*.md`` path named in a docstring
 under ``src/`` (module, class or function) exists relative to the
-repository root, so code cannot cite a document that is gone.  When
+repository root, so code cannot cite a document that is gone, and that
+every fully qualified ``repro.…`` Sphinx cross-reference in those
+docstrings (``:meth:``, ``:func:``, ``:class:``, ``:attr:``, ``:data:``,
+``:mod:``, ``:exc:``) imports, so code cannot cite a name that is gone.  When
 README.md is checked, its bench table must be exactly what
 ``tools/render_bench_table.py`` renders from the committed
 ``BENCH_*.json`` baselines, so a regenerated baseline cannot leave a
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import ast
 import difflib
+import importlib
 import re
 import sys
 import traceback
@@ -163,22 +167,59 @@ def check_links(path: Path, text: str, failures: List[str]) -> int:
 DOC_PATH_RE = re.compile(r"[\w./-]+\.md\b")
 
 
-def check_docstring_paths(src: Path, failures: List[str]) -> int:
-    """Every ``*.md`` path a ``src`` docstring names must exist under the repo root."""
-    checked = 0
+def _docstrings(src: Path):
+    """``(module path, docstring)`` of every module, class and function under ``src``."""
     for module in sorted(src.rglob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if not isinstance(
+            if isinstance(
                 node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
             ):
-                continue
-            docstring = ast.get_docstring(node, clean=False)
-            for name in DOC_PATH_RE.findall(docstring or ""):
-                checked += 1
-                if not (REPO_ROOT / name).exists():
-                    label = module.relative_to(REPO_ROOT)
-                    failures.append(f"{label}: docstring names missing document {name}")
+                yield module, ast.get_docstring(node, clean=False) or ""
+
+
+def check_docstring_paths(src: Path, failures: List[str]) -> int:
+    """Every ``*.md`` path a ``src`` docstring names must exist under the repo root."""
+    checked = 0
+    for module, docstring in _docstrings(src):
+        for name in DOC_PATH_RE.findall(docstring):
+            checked += 1
+            if not (REPO_ROOT / name).exists():
+                label = module.relative_to(REPO_ROOT)
+                failures.append(f"{label}: docstring names missing document {name}")
+    return checked
+
+
+#: A Sphinx cross-reference to a fully qualified ``repro`` name, in any of
+#: the forms ``repro.x``, ``~repro.x`` and ``title <repro.x>``.
+XREF_RE = re.compile(r":(?:meth|func|class|attr|data|mod|exc):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)>?`")
+
+
+def resolves(name: str) -> bool:
+    """True when the dotted ``name`` is an importable module or an attribute inside one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_docstring_references(src: Path, failures: List[str]) -> int:
+    """Every fully qualified ``repro.…`` cross-reference in a ``src`` docstring must import."""
+    checked = 0
+    for module, docstring in _docstrings(src):
+        for name in XREF_RE.findall(docstring):
+            checked += 1
+            if not resolves(name):
+                label = module.relative_to(src.parent)
+                failures.append(f"{label}: docstring refers to {name}, which does not import")
     return checked
 
 
@@ -228,6 +269,8 @@ def main(argv: List[str]) -> int:
             check_bench_table(text, failures)
     named = check_docstring_paths(REPO_ROOT / "src", failures)
     print(f"src/: {named} document path(s) named in docstrings checked")
+    references = check_docstring_references(REPO_ROOT / "src", failures)
+    print(f"src/: {references} repro cross-reference(s) in docstrings resolved")
     if failures:
         print(f"\n{len(failures)} documentation failure(s):", file=sys.stderr)
         for failure in failures:
