@@ -150,6 +150,11 @@ def test_lazy_routing_and_edge_congestions_equal_the_eager_reference(torus3, see
     assert [result.routing.distribution(*p) for p in result.routing] == [
         routing.distribution(*p) for p in routing
     ]
+    # The rows taken from the LP's incidence equal the paths walked again.
+    taken, walked = result.routing._incidence, routing._incidence
+    assert (taken.paths, taken.slices) == (walked.paths, walked.slices)
+    assert taken.indptr.tolist() == walked.indptr.tolist()
+    assert taken.edge_ids.tolist() == walked.edge_ids.tolist()
     assert list(result.edge_congestions) == list(edge_congestions)
     for edge, value in edge_congestions.items():
         assert result.edge_congestions[edge] == pytest.approx(value, rel=1e-12, abs=1e-15)
