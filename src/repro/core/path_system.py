@@ -18,6 +18,10 @@ construction built, a compiled routing (:mod:`repro.linalg.compiled`)
 reorders that one, and both decide which paths survive a link failure
 with :meth:`PathIncidence.surviving`.
 
+:class:`PairIndex` is the one map of a demand onto pair rows: the
+compiled evaluator and the path LP each hold one, and
+:meth:`PairIndex.positions` vectorizes every demand they are given.
+
 Every routing's paths pass one vectorized check, :func:`audit_paths`,
 over vertex indices (:class:`IndexPaths`); :func:`merge_paths` then
 turns the audited rows into each pair's ``{vertex tuple: probability}``
@@ -26,10 +30,11 @@ and the routing's incidence, from the audit's edge ids.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
 )
 
 import numpy as np
@@ -128,6 +133,59 @@ class PathIncidence:
         alive = np.ones(len(self.paths), dtype=bool)
         alive[np.searchsorted(self.indptr, broken, side="right") - 1] = False
         return alive
+
+
+class PairIndex(Mapping):
+    """Each pair's row in a fixed pair order, and the one map of a demand onto those rows.
+
+    A read-only ``{pair: row}`` mapping over ``pairs``.  The compiled
+    evaluator and the Stage-4 path LP each hold one; a compile's rebased
+    copies share it.
+    """
+
+    __slots__ = ("pairs", "index", "_memo")
+
+    def __init__(self, pairs: Sequence[Pair]) -> None:
+        self.pairs: Tuple[Pair, ...] = tuple(pairs)
+        self.index: Dict[Pair, int] = {pair: row for row, pair in enumerate(self.pairs)}
+        # The last demand's key list with its rows and unknown mask: a
+        # stream of demands over one key order maps its keys once.
+        self._memo: Optional[Tuple[List[Pair], np.ndarray, np.ndarray]] = None
+
+    def __getitem__(self, pair: Pair) -> int:
+        return self.index[pair]
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getstate__(self) -> Tuple[Tuple[Pair, ...], Dict[Pair, int]]:
+        # The memo only saves time, so it does not travel.
+        return self.pairs, self.index
+
+    def __setstate__(self, state: Tuple[Tuple[Pair, ...], Dict[Pair, int]]) -> None:
+        self.pairs, self.index = state
+        self._memo = None
+
+    def positions(self, demand: Mapping[Pair, float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``demand``'s rows (``-1`` for a pair not indexed), amounts and unknown mask.
+
+        All three are in demand order; the rows and the mask are shared
+        read-only arrays.  A demand whose key list equals the last one's
+        reuses its rows without a lookup.
+        """
+        keys = list(demand)
+        memo = self._memo
+        if memo is not None and memo[0] == keys:
+            _, rows, unknown = memo
+        else:
+            rows = np.fromiter(map(self.index.get, keys, repeat(-1)), np.intp, len(keys))
+            unknown = rows < 0
+            rows.flags.writeable = unknown.flags.writeable = False
+            self._memo = (keys, rows, unknown)
+        return rows, np.fromiter(demand.values(), float, len(keys)), unknown
 
 
 @dataclass(frozen=True)
@@ -462,6 +520,7 @@ class PathSystem:
 __all__ = [
     "PathSystem",
     "PathIncidence",
+    "PairIndex",
     "IndexPaths",
     "Pair",
     "PROBABILITY_TOL",

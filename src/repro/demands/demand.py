@@ -17,7 +17,9 @@ together with the algebra needed by the reductions of Section 5.4
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, ValuesView,
+)
 
 from repro.exceptions import DemandError
 from repro.graphs.network import Network, Vertex
@@ -84,6 +86,10 @@ class Demand:
 
     def items(self) -> Iterator[Tuple[Pair, float]]:
         return iter(self._values.items())
+
+    def values(self) -> ValuesView[float]:
+        """The amounts, in :meth:`pairs` order (a read-only view)."""
+        return self._values.values()
 
     def support_size(self) -> int:
         """``|supp(d)|``."""

@@ -42,12 +42,12 @@ incidence is shared with the original object.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.path_system import PathIncidence
+from repro.core.path_system import PairIndex, PathIncidence
 from repro.exceptions import GraphError, LinalgError, RoutingError
 from repro.graphs.network import Network, Vertex
 from repro.obs import trace_span
@@ -97,7 +97,7 @@ class CompiledRouting:
     def __init__(
         self,
         network: Network,
-        pairs: Tuple[Pair, ...],
+        pair_index: PairIndex,
         capacities: np.ndarray,
         incidence: PathIncidence,
         path_pair: np.ndarray,
@@ -108,8 +108,7 @@ class CompiledRouting:
         covered: np.ndarray,
     ) -> None:
         self._network = network
-        self._pairs = pairs
-        self._pair_index: Dict[Pair, int] = {pair: i for i, pair in enumerate(pairs)}
+        self._pair_index = pair_index
         self._capacities = capacities
         # The support paths' incidence, which every rebase renormalizes
         # ``pair_edge`` from; in COO form, entry ``k`` is (path
@@ -159,7 +158,7 @@ class CompiledRouting:
         )
         return cls(
             network=network,
-            pairs=pairs,
+            pair_index=PairIndex(pairs),
             capacities=network.capacities,
             incidence=incidence,
             path_pair=path_pair,
@@ -180,15 +179,16 @@ class CompiledRouting:
     @property
     def pairs(self) -> Tuple[Pair, ...]:
         """Covered pairs in compiled (row-index) order."""
-        return self._pairs
+        return self._pair_index.pairs
 
     @property
-    def pair_index(self) -> Mapping[Pair, int]:
-        return dict(self._pair_index)
+    def pair_index(self) -> PairIndex:
+        """Each pair's row, shared with every rebased copy (read-only)."""
+        return self._pair_index
 
     @property
     def num_pairs(self) -> int:
-        return len(self._pairs)
+        return len(self._pair_index)
 
     @property
     def num_paths(self) -> int:
@@ -218,54 +218,56 @@ class CompiledRouting:
 
     def is_covered(self, source: Vertex, target: Vertex) -> bool:
         """True when the pair still has at least one (surviving) path."""
-        index = self._pair_index.get((source, target))
+        index = self._pair_index.index.get((source, target))
         return index is not None and bool(self._covered[index])
 
     # ------------------------------------------------------------------ #
     # Demand vectorization
     # ------------------------------------------------------------------ #
+    def _entries(self, demand, missing: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows and amounts of ``demand``'s positive entries on indexed pairs, in demand order.
+
+        A positive entry on a pair not indexed raises unless ``missing`` is ``"drop"``.
+        """
+        rows, amounts, unknown = self._pair_index.positions(demand)
+        # Not ``amounts > 0``: a NaN amount is kept, as the dict evaluator keeps it.
+        keep = ~(amounts <= 0)
+        missed = keep & unknown
+        if missed.any():
+            if missing != "drop":
+                pair = list(demand)[int(np.argmax(missed))]
+                raise RoutingError(f"routing does not cover pair {pair!r}")
+            keep &= ~unknown
+        return rows[keep], amounts[keep]
+
     def demand_vector(self, demand, missing: str = "error") -> np.ndarray:
         """Dense demand vector over the compiled pair index.
 
-        ``missing`` controls pairs with positive demand that the routing
-        does not cover at all: ``"error"`` raises :class:`RoutingError`
-        (matching the dict evaluator), ``"drop"`` ignores them.  With
-        :meth:`demand_matrix` this is the one demand vectorizer.
+        ``demand`` is any pair → amount mapping (a :class:`Demand` or a
+        plain dict); amounts ``<= 0`` are skipped.  ``missing`` controls
+        pairs with positive demand that the routing does not cover at
+        all: ``"error"`` raises :class:`RoutingError` (matching the dict
+        evaluator), ``"drop"`` ignores them.
         """
+        rows, amounts = self._entries(demand, missing)
         vector = np.zeros(self.num_pairs, dtype=float)
-        for (source, target), amount in demand.items():
-            if amount <= 0:
-                continue
-            index = self._pair_index.get((source, target))
-            if index is None:
-                if missing == "drop":
-                    continue
-                raise RoutingError(f"routing does not cover pair {(source, target)!r}")
-            vector[index] += amount
+        vector[rows] = amounts
         return vector
 
     def demand_matrix(self, demands: Sequence, missing: str = "error"):
         """Batch of demand vectors as one (batch × pair) matrix.
 
-        Stored as CSR, ready for the single ``@ pair_edge_operator``
-        product.
+        Each row is :meth:`demand_vector` of one demand, stored as CSR,
+        ready for the single ``@ pair_edge_operator`` product.
         """
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for row, demand in enumerate(demands):
-            for (source, target), amount in demand.items():
-                if amount <= 0:
-                    continue
-                index = self._pair_index.get((source, target))
-                if index is None:
-                    if missing == "drop":
-                        continue
-                    raise RoutingError(f"routing does not cover pair {(source, target)!r}")
-                rows.append(row)
-                cols.append(index)
-                data.append(float(amount))
-        return _build_matrix(rows, cols, data, (len(demands), self.num_pairs))
+        entries = [self._entries(demand, missing) for demand in demands]
+        counts = [len(rows) for rows, _ in entries]
+        return _build_matrix(
+            np.repeat(np.arange(len(entries)), counts),
+            np.concatenate([np.empty(0, np.intp)] + [rows for rows, _ in entries]),
+            np.concatenate([np.empty(0)] + [amounts for _, amounts in entries]),
+            (len(entries), self.num_pairs),
+        )
 
     def uncovered_demand(self, vector: np.ndarray) -> bool:
         """True when ``vector`` puts positive demand on an uncovered pair.
@@ -306,16 +308,13 @@ class CompiledRouting:
         return int(np.max(self._pair_max_hops[active], initial=0))
 
     def coverage(self, demand) -> float:
-        """Fraction of demanded pairs that still have at least one path."""
-        pairs = demand.pairs()
-        if not pairs:
+        """Fraction of demanded (positive) pairs that still have at least one path."""
+        rows, amounts, unknown = self._pair_index.positions(demand)
+        demanded = ~(amounts <= 0)
+        total = int(np.count_nonzero(demanded))
+        if not total:
             return 1.0
-        covered = 0
-        for pair in pairs:
-            index = self._pair_index.get(pair)
-            if index is not None and self._covered[index]:
-                covered += 1
-        return covered / len(pairs)
+        return int(np.count_nonzero(self._covered[rows[demanded & ~unknown]])) / total
 
     # ------------------------------------------------------------------ #
     # Evaluation: demand batches
@@ -424,7 +423,7 @@ class CompiledRouting:
 
         return CompiledRouting(
             network=self._network,
-            pairs=self._pairs,
+            pair_index=self._pair_index,
             capacities=capacities,
             incidence=self._incidence,
             path_pair=self._path_pair,

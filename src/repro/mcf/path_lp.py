@@ -76,7 +76,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.path_system import PathIncidence, PathSystem
+from repro.core.path_system import PairIndex, PathIncidence, PathSystem
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.exceptions import InfeasibleError
@@ -194,7 +194,7 @@ class RateLP:
         #: The installed pairs, in incidence order.
         self.pairs = list(incidence.slices)
         #: Installed pair -> its position in ``pairs`` and in the ``amounts`` of :meth:`solve`.
-        self.pair_index = {pair: i for i, pair in enumerate(self.pairs)}
+        self.pair_index = PairIndex(self.pairs)
         self.num_edges = m
         self.incidence = incidence
         self._start, self._index, self._value = start, index, value
@@ -322,17 +322,13 @@ def _right_hand_side(lp: RateLP, demand: Demand) -> Tuple[np.ndarray, np.ndarray
 
     Every amount of a :class:`Demand` is positive: its constructor drops zeros.
     """
-    pair_index = lp.pair_index
-    order, values = [], []
-    for pair, amount in demand.items():
-        index = pair_index.get(pair)
-        if index is None:
-            raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
-        order.append(index)
-        values.append(amount)
-    amounts = np.zeros(len(pair_index))
+    order, values, unknown = lp.pair_index.positions(demand)
+    if unknown.any():
+        pair = list(demand)[int(np.argmax(unknown))]
+        raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
+    amounts = np.zeros(len(lp.pairs))
     amounts[order] = values
-    return np.array(order, dtype=np.int64), amounts
+    return order, amounts
 
 
 __all__ = [

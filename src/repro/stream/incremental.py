@@ -25,7 +25,7 @@ current demand within 1e-9 (enforced by ``tests/test_stream.py``).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class IncrementalStreamEvaluator:
         self._capacities = compiled.capacities
         self._vector = np.zeros(compiled.num_pairs, dtype=float)
         self._loads = np.zeros(compiled.num_edges, dtype=float)
-        self._pair_index = dict(compiled.pair_index)
+        self._pair_index = compiled.pair_index
         self._demand: Demand = Demand.empty()
         self._num_steps = 0
         self._num_full_recomputes = 0
@@ -94,8 +94,8 @@ class IncrementalStreamEvaluator:
     # ------------------------------------------------------------------ #
     # State transitions
     # ------------------------------------------------------------------ #
-    def _apply_rows(self, rows: list, deltas: list) -> None:
-        if not rows:
+    def _apply_rows(self, rows: np.ndarray, deltas: np.ndarray) -> None:
+        if not len(rows):
             return
         if len(rows) >= self._full_threshold:
             # Dense delta: one full product beats len(rows) row updates,
@@ -118,47 +118,35 @@ class IncrementalStreamEvaluator:
             # offsets`, so the whole delta lands in one np.add.at
             # (different rows may share edge columns, hence add.at
             # rather than fancy-index assignment).
-            row_arr = np.asarray(rows, dtype=np.int64)
-            starts = indptr[row_arr]
-            counts = np.asarray(indptr[row_arr + 1] - starts, dtype=np.int64)
+            starts = indptr[rows]
+            counts = np.asarray(indptr[rows + 1] - starts, dtype=np.int64)
             total = int(counts.sum())
             if total:
                 offsets = np.cumsum(counts) - counts
                 flat = np.arange(total, dtype=np.int64) + np.repeat(
                     starts - offsets, counts
                 )
-                contributions = np.repeat(
-                    np.asarray(deltas, dtype=float), counts
-                ) * data[flat]
+                contributions = np.repeat(deltas, counts) * data[flat]
                 np.add.at(loads, indices[flat], contributions)
 
     def _collect(
-        self, items: Iterable[Tuple[Pair, float]], missing: str
-    ) -> Tuple[list, list]:
+        self, delta: Mapping[Pair, float], missing: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
         # Resolve and validate every pair BEFORE touching the vector:
         # set_demand is transactional w.r.t. coverage errors, so a
         # caller can catch RoutingError, re-solve, and continue from an
         # uncorrupted state.
-        staged: list = []
-        pair_index = self._pair_index
-        for pair, new_value in items:
-            index = pair_index.get(pair)
-            if index is None:
-                if new_value <= 0 or missing == "drop":
-                    continue
-                raise RoutingError(f"routing does not cover pair {pair!r}")
-            staged.append((index, float(new_value)))
-        rows: list = []
-        deltas: list = []
-        vector = self._vector
-        for index, new_value in staged:
-            delta = new_value - vector[index]
-            if delta == 0.0:
-                continue
-            vector[index] = new_value
-            rows.append(index)
-            deltas.append(delta)
-        return rows, deltas
+        rows, values, unknown = self._pair_index.positions(delta)
+        missed = unknown & ~(values <= 0)
+        if missed.any() and missing != "drop":
+            pair = list(delta)[int(np.argmax(missed))]
+            raise RoutingError(f"routing does not cover pair {pair!r}")
+        rows, values = rows[~unknown], values[~unknown]
+        deltas = values - self._vector[rows]
+        changed = deltas != 0.0
+        rows = rows[changed]
+        self._vector[rows] = values[changed]
+        return rows, deltas[changed]
 
     def set_demand(
         self,
@@ -191,7 +179,7 @@ class IncrementalStreamEvaluator:
         # Coverage of unchanged pairs needs no re-validation: every pair
         # in the maintained vector entered it through a validated
         # application, so checking the delta alone suffices.
-        rows, deltas = self._collect(delta.items(), missing)
+        rows, deltas = self._collect(delta, missing)
         self._apply_rows(rows, deltas)
         self._demand = demand
         self._num_steps += 1

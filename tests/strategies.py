@@ -1,10 +1,12 @@
-"""Hypothesis strategies, and the per-path routing oracle, shared by several test modules."""
+"""Hypothesis strategies, and the per-item oracles, shared by several test modules."""
 
 import networkx as nx
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.exceptions import RoutingError
+from repro.exceptions import InfeasibleError, RoutingError
 from repro.graphs.network import Network
 
 # Vertex labels of each type, from an integer index.
@@ -130,3 +132,110 @@ def routing_inputs(draw):
     elif fault == "source == target":
         distributions[(source, source)] = {(source,): 1.0}
     return network, distributions, fault
+
+
+def oracle_demand_vector(pair_index, demand, missing):
+    """The demand vector over ``pair_index`` (a ``{pair: row}`` dict), one item at a time.
+
+    The reference for the compiled evaluator's vectorizer: amounts ``<= 0``
+    are skipped, and the first uncovered positive pair raises
+    :class:`RoutingError` unless ``missing == "drop"``.
+    """
+    vector = np.zeros(len(pair_index), dtype=float)
+    for (source, target), amount in demand.items():
+        if amount <= 0:
+            continue
+        index = pair_index.get((source, target))
+        if index is None:
+            if missing == "drop":
+                continue
+            raise RoutingError(f"routing does not cover pair {(source, target)!r}")
+        vector[index] += amount
+    return vector
+
+
+def oracle_demand_matrix(pair_index, demands, missing):
+    """The (batch × pair) CSR matrix of :func:`oracle_demand_vector` rows, built item by item."""
+    rows, cols, data = [], [], []
+    for row, demand in enumerate(demands):
+        for (source, target), amount in demand.items():
+            if amount <= 0:
+                continue
+            index = pair_index.get((source, target))
+            if index is None:
+                if missing == "drop":
+                    continue
+                raise RoutingError(f"routing does not cover pair {(source, target)!r}")
+            rows.append(row)
+            cols.append(index)
+            data.append(float(amount))
+    matrix = sparse.csr_matrix(
+        (np.asarray(data, dtype=float),
+         (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))),
+        shape=(len(demands), len(pair_index)),
+    )
+    matrix.sum_duplicates()
+    return matrix
+
+
+def oracle_right_hand_side(pair_index, demand):
+    """The path LP's demanded rows (demand order) and per-pair amounts, item by item.
+
+    Every entry counts, whatever its amount; the first pair outside
+    ``pair_index`` raises :class:`InfeasibleError`.
+    """
+    order, values = [], []
+    for pair, amount in demand.items():
+        index = pair_index.get(pair)
+        if index is None:
+            raise InfeasibleError(f"path system has no candidate path for pair {pair!r}")
+        order.append(index)
+        values.append(amount)
+    amounts = np.zeros(len(pair_index))
+    amounts[order] = values
+    return np.array(order, dtype=np.int64), amounts
+
+
+#: How :func:`demand_sequences` derives each demand from the one before.
+MEMO_STEPS = ("new values", "permuted", "subset", "superset")
+
+
+@st.composite
+def demand_sequences(draw):
+    """A labelled network, the pairs a routing covers, and plain-dict demands in sequence.
+
+    Amounts are zero, negative, fractional or integral, and keys include
+    uncovered pairs (some with a vertex outside the network).  Each demand
+    after the first keeps the previous key order with new values, permutes
+    it, takes a prefix, or repeats it with new values and then appends one
+    more pair, uncovered when one is left: a key-order memo sees hits,
+    misses and a miss right after a hit.
+    """
+    network = draw(labelled_networks())
+    rnd = draw(st.randoms(use_true_random=False))
+    vertices = network.vertices
+    pairs = [(s, t) for s in vertices for t in vertices if s != t]
+    covered = rnd.sample(pairs, rnd.randint(1, len(pairs)))
+    keys = pairs + [("nowhere", vertices[0]), (vertices[-1], "nowhere")]
+
+    def amount():
+        return rnd.choice([0.0, -1.0, -0.5, 0.25, 1.0 + rnd.random(), 3])
+
+    sequence = [{pair: amount() for pair in rnd.sample(keys, rnd.randint(0, len(keys)))}]
+    for step in draw(st.lists(st.sampled_from(MEMO_STEPS), max_size=6)):
+        last = list(sequence[-1])
+        if step == "permuted":
+            rnd.shuffle(last)
+            sequence.append({pair: sequence[-1][pair] for pair in last})
+        elif step == "subset":
+            sequence.append({pair: sequence[-1][pair] for pair in last[:rnd.randint(0, len(last))]})
+        else:
+            sequence.append({pair: amount() for pair in last})
+            if step == "superset":
+                left = [pair for pair in keys if pair not in sequence[-1]]
+                uncovered = [pair for pair in left if pair not in covered]
+                if left:
+                    extended = dict(sequence[-1])
+                    extended[rnd.choice(uncovered or left)] = 1.0 + rnd.random()
+                    sequence.append(extended)
+    return network, covered, sequence

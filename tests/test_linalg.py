@@ -3,9 +3,15 @@
 import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import (
+    demand_sequences, oracle_demand_matrix, oracle_demand_vector, oracle_right_hand_side,
+)
 
 from repro import bench
 from repro.core.path_system import PathIncidence, PathSystem
@@ -13,13 +19,14 @@ from repro.core.rounding import randomized_rounding
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
 from repro.demands.generators import random_pairs_demand
-from repro.exceptions import LinalgError, RoutingError
+from repro.exceptions import LinalgError, ReproError, RoutingError
 from repro.forwarding.quantize import quantize_routing
 from repro.graphs import network as network_module
 from repro.graphs import topologies
 from repro.graphs.network import Network
 from repro.linalg import CompiledRouting, DictEvaluator
 from repro.mcf.lp import min_congestion_lp
+from repro.mcf.path_lp import RateLP, _right_hand_side
 from repro.oblivious.racke import RaeckeTreeRouting
 from repro.oblivious.shortest_path import ShortestPathRouting
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
@@ -220,6 +227,86 @@ def test_demand_vector_exports(square):
         compiled.demand_matrix([demand, uncovered])
     stacked = compiled.demand_matrix([demand, uncovered], missing="drop").toarray()
     assert np.allclose(stacked[0], stacked[1])
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the repro error it raises."""
+    try:
+        return call()
+    except ReproError as error:
+        return error
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, ReproError):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    elif isinstance(expected, tuple):
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in expected]
+        assert [part.dtype for part in got] == [part.dtype for part in expected]
+    elif hasattr(expected, "indptr"):
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=demand_sequences(), missing=st.sampled_from(["error", "drop"]))
+def test_demand_vectorizer_agrees_with_the_per_item_oracle(case, missing):
+    # Each demand goes through one PairIndex after the one before it, so
+    # the key-order memo hits, misses, and misses right after a hit.
+    network, covered, sequence = case
+    paths = {pair: [network.shortest_path(*pair)] for pair in covered}
+    compiled = CompiledRouting.from_routing(
+        Routing(network, {pair: {path[0]: 1.0} for pair, path in paths.items()})
+    )
+    lp = PathSystem(network, paths).rate_lp(RateLP)
+    rows = {pair: i for i, pair in enumerate(compiled.pairs)}
+    lp_rows = {pair: i for i, pair in enumerate(lp.pairs)}
+    for demand in sequence:
+        _assert_same_outcome(
+            _outcome(lambda: compiled.demand_vector(demand, missing=missing)),
+            _outcome(lambda: oracle_demand_vector(rows, demand, missing)),
+        )
+        _assert_same_outcome(
+            _outcome(lambda: _right_hand_side(lp, demand)),
+            _outcome(lambda: oracle_right_hand_side(lp_rows, demand)),
+        )
+    _assert_same_outcome(
+        _outcome(lambda: compiled.demand_matrix(sequence, missing=missing)),
+        _outcome(lambda: oracle_demand_matrix(rows, sequence, missing)),
+    )
+
+
+def test_coverage_accepts_a_plain_dict(square):
+    _, routing = square
+    rebased = CompiledRouting.from_routing(routing).rebased(
+        FailureEvent(failed_edges=((1, 2),), label="cut")
+    )
+    # (0, 2) keeps 0-3-2, (1, 0) was never covered, (1, 3) lost its one path.
+    plain = {(0, 2): 1.0, (1, 0): 2.0, (1, 3): 0.0}
+    assert rebased.coverage(plain) == rebased.coverage(Demand(plain)) == 0.5
+    plain[(1, 3)] = 1.0
+    assert rebased.coverage(plain) == rebased.coverage(Demand(plain)) == pytest.approx(1 / 3)
+    assert rebased.coverage({(0, 2): 0.0}) == rebased.coverage(Demand.empty()) == 1.0
+    vector = rebased.demand_vector(plain, missing="drop")
+    assert vector.tobytes() == rebased.demand_vector(Demand(plain), missing="drop").tobytes()
+
+
+def test_a_pickled_compile_drops_the_key_order_memo(square):
+    _, routing = square
+    compiled = CompiledRouting.from_routing(routing)
+    rebased = compiled.rebased(FailureEvent(failed_edges=((0, 1),), label="cut"))
+    assert compiled.pair_index is compiled.pair_index  # never a copy
+    assert rebased.pair_index is compiled.pair_index  # a rebase shares the one index
+    demands = [Demand({(0, 2): 1.0 + i, (1, 3): 0.5}) for i in range(3)]
+    congestions = [compiled.congestion(demand) for demand in demands]
+    assert compiled.pair_index._memo is not None
+    loaded = pickle.loads(pickle.dumps(compiled))
+    assert loaded.pair_index._memo is None
+    assert dict(loaded.pair_index) == dict(compiled.pair_index)
+    assert [loaded.congestion(demand) for demand in demands] == congestions
 
 
 def test_metrics_accept_precomputed_and_backends(square):
