@@ -17,20 +17,12 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.path_system import PathSystem
-from repro.core.sampling import alpha_sample
+from repro.core.sampling import alpha_sample, support_system
 from repro.demands import gravity_demand
 from repro.graphs.generators import waxman_isp
 from repro.oblivious import KShortestPathRouting, RaeckeTreeRouting, ShortestPathRouting
 from repro.te import failure_sweep
 from repro.utils.tables import Table
-
-
-def structural_system(network, pairs, builder):
-    system = PathSystem(network)
-    for source, target in pairs:
-        system.add_paths(source, target, builder.pair_distribution(source, target).keys())
-    return system
 
 
 def main(num_nodes: int = 14, alpha: int = 4, seed: int = 0) -> None:
@@ -47,10 +39,10 @@ def main(num_nodes: int = 14, alpha: int = 4, seed: int = 0) -> None:
         f"semi-oblivious sample (alpha={alpha})": alpha_sample(
             RaeckeTreeRouting(network, rng=seed + 2), alpha, pairs=pairs, rng=seed + 3
         ),
-        f"k-shortest-paths (k={alpha})": structural_system(
-            network, pairs, KShortestPathRouting(network, k=alpha)
+        f"k-shortest-paths (k={alpha})": support_system(
+            KShortestPathRouting(network, k=alpha), pairs
         ),
-        "single shortest path": structural_system(network, pairs, ShortestPathRouting(network)),
+        "single shortest path": support_system(ShortestPathRouting(network), pairs),
     }
 
     table = Table(

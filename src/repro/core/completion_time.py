@@ -112,7 +112,7 @@ class MultiScaleHopSample:
             scales = hop_scales(network)
         if pairs is None:
             pairs = list(network.vertex_pairs(ordered=True))
-        union = PathSystem(network)
+        buckets: Dict[Tuple[Vertex, Vertex], List[Path]] = {}
         per_scale: Dict[int, PathSystem] = {}
         for scale in scales:
             builder = HopConstrainedRouting(
@@ -127,8 +127,12 @@ class MultiScaleHopSample:
                 continue
             sampled = alpha_sample(builder, alpha, pairs=reachable_pairs, rng=generator)
             per_scale[scale] = sampled
-            union = union.merge(sampled)
-        return cls(system=union, per_scale_systems=per_scale, scales=list(scales), alpha=alpha)
+            for pair, paths in sampled.items():
+                buckets.setdefault(pair, []).extend(paths)
+        return cls(
+            system=PathSystem(network, buckets), per_scale_systems=per_scale,
+            scales=list(scales), alpha=alpha,
+        )
 
     def sparsity(self) -> int:
         return self.system.sparsity()

@@ -5,12 +5,13 @@ finite set of simple (s, t)-paths.  Semi-oblivious routing *is* a path
 system: the candidate paths are fixed obliviously, only the rates over
 them adapt to the demand.
 
-``PathSystem`` stores paths canonically (tuples of vertices), validates
-them against the network, and exposes the sparsity measures used by the
-paper: plain α-sparsity and (α + cut_G)-sparsity.  Its
-:meth:`~PathSystem.incidence` is the path × edge-id form the Stage-4
-path LP is built from, and :meth:`~PathSystem.rate_lp` caches that LP
-between demands.
+``PathSystem`` is fixed once built, like a routing: its one constructor
+passes every path through the one audit (:func:`audit_paths`) and keeps
+the audited :class:`PathIncidence` as its only store.  It exposes the
+sparsity measures used by the paper: plain α-sparsity and
+(α + cut_G)-sparsity.  Its :meth:`~PathSystem.incidence` is the
+path × edge-id form the Stage-4 path LP is built from, and
+:meth:`~PathSystem.rate_lp` caches that LP between demands.
 
 :class:`PathIncidence` is the one form of paths as edge ids: the path
 LP reads a system's incidence, every routing carries the one its
@@ -22,10 +23,11 @@ with :meth:`PathIncidence.surviving`.
 compiled evaluator and the path LP each hold one, and
 :meth:`PairIndex.positions` vectorizes every demand they are given.
 
-Every routing's paths pass one vectorized check, :func:`audit_paths`,
-over vertex indices (:class:`IndexPaths`); :func:`merge_paths` then
-turns the audited rows into each pair's ``{vertex tuple: probability}``
-and the routing's incidence, from the audit's edge ids.
+Every routing's and every path system's paths pass one vectorized
+check, :func:`audit_paths`, over vertex indices (:class:`IndexPaths`);
+:func:`merge_paths` then turns the audited rows into each pair's
+``{vertex tuple: probability}`` and the incidence, from the audit's edge
+ids.
 """
 
 from __future__ import annotations
@@ -82,29 +84,6 @@ class PathIncidence:
     indptr: np.ndarray
     edge_ids: np.ndarray
     capacities: np.ndarray
-
-    @classmethod
-    def build(
-        cls, network: Network, buckets: Iterable[Tuple[Pair, Iterable[Path]]]
-    ) -> "PathIncidence":
-        """The incidence of the ``(pair, paths)`` items ``buckets``, pairs in item order."""
-        paths: List[Path] = []
-        slices: Dict[Pair, Tuple[int, int]] = {}
-        for pair, bucket in buckets:
-            start = len(paths)
-            paths.extend(bucket)
-            slices[pair] = (start, len(paths))
-        indptr = np.zeros(len(paths) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(path) - 1 for path in paths), np.int64, len(paths)), out=indptr[1:]
-        )
-        edge_ids = np.fromiter(
-            chain.from_iterable(map(network.path_edge_ids, paths)), np.int64, int(indptr[-1])
-        )
-        return cls(
-            paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
-            capacities=network.capacities,
-        )
 
     def take(self, rows: np.ndarray, slices: Dict[Pair, Tuple[int, int]]) -> "PathIncidence":
         """The incidence of paths ``rows`` (in that order), whose pairs own ``slices`` of them."""
@@ -350,14 +329,21 @@ def merge_paths(
 
 
 class PathSystem:
-    """A collection of candidate simple paths per ordered vertex pair.
+    """A fixed collection of candidate simple paths per ordered vertex pair.
+
+    As in the paper (Definition 2.1), a path system is fixed before any
+    demand is seen: it is built once and never changes.  Its incidence is
+    its only store, so the Stage-4 LP cached from it never goes stale.
 
     Parameters
     ----------
     network:
-        The underlying network; every stored path is validated against it.
+        The underlying network; every path passes the one audit
+        (:func:`audit_paths`) against it.
     paths:
-        Optional initial mapping ``(s, t) -> iterable of paths``.
+        Optional mapping ``(s, t) -> iterable of paths``.  A pair's repeated
+        paths are kept once, at their first occurrence; a pair with no
+        path is left out.
     """
 
     def __init__(
@@ -365,42 +351,22 @@ class PathSystem:
         network: Network,
         paths: Optional[Mapping[Pair, Iterable[Sequence[Vertex]]]] = None,
     ) -> None:
+        # Each distinct path of a pair weighs the same, so the audit's sum
+        # rule holds; the weights are dropped once the paths pass.
+        uniform: Dict[Pair, Dict[Path, float]] = {}
+        for (source, target), candidates in (paths or {}).items():
+            bucket = dict.fromkeys(map(tuple, candidates))
+            if bucket:
+                uniform[(source, target)] = dict.fromkeys(bucket, 1.0 / len(bucket))
+        pairs = list(uniform)
+        found, edge_ids = audit_paths(network, pairs, index_paths(network, list(uniform.values())))
         self._network = network
-        self._paths: Dict[Pair, List[Path]] = {}
-        self._incidence: Optional[PathIncidence] = None
+        self._incidence = merge_paths(network, pairs, found, edge_ids)[1]
         self._rate_lp: Any = None
-        if paths:
-            for (source, target), candidates in paths.items():
-                for path in candidates:
-                    self.add_path(source, target, path)
 
     @property
     def network(self) -> Network:
         return self._network
-
-    # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
-    def add_path(self, source: Vertex, target: Vertex, path: Sequence[Vertex]) -> bool:
-        """Add ``path`` to ``P(source, target)``; returns False if already present."""
-        if source == target:
-            raise PathError("path systems do not store paths from a vertex to itself")
-        canonical = self._network.validate_path(path, source=source, target=target)
-        bucket = self._paths.setdefault((source, target), [])
-        if canonical in bucket:
-            return False
-        bucket.append(canonical)
-        self._incidence = None
-        self._rate_lp = None
-        return True
-
-    def add_paths(self, source: Vertex, target: Vertex, paths: Iterable[Sequence[Vertex]]) -> int:
-        """Add several paths; returns the number of new paths added."""
-        added = 0
-        for path in paths:
-            if self.add_path(source, target, path):
-                added += 1
-        return added
 
     def merge(self, other: "PathSystem") -> "PathSystem":
         """Union of two path systems over the same network (Section 7 uses this)."""
@@ -408,58 +374,56 @@ class PathSystem:
             # Allow equal-topology merges built from distinct Network objects.
             if set(other._network.vertices) != set(self._network.vertices):
                 raise RoutingError("cannot merge path systems over different networks")
-        merged = PathSystem(self._network)
-        for (source, target), paths in self._paths.items():
-            merged.add_paths(source, target, paths)
-        for (source, target), paths in other._paths.items():
-            merged.add_paths(source, target, paths)
-        return merged
+        buckets: Dict[Pair, List[Path]] = {}
+        for pair, paths in chain(self.items(), other.items()):
+            buckets.setdefault(pair, []).extend(paths)
+        return PathSystem(self._network, buckets)
 
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
     def paths(self, source: Vertex, target: Vertex) -> List[Path]:
         """The candidate paths ``P(source, target)`` (empty list when none)."""
-        return list(self._paths.get((source, target), []))
+        start, stop = self._incidence.slices.get((source, target), (0, 0))
+        return list(self._incidence.paths[start:stop])
 
     def pairs(self) -> List[Pair]:
         """All pairs with at least one candidate path."""
-        return list(self._paths.keys())
+        return list(self._incidence.slices)
 
     def has_pair(self, source: Vertex, target: Vertex) -> bool:
-        return (source, target) in self._paths
+        return (source, target) in self._incidence.slices
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._paths
+        return pair in self._incidence.slices
 
     def __iter__(self) -> Iterator[Pair]:
-        return iter(self._paths)
+        return iter(self._incidence.slices)
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self._incidence.slices)
 
     def num_paths(self) -> int:
         """Total number of stored paths across all pairs."""
-        return sum(len(paths) for paths in self._paths.values())
+        return len(self._incidence.paths)
 
     def items(self) -> Iterator[Tuple[Pair, List[Path]]]:
-        for pair, paths in self._paths.items():
-            yield pair, list(paths)
+        paths = self._incidence.paths
+        for pair, (start, stop) in self._incidence.slices.items():
+            yield pair, list(paths[start:stop])
 
     def incidence(self) -> PathIncidence:
-        """The path × edge-id incidence of every stored path (cached until ``add_path``)."""
-        if self._incidence is None:
-            self._incidence = PathIncidence.build(self._network, self.items())
+        """The path × edge-id incidence of every stored path, as the audit built it."""
         return self._incidence
 
     def rate_lp(self, build: Callable[[PathIncidence], T]) -> T:
-        """The Stage-4 rate LP, ``build(self.incidence())``, cached until ``add_path``.
+        """The Stage-4 rate LP, ``build(self.incidence())``, built on the first call.
 
         ``build`` is :class:`repro.mcf.path_lp.RateLP`; the LP pickles
         with the system.
         """
         if self._rate_lp is None:
-            self._rate_lp = build(self.incidence())
+            self._rate_lp = build(self._incidence)
         return self._rate_lp
 
     # ------------------------------------------------------------------ #
@@ -467,9 +431,7 @@ class PathSystem:
     # ------------------------------------------------------------------ #
     def sparsity(self) -> int:
         """``max_{s,t} |P(s, t)|`` — the plain sparsity α."""
-        if not self._paths:
-            return 0
-        return max(len(paths) for paths in self._paths.values())
+        return max((stop - start for start, stop in self._incidence.slices.values()), default=0)
 
     def is_alpha_sparse(self, alpha: int) -> bool:
         """True when every pair has at most ``alpha`` candidate paths."""
@@ -481,8 +443,8 @@ class PathSystem:
         cut_oracle: Callable[[Vertex, Vertex], float],
     ) -> bool:
         """True when ``|P(s, t)| <= alpha + cut_G(s, t)`` for every pair."""
-        for (source, target), paths in self._paths.items():
-            if len(paths) > alpha + cut_oracle(source, target) + 1e-9:
+        for (source, target), (start, stop) in self._incidence.slices.items():
+            if stop - start > alpha + cut_oracle(source, target) + 1e-9:
                 return False
         return True
 
@@ -491,28 +453,22 @@ class PathSystem:
     # ------------------------------------------------------------------ #
     def max_hops(self) -> int:
         """The longest candidate path (dilation upper bound of the system)."""
-        longest = 0
-        for paths in self._paths.values():
-            for path in paths:
-                longest = max(longest, len(path) - 1)
-        return longest
+        return int(np.diff(self._incidence.indptr).max(initial=0))
 
     def restricted_to_pairs(self, pairs: Iterable[Pair]) -> "PathSystem":
         """A new path system containing only the requested pairs."""
         wanted = set(pairs)
-        restricted = PathSystem(self._network)
-        for pair, paths in self._paths.items():
-            if pair in wanted:
-                restricted.add_paths(pair[0], pair[1], paths)
-        return restricted
+        return PathSystem(
+            self._network, {pair: paths for pair, paths in self.items() if pair in wanted}
+        )
 
     def covers(self, pairs: Iterable[Pair]) -> bool:
         """True when every listed pair has at least one candidate path."""
-        return all(pair in self._paths and self._paths[pair] for pair in pairs)
+        return all(pair in self._incidence.slices for pair in pairs)
 
     def __repr__(self) -> str:
         return (
-            f"PathSystem(pairs={len(self._paths)}, paths={self.num_paths()}, "
+            f"PathSystem(pairs={len(self)}, paths={self.num_paths()}, "
             f"sparsity={self.sparsity()})"
         )
 

@@ -143,10 +143,7 @@ class Routing:
 
     def support_system(self) -> PathSystem:
         """``supp(R)`` as a :class:`PathSystem`."""
-        system = PathSystem(self._network)
-        for (source, target), distribution in self._distributions.items():
-            system.add_paths(source, target, distribution.keys())
-        return system
+        return PathSystem(self._network, self._distributions)
 
     def live_incidence(self, pairs: Sequence[Pair]) -> Tuple[PathIncidence, np.ndarray]:
         """Incidence and probabilities of ``pairs``' paths, in pair order: one reorder, no walk."""

@@ -49,6 +49,13 @@ def _network_of(source_of_paths) -> Network:
     )
 
 
+def _distribution(oblivious, source: Vertex, target: Vertex) -> Dict[Path, float]:
+    """The path distribution of a pair under a Routing or a builder."""
+    if isinstance(oblivious, Routing):
+        return oblivious.distribution(source, target)
+    return oblivious.pair_distribution(source, target)
+
+
 def _sample_paths(
     source_of_paths,
     source: Vertex,
@@ -57,20 +64,10 @@ def _sample_paths(
     rng: np.random.Generator,
 ) -> List[Path]:
     """Draw ``count`` paths for a pair from a Routing or a builder."""
-    if isinstance(source_of_paths, Routing):
-        return _sample_from_distribution(
-            source_of_paths.distribution(source, target), count, rng
-        )
-    if isinstance(source_of_paths, ObliviousRoutingBuilder):
-        sampler = getattr(source_of_paths, "sample_path", None)
-        if callable(sampler):
-            return [sampler(source, target, rng=rng) for _ in range(count)]
-        return _sample_from_distribution(
-            source_of_paths.pair_distribution(source, target), count, rng
-        )
-    raise RoutingError(
-        "paths must be sampled from a Routing or an ObliviousRoutingBuilder"
-    )
+    sampler = getattr(source_of_paths, "sample_path", None)
+    if isinstance(source_of_paths, ObliviousRoutingBuilder) and callable(sampler):
+        return [sampler(source, target, rng=rng) for _ in range(count)]
+    return _sample_from_distribution(_distribution(source_of_paths, source, target), count, rng)
 
 
 def alpha_sample(
@@ -99,13 +96,14 @@ def alpha_sample(
     network = _network_of(oblivious)
     if pairs is None:
         pairs = list(network.vertex_pairs(ordered=True))
-    system = PathSystem(network)
+    buckets: Dict[Pair, List[Path]] = {}
     for source, target in pairs:
         if source == target:
             continue
-        for path in _sample_paths(oblivious, source, target, alpha, generator):
-            system.add_path(source, target, path)
-    return system
+        buckets.setdefault((source, target), []).extend(
+            _sample_paths(oblivious, source, target, alpha, generator)
+        )
+    return PathSystem(network, buckets)
 
 
 def alpha_plus_cut_sample(
@@ -129,15 +127,16 @@ def alpha_plus_cut_sample(
         cut_oracle = CutCache(network)
     if pairs is None:
         pairs = list(network.vertex_pairs(ordered=True))
-    system = PathSystem(network)
+    buckets: Dict[Pair, List[Path]] = {}
     for source, target in pairs:
         if source == target:
             continue
         count = alpha + int(round(cut_oracle(source, target)))
         count = max(count, 1)
-        for path in _sample_paths(oblivious, source, target, count, generator):
-            system.add_path(source, target, path)
-    return system
+        buckets.setdefault((source, target), []).extend(
+            _sample_paths(oblivious, source, target, count, generator)
+        )
+    return PathSystem(network, buckets)
 
 
 def deterministic_top_paths(
@@ -158,18 +157,15 @@ def deterministic_top_paths(
     network = oblivious.network
     if pairs is None:
         pairs = list(network.vertex_pairs(ordered=True))
-    system = PathSystem(network)
+    buckets: Dict[Pair, List[Path]] = {}
     for source, target in pairs:
         if source == target:
             continue
-        if isinstance(oblivious, Routing):
-            distribution = oblivious.distribution(source, target)
-        else:
-            distribution = oblivious.pair_distribution(source, target)
-        ranked = sorted(distribution.items(), key=lambda item: (-item[1], item[0]))
-        for path, _ in ranked[:alpha]:
-            system.add_path(source, target, path)
-    return system
+        ranked = sorted(
+            _distribution(oblivious, source, target).items(), key=lambda item: (-item[1], item[0])
+        )
+        buckets.setdefault((source, target), []).extend(path for path, _ in ranked[:alpha])
+    return PathSystem(network, buckets)
 
 
 def support_system(oblivious: "Routing | ObliviousRoutingBuilder", pairs: Optional[Iterable[Pair]] = None) -> PathSystem:
@@ -177,16 +173,12 @@ def support_system(oblivious: "Routing | ObliviousRoutingBuilder", pairs: Option
     network = oblivious.network
     if pairs is None:
         pairs = list(network.vertex_pairs(ordered=True))
-    system = PathSystem(network)
+    buckets: Dict[Pair, List[Path]] = {}
     for source, target in pairs:
         if source == target:
             continue
-        if isinstance(oblivious, Routing):
-            distribution = oblivious.distribution(source, target)
-        else:
-            distribution = oblivious.pair_distribution(source, target)
-        system.add_paths(source, target, distribution.keys())
-    return system
+        buckets.setdefault((source, target), []).extend(_distribution(oblivious, source, target))
+    return PathSystem(network, buckets)
 
 
 __all__ = [

@@ -20,8 +20,7 @@ adaptive schemes beat the non-adaptive oblivious source.
 from __future__ import annotations
 
 from repro.core.competitive import evaluate_path_system
-from repro.core.path_system import PathSystem
-from repro.core.sampling import alpha_sample, deterministic_top_paths
+from repro.core.sampling import alpha_sample, deterministic_top_paths, support_system
 from repro.demands.generators import random_permutation_demand
 from repro.experiments.harness import ExperimentConfig, ExperimentResult
 from repro.graphs import topologies
@@ -46,11 +45,7 @@ def _selection_systems(network, alpha, pairs, rng):
         "top-alpha": deterministic_top_paths(racke, alpha, pairs=pairs),
         "vlb-sample": alpha_sample(ValiantGeneralRouting(network, rng=rng), alpha, pairs=pairs, rng=rng),
     }
-    ksp = KShortestPathRouting(network, k=alpha)
-    ksp_system = PathSystem(network)
-    for source, target in pairs:
-        ksp_system.add_paths(source, target, ksp.pair_distribution(source, target).keys())
-    systems["ksp"] = ksp_system
+    systems["ksp"] = support_system(KShortestPathRouting(network, k=alpha), pairs)
     return systems
 
 

@@ -54,9 +54,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
             # Deterministic single bit-fixing path per pair (no adaptation possible:
             # one path is one path, so its congestion is just the load it induces).
-            single = PathSystem(network)
-            for source, target in demand.pairs():
-                single.add_path(source, target, bit_fixing_path(source, target, dim))
+            single = PathSystem(network, {
+                (source, target): [bit_fixing_path(source, target, dim)]
+                for source, target in demand.pairs()
+            })
             single_report = evaluate_path_system(single, demand, optimal_congestion=optimum)
 
             # Randomized alpha-sample from Valiant's routing.

@@ -18,8 +18,7 @@ versus the failed-network optimum.
 
 from __future__ import annotations
 
-from repro.core.path_system import PathSystem
-from repro.core.sampling import alpha_sample
+from repro.core.sampling import alpha_sample, support_system
 from repro.demands.generators import gravity_demand
 from repro.experiments.harness import ExperimentConfig, ExperimentResult
 from repro.graphs.generators import waxman_isp
@@ -33,22 +32,6 @@ _DEFAULTS = {
     "small": {"n": 14, "alpha": 4, "total_demand": 10.0, "max_failures": 10},
     "paper": {"n": 18, "alpha": 4, "total_demand": 20.0, "max_failures": None},
 }
-
-
-def _ksp_system(network, pairs, k):
-    builder = KShortestPathRouting(network, k=k)
-    system = PathSystem(network)
-    for source, target in pairs:
-        system.add_paths(source, target, builder.pair_distribution(source, target).keys())
-    return system
-
-
-def _spf_system(network, pairs):
-    builder = ShortestPathRouting(network)
-    system = PathSystem(network)
-    for source, target in pairs:
-        system.add_paths(source, target, builder.pair_distribution(source, target).keys())
-    return system
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -72,8 +55,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "semi-oblivious-sample": alpha_sample(
             RaeckeTreeRouting(network, rng=rng), alpha, pairs=pairs, rng=rng
         ),
-        "ksp": _ksp_system(network, pairs, alpha),
-        "spf": _spf_system(network, pairs),
+        "ksp": support_system(KShortestPathRouting(network, k=alpha), pairs),
+        "spf": support_system(ShortestPathRouting(network), pairs),
     }
 
     edges = network.edges

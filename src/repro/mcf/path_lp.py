@@ -279,7 +279,7 @@ def warm_start(system: PathSystem) -> None:
 
     For a system installed to route many demands: from then on a demand
     on every installed pair is first re-solved from the basis.  Calling
-    it again is free; ``add_path`` drops the basis with the rest of the LP.
+    it again is free.  A system never changes, so the basis never goes stale.
     """
     system.rate_lp(RateLP).reference()
 

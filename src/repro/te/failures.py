@@ -33,7 +33,9 @@ fair comparator, since the failure affects the offline optimum too.
 Evaluation helpers:
 
 * :func:`apply_failure` / :func:`rebase_system` — build the degraded
-  network for an event and re-anchor a path system onto it,
+  network for an event and re-anchor onto it the paths of a system that
+  survive it, by the one survival rule
+  (:meth:`~repro.core.path_system.PathIncidence.surviving`),
 * :func:`readapt_surviving` — coverage and re-optimized congestion of a
   path system's surviving candidates; the scenario runner calls it per
   scheme and shares one degraded-network optimum across a cell's schemes,
@@ -200,20 +202,22 @@ def apply_failure(network: Network, event: FailureEvent) -> Optional[Network]:
 def rebase_system(system: PathSystem, degraded: Network) -> PathSystem:
     """Re-anchor ``system`` onto ``degraded``, dropping broken paths.
 
-    A candidate path survives iff every edge it uses still exists in the
-    degraded network; surviving paths are revalidated against (and
-    therefore priced by the capacities of) ``degraded``.
+    A candidate path survives iff it crosses none of the edges of
+    ``system.network`` that ``degraded`` lacks (the one survival rule,
+    :meth:`~repro.core.path_system.PathIncidence.surviving`); surviving
+    paths are audited against (and therefore priced by the capacities
+    of) ``degraded``.  A capacity-only event keeps every path.
     """
-    rebased = PathSystem(degraded)
-    for (source, target), paths in system.items():
-        kept = [
-            path
-            for path in paths
-            if all(degraded.has_edge(u, v) for u, v in zip(path, path[1:]))
-        ]
-        if kept:
-            rebased.add_paths(source, target, kept)
-    return rebased
+    failed = [
+        index for index, (u, v) in enumerate(system.network.edges) if not degraded.has_edge(u, v)
+    ]
+    incidence = system.incidence()
+    alive = incidence.surviving(failed).tolist()
+    paths = incidence.paths
+    return PathSystem(degraded, {
+        pair: [paths[row] for row in range(start, stop) if alive[row]]
+        for pair, (start, stop) in incidence.slices.items()
+    })
 
 
 class FailureProcess:

@@ -1,11 +1,14 @@
 """Hypothesis strategies, and the per-item oracles, shared by several test modules."""
 
+from itertools import chain
+
 import networkx as nx
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.core.path_system import PathIncidence
 from repro.exceptions import InfeasibleError, RoutingError
 from repro.graphs.network import Network
 
@@ -63,6 +66,30 @@ def oracle_distributions(network, distributions):
             raise RoutingError(f"probabilities for pair {(source, target)!r} sum to {total}")
         checked[(source, target)] = {path: p / total for path, p in cleaned.items()}
     return checked
+
+
+def oracle_incidence(network, buckets):
+    """The incidence of the ``(pair, paths)`` items ``buckets``, pairs in item order, walked.
+
+    The reference for the audit's incidence: each path's edge ids come from
+    ``Network.path_edge_ids``, one path at a time.
+    """
+    paths, slices = [], {}
+    for pair, bucket in buckets:
+        start = len(paths)
+        paths.extend(bucket)
+        slices[pair] = (start, len(paths))
+    indptr = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter((len(path) - 1 for path in paths), np.int64, len(paths)), out=indptr[1:]
+    )
+    edge_ids = np.fromiter(
+        chain.from_iterable(map(network.path_edge_ids, paths)), np.int64, int(indptr[-1])
+    )
+    return PathIncidence(
+        paths=tuple(paths), slices=slices, indptr=indptr, edge_ids=edge_ids,
+        capacities=network.capacities,
+    )
 
 
 #: The single faults :func:`routing_inputs` may inject.

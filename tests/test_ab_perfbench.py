@@ -26,6 +26,12 @@ def test_two_copies_of_one_tree_run_and_report_every_metric(tmp_path):
     lines = completed.stdout.splitlines()
     assert lines[:2] == ["# pair 1/2 done (parent first)", "# pair 2/2 done (change first)"]
     assert "# parent: 0/" in completed.stdout and "# change: 0/" in completed.stdout
+    # Two copies of one tree report one seeded digest, the same on both sides.
+    sides = [line.split(": ", 1) for line in lines
+             if line.startswith(("# parent digests: ", "# change digests: "))]
+    (_, parent), (_, change) = sides
+    assert parent == change and len(parent) == 16
+    assert "# digests equal: yes" in lines
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         declared = [metric["name"] for metric in json.load(handle)["end_to_end"]]
     rows = [line.split() for line in lines if line.split()[0] in declared]
@@ -49,3 +55,15 @@ def test_two_copies_of_one_tree_run_and_report_every_metric(tmp_path):
     assert within_spread["wins"] == 10 and not within_spread["gain_holds"]
     higher = ab_perfbench.compare({"better": "higher"}, parent, [p - 0.5 for p in parent])
     assert higher["wins"] == 0 and higher["worse_by"] > 0
+
+
+def test_the_digest_report_line_is_read():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import ab_perfbench
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    lines = ["# workload: adapt-isp", "# digest: b8f00549b46549d2", "# digests_seen: x", "{}"]
+    assert ab_perfbench.reported(lines, "digest") == "b8f00549b46549d2"
+    assert ab_perfbench.reported(lines, "workload") == "adapt-isp"
+    assert ab_perfbench.reported(lines[:1], "digest") is None

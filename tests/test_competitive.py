@@ -29,8 +29,7 @@ def test_ratio_edge_cases(cube3):
 
 
 def test_evaluate_path_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7)]})
     demand = Demand({(0, 7): 1.0})
     report = evaluate_path_system(system, demand, scheme="single")
     assert report.scheme == "single"
@@ -48,12 +47,8 @@ def test_evaluate_oblivious_routing(cube3):
 
 
 def test_richer_system_has_smaller_ratio(cube3):
-    single = PathSystem(cube3)
-    single.add_path(0, 7, (0, 1, 3, 7))
-    rich = PathSystem(cube3)
-    rich.add_path(0, 7, (0, 1, 3, 7))
-    rich.add_path(0, 7, (0, 2, 6, 7))
-    rich.add_path(0, 7, (0, 4, 5, 7))
+    single = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7)]})
+    rich = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7)]})
     demand = Demand({(0, 7): 1.0})
     assert (
         evaluate_path_system(rich, demand).ratio
@@ -62,9 +57,7 @@ def test_richer_system_has_smaller_ratio(cube3):
 
 
 def test_worst_case_over_demands(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
-    system.add_path(1, 6, (1, 3, 7, 6))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7)], (1, 6): [(1, 3, 7, 6)]})
     demands = [Demand({(0, 7): 1.0}), Demand({(1, 6): 1.0})]
     report = worst_case_over_demands(system, demands)
     assert report.num_demands == 2
@@ -75,9 +68,9 @@ def test_worst_case_over_demands(cube3):
 
 def test_ratio_never_below_one_for_valid_systems(cube3, permutation_demand_cube3):
     # Any achievable congestion is at least the optimum, so ratios are >= 1.
-    system = PathSystem(cube3)
-    for pair in permutation_demand_cube3.pairs():
-        system.add_path(*pair, cube3.shortest_path(*pair))
+    system = PathSystem(
+        cube3, {pair: [cube3.shortest_path(*pair)] for pair in permutation_demand_cube3.pairs()}
+    )
     report = evaluate_path_system(system, permutation_demand_cube3)
     assert report.ratio >= 1.0 - 1e-6
 
@@ -85,8 +78,7 @@ def test_ratio_never_below_one_for_valid_systems(cube3, permutation_demand_cube3
 def test_a_congestion_below_the_optimum_raises(cube3):
     # One rule for every reported ratio: an achieved congestion more than
     # the LP tolerance under the optimum means the normalizer is wrong.
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7)]})
     demand = Demand({(0, 7): 1.0})
     with pytest.raises(SolverError, match="below 1"):
         evaluate_path_system(system, demand, optimal_congestion=2.0)

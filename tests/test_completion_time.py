@@ -45,9 +45,7 @@ def test_multi_scale_sample_build(torus3):
 
 
 def test_best_completion_time_on_plain_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
-    system.add_path(0, 7, (0, 2, 6, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7), (0, 2, 6, 7)]})
     result = best_completion_time_on_system(system, Demand({(0, 7): 2.0}))
     assert result.scale is None
     assert result.dilation == 3
@@ -74,8 +72,7 @@ def test_completion_time_competitive_ratio(torus3):
 
 def test_custom_baseline_routing(cube3):
     demand = Demand({(0, 7): 1.0})
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7)]})
     baseline = Routing.single_path(cube3, {(0, 7): (0, 1, 3, 7)})
     ratio, achieved, baseline_total = completion_time_competitive_ratio(
         system, demand, baseline_routing=baseline

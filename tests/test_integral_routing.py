@@ -15,10 +15,7 @@ from repro.mcf.path_lp import min_congestion_on_paths
 
 
 def disjoint_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
-    system.add_path(0, 7, (0, 2, 6, 7))
-    system.add_path(0, 7, (0, 4, 5, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7)]})
     return system
 
 
@@ -80,8 +77,7 @@ def test_local_search_fixes_bad_start(cube3):
 
 
 def test_matches_lp_when_lp_is_integral(path4):
-    system = PathSystem(path4)
-    system.add_path(0, 3, (0, 1, 2, 3))
+    system = PathSystem(path4, {(0, 3): [(0, 1, 2, 3)]})
     demand = Demand({(0, 3): 2.0})
     lp = min_congestion_on_paths(system, demand)
     result = integral_congestion(system, demand, rng=0)

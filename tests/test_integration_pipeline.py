@@ -65,9 +65,10 @@ def test_adversarial_hypercube_demand_still_fine_with_sampling():
     from repro.core.path_system import PathSystem
     from repro.oblivious.valiant import bit_fixing_path
 
-    single = PathSystem(network)
-    for source, target in demand.pairs():
-        single.add_path(source, target, bit_fixing_path(source, target, dim))
+    single = PathSystem(network, {
+        (source, target): [bit_fixing_path(source, target, dim)]
+        for source, target in demand.pairs()
+    })
     single_ratio = congestion_ratio(optimal_rates(single, demand).congestion, optimum)
 
     assert sampled_ratio <= single_ratio + 1e-9

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (
-    demand_sequences, oracle_demand_matrix, oracle_demand_vector, oracle_right_hand_side,
+    demand_sequences, oracle_demand_matrix, oracle_demand_vector, oracle_incidence,
+    oracle_right_hand_side,
 )
 
 from repro import bench
-from repro.core.path_system import PathIncidence, PathSystem
+from repro.core.path_system import PathSystem
 from repro.core.rounding import randomized_rounding
 from repro.core.routing import Routing
 from repro.demands.demand import Demand
@@ -477,7 +478,7 @@ def test_compile_from_the_materialized_incidence_is_bit_identical(source):
     # The reference walks every path again, in compiled pair order.
     walked = copy.copy(routing)
     order = sorted(routing.pairs(), key=repr)
-    walked._incidence = PathIncidence.build(
+    walked._incidence = oracle_incidence(
         network, [(pair, list(routing.distribution(*pair))) for pair in order]
     )
     walked._evaluators = {}
@@ -504,8 +505,6 @@ def test_edge_ids_never_go_through_edge_key(monkeypatch):
     routing = Routing(network, {pair: routing.distribution(*pair) for pair in routing.pairs()})
     compiled = CompiledRouting.from_routing(routing)
     assert compiled.num_paths > 0
-    system = PathSystem(network)
-    for pair in routing.pairs():
-        system.add_paths(*pair, routing.distribution(*pair))
+    system = PathSystem(network, {pair: routing.distribution(*pair) for pair in routing.pairs()})
     incidence = system.incidence()
     assert len(incidence.paths) == system.num_paths()

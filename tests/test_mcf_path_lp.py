@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.path_system import PathIncidence, PathSystem
+from repro.core.path_system import PathSystem
 from repro.core.routing import Routing
 from repro.core.sampling import alpha_sample
 from repro.demands.demand import Demand
@@ -20,12 +20,11 @@ from repro.mcf.lp import min_congestion_lp
 from repro.mcf.path_lp import RateLP, min_congestion_on_paths, warm_start
 from repro.obs import RecordingSink, Tracer, install_tracer, span_records, uninstall_tracer
 from repro.oblivious.racke import RaeckeTreeRouting
+from strategies import oracle_incidence
 
 
 def two_path_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 3, (0, 1, 3))
-    system.add_path(0, 3, (0, 2, 3))
+    system = PathSystem(cube3, {(0, 3): [(0, 1, 3), (0, 2, 3)]})
     return system
 
 
@@ -47,8 +46,7 @@ def test_optimal_split_over_disjoint_paths(cube3):
 
 
 def test_single_path_no_choice(path4):
-    system = PathSystem(path4)
-    system.add_path(0, 3, (0, 1, 2, 3))
+    system = PathSystem(path4, {(0, 3): [(0, 1, 2, 3)]})
     result = min_congestion_on_paths(system, Demand({(0, 3): 5.0}))
     assert result.congestion == pytest.approx(5.0)
 
@@ -61,9 +59,7 @@ def test_missing_pair_raises(cube3):
 
 def test_respects_capacities():
     net = Network.from_edges([(0, 1), (1, 2), (0, 2)], capacities={(0, 2): 3.0})
-    system = PathSystem(net)
-    system.add_path(0, 2, (0, 2))
-    system.add_path(0, 2, (0, 1, 2))
+    system = PathSystem(net, {(0, 2): [(0, 2), (0, 1, 2)]})
     result = min_congestion_on_paths(system, Demand({(0, 2): 4.0}))
     # Split x on the fat direct edge (cap 3) and 4-x on the thin detour:
     # equalize x/3 = 4-x -> x=3, congestion 1.
@@ -72,9 +68,9 @@ def test_respects_capacities():
 
 def test_path_lp_never_beats_full_lp(cube3, permutation_demand_cube3):
     # Restricting to shortest paths cannot beat the unrestricted optimum.
-    system = PathSystem(cube3)
-    for pair in permutation_demand_cube3.pairs():
-        system.add_path(*pair, cube3.shortest_path(*pair))
+    system = PathSystem(
+        cube3, {pair: [cube3.shortest_path(*pair)] for pair in permutation_demand_cube3.pairs()}
+    )
     restricted = min_congestion_on_paths(system, permutation_demand_cube3)
     full = min_congestion_lp(cube3, permutation_demand_cube3)
     assert restricted.congestion >= full.congestion - 1e-6
@@ -85,9 +81,7 @@ def test_path_lp_matches_full_lp_when_support_is_rich(cube3):
     # should reach the unrestricted optimum (1/3 for a unit antipodal demand).
     import networkx as nx
 
-    system = PathSystem(cube3)
-    for nodes in nx.all_shortest_paths(cube3.graph, 0, 7):
-        system.add_path(0, 7, tuple(nodes))
+    system = PathSystem(cube3, {(0, 7): list(nx.all_shortest_paths(cube3.graph, 0, 7))})
     demand = Demand({(0, 7): 1.0})
     restricted = min_congestion_on_paths(system, demand)
     full = min_congestion_lp(cube3, demand)
@@ -117,7 +111,7 @@ def _eager_reference(system, demand, flows):
         edge: load / network.capacity_of(edge)
         for edge, load in zip(network.edges, loads) if load
     }
-    paths = PathIncidence.build(network, [(pair, list(bucket)) for pair, bucket in weights.items()])
+    paths = oracle_incidence(network, [(pair, list(bucket)) for pair, bucket in weights.items()])
     return Routing._from_validated(network, weights, paths), edge_congestions
 
 

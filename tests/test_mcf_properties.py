@@ -217,13 +217,13 @@ def installed_systems(draw):
         st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
                  min_size=1, max_size=6, unique=True)
     )
-    system = PathSystem(network)
+    buckets = {}
     for source, target in pairs:
         candidates = list(nx.all_simple_paths(network.graph, source, target))
         picks = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1, max_size=4,
                               unique=True))
-        for pick in picks:
-            system.add_path(source, target, candidates[pick])
+        buckets[(source, target)] = [candidates[pick] for pick in picks]
+    system = PathSystem(network, buckets)
     positive = st.floats(0.05, 3.0, allow_nan=False)
     amount = st.one_of(st.just(0.0), positive)
     demands = []
@@ -286,10 +286,9 @@ def test_peeled_routing_is_valid_and_optimal(instance):
 @given(instances())
 def test_path_lp_over_all_simple_paths_equals_arc_lp(instance):
     network, demand = instance
-    system = PathSystem(network)
-    for source, target in demand.pairs():
-        for path in nx.all_simple_paths(network.graph, source, target):
-            system.add_path(source, target, path)
+    system = PathSystem(network, {
+        pair: list(nx.all_simple_paths(network.graph, *pair)) for pair in demand.pairs()
+    })
     on_paths = min_congestion_on_paths(system, demand).congestion
     assert _close(on_paths, min_congestion_lp(network, demand).congestion)
 
@@ -425,8 +424,7 @@ def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypa
         members = {name: getattr(binding, name) for name in dir(binding)}
         assert highs.checked(SimpleNamespace(**{**members, "_Highs": solver})) is None
     monkeypatch.setattr(highs, "highs", None)
-    system = PathSystem(cube3)
-    system.add_path(0, 1, (0, 1))
+    system = PathSystem(cube3, {(0, 1): [(0, 1)]})
     demand = Demand({(0, 1): 1.0})
     with pytest.raises(SolverError, match=r"scipy >= 1\.15") as path_error:
         min_congestion_on_paths(system, demand)
@@ -438,14 +436,16 @@ def test_path_lp_without_the_bundled_highs_names_the_scipy_floor(cube3, monkeypa
 
 
 def test_path_added_after_a_route_is_used_by_the_next(cycle5):
-    system = PathSystem(cycle5)
-    system.add_path(0, 1, (0, 1))
+    # A system never changes: a path is added by building a new system,
+    # which gets its own LP while the first keeps its own.
+    system = PathSystem(cycle5, {(0, 1): [(0, 1)]})
     demand = Demand({(0, 1): 1.0})
     assert min_congestion_on_paths(system, demand).congestion == pytest.approx(1.0)
-    system.add_path(0, 1, (0, 4, 3, 2, 1))
-    result = min_congestion_on_paths(system, demand)
+    wider = system.merge(PathSystem(cycle5, {(0, 1): [(0, 4, 3, 2, 1)]}))
+    result = min_congestion_on_paths(wider, demand)
     assert result.congestion == pytest.approx(0.5)
     assert len(result.routing.distribution(0, 1)) == 2
+    assert min_congestion_on_paths(system, demand).congestion == pytest.approx(1.0)
 
 
 def test_congestion_ratio_refuses_a_routing_below_the_optimum():
@@ -463,11 +463,11 @@ def test_congestion_ratio_tolerates_lp_rounding():
 
 def test_warm_attempt_past_its_cap_gives_the_cold_answer(cube3, monkeypatch):
     demand = Demand({(0, 7): 3.0, (0, 6): 0.1, (1, 7): 2.5, (3, 4): 0.2})
-    cold, warm = PathSystem(cube3), PathSystem(cube3)
-    for system in (cold, warm):
-        for pair in demand.pairs():
-            for path in list(nx.all_simple_paths(cube3.graph, *pair, cutoff=4))[:3]:
-                system.add_path(*pair, path)
+    buckets = {
+        pair: list(nx.all_simple_paths(cube3.graph, *pair, cutoff=4))[:3]
+        for pair in demand.pairs()
+    }
+    cold, warm = PathSystem(cube3, buckets), PathSystem(cube3, buckets)
     path_lp.warm_start(warm)
     monkeypatch.setattr(path_lp, "WARM_ITERATIONS", 0)
     tracer = install_tracer(Tracer(sink=RecordingSink()))
@@ -486,9 +486,7 @@ def test_both_lps_report_their_size_and_iterations(cube3):
     try:
         demand = Demand({(0, 7): 1.0, (0, 3): 2.0, (5, 0): 1.0})
         min_congestion_lp(cube3, demand)
-        system = PathSystem(cube3)
-        for pair in demand.pairs():
-            system.add_path(*pair, cube3.shortest_path(*pair))
+        system = PathSystem(cube3, {pair: [cube3.shortest_path(*pair)] for pair in demand.pairs()})
         min_congestion_on_paths(system, demand)  # not warm-started: cold, no reference
         path_lp.warm_start(system)
         path_lp.warm_start(system)

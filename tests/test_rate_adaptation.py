@@ -8,10 +8,7 @@ from repro.demands.demand import Demand
 
 
 def build_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
-    system.add_path(0, 7, (0, 2, 6, 7))
-    system.add_path(0, 7, (0, 4, 5, 7))
+    system = PathSystem(cube3, {(0, 7): [(0, 1, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7)]})
     return system
 
 
@@ -32,11 +29,7 @@ def test_empty_demand(cube3):
 
 def test_adaptation_beats_fixed_even_split(cube3):
     # Two pairs share an edge on one candidate path; adaptation should avoid it.
-    system = PathSystem(cube3)
-    system.add_path(0, 3, (0, 1, 3))
-    system.add_path(0, 3, (0, 2, 3))
-    system.add_path(1, 7, (1, 3, 7))
-    system.add_path(1, 7, (1, 5, 7))
+    system = PathSystem(cube3, {(0, 3): [(0, 1, 3), (0, 2, 3)], (1, 7): [(1, 3, 7), (1, 5, 7)]})
     demand = Demand({(0, 3): 1.0, (1, 7): 1.0})
     adapted = optimal_rates(system, demand)
     # Fixed even split: edge (1,3) gets 0.5 + 0.5; max edge congestion >= ... compute directly.

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path_system import PathIncidence, PathSystem
+from repro.core.path_system import PathSystem
 from repro.core.routing import Routing, path_usage_counts
 from repro.demands.demand import Demand
 from repro.exceptions import ReproError, RoutingError
 from repro.graphs import topologies
-from strategies import oracle_distributions, routing_inputs
+from strategies import oracle_distributions, oracle_incidence, routing_inputs
 
 
 def make_simple_routing(cube3):
@@ -85,16 +85,13 @@ def test_support_system_and_is_supported_on(cube3):
     routing = make_simple_routing(cube3)
     system = routing.support_system()
     assert routing.is_supported_on(system)
-    smaller = PathSystem(cube3)
-    smaller.add_path(0, 3, (0, 1, 3))
+    smaller = PathSystem(cube3, {(0, 3): [(0, 1, 3)]})
     assert not routing.is_supported_on(smaller)
 
 
 def test_restricted_to_system(cube3):
     routing = make_simple_routing(cube3)
-    smaller = PathSystem(cube3)
-    smaller.add_path(0, 3, (0, 1, 3))
-    smaller.add_path(0, 1, (0, 1))
+    smaller = PathSystem(cube3, {(0, 3): [(0, 1, 3)], (0, 1): [(0, 1)]})
     restricted = routing.restricted_to_system(smaller)
     assert restricted.distribution(0, 3) == {(0, 1, 3): 1.0}
     empty = PathSystem(cube3)
@@ -154,7 +151,7 @@ def test_routing_audit_agrees_with_the_per_path_oracle(case):
     assert list(routing) == list(expected)
     for pair, distribution in expected.items():
         assert list(routing.distribution(*pair).items()) == list(distribution.items())
-    reference = PathIncidence.build(network, [(pair, list(d)) for pair, d in expected.items()])
+    reference = oracle_incidence(network, [(pair, list(d)) for pair, d in expected.items()])
     incidence = routing._incidence
     assert incidence.paths == reference.paths
     assert incidence.slices == reference.slices

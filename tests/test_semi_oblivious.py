@@ -88,8 +88,7 @@ def test_evaluate_reports_ratio(cube3, valiant3, permutation_demand_cube3):
 
 
 def test_wrapping_custom_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 1, (0, 1))
+    system = PathSystem(cube3, {(0, 1): [(0, 1)]})
     assert optimal_rates(system, Demand({(0, 1): 2.0})).congestion == pytest.approx(2.0)
 
 

@@ -30,10 +30,7 @@ def cut(u, v):
 
 
 def two_path_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 3, (0, 1, 3))
-    system.add_path(0, 3, (0, 2, 3))
-    return system
+    return PathSystem(cube3, {(0, 3): [(0, 1, 3), (0, 2, 3)]})
 
 
 def test_surviving_system_drops_paths(cube3):
@@ -45,6 +42,36 @@ def test_surviving_system_drops_paths(cube3):
     assert not rebase_system(system, apply_failure(cube3, both)).has_pair(0, 3)
 
 
+def test_a_capacity_only_event_keeps_every_path(cube3):
+    system = two_path_system(cube3)
+    degraded = apply_failure(cube3, FailureEvent(capacity_scale=(((0, 1), 0.5),)))
+    rebased = rebase_system(system, degraded)
+    assert list(rebased.items()) == list(system.items())
+    assert rebased.network is degraded
+    assert rebased.incidence().capacities[cube3.edge_index(0, 1)] == 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rebase_keeps_the_paths_whose_every_hop_survives(seed):
+    # The reference is the per-hop rule: a path survives iff the degraded
+    # network still has each of its edges.
+    network = topologies.torus_2d(4)
+    system = alpha_sample(RaeckeTreeRouting(network, rng=seed), 3, rng=seed)
+    rng = np.random.default_rng(seed)
+    edges = network.edges
+    picks = rng.choice(len(edges), size=3, replace=False)
+    event = FailureEvent(failed_edges=tuple(edges[i] for i in picks[:2]),
+                         capacity_scale=((edges[picks[2]], 0.25),))
+    degraded = apply_failure(network, event)
+    expected = {}
+    for pair, paths in system.items():
+        kept = [path for path in paths
+                if all(degraded.has_edge(u, v) for u, v in zip(path, path[1:]))]
+        if kept:
+            expected[pair] = kept
+    assert list(rebase_system(system, degraded).items()) == list(expected.items())
+
+
 def test_failure_coverage(cube3):
     system = two_path_system(cube3)
     demand = Demand({(0, 3): 1.0})
@@ -52,8 +79,7 @@ def test_failure_coverage(cube3):
     # A pair with a single candidate path loses coverage when that path's
     # edge dies; coverage needs no degraded network, so it is defined even
     # when the event disconnects the graph.
-    single = PathSystem(cube3)
-    single.add_path(0, 3, (0, 1, 3))
+    single = PathSystem(cube3, {(0, 3): [(0, 1, 3)]})
     assert readapt_surviving(single, demand, cut(0, 1), None) == (0.0, None)
     assert readapt_surviving(single, Demand.empty(), cut(0, 1), None)[0] == 1.0
 
@@ -94,8 +120,7 @@ def test_evaluate_failure_with_redundancy(cube3):
 
 
 def test_evaluate_failure_without_redundancy(cube3):
-    single = PathSystem(cube3)
-    single.add_path(0, 3, (0, 1, 3))
+    single = PathSystem(cube3, {(0, 3): [(0, 1, 3)]})
     demand = Demand({(0, 3): 1.0})
     report = evaluate_failure_event(single, demand, cut(0, 1))
     assert report.coverage == 0.0
@@ -105,8 +130,7 @@ def test_evaluate_failure_without_redundancy(cube3):
 
 
 def test_evaluate_failure_disconnecting(path4):
-    system = PathSystem(path4)
-    system.add_path(0, 3, (0, 1, 2, 3))
+    system = PathSystem(path4, {(0, 3): [(0, 1, 2, 3)]})
     report = evaluate_failure_event(system, Demand({(0, 3): 1.0}), cut(1, 2))
     assert report.disconnects_network
     assert report.coverage == 0.0
@@ -147,8 +171,7 @@ def test_failed_edge_with_numpy_labels_breaks_the_paths_crossing_it(failed):
     # edge_key orders np.int64(10) after 11 but 10 before it; matching on
     # edge ids finds the failed edge whatever the label type.
     network = Network(nx.cycle_graph(12))
-    system = PathSystem(network)
-    system.add_path(0, 10, (0, 11, 10))
+    system = PathSystem(network, {(0, 10): [(0, 11, 10)]})
     event = FailureEvent(failed_edges=(failed,))
     degraded = apply_failure(network, event)
     assert readapt_surviving(system, Demand({(0, 10): 1.0}), event, degraded) == (0.0, None)

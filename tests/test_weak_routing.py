@@ -14,11 +14,10 @@ from repro.oblivious.valiant import ValiantHypercubeRouting
 
 
 def simple_system(cube3):
-    system = PathSystem(cube3)
-    system.add_path(0, 7, (0, 1, 3, 7))
-    system.add_path(0, 7, (0, 2, 6, 7))
-    system.add_path(1, 6, (1, 3, 7, 6))
-    system.add_path(1, 6, (1, 0, 2, 6))
+    system = PathSystem(cube3, {
+        (0, 7): [(0, 1, 3, 7), (0, 2, 6, 7)],
+        (1, 6): [(1, 3, 7, 6), (1, 0, 2, 6)],
+    })
     return system
 
 

@@ -11,8 +11,9 @@ of each commit will do).  Pair ``i`` runs the benchmark command that
 ``BENCHMARK.json`` declares once in each checkout, the parent first
 when ``i`` is even and the change first when it is odd, with this
 interpreter and without ``PYTHONPATH``, so each run imports its own
-``src/``.  Only the last line of each run's output, the result object,
-is read; nothing under ``perfbench/`` is touched.
+``src/``.  Two lines of each run's output are read: the last, the
+result object, and the ``# digest:`` report line, the seeded digest of
+the routed results; nothing under ``perfbench/`` is touched.
 
 For every end-to-end metric of the parent's ``BENCHMARK.json`` it
 prints each side's median and quartiles, how many pairs the change won
@@ -20,7 +21,10 @@ prints each side's median and quartiles, how many pairs the change won
 won at least nine tenths of the pairs and the medians differ by more
 than the parent's interquartile range.  It also prints how far the
 change's median moved against the metric's declared bound, as a
-fraction of the parent's median.  Exit status 0 when every run reported
+fraction of the parent's median.  It prints each side's set of digests
+and whether the two sets are equal, so a change that should keep the
+seeded results can be seen to keep them; the digests do not enter the
+exit status.  Exit status 0 when every run reported
 ``correct``; 1 otherwise.
 """
 
@@ -36,8 +40,14 @@ from pathlib import Path
 import numpy as np
 
 
-def run_once(tree: Path, command, args) -> dict:
-    """One benchmark run in ``tree``; its result object (the last output line)."""
+def reported(lines, key: str):
+    """The value of the ``# key: value`` report line among ``lines``, or None without one."""
+    prefix = f"# {key}: "
+    return next((line[len(prefix):] for line in lines if line.startswith(prefix)), None)
+
+
+def run_once(tree: Path, command, args) -> tuple:
+    """One benchmark run in ``tree``: its result object (the last output line) and its digest."""
     argv = [sys.executable, *command[1:], "--workload", args.workload, "--seed", str(args.seed),
             "--seconds", str(args.seconds), "--trace", "0"]
     if args.smoke:
@@ -47,7 +57,7 @@ def run_once(tree: Path, command, args) -> dict:
     lines = completed.stdout.strip().splitlines()
     if completed.returncode != 0 or not lines:
         raise SystemExit(f"ab_perfbench: run in {tree} failed:\n{completed.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), reported(lines, "digest")
 
 
 def compare(metric: dict, parent, change) -> dict:
@@ -83,16 +93,22 @@ def main(argv=None) -> int:
     with open(args.parent / "BENCHMARK.json", encoding="utf-8") as handle:
         benchmark = json.load(handle)
     runs = {"parent": [], "change": []}
+    digests = {"parent": set(), "change": set()}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), benchmark["command"], args))
+            result, digest = run_once(getattr(args, side), benchmark["command"], args)
+            runs[side].append(result)
+            digests[side].add(str(digest))
         print(f"# pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
 
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
         print(f"# {side}: {failed}/{attempted} operations failed")
+    for side, seen in digests.items():
+        print(f"# {side} digests: {' '.join(sorted(seen))}")
+    print(f"# digests equal: {'yes' if digests['parent'] == digests['change'] else 'no'}")
     print(f"{'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
           f"{'wins':>7} {'gain':>5} {'worse_by/bound':>15}")
     for metric in benchmark["end_to_end"]:
