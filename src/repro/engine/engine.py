@@ -13,10 +13,22 @@ optimum solved at most once and reused across schemes::
     engine = RoutingEngine(net, ["semi-oblivious(racke, alpha=4)", "ksp(k=4)", "spf"], rng=0)
     report = engine.evaluate_matrix_series(series)   # installs lazily
     print(report.ranking(), report.to_json())
+
+The two LPs behind one ratio are independent: a scheme's congestion
+(the Stage-4 path LP, or an evaluation) needs nothing from the
+optimum it is divided by.  So :meth:`RoutingEngine.route` hands the
+optimum to one process-wide background thread and routes the schemes
+on the caller's thread meanwhile; HiGHS releases the GIL while it
+solves, so a route waits only for the slower side.  Both sides compute
+exactly what they computed one after the other, so every number is
+unchanged.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -99,6 +111,21 @@ class SimulationReport:
 
 
 SpecLike = Union[str, Mapping[str, Any], SchemeSpec, Router]
+
+# One worker for the whole process, not one per engine: engines are made
+# by the hundred and their context pickles to sweep workers.
+_NORMALIZER_POOL: Optional[ThreadPoolExecutor] = None
+_NORMALIZER_POOL_LOCK = threading.Lock()
+
+
+def _normalizer_pool() -> ThreadPoolExecutor:
+    global _NORMALIZER_POOL
+    with _NORMALIZER_POOL_LOCK:
+        if _NORMALIZER_POOL is None:
+            _NORMALIZER_POOL = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-normalizer"
+            )
+        return _NORMALIZER_POOL
 
 
 class RoutingEngine:
@@ -240,18 +267,31 @@ class RoutingEngine:
 
         With ``with_optimal`` (default) the per-demand optimum is solved
         once — memoized across schemes and repeated calls — and stamped
-        onto every result so ``result.ratio`` is meaningful.
+        onto every result so ``result.ratio`` is meaningful.  It is
+        solved on a background thread while the schemes route on this
+        one, in a copy of this context, so its ``mcf.optimal_solve``
+        span stays a child of ``engine.route``.  The route joins the
+        background solve before it returns or raises.  If the optimum
+        fails, its error is raised, also when a scheme failed too;
+        otherwise a scheme's error is.
         """
         self._ensure_installed()
         chosen = self.labels() if labels is None else list(labels)
         with trace_span("engine.route", schemes=len(chosen)):
-            optimum = self._context.optimal_solver(demand) if with_optimal else None
-            results: Dict[str, RouteResult] = {}
-            for label in chosen:
-                result = self[label].route(demand)
+            pending = (
+                _normalizer_pool().submit(
+                    contextvars.copy_context().run, self._context.optimal_solver, demand
+                )
+                if with_optimal
+                else None
+            )
+            try:
+                results = {label: self[label].route(demand) for label in chosen}
+            finally:
+                optimum = None if pending is None else pending.result()
+            for result in results.values():
                 if result.optimal_congestion is None:
                     result.optimal_congestion = optimum
-                results[label] = result
             return results
 
     def route_many(

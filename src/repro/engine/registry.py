@@ -23,6 +23,8 @@ from __future__ import annotations
 import inspect
 import math
 import re
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -64,20 +66,60 @@ class MemoizedOptimalSolver:
     Demands are immutable and hashable, so the engine can guarantee the
     LP is solved at most once per distinct snapshot even when several
     schemes (and the ratio normalization) all need the optimum.
+
+    Calls may come from several threads at once: ``engine.route`` solves
+    the normalizer on a background thread while an ``optimal`` scheme
+    asks for the same demand on the caller's.  The first call for a
+    demand takes one in-flight entry under a lock and solves; every
+    concurrent call for that demand waits on the entry instead of
+    solving again.  A solve that raises is not memoized: its error is
+    re-raised in every waiter, and the next call solves afresh.  The
+    memo pickles its finished optima only.
     """
 
     def __init__(self, network: Network) -> None:
         self._network = network
         self._cache: Dict[Demand, float] = {}
         self.num_solves = 0
+        self._reset_threading()
+
+    def _reset_threading(self) -> None:
+        self._lock = threading.Lock()
+        self._pending: Dict[Demand, Future] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_lock"], state["_pending"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._reset_threading()
 
     def __call__(self, demand: Demand) -> float:
-        congestion = self._cache.get(demand)
-        if congestion is None:
-            self.num_solves += 1
+        with self._lock:
+            congestion = self._cache.get(demand)
+            if congestion is not None:
+                return congestion
+            pending = self._pending.get(demand)
+            owner = pending is None
+            if owner:
+                pending = self._pending[demand] = Future()
+                self.num_solves += 1
+        if not owner:
+            return pending.result()
+        try:
             with trace_span("mcf.optimal_solve"):
                 congestion = min_congestion_lp(self._network, demand).congestion
+        except BaseException as error:
+            with self._lock:
+                del self._pending[demand]
+            pending.set_exception(error)
+            raise
+        with self._lock:
             self._cache[demand] = congestion
+            del self._pending[demand]
+        pending.set_result(congestion)
         return congestion
 
     def prime(self, demand: Demand, congestion: float) -> None:
@@ -88,10 +130,13 @@ class MemoizedOptimalSolver:
         the congestion here so a later ``__call__`` is a cache hit, not
         a second LP.  Does not bump ``num_solves``.
         """
-        self._cache[demand] = float(congestion)
+        with self._lock:
+            self._cache[demand] = float(congestion)
 
     def clear(self) -> None:
-        self._cache.clear()
+        """Forget the finished optima (a solve in flight still lands)."""
+        with self._lock:
+            self._cache.clear()
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 :func:`summarize_trace` aggregates span records by name into the table
 ``repro trace summarize`` prints: call count, cumulative time,
-self-time (cumulative minus the time spent in direct children, computed
-per process via the ``seq``/``parent`` links), and p50/p95/max
-durations.  Sorting by self-time is what makes the table useful for
-picking compiled-kernel candidates: a span that is hot only because of
-its children sinks to the bottom.
+self-time (cumulative minus the time covered by the union of its direct
+children's ``[t0, t0 + dur)`` intervals, computed per process via the
+``seq``/``parent`` links, so children running at once on several
+threads are not subtracted twice), and p50/p95/max durations.  Sorting
+by self-time is what makes the table useful for picking
+compiled-kernel candidates: a span that is hot only because of its
+children sinks to the bottom.
 
 :func:`normalized_tree` reduces a trace to its deterministic skeleton —
 names, nesting, attributes and counters, with durations, pids, tids and
@@ -39,6 +41,16 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[low] * (1.0 - weight) + sorted_values[high] * weight
 
 
+def _union_length(intervals: List[Tuple[float, float]]) -> float:
+    """Total length covered by half-open ``(start, stop)`` intervals."""
+    covered, reached = 0.0, -math.inf
+    for start, stop in sorted(intervals):
+        if stop > reached:
+            covered += stop - max(start, reached)
+            reached = stop
+    return covered
+
+
 def summarize_trace(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Aggregate spans by name; rows sorted by self-time, descending.
 
@@ -46,14 +58,16 @@ def summarize_trace(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     ``p50_s``, ``p95_s`` and ``max_s``.
     """
     spans = span_records(records)
-    # Time spent in direct children, keyed like spans by (pid, seq).
-    child_time: Dict[Tuple[int, int], float] = {}
+    # Direct children's intervals, keyed like spans by (pid, seq).
+    child_intervals: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
     for record in spans:
         parent = record.get("parent")
         if parent is None:
             continue
         key = (int(record.get("pid", 0)), int(parent))
-        child_time[key] = child_time.get(key, 0.0) + float(record.get("dur", 0.0))
+        t0 = float(record.get("t0", 0.0))
+        child_intervals.setdefault(key, []).append((t0, t0 + float(record.get("dur", 0.0))))
+    child_time = {key: _union_length(intervals) for key, intervals in child_intervals.items()}
 
     by_name: Dict[str, Dict[str, Any]] = {}
     for record in spans:

@@ -82,9 +82,10 @@ class Span:
     """One timed, named block of work.
 
     Created by :meth:`Tracer.span` (usually via :func:`trace_span`) and
-    used as a context manager.  Nesting is tracked per-execution-context
-    so spans opened on worker threads or in callbacks attach to the
-    right parent.
+    used as a context manager.  Nesting is tracked per-execution-context.
+    A new thread starts from an empty context, so its spans are roots
+    unless the work is submitted through ``contextvars.copy_context().run``,
+    which keeps them under the submitter's open span.
     """
 
     __slots__ = (

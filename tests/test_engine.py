@@ -1,6 +1,7 @@
 """Tests for the engine subsystem: Router protocol, registry, RoutingEngine."""
 
 import json
+import time
 
 import pytest
 
@@ -273,6 +274,100 @@ def test_engine_route_many_solves_optimal_once_per_snapshot(cube3):
             assert isinstance(result, RouteResult)
             assert result.optimal_congestion is not None
             assert result.ratio >= 1.0 - 1e-9
+
+
+def test_engine_route_normalizes_exactly_and_leaves_schemes_unchanged():
+    """The background optimum is the serial LP's, bit for bit; schemes route as without it."""
+    torus = topologies.torus_2d(4)
+    series = diurnal_gravity_series(torus, num_snapshots=10, rng=2)
+    engine = RoutingEngine(
+        torus, ["semi-oblivious(racke, alpha=4)", "ksp(k=4)", "spf", "optimal"], rng=0
+    )
+    for demand in series:
+        results = engine.route(demand)
+        plain = engine.route(demand, with_optimal=False)
+        optimum = min_congestion_lp(torus, demand).congestion
+        for label, result in results.items():
+            assert result.optimal_congestion == optimum, label
+            assert result.congestion == plain[label].congestion, label
+    assert engine.num_optimal_solves == 10
+
+
+class _FailingScheme:
+    name = "failing"
+
+    def install(self, pairs=None):
+        pass
+
+    def route(self, demand):
+        raise RoutingError("scheme failed")
+
+
+def _slow_normalizer(monkeypatch, finished, error=None):
+    """Patch the memo's LP to take 0.2 s, note when it ends, then answer or raise ``error``."""
+    from repro.engine import registry
+
+    def slow_lp(network, demand):
+        time.sleep(0.2)
+        finished.append(time.perf_counter())
+        if error is not None:
+            raise error
+        return min_congestion_lp(network, demand)
+
+    monkeypatch.setattr(registry, "min_congestion_lp", slow_lp)
+
+
+def test_engine_route_raises_the_normalizer_error(monkeypatch, cube3):
+    engine = RoutingEngine(cube3, ["spf"], rng=0)
+    engine.install()
+    finished = []
+    _slow_normalizer(monkeypatch, finished, SolverError("normalizer failed"))
+    demand = Demand({(0, 7): 1.0})
+    with pytest.raises(SolverError, match="normalizer failed"):
+        engine.route(demand)
+    assert len(finished) == 1 and engine.context.optimal_solver._pending == {}
+    # When a scheme fails too, the normalizer's error still wins (it used to run first).
+    engine.add_scheme(_FailingScheme())
+    with pytest.raises(SolverError, match="normalizer failed"):
+        engine.route(demand)
+
+
+def test_engine_route_reraises_a_scheme_error_after_the_background_solve(monkeypatch, cube3):
+    engine = RoutingEngine(cube3, ["spf", _FailingScheme()], rng=0)
+    engine.install()
+    finished = []
+    _slow_normalizer(monkeypatch, finished)
+    demand = Demand({(0, 7): 1.0})
+    with pytest.raises(RoutingError, match="scheme failed"):
+        engine.route(demand)
+    raised = time.perf_counter()
+    assert len(finished) == 1 and finished[0] <= raised
+    solver = engine.context.optimal_solver
+    assert solver._pending == {} and demand in solver._cache and solver.num_solves == 1
+
+
+def test_engine_route_nests_the_background_optimum_under_its_span(cube3):
+    from repro.obs import RecordingSink, Tracer, install_tracer, uninstall_tracer
+
+    series = diurnal_gravity_series(cube3, num_snapshots=3, rng=1)
+    engine = RoutingEngine(cube3, ["semi-oblivious(racke, alpha=3)", "spf"], rng=0)
+    engine.install()
+    tracer = install_tracer(Tracer(sink=RecordingSink()))
+    try:
+        engine.route_many(list(series))
+    finally:
+        uninstall_tracer()
+    spans = [r for r in tracer.records if r.get("kind") == "span"]
+    routes = {r["seq"]: r for r in spans if r["name"] == "engine.route"}
+    solves = [r for r in spans if r["name"] == "mcf.optimal_solve"]
+    assert len(routes) == 3 and len(solves) == 3
+    assert sorted(r["parent"] for r in solves) == sorted(routes)
+    # The optimum ran on the background thread, inside its route's interval.
+    for solve in solves:
+        route = routes[solve["parent"]]
+        assert solve["tid"] != route["tid"]
+        assert route["t0"] <= solve["t0"]
+        assert solve["t0"] + solve["dur"] <= route["t0"] + route["dur"]
 
 
 def test_engine_route_many_matches_seed_simulator_ratios(cube3):

@@ -200,6 +200,43 @@ def test_summary_self_time_and_render():
     assert "1 more span name(s)" in table
 
 
+def test_summary_self_time_subtracts_the_union_of_concurrent_children():
+    import contextvars
+    import threading
+    import time
+
+    tracer = _recording_tracer()
+    barrier = threading.Barrier(2)
+
+    def child():
+        with trace_span("child"):
+            barrier.wait()
+            time.sleep(0.05)
+
+    with trace_span("outer"):
+        workers = [
+            threading.Thread(target=contextvars.copy_context().run, args=(child,))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        time.sleep(0.02)
+    records = list(tracer.records)
+    uninstall_tracer()
+    spans = {r["name"]: r for r in span_records(records) if r["name"] == "outer"}
+    children = [r for r in span_records(records) if r["name"] == "child"]
+    assert len({r["tid"] for r in children}) == 2
+    assert {r["parent"] for r in children} == {spans["outer"]["seq"]}
+    first, second = sorted(children, key=lambda r: r["t0"])
+    assert second["t0"] < first["t0"] + first["dur"]  # the two children overlap
+    union = max(r["t0"] + r["dur"] for r in children) - first["t0"]
+    by_name = {row["name"]: row for row in summarize_trace(records)}
+    assert by_name["outer"]["self_s"] == pytest.approx(spans["outer"]["dur"] - union, abs=1e-6)
+    assert by_name["outer"]["self_s"] >= 0.015
+
+
 def test_chrome_export_structure():
     records = _small_trace()
     payload = export_chrome_trace(records)
